@@ -1,45 +1,18 @@
 """Spectral estimation of Tucker topic models from multinomial count tensors."""
 
 from .errors import DataFormatError, FitDegenerateError
-from .estimator import (
-    FitConfig,
-    FitResult,
-    TuckerModel,
-    fit,
-    fit_core,
-    fit_mode3,
-    fit_mode12,
-    threshold_vocab,
-)
+from .estimator import FitConfig, FitResult, TuckerModel, fit, threshold_vocab
 from .metrics import (
-    LossReport,
     aligned_l1_loss,
-    core_loss,
-    cosine_match,
     evaluate,
     reconstruction_error,
     scree,
     topic_resolution,
 )
-from .simplex import recover_weights, score_normalize, spa_vertex_hunt
-from .spectral import SpectralFactors, build_q, hooi_refine, leading_eigvecs
-from .synth import (
-    GenSpec,
-    PlantedInstance,
-    generate,
-    sample_counts,
-    sample_dirichlet,
-    sample_multinomial,
-    substream,
-)
-from .tensor import (
-    fold,
-    kronecker,
-    mode_product,
-    reconstruct,
-    tube_sums,
-    unfold,
-)
+from .simplex import spa_vertex_hunt
+from .spectral import build_q, leading_eigvecs
+from .synth import GenSpec, generate, sample_counts
+from .tensor import fold, kronecker, unfold
 
 __version__ = "0.1.0"
 
@@ -50,37 +23,20 @@ __all__ = [
     "FitResult",
     "TuckerModel",
     "fit",
-    "fit_core",
-    "fit_mode3",
-    "fit_mode12",
     "threshold_vocab",
-    "LossReport",
     "aligned_l1_loss",
-    "core_loss",
-    "cosine_match",
     "evaluate",
     "reconstruction_error",
     "scree",
     "topic_resolution",
-    "recover_weights",
-    "score_normalize",
     "spa_vertex_hunt",
-    "SpectralFactors",
     "build_q",
-    "hooi_refine",
     "leading_eigvecs",
     "GenSpec",
-    "PlantedInstance",
     "generate",
     "sample_counts",
-    "sample_dirichlet",
-    "sample_multinomial",
-    "substream",
     "fold",
     "kronecker",
-    "mode_product",
-    "reconstruct",
-    "tube_sums",
     "unfold",
     "__version__",
 ]

@@ -13,13 +13,14 @@ Exit codes: 0 success, 2 usage error, 3 malformed data, 4 degenerate fit.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,18 +113,12 @@ def write_model(path, model, extra=None):
     }
     if extra:
         payload.update(extra)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                          encoding="utf-8")
+    _write_json(path, payload)
 
 
 def read_model(path):
     """Load a model JSON file, validating shapes against declared dims."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as err:
-        raise DataFormatError(f"{path}: cannot read model file: {err}") from None
-    except json.JSONDecodeError as err:
-        raise DataFormatError(f"{path}: invalid JSON: {err}") from None
+    payload = _load_json(path, "model file")
     try:
         dims = tuple(int(v) for v in payload["dims"])
         ranks = tuple(int(v) for v in payload["ranks"])
@@ -153,18 +148,37 @@ def write_manifest(path, command, parameters, outputs, stage_seconds):
             "tensortopics": __version__,
         },
     }
+    _write_json(path, payload)
+
+
+def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
                           encoding="utf-8")
 
 
 def _load_json(path, what):
+    """Parse a JSON file that must hold one object."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
         raise DataFormatError(f"{path}: cannot read {what}: {err}") from None
     except json.JSONDecodeError as err:
         raise DataFormatError(f"{path}: invalid JSON: {err}") from None
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path}: {what} must be a JSON object")
     return payload
+
+
+def _from_json(kind, options, where, **fixed):
+    """Build ``kind(**options, **fixed)`` from a JSON object.
+
+    The one boundary for generator specs and fit configs: an unknown key, a
+    wrong type or a bad value raises ``DataFormatError`` naming ``where``.
+    """
+    try:
+        return kind(**options, **fixed)
+    except (TypeError, ValueError) as err:
+        raise DataFormatError(f"{where}: {err}") from None
 
 
 def _out(prefix, suffix):
@@ -176,21 +190,15 @@ def _out(prefix, suffix):
 
 def _write_csv(path_or_none, header, rows):
     """Write rows with repr-formatted floats; stdout when no path is given."""
-    def _cell(value):
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    rendered = [[_cell(v) for v in row] for row in rows]
     if path_or_none is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rendered)
-        return
-    with open(path_or_none, "w", encoding="utf-8", newline="") as handle:
+        target = contextlib.nullcontext(sys.stdout)
+    else:
+        target = open(path_or_none, "w", encoding="utf-8", newline="")
+    with target as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rendered)
+        writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row]
+                         for row in rows)
 
 
 def derive_seed(master, *path):
@@ -205,14 +213,9 @@ def derive_seed(master, *path):
 def cmd_generate(args):
     start = time.perf_counter()
     payload = _load_json(args.spec, "generator spec")
-    if not isinstance(payload, dict):
-        raise DataFormatError(f"{args.spec}: generator spec must be a JSON object")
     if args.seed is not None:
         payload["seed"] = args.seed
-    try:
-        spec = GenSpec(**payload)
-    except TypeError as err:
-        raise DataFormatError(f"{args.spec}: {err}") from None
+    spec = _from_json(GenSpec, payload, args.spec)
     loaded = time.perf_counter()
     instance = generate(spec)
     generated = time.perf_counter()
@@ -231,28 +234,20 @@ def cmd_generate(args):
     return 0
 
 
-def _fit_config_from(args, config, doc_length):
-    ranks = args.ranks if args.ranks is not None else config.get("ranks")
-    if ranks is None:
-        raise _UsageError('no ranks given: pass --ranks K1,K2,K3 or put "ranks" in the config')
-    sparse = args.sparse if args.sparse is not None else config.get("sparse_c_prime", 0.005)
-    use_hooi = (args.hooi is not None) or bool(config.get("use_hooi", False))
-    hooi_iters = args.hooi if args.hooi is not None else int(config.get("hooi_iters", 5))
-    oracle = bool(args.oracle) or bool(config.get("oracle", False))
-    return FitConfig(ranks=tuple(int(k) for k in ranks), doc_length=doc_length,
-                     use_hooi=use_hooi, hooi_iters=hooi_iters,
-                     sparse_c_prime=float(sparse), oracle=oracle)
-
-
 def cmd_fit(args):
     start = time.perf_counter()
     counts, doc_length = read_count_tensor(args.data)
-    config = {}
-    if args.config:
-        config = _load_json(args.config, "fit config")
-        if not isinstance(config, dict):
-            raise DataFormatError(f"{args.config}: fit config must be a JSON object")
-    cfg = _fit_config_from(args, config, doc_length)
+    options = _load_json(args.config, "fit config") if args.config else {}
+    flags = {"ranks": args.ranks, "sparse_c_prime": args.sparse, "hooi_iters": args.hooi}
+    options.update((key, value) for key, value in flags.items() if value is not None)
+    if args.hooi is not None:
+        options["use_hooi"] = True
+    if args.oracle:
+        options["oracle"] = True
+    if "ranks" not in options:
+        raise _UsageError('no ranks given: pass --ranks K1,K2,K3 or put "ranks" in the config')
+    cfg = _from_json(FitConfig, options, args.config or "command line",
+                     doc_length=doc_length)
     loaded = time.perf_counter()
     result = fit(counts / doc_length, cfg)
     fitted = time.perf_counter()
@@ -267,8 +262,7 @@ def cmd_fit(args):
         "eigvals": {f"mode{m + 1}": [float(v) for v in result.eigvals[m]]
                     for m in range(3)},
     }
-    diag_path.write_text(json.dumps(diagnostics, sort_keys=True, indent=1) + "\n",
-                         encoding="utf-8")
+    _write_json(diag_path, diagnostics)
     written = time.perf_counter()
     parameters = {"data": str(args.data), "doc_length": doc_length, **asdict(cfg)}
     write_manifest(
@@ -306,27 +300,25 @@ def cmd_eval(args):
     return 0
 
 
-def _cell_spec(cell, seed):
+def _sweep_cell(cell, where):
+    """Seed-0 generator spec and fit config of one grid cell.
+
+    The fit options default to the cell's planted ranks.
+    """
+    options = cell.get("fit", {}) if isinstance(cell, dict) else None
+    if not isinstance(options, dict):
+        raise DataFormatError(f'{where}: a cell and its "fit" entry must be JSON objects')
     fields = {k: v for k, v in cell.items() if k not in ("label", "fit")}
-    try:
-        return GenSpec(**fields, seed=seed)
-    except TypeError as err:
-        raise DataFormatError(f"sweep cell: {err}") from None
-
-
-def _cell_fit_config(cell, spec):
-    options = dict(cell.get("fit", {}))
-    ranks = options.pop("ranks", spec.ranks)
-    return FitConfig(ranks=tuple(int(k) for k in ranks),
-                     doc_length=spec.doc_length, **options)
+    spec = _from_json(GenSpec, fields, where, seed=0)
+    cfg = _from_json(FitConfig, {"ranks": spec.ranks, **options}, where,
+                     doc_length=spec.doc_length)
+    return spec, cfg
 
 
 def _sweep_trial(payload):
-    cell, cell_index, trial_index, master_seed = payload
+    spec, cfg, cell_index, trial_index, master_seed = payload
     seed = derive_seed(master_seed, cell_index, trial_index)
-    spec = _cell_spec(cell, seed)
-    instance = generate(spec)
-    cfg = _cell_fit_config(cell, spec)
+    instance = generate(replace(spec, seed=seed))
     result = fit(instance.y, cfg)
     report = evaluate(result.model, instance.model)
     return (cell_index, trial_index, seed,
@@ -336,17 +328,16 @@ def _sweep_trial(payload):
 def cmd_sweep(args):
     start = time.perf_counter()
     grid = _load_json(args.grid, "sweep grid")
-    if not isinstance(grid, dict) or not isinstance(grid.get("cells"), list) \
-            or not grid["cells"]:
-        raise DataFormatError(f"{args.grid}: grid must be an object with a nonempty "
-                              f'"cells" list')
+    cells = grid.get("cells")
+    if not isinstance(cells, list) or not cells:
+        raise DataFormatError(f'{args.grid}: grid must hold a nonempty "cells" list')
     master_seed = args.seed if args.seed is not None else int(grid.get("seed", 0))
     trials = args.trials if args.trials is not None else int(grid.get("trials", 1))
     if trials < 1:
         raise DataFormatError("trials must be positive")
-    cells = grid["cells"]
-    jobs = [(cell, ci, ti, master_seed)
-            for ci, cell in enumerate(cells) for ti in range(trials)]
+    checked = [_sweep_cell(cell, f"{args.grid}: cell {ci}") for ci, cell in enumerate(cells)]
+    jobs = [(spec, cfg, ci, ti, master_seed)
+            for ci, (spec, cfg) in enumerate(checked) for ti in range(trials)]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             raw = list(pool.map(_sweep_trial, jobs))
@@ -362,9 +353,8 @@ def cmd_sweep(args):
     for column in _EVAL_COLUMNS:
         summary_header += (f"{column}_median", f"{column}_iqr")
     summary_rows = []
-    for ci, cell in enumerate(cells):
+    for ci, (cell, (spec, _)) in enumerate(zip(cells, checked)):
         label = str(cell.get("label", f"cell{ci}"))
-        spec = _cell_spec(cell, seed=0)
         per_metric = []
         for ti in range(trials):
             seed, losses = results[(ci, ti)]
@@ -487,12 +477,13 @@ def main(argv=None):
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
+    except (FitDegenerateError, np.linalg.LinAlgError) as err:
+        # LinAlgError subclasses ValueError, yet it is a numerical failure
+        print(f"degenerate fit: {err}", file=sys.stderr)
+        return 4
     except (DataFormatError, ValueError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 3
-    except FitDegenerateError as err:
-        print(f"degenerate fit: {err}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -18,18 +18,13 @@ Everything is deterministic: equal data and config give bit-identical output.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError, FitDegenerateError
-from .simplex import (
-    ScoreResult,
-    VertexSet,
-    recover_weights,
-    score_normalize,
-    spa_vertex_hunt,
-)
+from .simplex import recover_weights, score_normalize, spa_vertex_hunt
 from .spectral import SpectralFactors, build_q, hooi_refine, leading_eigvecs
 from .tensor import reconstruct, unfold
 
@@ -109,7 +104,8 @@ class FitConfig:
     constant matches the recommended value for power-law vocabularies and is
     far below any uniform word frequency at desk scales.  ``oracle=True``
     declares the input to be the exact mean tensor, which skips the word-mode
-    bias correction.
+    bias correction.  Field types are checked, not coerced: a string
+    ``"false"`` is no boolean and ``2.5`` is no rank.
     """
 
     ranks: tuple
@@ -120,15 +116,24 @@ class FitConfig:
     oracle: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(k) for k in self.ranks))
-        if len(self.ranks) != 3 or any(k < 1 for k in self.ranks):
-            raise DataFormatError(f"ranks must be three positive integers, got {self.ranks}")
+        ranks = tuple(self.ranks) if isinstance(self.ranks, (tuple, list)) else ()
+        if len(ranks) != 3 or not all(_is_int(k) and k >= 1 for k in ranks):
+            raise DataFormatError(f"ranks must be three positive integers, got {self.ranks!r}")
+        object.__setattr__(self, "ranks", tuple(int(k) for k in ranks))
         if self.doc_length < 1:
             raise DataFormatError("doc_length must be at least 1")
-        if self.hooi_iters < 0:
-            raise DataFormatError("hooi_iters must be nonnegative")
-        if self.sparse_c_prime < 0:
-            raise DataFormatError("sparse_c_prime must be nonnegative")
+        for name in ("use_hooi", "oracle"):
+            if not isinstance(getattr(self, name), bool):
+                raise DataFormatError(f"{name} must be a boolean, got {getattr(self, name)!r}")
+        if not _is_int(self.hooi_iters) or self.hooi_iters < 0:
+            raise DataFormatError(
+                f"hooi_iters must be a nonnegative integer, got {self.hooi_iters!r}")
+        c_prime = self.sparse_c_prime
+        if not (isinstance(c_prime, numbers.Real) and not isinstance(c_prime, bool)
+                and math.isfinite(c_prime) and c_prime >= 0):
+            raise DataFormatError(
+                f"sparse_c_prime must be a finite nonnegative number, got {c_prime!r}")
+        object.__setattr__(self, "sparse_c_prime", float(c_prime))
 
 
 @dataclass(frozen=True)
@@ -150,15 +155,8 @@ class FitResult:
     eigvals: tuple
 
 
-@dataclass(frozen=True)
-class Mode3Fit:
-    """Word-factor recovery products."""
-
-    a3: np.ndarray         # (n_words, k), dropped rows exactly zero
-    score: ScoreResult     # ratio coordinates actually used
-    vertices: VertexSet    # hunted vertices in the ratio cloud
-    weights: np.ndarray    # solved simplex weights over kept rows
-    q0: np.ndarray         # (k,) strictly positive topic masses
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _as_data(y):
@@ -207,6 +205,11 @@ def _membership_from_basis(xi, label):
 
 
 def _word_factor_from_basis(xi):
+    """Word factor, topic masses, vertex matrix and vertex rows of one basis.
+
+    The vertex matrix carries the leading all-ones column the core stage
+    needs; vertex rows index ``xi``.
+    """
     n_words, k = xi.shape
     score = score_normalize(xi)
     hunt = spa_vertex_hunt(score.s, k)
@@ -225,38 +228,7 @@ def _word_factor_from_basis(xi):
             "the data does not support this many topics")
     a3 = np.zeros((n_words, k))
     a3[score.kept] = scaled / q0
-    return Mode3Fit(a3=a3, score=score, vertices=hunt, weights=weights, q0=q0)
-
-
-def fit_mode12(y, mode, k, cfg):
-    """Row-membership factor for mode 1 or 2 straight from the data.
-
-    Rows of the result are nonnegative and sum to one; for ``k=1`` it is a
-    single column of ones.
-    """
-    if mode not in (1, 2):
-        raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-    y = _as_data(y)
-    if not 1 <= k <= y.shape[mode - 1]:
-        raise ValueError(f"rank {k} out of range for mode {mode} of dims {y.shape}")
-    xi, _ = _mode_basis(y, mode, k, cfg)
-    weights, _ = _membership_from_basis(xi, f"mode {mode} membership")
-    return weights
-
-
-def fit_mode3(y, k, cfg):
-    """Word-distribution factor and topic masses straight from the data.
-
-    Needs ``k >= 2``: the ratio coordinates divide the trailing eigenvectors
-    by the leading one, which is vacuous for a single topic.
-    """
-    if k < 2:
-        raise ValueError("word-mode recovery needs at least two topics")
-    y = _as_data(y)
-    if k > y.shape[2]:
-        raise ValueError(f"rank {k} exceeds the vocabulary size {y.shape[2]}")
-    xi, _ = _mode_basis(y, 3, k, cfg)
-    return _word_factor_from_basis(xi)
+    return a3, q0, v_star, score.kept[hunt.indices]
 
 
 def fit_core(y, factors, v_hats, q0):
@@ -265,14 +237,11 @@ def fit_core(y, factors, v_hats, q0):
     Projects ``y`` onto the three bases, maps the projection through the
     vertex matrices (``v_hats[2]`` rescaled row-wise by ``q0``), then clips
     negatives and renormalizes every topic tube to unit sum; a tube clipped
-    to nothing becomes uniform.
+    to nothing becomes uniform.  Inputs are taken as ``fit`` produces them:
+    a validated float tensor and strictly positive ``q0``.
     """
-    y = _as_data(y)
-    xi1, xi2, xi3 = (np.asarray(x, dtype=float) for x in factors.xi)
-    v1, v2, v3 = (np.asarray(v, dtype=float) for v in v_hats)
-    q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (v3.shape[0],) or np.any(q0 <= 0):
-        raise ValueError("q0 must be strictly positive with one entry per topic")
+    xi1, xi2, xi3 = factors.xi
+    v1, v2, v3 = v_hats
     projected = np.einsum("ijr,ip,jq,rs->pqs", y, xi1, xi2, xi3, optimize=True)
     core = np.einsum("pqs,ap,bq,cs->abc", projected, v1, v2, q0[:, None] * v3,
                      optimize=True)
@@ -321,19 +290,16 @@ def fit(y, cfg):
 
     a1, hunt1 = _membership_from_basis(factors.xi[0], "mode 1 membership")
     a2, hunt2 = _membership_from_basis(factors.xi[1], "mode 2 membership")
-    word = _word_factor_from_basis(factors.xi[2])
-
-    v3_star = np.column_stack([np.ones(k3), word.vertices.v])
-    g = fit_core(data, factors, (hunt1.v, hunt2.v, v3_star), word.q0)
+    a3_kept, q0, v3_star, word_rows = _word_factor_from_basis(factors.xi[2])
+    g = fit_core(data, factors, (hunt1.v, hunt2.v, v3_star), q0)
 
     a3 = np.zeros((n_words, k3))
-    a3[vocab] = word.a3
+    a3[vocab] = a3_kept
     model = TuckerModel(a1=a1, a2=a2, a3=a3, g=g)
-    word_vertices = vocab[word.score.kept[word.vertices.indices]]
     return FitResult(
         model=model,
         vocab=vocab,
-        q0=word.q0,
-        vertices=(hunt1.indices, hunt2.indices, word_vertices),
+        q0=q0,
+        vertices=(hunt1.indices, hunt2.indices, vocab[word_rows]),
         eigvals=tuple(spectra),
     )

@@ -15,8 +15,6 @@ from .estimator import fit
 from .spectral import build_q
 from .tensor import unfold
 
-_BRUTE_FORCE_MAX = 8
-
 
 @dataclass(frozen=True)
 class LossReport:
@@ -35,6 +33,8 @@ def _column_cost(a_hat, a):
 
 
 def _align_brute(cost):
+    """Exhaustive minimum over all permutations: the reference that tests
+    hold the assignment solver to."""
     k = cost.shape[0]
     columns = np.arange(k)
     best = np.inf
@@ -58,18 +58,15 @@ def aligned_l1_loss(a_hat, a):
     """Minimum over column permutations of the summed columnwise l1 gaps.
 
     Returns ``(loss, perm)`` with ``perm[k]`` the column of ``a_hat`` aligned
-    to column ``k`` of ``a``.  Up to 8 columns the minimum is exhaustive
-    (ties resolved to the lexicographically first permutation); beyond that
-    an assignment solver takes over.
+    to column ``k`` of ``a``, found by a linear assignment solver.  The loss
+    is the exact minimum; where two permutations tie exactly, which of them
+    comes back is left to the solver.
     """
     a_hat = np.asarray(a_hat, dtype=float)
     a = np.asarray(a, dtype=float)
     if a_hat.ndim != 2 or a_hat.shape != a.shape:
         raise ValueError(f"column sets must share a shape, got {a_hat.shape} vs {a.shape}")
-    cost = _column_cost(a_hat, a)
-    if a.shape[1] <= _BRUTE_FORCE_MAX:
-        return _align_brute(cost)
-    return _align_hungarian(cost)
+    return _align_hungarian(_column_cost(a_hat, a))
 
 
 def core_loss(g_hat, g, perms):

@@ -68,19 +68,6 @@ def kronecker(a, b):
     return np.kron(a, b)
 
 
-def mode_product(t, m, mode):
-    """Multiply ``t`` along ``mode`` by the matrix ``m`` (rows index the output)."""
-    t = _as_tensor(t)
-    m = np.asarray(m)
-    _check_mode(mode)
-    if m.ndim != 2 or m.shape[1] != t.shape[mode - 1]:
-        raise ValueError(
-            f"matrix of shape {m.shape} cannot act on mode {mode} of dims {t.shape}")
-    out_shape = list(t.shape)
-    out_shape[mode - 1] = m.shape[0]
-    return fold(m @ unfold(t, mode), mode, out_shape)
-
-
 def reconstruct(g, a1, a2, a3):
     """Compose a core and three factors into the full tensor.
 
@@ -97,7 +84,3 @@ def reconstruct(g, a1, a2, a3):
                 f"core axis of size {g.shape[axis]}")
     return np.einsum("pqs,ip,jq,ks->ijk", g, a1, a2, a3, optimize=True)
 
-
-def tube_sums(t):
-    """Sums over the third axis, one value per ``(i, j)`` tube."""
-    return _as_tensor(t).sum(axis=2)

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensortopics import GenSpec, generate
 from tensortopics.cli import (
@@ -265,3 +267,79 @@ def test_degenerate_fit_is_exit_4(tmp_path):
     assert main(["fit", "--data", str(tmp_path / "g.counts.txt"),
                  "--ranks", "2,2,3", "--sparse", "1e9",
                  "--out", str(tmp_path / "f")]) == 4
+
+
+def _tiny_counts(tmp_path):
+    inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82)
+    path = tmp_path / "tiny.counts.txt"
+    write_count_tensor(path, inst.counts, 30)
+    return path
+
+
+@pytest.mark.parametrize("config", [
+    {"ranks": 5},
+    {"ranks": [2, 2, 2], "sparse_c_prime": None},
+    {"ranks": [2, 2, 2], "use_hooi": "false"},
+    {"ranks": [2, 2, 2], "use_hoi": True},
+])
+def test_bad_fit_config_is_exit_3_naming_the_file(tmp_path, capsys, config):
+    data = _tiny_counts(tmp_path)
+    cfg = tmp_path / "bad-fit.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["fit", "--data", str(data), "--config", str(cfg),
+                 "--out", str(tmp_path / "f")])
+    assert code == 3
+    assert str(cfg) in capsys.readouterr().err
+    assert not (tmp_path / "f.model.json").exists()
+
+
+@pytest.mark.parametrize("bad_cell", [
+    {"label": "bad", "dims": [8, 6, 20], "ranks": [2, 2, 2], "doc_length": 30,
+     "fit": {"bogus": 1}},
+    [1, 2],
+])
+def test_bad_sweep_cell_is_exit_3_naming_file_and_cell(tmp_path, capsys, bad_cell):
+    good = {"dims": [8, 6, 20], "ranks": [2, 2, 2], "doc_length": 30}
+    grid = tmp_path / "bad-grid.json"
+    grid.write_text(json.dumps({"cells": [good, bad_cell]}))
+    assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "s")]) == 3
+    err = capsys.readouterr().err
+    assert str(grid) in err and "cell 1" in err
+    assert not (tmp_path / "s.trials.csv").exists()
+
+
+_FIT_KEYS = ["ranks", "use_hooi", "hooi_iters", "sparse_c_prime", "oracle",
+             "doc_length", "use_hoi"]
+_SMALL_INTS = st.integers(min_value=-2, max_value=9)
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), _SMALL_INTS, st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(_SMALL_INTS, st.floats(), st.booleans()), max_size=4))
+
+
+def test_fit_config_fuzz_exits_cleanly(tmp_path):
+    """Any JSON object as a fit config ends in a documented exit code."""
+    data = _tiny_counts(tmp_path)
+    cfg = tmp_path / "fuzz.json"
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(st.dictionaries(st.sampled_from(_FIT_KEYS), _JSON_VALUES, max_size=5))
+    def run(config):
+        cfg.write_text(json.dumps(config))
+        code = main(["fit", "--data", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "fz")])
+        assert code in (0, 2, 3, 4)
+
+    run()
+
+
+def test_linalg_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
+    data = _tiny_counts(tmp_path)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    assert main(["fit", "--data", str(data), "--ranks", "2,2,2",
+                 "--out", str(tmp_path / "f")]) == 4
+    err = capsys.readouterr().err
+    assert "degenerate fit" in err and "did not converge" in err

@@ -1,25 +1,23 @@
 """End-to-end estimator checks: thresholding, per-mode recovery on exact
-data, core recovery, and full-fit determinism."""
+data (read off full oracle fits), core recovery, and full-fit determinism."""
 
 import numpy as np
 import pytest
 
 from tensortopics import (
     FitConfig,
-    SpectralFactors,
     TuckerModel,
     aligned_l1_loss,
     build_q,
     evaluate,
     fit,
-    fit_core,
-    fit_mode3,
-    fit_mode12,
     leading_eigvecs,
     threshold_vocab,
     unfold,
 )
 from tensortopics.errors import DataFormatError, FitDegenerateError
+from tensortopics.estimator import fit_core
+from tensortopics.spectral import SpectralFactors
 
 from helpers import planted
 
@@ -48,16 +46,17 @@ def test_threshold_zero_keeps_everything():
 
 def test_fit_mode12_rank_one_is_all_ones():
     inst = planted((8, 6, 20), (1, 2, 2), doc_length=30, seed=42)
-    a1 = fit_mode12(inst.d, 1, 1, _oracle_cfg((1, 2, 2), 30))
+    a1 = fit(inst.d, _oracle_cfg((1, 2, 2), 30)).model.a1
     np.testing.assert_allclose(a1, np.ones((8, 1)), atol=1e-12)
 
 
 @pytest.mark.parametrize("mode,k", [(1, 2), (2, 2)])
 def test_fit_mode12_oracle_exact(mode, k):
     inst = planted((30, 10, 50), (2, 2, 3), doc_length=500, seed=7)
-    cfg = _oracle_cfg((2, 2, 3), 500)
-    a_hat = fit_mode12(inst.d, mode, k, cfg)
+    model = fit(inst.d, _oracle_cfg((2, 2, 3), 500)).model
+    a_hat = model.a1 if mode == 1 else model.a2
     truth = inst.model.a1 if mode == 1 else inst.model.a2
+    assert a_hat.shape[1] == k
     loss, _ = aligned_l1_loss(a_hat, truth)
     assert loss < 1e-8
     np.testing.assert_allclose(a_hat.sum(axis=1), 1.0, atol=1e-9)
@@ -66,36 +65,36 @@ def test_fit_mode12_oracle_exact(mode, k):
 
 def test_fit_mode3_oracle_exact_and_q0_law():
     inst = planted((30, 10, 50), (2, 2, 3), doc_length=500, seed=7)
-    cfg = _oracle_cfg((2, 2, 3), 500)
-    word = fit_mode3(inst.d, 3, cfg)
-    loss, perm = aligned_l1_loss(word.a3, inst.model.a3)
+    res = fit(inst.d, _oracle_cfg((2, 2, 3), 500))
+    a3 = res.model.a3
+    loss, perm = aligned_l1_loss(a3, inst.model.a3)
     assert loss < 1e-8
     # column sums of a3 are 1, entries nonnegative
-    np.testing.assert_allclose(word.a3.sum(axis=0), 1.0, atol=1e-9)
-    assert word.a3.min() >= 0
+    np.testing.assert_allclose(a3.sum(axis=0), 1.0, atol=1e-9)
+    assert a3.min() >= 0
     # q0 equals the first column of the basis coordinates of A3: with
     # Xi = A3 @ B, column normalization forces q0[k] = B[k, 0]
     q = build_q(unfold(inst.d, 3), 3, 500, centered=False)
     xi, _ = leading_eigvecs(q, 3)
     b = np.linalg.lstsq(inst.model.a3, xi, rcond=None)[0]
-    np.testing.assert_allclose(word.q0[np.asarray(perm)], b[:, 0], atol=1e-8)
+    np.testing.assert_allclose(res.q0[np.asarray(perm)], b[:, 0], atol=1e-8)
 
 
 def test_fit_mode3_anchor_rows_are_unit_weights():
     inst = planted((30, 10, 50), (2, 2, 3), doc_length=500, seed=7)
-    word = fit_mode3(inst.d, 3, _oracle_cfg((2, 2, 3), 500))
-    # anchors are words 0..2 and survive SCORE on exact data
+    res = fit(inst.d, _oracle_cfg((2, 2, 3), 500))
+    # anchors are words 0..2; a word's simplex weights are its a3 row scaled
+    # by the topic masses, so an anchor's normalized row is one-hot
     for anchor in range(3):
-        row_pos = int(np.flatnonzero(word.score.kept == anchor)[0])
-        row = word.weights[row_pos]
-        assert row.max() > 1 - 1e-8
-        assert row.sum() == pytest.approx(1.0, abs=1e-12)
+        row = res.model.a3[anchor] * res.q0
+        assert row.sum() > 0
+        assert (row / row.sum()).max() > 1 - 1e-8
 
 
 def test_fit_mode3_requires_two_topics():
     inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=43)
-    with pytest.raises(ValueError):
-        fit_mode3(inst.d, 1, _oracle_cfg((2, 2, 2), 30))
+    with pytest.raises(ValueError, match="two topics"):
+        fit(inst.d, _oracle_cfg((2, 2, 1), 30))
 
 
 def test_fit_core_trivial_ranks():

@@ -10,15 +10,19 @@ from tensortopics import (
     FitConfig,
     TuckerModel,
     aligned_l1_loss,
-    core_loss,
-    cosine_match,
     evaluate,
     fit,
     reconstruction_error,
     scree,
     topic_resolution,
 )
-from tensortopics.metrics import _align_brute, _align_hungarian, _column_cost
+from tensortopics.metrics import (
+    _align_brute,
+    _align_hungarian,
+    _column_cost,
+    core_loss,
+    cosine_match,
+)
 
 from helpers import planted
 
@@ -58,6 +62,21 @@ def test_brute_force_equals_hungarian():
             lh, ph = _align_hungarian(cost)
             assert lb == pytest.approx(lh, abs=1e-12)
             assert tuple(pb) == tuple(ph)
+
+
+def test_aligned_loss_is_exact_minimum_under_ties():
+    """Binary columns give small integer costs with many exact ties; the
+    assignment solver must still return the exhaustive minimum."""
+    rng = np.random.default_rng(63)
+    for k in (2, 3, 4, 5, 6):
+        for _ in range(10):
+            a_hat = rng.integers(0, 2, size=(3, k)).astype(float)
+            a = rng.integers(0, 2, size=(3, k)).astype(float)
+            cost = _column_cost(a_hat, a)
+            loss, perm = aligned_l1_loss(a_hat, a)
+            assert loss == _align_brute(cost)[0]
+            assert sorted(perm) == list(range(k))
+            assert cost[list(perm), np.arange(k)].sum() == loss
 
 
 def test_column_cost_is_entrywise_l1():

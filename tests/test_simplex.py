@@ -4,8 +4,9 @@ max-volume oracle, and simplex weight recovery."""
 import numpy as np
 import pytest
 
-from tensortopics import recover_weights, score_normalize, spa_vertex_hunt
+from tensortopics import spa_vertex_hunt
 from tensortopics.errors import FitDegenerateError
+from tensortopics.simplex import recover_weights, score_normalize
 
 from helpers import max_volume_subset
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from tensortopics import build_q, hooi_refine, leading_eigvecs, unfold
-from tensortopics.spectral import SpectralFactors, _fix_signs
+from tensortopics import build_q, leading_eigvecs, unfold
+from tensortopics.spectral import SpectralFactors, _fix_signs, hooi_refine
 
 from helpers import exact_mode_basis, planted, subspace_gap
 

@@ -5,15 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tensortopics import (
-    GenSpec,
-    generate,
-    sample_counts,
-    sample_dirichlet,
-    sample_multinomial,
-    substream,
-)
+from tensortopics import GenSpec, generate, sample_counts
 from tensortopics.errors import DataFormatError
+from tensortopics.synth import sample_dirichlet, sample_multinomial, substream
 
 from helpers import planted
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensortopics import fold, kronecker, mode_product, reconstruct, tube_sums, unfold
+from tensortopics import fold, kronecker, unfold
 from tensortopics.errors import DataFormatError
+from tensortopics.tensor import reconstruct
 
 from helpers import planted
 
@@ -123,16 +124,3 @@ def test_matricization_identity(mode):
     rhs = factors[mode] @ unfold(m.g, mode) @ kronecker(factors[b], factors[c]).T
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-
-def test_mode_product_is_factor_application():
-    rng = np.random.default_rng(15)
-    g = rng.uniform(size=(2, 3, 4))
-    a = rng.uniform(size=(5, 2))
-    out = mode_product(g, a, 1)
-    assert out.shape == (5, 3, 4)
-    np.testing.assert_allclose(unfold(out, 1), a @ unfold(g, 1), atol=1e-14)
-
-
-def test_tube_sums():
-    inst = planted((4, 3, 10), (2, 2, 2), doc_length=50, seed=5)
-    np.testing.assert_allclose(tube_sums(inst.d), 1.0, atol=1e-10)
