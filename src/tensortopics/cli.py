@@ -15,8 +15,11 @@ Exit codes: 0 success, 2 usage error, 3 malformed data, 4 degenerate fit.
 import argparse
 import contextlib
 import csv
+import io
+import itertools
 import json
 import platform
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +31,7 @@ import scipy
 
 from . import __version__
 from .errors import DataFormatError, FitDegenerateError
-from .estimator import FitConfig, TuckerModel, fit
+from .estimator import FitConfig, TuckerModel, _is_int, fit
 from .metrics import evaluate, scree
 from .synth import GenSpec, generate
 
@@ -43,61 +46,138 @@ class _UsageError(Exception):
 
 
 def write_count_tensor(path, counts, doc_length):
-    """Write integer counts in the sparse text format (zeros omitted)."""
+    """Write integer counts in the sparse text format (zeros omitted).
+
+    The records are formatted as arrays: each field's decimal digits fill
+    fixed-width byte columns, and the leading zeros are masked out.
+    """
     counts = np.asarray(counts)
     if counts.ndim != 3:
         raise DataFormatError("counts must form an order-3 tensor")
     if counts.size and counts.min() < 0:
         raise DataFormatError("counts must be nonnegative")
-    n1, n2, n_words = counts.shape
-    lines = [f"{n1} {n2} {n_words} {int(doc_length)}"]
-    for i, j, r in np.argwhere(counts):
-        lines.append(f"{i + 1} {j + 1} {r + 1} {int(counts[i, j, r])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cells = np.nonzero(counts)
+    columns = [index + 1 for index in cells] + [counts[cells]]
+    widths = [len(str(int(column.max(initial=0)))) for column in columns]
+    chars = np.empty((columns[-1].size, sum(widths) + 4), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    end = 0
+    for values, width, separator in zip(columns, widths, b"   \n"):
+        rest = values  # every value is positive, so its last digit is kept
+        for place in range(end + width - 1, end - 1, -1):
+            np.greater(rest, 0, out=keep[:, place])
+            rest, digit = np.divmod(rest, 10)
+            np.add(digit, ord("0"), out=chars[:, place], casting="unsafe")
+        chars[:, end + width] = separator
+        end += width + 1
+    header = " ".join(str(v) for v in (*counts.shape, int(doc_length))) + "\n"
+    Path(path).write_bytes(header.encode("ascii") + chars[keep].tobytes())
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
+
+
+def _nonblank_lines(text):
+    """``(line number, fields)`` of each nonblank line, in file order."""
+    for number, line in enumerate(io.StringIO(text), start=1):
+        fields = line.split()
+        if fields:
+            yield number, fields
+
+
+def _line_number(text, row):
+    """File line number of parsed row ``row``; blank lines hold no row."""
+    return next(itertools.islice(_nonblank_lines(text), row, None))[0]
+
+
+def _malformed_line(path, text):
+    """Error naming the first line that breaks the record grammar."""
+    for number, fields in _nonblank_lines(text):
+        where = f"{path}: line {number}"
+        if len(fields) != 4:
+            return DataFormatError(f"{where}: expected 4 fields, found {len(fields)}")
+        if not all(_INTEGER.fullmatch(field) for field in fields):
+            return DataFormatError(f"{where}: all fields must be integers")
+        if not all(_INT64.min <= int(field) <= _INT64.max for field in fields):
+            return DataFormatError(f"{where}: a field lies outside the 64-bit integer range")
+    return DataFormatError(f"{path}: unreadable count records")
+
+
+def _bad_record(path, text, records, shape):
+    """Error naming the first record with an index outside ``shape`` or a
+    negative count."""
+    outside = ((records[:, :3] < 1) | (records[:, :3] > shape)).any(axis=1)
+    row = int(np.argmax(outside | (records[:, 3] < 0)))
+    where = f"{path}: line {_line_number(text, row + 1)}"
+    if outside[row]:
+        a, b, c, _ = records[row].tolist()
+        return DataFormatError(f"{where}: index ({a}, {b}, {c}) outside dims {shape}")
+    return DataFormatError(f"{where}: negative count")
+
+
+def _overflow_line(text, flat, values, counts):
+    """Line number of the first record whose cell sum leaves int64, if any.
+
+    Counts are nonnegative, so a wrapped cell sum leaves the tensor's float
+    total at least 2**64 below the records' float total.
+    """
+    total = values.sum(dtype=float)
+    if total < 2.0 ** 62 or abs(counts.sum(dtype=float) - total) < 2.0 ** 62:
+        return None
+    sums = {}
+    for row, (cell, value) in enumerate(zip(flat.tolist(), values.tolist())):
+        sums[cell] = sums.get(cell, 0) + value
+        if sums[cell] > _INT64.max:
+            return _line_number(text, row + 1)
+    return None
 
 
 def read_count_tensor(path):
     """Parse the sparse text format back into ``(counts, doc_length)``.
 
-    Any malformed line raises ``DataFormatError`` naming the line number.
+    The grammar: every nonblank line holds four ASCII decimal integers, each
+    with an optional sign, separated by whitespace; LF and CRLF line ends
+    both work; blank lines are ignored and there are no comments.  The first
+    line is the header ``n1 n2 n_words doc_length``, each one positive, and
+    every other line a 1-based record ``i j r count`` with a nonnegative
+    count.  Duplicate records accumulate.  A bad file raises
+    ``DataFormatError`` naming a line: the first line that breaks the
+    grammar if there is one, else the first out-of-range value.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise DataFormatError(f"{path}: cannot read tensor file: {err}") from None
-    counts = None
-    doc_length = None
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 4:
-            raise DataFormatError(
-                f"{path}: line {number}: expected 4 fields, found {len(fields)}")
-        try:
-            a, b, c, d = (int(f) for f in fields)
-        except ValueError:
-            raise DataFormatError(
-                f"{path}: line {number}: all fields must be integers") from None
-        if counts is None:
-            if min(a, b, c, d) < 1:
-                raise DataFormatError(
-                    f"{path}: line {number}: header dims and doc length must be positive")
-            counts = np.zeros((a, b, c), dtype=np.int64)
-            doc_length = d
-            continue
-        if not (1 <= a <= counts.shape[0]
-                and 1 <= b <= counts.shape[1]
-                and 1 <= c <= counts.shape[2]):
-            raise DataFormatError(
-                f"{path}: line {number}: index ({a}, {b}, {c}) outside dims "
-                f"{counts.shape}")
-        if d < 0:
-            raise DataFormatError(f"{path}: line {number}: negative count")
-        counts[a - 1, b - 1, c - 1] += d
-    if counts is None:
+    if not text or text.isspace():
         raise DataFormatError(f"{path}: empty file, expected a header line")
+    try:
+        table = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        raise _malformed_line(path, text) from None
+    if table.shape[1] != 4:
+        raise _malformed_line(path, text)
+    (n1, n2, n_words, doc_length), records = table[0].tolist(), table[1:]
+    if min(n1, n2, n_words, doc_length) < 1:
+        raise DataFormatError(f"{path}: line {_line_number(text, 0)}: "
+                              "header dims and doc length must be positive")
+    try:
+        counts = np.zeros((n1, n2, n_words), dtype=np.int64)
+    except (MemoryError, ValueError):
+        raise DataFormatError(
+            f"{path}: line {_line_number(text, 0)}: a {n1} x {n2} x {n_words} "
+            "count tensor is too big to load") from None
+    try:
+        flat = np.ravel_multi_index(tuple(records[:, :3].T - 1), counts.shape)
+    except ValueError:  # an index outside the dims
+        flat = None
+    if flat is None or records[:, 3].min(initial=0) < 0:
+        raise _bad_record(path, text, records, counts.shape)
+    np.add.at(counts.reshape(-1), flat, records[:, 3])
+    number = _overflow_line(text, flat, records[:, 3], counts)
+    if number is not None:
+        raise DataFormatError(
+            f"{path}: line {number}: accumulated count exceeds the 64-bit integer range")
     return counts, doc_length
 
 
@@ -331,10 +411,12 @@ def cmd_sweep(args):
     cells = grid.get("cells")
     if not isinstance(cells, list) or not cells:
         raise DataFormatError(f'{args.grid}: grid must hold a nonempty "cells" list')
-    master_seed = args.seed if args.seed is not None else int(grid.get("seed", 0))
-    trials = args.trials if args.trials is not None else int(grid.get("trials", 1))
-    if trials < 1:
-        raise DataFormatError("trials must be positive")
+    master_seed = args.seed if args.seed is not None else grid.get("seed", 0)
+    trials = args.trials if args.trials is not None else grid.get("trials", 1)
+    for key, value, low in (("seed", master_seed, 0), ("trials", trials, 1)):
+        if not _is_int(value) or value < low:
+            raise DataFormatError(
+                f"{args.grid}: {key} must be an integer of at least {low}, got {value!r}")
     checked = [_sweep_cell(cell, f"{args.grid}: cell {ci}") for ci, cell in enumerate(cells)]
     jobs = [(spec, cfg, ci, ti, master_seed)
             for ci, (spec, cfg) in enumerate(checked) for ti in range(trials)]

@@ -129,8 +129,7 @@ class FitConfig:
             raise DataFormatError(
                 f"hooi_iters must be a nonnegative integer, got {self.hooi_iters!r}")
         c_prime = self.sparse_c_prime
-        if not (isinstance(c_prime, numbers.Real) and not isinstance(c_prime, bool)
-                and math.isfinite(c_prime) and c_prime >= 0):
+        if not (_is_real(c_prime) and c_prime >= 0):
             raise DataFormatError(
                 f"sparse_c_prime must be a finite nonnegative number, got {c_prime!r}")
         object.__setattr__(self, "sparse_c_prime", float(c_prime))
@@ -159,6 +158,11 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _as_data(y):
     y = np.asarray(y, dtype=float)
     if y.ndim != 3:
@@ -182,6 +186,11 @@ def threshold_vocab(y, doc_length, c_prime):
         raise ValueError("c_prime must be nonnegative")
     if doc_length < 1:
         raise ValueError("doc_length must be at least 1")
+    return _kept_words(y, doc_length, c_prime)
+
+
+def _kept_words(y, doc_length, c_prime):
+    """``threshold_vocab`` of an already validated tensor and arguments."""
     n1, n2, n_words = y.shape
     if c_prime == 0:
         return np.arange(n_words)
@@ -271,7 +280,7 @@ def fit(y, cfg):
     if k3 < 2:
         raise ValueError("word-mode recovery needs at least two topics")
 
-    vocab = threshold_vocab(y, cfg.doc_length, cfg.sparse_c_prime)
+    vocab = _kept_words(y, cfg.doc_length, cfg.sparse_c_prime)
     if vocab.size < k3:
         raise FitDegenerateError(
             f"vocabulary threshold: kept {vocab.size} of {n_words} words, "

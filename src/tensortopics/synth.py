@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .estimator import TuckerModel
+from .estimator import TuckerModel, _is_int, _is_real
 from .tensor import reconstruct
 
 _MODEL_STREAM = 0
@@ -37,7 +37,8 @@ class GenSpec:
     cluster and topic has a pure representative.  ``word_dist="zipf"`` scales
     word row ``r`` by ``(r + 1) ** (-1 / zipf_q)`` before column
     normalization, giving power-law word frequencies; ``"uniform"`` draws
-    plain uniform entries.
+    plain uniform entries.  Field types are checked, not coerced: ``8.9`` is
+    no dimension.
     """
 
     dims: tuple
@@ -50,25 +51,29 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "ranks", tuple(int(k) for k in self.ranks))
-        if len(self.dims) != 3 or len(self.ranks) != 3:
-            raise DataFormatError("dims and ranks must each have three entries")
-        if any(d < 1 for d in self.dims):
-            raise DataFormatError(f"dims must be positive, got {self.dims}")
-        if any(k < 1 or k > d for k, d in zip(self.ranks, self.dims)):
+        for name in ("dims", "ranks"):
+            value = getattr(self, name)
+            entries = tuple(value) if isinstance(value, (tuple, list)) else ()
+            if len(entries) != 3 or not all(_is_int(v) and v >= 1 for v in entries):
+                raise DataFormatError(f"{name} must be three positive integers, got {value!r}")
+            object.__setattr__(self, name, tuple(int(v) for v in entries))
+        if any(k > d for k, d in zip(self.ranks, self.dims)):
             raise DataFormatError(
                 f"ranks {self.ranks} must lie in [1, dim] for dims {self.dims}")
-        if self.doc_length < 1:
-            raise DataFormatError("doc_length must be at least 1")
+        if not _is_int(self.doc_length) or self.doc_length < 1:
+            raise DataFormatError(
+                f"doc_length must be a positive integer, got {self.doc_length!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise DataFormatError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.anchor_mode not in _ANCHOR_MODES:
             raise DataFormatError(f"anchor_mode must be one of {_ANCHOR_MODES}")
-        if self.dirichlet_alpha <= 0:
-            raise DataFormatError("dirichlet_alpha must be positive")
         if self.word_dist not in _WORD_DISTS:
             raise DataFormatError(f"word_dist must be one of {_WORD_DISTS}")
-        if self.zipf_q <= 0:
-            raise DataFormatError("zipf_q must be positive")
+        for name in ("dirichlet_alpha", "zipf_q"):
+            value = getattr(self, name)
+            if not (_is_real(value) and value > 0):
+                raise DataFormatError(f"{name} must be a finite positive number, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)

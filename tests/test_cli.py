@@ -2,11 +2,14 @@
 driven in-process through main()."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from tensortopics import GenSpec, generate
 from tensortopics.cli import (
@@ -45,6 +48,53 @@ def test_count_tensor_duplicates_accumulate(tmp_path):
     assert m == 5
 
 
+@given(arrays(np.int64, array_shapes(min_dims=3, max_dims=3, max_side=4),
+              elements=st.integers(0, 2 ** 63 - 1) | st.integers(0, 3)),
+       st.integers(1, 10 ** 6))
+@example(np.zeros((1, 1, 1), dtype=np.int64), 1)
+@example(np.zeros((3, 1, 2), dtype=np.int64), 7)
+@settings(max_examples=60, deadline=None, database=None)
+def test_count_tensor_round_trip_property(counts, doc_length):
+    """Writing then reading any int tensor gives it back exactly; the file
+    matches the per-record reference formatting byte for byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.txt"
+        write_count_tensor(path, counts, doc_length)
+        expected = "".join([" ".join(map(str, (*counts.shape, doc_length))) + "\n"]
+                           + [f"{i + 1} {j + 1} {r + 1} {counts[i, j, r]}\n"
+                              for i, j, r in np.argwhere(counts)])
+        assert path.read_text() == expected
+        back, m = read_count_tensor(path)
+    assert m == doc_length
+    assert back.dtype == np.int64
+    np.testing.assert_array_equal(back, counts)
+
+
+def test_count_tensor_reads_shuffled_split_records(tmp_path):
+    """Shuffled records, counts split over duplicates, blank lines and CRLF
+    read back to the tensor of the canonical file."""
+    inst = planted((6, 5, 14), (2, 2, 2), doc_length=25, seed=83)
+    canonical = tmp_path / "canonical.txt"
+    write_count_tensor(canonical, inst.counts, 25)
+    rng = np.random.default_rng(83)
+    records = []
+    for i, j, r in np.argwhere(inst.counts):
+        count = int(inst.counts[i, j, r])
+        part = int(rng.integers(0, count + 1))
+        records += [f"{i + 1} {j + 1} {r + 1} {part}",
+                    f" {i + 1}\t{j + 1} {r + 1} {count - part} "]
+    records = [records[k] for k in rng.permutation(len(records))]
+    for k in sorted(rng.choice(len(records), size=10, replace=False), reverse=True):
+        records.insert(k, " " * int(k % 3))
+    messy = tmp_path / "messy.txt"
+    messy.write_bytes(("\r\n".join(["", "6 5 14 25"] + records) + "\r\n\r\n").encode())
+    back, m = read_count_tensor(messy)
+    canonical_back, _ = read_count_tensor(canonical)
+    assert m == 25
+    np.testing.assert_array_equal(back, canonical_back)
+    np.testing.assert_array_equal(back, inst.counts)
+
+
 @pytest.mark.parametrize("body,fragment", [
     ("2 2 2\n", "line 1"),
     ("2 2 2 5\n1 1 1 x\n", "line 2"),
@@ -52,13 +102,34 @@ def test_count_tensor_duplicates_accumulate(tmp_path):
     ("2 2 2 5\n1 1 1 -4\n", "line 2"),
     ("0 2 2 5\n", "line 1"),
     ("", "empty"),
+    ("2 2 2 5\n1.0 1 1 1\n", "line 2: all fields must be integers"),
+    ("2 2 2 5\n# 1 1 1\n", "line 2: all fields must be integers"),
+    ("2 2 2 5\n1_0 1 1 1\n", "line 2: all fields must be integers"),
+    ("2 2 2 5\n1 1 \uff14 1\n", "line 2: all fields must be integers"),
+    ("2 2 2 5\n1 1 1 2\n2 2 2 1\n2 1 2\n", "line 4: expected 4 fields, found 3"),
+    ("\n2 2 2 5\n\n \n1 1 1 2\n\n1 1 1 -1\n", "line 7: negative count"),
 ])
 def test_count_tensor_parse_errors_name_the_line(tmp_path, body, fragment):
     path = tmp_path / "bad.txt"
-    path.write_text(body)
+    path.write_text(body, encoding="utf-8")
     with pytest.raises(DataFormatError) as err:
         read_count_tensor(path)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("body,fragment", [
+    ("2 2 2 5\n1 1 1 99999999999999999999\n", "line 2: a field lies outside"),
+    ("100000 100000 100000 5\n", "line 1: a 100000 x 100000 x 100000 count tensor is too big"),
+    ("2 2 2 5\n1 1 1 9223372036854775807\n2 1 1 1\n\n1 1 1 1\n",
+     "line 5: accumulated count exceeds"),
+    ("2 2 2 5\n" + "1 1 1 9223372036854775807\n" * 3, "line 3: accumulated count exceeds"),
+])
+def test_count_file_beyond_limits_is_exit_3_naming_the_line(tmp_path, capsys, body, fragment):
+    path = tmp_path / "huge.txt"
+    path.write_text(body)
+    assert main(["fit", "--data", str(path), "--ranks", "2,2,2",
+                 "--out", str(tmp_path / "f")]) == 3
+    assert f"{path}: {fragment}" in capsys.readouterr().err
 
 
 def test_model_json_round_trip_is_bit_faithful(tmp_path):
@@ -305,6 +376,30 @@ def test_bad_sweep_cell_is_exit_3_naming_file_and_cell(tmp_path, capsys, bad_cel
     assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "s")]) == 3
     err = capsys.readouterr().err
     assert str(grid) in err and "cell 1" in err
+    assert not (tmp_path / "s.trials.csv").exists()
+
+
+@pytest.mark.parametrize("override", [
+    {"dims": [8.9, 6, 20]},
+    {"ranks": [2, 2, 2.5]},
+    {"doc_length": 30.5},
+    {"seed": "1"},
+])
+def test_bad_generator_spec_is_exit_3_naming_the_file(tmp_path, capsys, override):
+    spec = _spec_file(tmp_path, **override)
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")]) == 3
+    assert str(spec) in capsys.readouterr().err
+    assert not (tmp_path / "g.counts.txt").exists()
+
+
+@pytest.mark.parametrize("setting", [{"trials": 1.9}, {"trials": "two"}, {"seed": -1},
+                                     {"seed": True}])
+def test_bad_sweep_settings_are_exit_3_naming_the_file(tmp_path, capsys, setting):
+    cell = {"dims": [8, 6, 20], "ranks": [2, 2, 2], "doc_length": 30}
+    grid = tmp_path / "bad-grid.json"
+    grid.write_text(json.dumps({"cells": [cell], **setting}))
+    assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "s")]) == 3
+    assert str(grid) in capsys.readouterr().err
     assert not (tmp_path / "s.trials.csv").exists()
 
 

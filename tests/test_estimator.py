@@ -15,7 +15,9 @@ from tensortopics import (
     threshold_vocab,
     unfold,
 )
+from tensortopics import estimator
 from tensortopics.errors import DataFormatError, FitDegenerateError
+from tensortopics.estimator import _as_data as as_data
 from tensortopics.estimator import fit_core
 from tensortopics.spectral import SpectralFactors
 
@@ -183,6 +185,21 @@ def test_fit_input_validation():
     bad[0, 0, 0] = np.nan
     with pytest.raises(DataFormatError):
         fit(bad, FitConfig(ranks=(2, 2, 2), doc_length=30))
+
+
+def test_fit_and_threshold_validate_the_tensor_once(monkeypatch):
+    inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=47)
+    calls = []
+
+    def counted(y):
+        calls.append(1)
+        return as_data(y)
+
+    monkeypatch.setattr(estimator, "_as_data", counted)
+    fit(inst.y, FitConfig(ranks=(2, 2, 2), doc_length=30))
+    assert len(calls) == 1
+    threshold_vocab(inst.y, 30, 0.01)
+    assert len(calls) == 2
 
 
 def test_fit_threshold_too_aggressive_is_degenerate():
