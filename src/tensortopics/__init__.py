@@ -12,7 +12,7 @@ from .metrics import (
 from .simplex import spa_vertex_hunt
 from .spectral import build_q, leading_eigvecs
 from .synth import GenSpec, generate, sample_counts
-from .tensor import fold, kronecker, unfold
+from .tensor import fold, unfold
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "generate",
     "sample_counts",
     "fold",
-    "kronecker",
     "unfold",
     "__version__",
 ]

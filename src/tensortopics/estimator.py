@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, FitDegenerateError
-from .simplex import recover_weights, score_normalize, spa_vertex_hunt
-from .spectral import SpectralFactors, build_q, hooi_refine, leading_eigvecs
+from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
+from .spectral import build_q, hooi_refine, leading_eigvecs
 from .tensor import reconstruct, unfold
 
 
@@ -89,7 +89,7 @@ class TuckerModel:
         """Per-document topic weights ``w[i, j, t]``.
 
         The mode-3 unfolding of this tensor equals
-        ``unfold(g, 3) @ kronecker(a1, a2).T``, the matrix the word factor
+        ``unfold(g, 3) @ np.kron(a1, a2).T``, the matrix the word factor
         multiplies to yield the mean tensor's word unfolding.
         """
         return np.einsum("pqs,ip,jq->ijs", self.g, self.a1, self.a2, optimize=True)
@@ -120,8 +120,9 @@ class FitConfig:
         if len(ranks) != 3 or not all(_is_int(k) and k >= 1 for k in ranks):
             raise DataFormatError(f"ranks must be three positive integers, got {self.ranks!r}")
         object.__setattr__(self, "ranks", tuple(int(k) for k in ranks))
-        if self.doc_length < 1:
-            raise DataFormatError("doc_length must be at least 1")
+        if not _is_int(self.doc_length) or self.doc_length < 1:
+            raise DataFormatError(
+                f"doc_length must be a positive integer, got {self.doc_length!r}")
         for name in ("use_hooi", "oracle"):
             if not isinstance(getattr(self, name), bool):
                 raise DataFormatError(f"{name} must be a boolean, got {getattr(self, name)!r}")
@@ -186,11 +187,6 @@ def threshold_vocab(y, doc_length, c_prime):
         raise ValueError("c_prime must be nonnegative")
     if doc_length < 1:
         raise ValueError("doc_length must be at least 1")
-    return _kept_words(y, doc_length, c_prime)
-
-
-def _kept_words(y, doc_length, c_prime):
-    """``threshold_vocab`` of an already validated tensor and arguments."""
     n1, n2, n_words = y.shape
     if c_prime == 0:
         return np.arange(n_words)
@@ -204,13 +200,17 @@ def _mode_basis(y, mode, k, cfg):
     return leading_eigvecs(q, k)
 
 
+def _stage_weights(stage, s_star, v_star):
+    """``recover_weights`` with the failing stage named in its error."""
+    try:
+        return recover_weights(s_star, v_star)
+    except FitDegenerateError as err:
+        raise FitDegenerateError(f"{stage}: {err}") from err
+
+
 def _membership_from_basis(xi, label):
     hunt = spa_vertex_hunt(xi, xi.shape[1])
-    try:
-        weights = recover_weights(xi, hunt.v)
-    except FitDegenerateError as err:
-        raise FitDegenerateError(f"{label}: {err}") from err
-    return weights, hunt
+    return _stage_weights(label, xi, hunt.v), hunt
 
 
 def _word_factor_from_basis(xi):
@@ -224,11 +224,7 @@ def _word_factor_from_basis(xi):
     hunt = spa_vertex_hunt(score.s, k)
     v_star = np.column_stack([np.ones(k), hunt.v])
     s_star = np.column_stack([np.ones(score.s.shape[0]), score.s])
-    try:
-        weights = recover_weights(s_star, v_star)
-    except FitDegenerateError as err:
-        raise FitDegenerateError(f"word membership: {err}") from err
-    scaled = score.first_col[:, None] * weights
+    scaled = score.first_col[:, None] * _stage_weights("word membership", s_star, v_star)
     q0 = scaled.sum(axis=0)
     low = np.flatnonzero(q0 <= 0.0)
     if low.size:
@@ -240,7 +236,7 @@ def _word_factor_from_basis(xi):
     return a3, q0, v_star, score.kept[hunt.indices]
 
 
-def fit_core(y, factors, v_hats, q0):
+def fit_core(y, xi, v_hats, q0):
     """Core recovery from bases, vertex matrices, and topic masses.
 
     Projects ``y`` onto the three bases, maps the projection through the
@@ -249,18 +245,12 @@ def fit_core(y, factors, v_hats, q0):
     to nothing becomes uniform.  Inputs are taken as ``fit`` produces them:
     a validated float tensor and strictly positive ``q0``.
     """
-    xi1, xi2, xi3 = factors.xi
+    xi1, xi2, xi3 = xi
     v1, v2, v3 = v_hats
     projected = np.einsum("ijr,ip,jq,rs->pqs", y, xi1, xi2, xi3, optimize=True)
     core = np.einsum("pqs,ap,bq,cs->abc", projected, v1, v2, q0[:, None] * v3,
                      optimize=True)
-    np.clip(core, 0.0, None, out=core)
-    sums = core.sum(axis=2)
-    empty = sums == 0.0
-    if np.any(empty):
-        core[empty] = 1.0 / core.shape[2]
-        sums[empty] = 1.0
-    return core / sums[:, :, None]
+    return clip_to_simplex(core)
 
 
 def fit(y, cfg):
@@ -271,7 +261,8 @@ def fit(y, cfg):
     ``FitDegenerateError`` with the failing stage named when the data cannot
     support the requested ranks.
     """
-    y = _as_data(y)
+    y = np.asarray(y, dtype=float)
+    vocab = threshold_vocab(y, cfg.doc_length, cfg.sparse_c_prime)  # validates y
     n1, n2, n_words = y.shape
     k1, k2, k3 = cfg.ranks
     for k, n, label in ((k1, n1, "mode 1"), (k2, n2, "mode 2"), (k3, n_words, "mode 3")):
@@ -279,28 +270,21 @@ def fit(y, cfg):
             raise ValueError(f"{label} rank {k} exceeds dimension {n}")
     if k3 < 2:
         raise ValueError("word-mode recovery needs at least two topics")
-
-    vocab = _kept_words(y, cfg.doc_length, cfg.sparse_c_prime)
     if vocab.size < k3:
         raise FitDegenerateError(
             f"vocabulary threshold: kept {vocab.size} of {n_words} words, "
             f"fewer than the {k3} requested topics")
     data = np.ascontiguousarray(y[:, :, vocab])
 
-    bases = []
-    spectra = []
-    for mode, k in ((1, k1), (2, k2), (3, k3)):
-        xi, vals = _mode_basis(data, mode, k, cfg)
-        bases.append(xi)
-        spectra.append(vals)
-    factors = SpectralFactors(xi=tuple(bases), eigvals=tuple(spectra))
-    if cfg.use_hooi and cfg.hooi_iters > 0:
-        factors = hooi_refine(data, factors, cfg.hooi_iters)
+    xi, spectra = zip(*(_mode_basis(data, mode, k, cfg)
+                        for mode, k in ((1, k1), (2, k2), (3, k3))))
+    if cfg.use_hooi:
+        xi = hooi_refine(data, xi, cfg.hooi_iters)
 
-    a1, hunt1 = _membership_from_basis(factors.xi[0], "mode 1 membership")
-    a2, hunt2 = _membership_from_basis(factors.xi[1], "mode 2 membership")
-    a3_kept, q0, v3_star, word_rows = _word_factor_from_basis(factors.xi[2])
-    g = fit_core(data, factors, (hunt1.v, hunt2.v, v3_star), q0)
+    a1, hunt1 = _membership_from_basis(xi[0], "mode 1 membership")
+    a2, hunt2 = _membership_from_basis(xi[1], "mode 2 membership")
+    a3_kept, q0, v3_star, word_rows = _word_factor_from_basis(xi[2])
+    g = fit_core(data, xi, (hunt1.v, hunt2.v, v3_star), q0)
 
     a3 = np.zeros((n_words, k3))
     a3[vocab] = a3_kept
@@ -310,5 +294,5 @@ def fit(y, cfg):
         vocab=vocab,
         q0=q0,
         vertices=(hunt1.indices, hunt2.indices, vocab[word_rows]),
-        eigvals=tuple(spectra),
+        eigvals=spectra,
     )

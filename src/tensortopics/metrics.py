@@ -197,14 +197,10 @@ def scree(y, mode, k_max, doc_length):
     Uses the same bias-corrected gram matrix as the fit, so a knee in this
     sequence suggests the planted rank of that mode.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 3:
-        raise ValueError("expected an order-3 data tensor")
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
-    n = y.shape[mode - 1]
+    y_mat = unfold(np.asarray(y, dtype=float), mode)
+    n = y_mat.shape[0]
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
-    q = build_q(unfold(y, mode), mode, doc_length)
+    q = build_q(y_mat, mode, doc_length)
     vals = np.linalg.eigvalsh(q)
     return vals[::-1][:k_max].copy()

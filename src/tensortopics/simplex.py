@@ -107,11 +107,16 @@ def recover_weights(s_star, v_star):
         raise FitDegenerateError(
             "weight recovery: vertex matrix is numerically singular, the hunted "
             "vertices do not span the simplex")
-    weights = np.linalg.solve(v.T, s.T).T
-    np.clip(weights, 0.0, None, out=weights)
-    sums = weights.sum(axis=1)
-    empty = sums == 0.0
+    return clip_to_simplex(np.linalg.solve(v.T, s.T).T)
+
+
+def clip_to_simplex(x):
+    """Zero the negative entries of ``x`` and rescale every slice along the
+    last axis to unit sum; a slice left with no mass becomes uniform."""
+    x = np.clip(x, 0.0, None)
+    sums = x.sum(axis=-1, keepdims=True)
+    empty = sums[..., 0] == 0.0
     if np.any(empty):
-        weights[empty] = 1.0 / v.shape[0]
+        x[empty] = 1.0 / x.shape[-1]
         sums[empty] = 1.0
-    return weights / sums[:, None]
+    return x / sums

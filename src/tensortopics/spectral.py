@@ -7,23 +7,20 @@ the eigendecomposition; ``centered=False`` restores the plain gram matrix for
 exact-mean inputs.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .tensor import unfold
 
 # Dense symmetric eigendecomposition budget; larger modes need a different
 # solver strategy than this package provides.
 _MAX_MODE_DIM = 5000
 
-
-@dataclass(frozen=True)
-class SpectralFactors:
-    """Orthonormal column bases and leading eigenvalues, one set per mode."""
-
-    xi: tuple        # three (n_a, k_a) matrices with orthonormal columns
-    eigvals: tuple   # three descending vectors, one value per kept column
+# Per mode: the other two modes, and the contraction of the tensor with their
+# bases that keeps this mode's axis first.  Reshaped to a matrix, it equals
+# ``unfold(y, mode) @ np.kron(xi_b, xi_c)`` without building either factor.
+_PROJECTIONS = {
+    1: ((2, 3), "ijr,jq,rs->iqs"),
+    2: ((1, 3), "ijr,ip,rs->jps"),
+    3: ((1, 2), "ijr,ip,jq->rpq"),
+}
 
 
 def build_q(y_mat, mode, doc_length, centered=True):
@@ -86,38 +83,34 @@ def leading_eigvecs(q, k):
     return vecs, vals
 
 
-def hooi_refine(y, factors, iters):
+def hooi_refine(y, xi, iters):
     """Power-iteration refinement of all three bases against raw ``y``.
 
-    Each sweep projects every unfolding onto the other two modes' bases from
-    the previous sweep and takes fresh leading left singular vectors, so all
-    three updates within a sweep read the same iterate.  ``iters=0`` returns
-    the input factors unchanged.  Sign convention matches
-    :func:`leading_eigvecs`; reported eigenvalues are the squared singular
-    values of the projected unfoldings.
+    ``xi`` holds one orthonormal ``(n_a, k_a)`` basis per mode.  Each sweep
+    contracts ``y`` with the other two modes' bases from the previous sweep
+    and takes fresh leading left singular vectors of the projection, so all
+    three updates within a sweep read the same iterate.
+    ``iters=0`` returns the input bases unchanged.  Sign convention matches
+    :func:`leading_eigvecs`.
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
     y = np.asarray(y, dtype=float)
     if y.ndim != 3:
         raise ValueError("expected an order-3 data tensor")
-    xi = tuple(factors.xi)
-    eigvals = tuple(factors.eigvals)
-    others = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
+    xi = tuple(xi)
     for _ in range(iters):
         new_xi = []
-        new_vals = []
         for mode in (1, 2, 3):
-            b, c = others[mode]
-            projected = unfold(y, mode) @ np.kron(xi[b - 1], xi[c - 1])
+            (b, c), subscripts = _PROJECTIONS[mode]
+            projected = np.einsum(subscripts, y, xi[b - 1], xi[c - 1], optimize=True)
+            projected = projected.reshape(projected.shape[0], -1)
             k = xi[mode - 1].shape[1]
             if k > min(projected.shape):
                 raise ValueError(
                     f"mode {mode} rank {k} exceeds the projected span "
                     f"{min(projected.shape)}")
-            u, s, _ = np.linalg.svd(projected, full_matrices=False)
+            u, _, _ = np.linalg.svd(projected, full_matrices=False)
             new_xi.append(_fix_signs(u[:, :k]))
-            new_vals.append((s[:k] ** 2).copy())
         xi = tuple(new_xi)
-        eigvals = tuple(new_vals)
-    return SpectralFactors(xi=xi, eigvals=eigvals)
+    return xi

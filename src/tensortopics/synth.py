@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import DataFormatError
 from .estimator import TuckerModel, _is_int, _is_real
-from .tensor import reconstruct
 
 _MODEL_STREAM = 0
 _DOC_STREAM = 1
@@ -132,7 +131,7 @@ def sample_counts(d, doc_length, seed):
     return counts
 
 
-def _membership_rows(n, k, alpha, rng):
+def _dirichlet_rows(n, k, alpha, rng):
     rows = np.empty((n, k))
     concentration = np.full(k, alpha)
     for i in range(n):
@@ -153,13 +152,9 @@ def generate(spec):
     n1, n2, n_words = spec.dims
     k1, k2, k3 = spec.ranks
     rng = substream(spec.seed, _MODEL_STREAM)
-    a1 = _membership_rows(n1, k1, spec.dirichlet_alpha, rng)
-    a2 = _membership_rows(n2, k2, spec.dirichlet_alpha, rng)
-    g = np.empty((k1, k2, k3))
-    concentration = np.full(k3, spec.dirichlet_alpha)
-    for p in range(k1):
-        for q in range(k2):
-            g[p, q] = sample_dirichlet(concentration, rng)
+    a1 = _dirichlet_rows(n1, k1, spec.dirichlet_alpha, rng)
+    a2 = _dirichlet_rows(n2, k2, spec.dirichlet_alpha, rng)
+    g = _dirichlet_rows(k1 * k2, k3, spec.dirichlet_alpha, rng).reshape(k1, k2, k3)
     w = _word_columns(spec, rng)
     if spec.anchor_mode == "inject":
         a1[:k1] = np.eye(k1)
@@ -170,6 +165,6 @@ def generate(spec):
         raise DataFormatError("a word column lost all mass; widen the word distribution")
     a3 = w / column_mass
     model = TuckerModel(a1=a1, a2=a2, a3=a3, g=g)
-    d = reconstruct(g, a1, a2, a3)
+    d = model.mean_tensor()
     counts = sample_counts(d, spec.doc_length, spec.seed)
     return PlantedInstance(model=model, d=d, y=counts / spec.doc_length, counts=counts)

@@ -9,7 +9,7 @@ for mode 2 in column ``i * n3 + k``, and for mode 3 in column ``i * n2 + j``.
 With that layout the unfolding of a Tucker product factorizes through plain
 Kronecker products of the factor matrices:
 
-    unfold(reconstruct(g, a1, a2, a3), 1) == a1 @ unfold(g, 1) @ kronecker(a2, a3).T
+    unfold(reconstruct(g, a1, a2, a3), 1) == a1 @ unfold(g, 1) @ np.kron(a2, a3).T
 
 and cyclically for modes 2 and 3.  Nothing here mutates its inputs.
 """
@@ -57,15 +57,6 @@ def fold(m, mode, shape):
         raise ValueError(
             f"matrix of shape {m.shape} is not a mode-{mode} unfolding of {shape}")
     return np.moveaxis(m.reshape([shape[mode - 1]] + rest), 0, mode - 1)
-
-
-def kronecker(a, b):
-    """Kronecker product; entry ``(i*rows(b)+k, j*cols(b)+l)`` is ``a[i,j] * b[k,l]``."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kronecker expects two matrices")
-    return np.kron(a, b)
 
 
 def reconstruct(g, a1, a2, a3):

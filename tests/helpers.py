@@ -65,3 +65,22 @@ def exact_mode_basis(d, mode, k):
 
     u, _, _ = np.linalg.svd(unfold(d, mode), full_matrices=False)
     return u[:, :k]
+
+
+def hooi_reference(y, xi, iters):
+    """HOOI sweeps through explicit unfoldings and Kronecker products: the
+    reference that the direct tensor contraction of ``hooi_refine`` is held to."""
+    from tensortopics import unfold
+    from tensortopics.spectral import _fix_signs
+
+    others = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
+    xi = tuple(xi)
+    for _ in range(iters):
+        new_xi = []
+        for mode in (1, 2, 3):
+            b, c = others[mode]
+            projected = unfold(y, mode) @ np.kron(xi[b - 1], xi[c - 1])
+            u, _, _ = np.linalg.svd(projected, full_matrices=False)
+            new_xi.append(_fix_signs(u[:, :xi[mode - 1].shape[1]]))
+        xi = tuple(new_xi)
+    return xi

@@ -19,7 +19,6 @@ from tensortopics import (
     evaluate,
     fit,
     fold,
-    kronecker,
     leading_eigvecs,
     reconstruction_error,
     sample_counts,
@@ -176,7 +175,7 @@ def test_criterion_7_invariant_suites():
         b, c = others[mode]
         lhs = unfold(inst.d, mode)
         rhs = factors[mode] @ unfold(inst.model.g, mode) @ \
-            kronecker(factors[b], factors[c]).T
+            np.kron(factors[b], factors[c]).T
         worst_identity = max(worst_identity, float(np.max(np.abs(lhs - rhs))))
     ok &= worst_identity < 1e-12
     notes.append(f"unfold identity {worst_identity:.2e}")

@@ -340,6 +340,16 @@ def test_degenerate_fit_is_exit_4(tmp_path):
                  "--out", str(tmp_path / "f")]) == 4
 
 
+def test_hooi_rank_beyond_projected_span_is_exit_3(tmp_path, capsys):
+    spec = _spec_file(tmp_path, dims=[15, 8, 30], doc_length=100)
+    main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
+    assert main(["fit", "--data", str(tmp_path / "g.counts.txt"),
+                 "--ranks", "5,2,2", "--hooi", "1",
+                 "--out", str(tmp_path / "f")]) == 3
+    assert "exceeds the projected span" in capsys.readouterr().err
+    assert not (tmp_path / "f.model.json").exists()
+
+
 def _tiny_counts(tmp_path):
     inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82)
     path = tmp_path / "tiny.counts.txt"

@@ -19,7 +19,6 @@ from tensortopics import estimator
 from tensortopics.errors import DataFormatError, FitDegenerateError
 from tensortopics.estimator import _as_data as as_data
 from tensortopics.estimator import fit_core
-from tensortopics.spectral import SpectralFactors
 
 from helpers import planted
 
@@ -106,9 +105,9 @@ def test_fit_core_trivial_ranks():
     # rank-1 modes project onto constants; any orthonormal xi3 works since
     # tube renormalization restores scale
     u, _, _ = np.linalg.svd(unfold(y, 3), full_matrices=False)
-    factors = SpectralFactors(xi=(xi1, xi2, u[:, :2]), eigvals=(None,) * 3)
     v3 = np.column_stack([np.ones(2), np.zeros(2)])
-    g = fit_core(y, factors, (np.eye(1), np.eye(1), v3), np.array([1.0, 1.0]))
+    g = fit_core(y, (xi1, xi2, u[:, :2]), (np.eye(1), np.eye(1), v3),
+                 np.array([1.0, 1.0]))
     assert g.shape == (1, 1, 2)
     np.testing.assert_allclose(g.sum(), 1.0, atol=1e-12)
 
@@ -117,10 +116,9 @@ def test_fit_core_empty_tube_becomes_uniform():
     y = np.zeros((2, 2, 3))
     y[..., 0] = 1.0
     xi = (np.eye(2), np.eye(2), np.eye(3)[:, :2])
-    factors = SpectralFactors(xi=xi, eigvals=(None,) * 3)
     # vertex maps chosen to zero out one tube entirely
     v3 = np.zeros((2, 2))
-    g = fit_core(y, factors, (np.eye(2), np.eye(2), v3), np.array([1.0, 1.0]))
+    g = fit_core(y, xi, (np.eye(2), np.eye(2), v3), np.array([1.0, 1.0]))
     np.testing.assert_allclose(g, 0.5)
 
 
@@ -185,6 +183,23 @@ def test_fit_input_validation():
     bad[0, 0, 0] = np.nan
     with pytest.raises(DataFormatError):
         fit(bad, FitConfig(ranks=(2, 2, 2), doc_length=30))
+
+
+def test_fit_hooi_rank_beyond_projected_span_is_value_error():
+    inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=47)
+    cfg = FitConfig(ranks=(5, 2, 2), doc_length=30, use_hooi=True)
+    with pytest.raises(ValueError, match="exceeds the projected span"):
+        fit(inst.y, cfg)
+
+
+@pytest.mark.parametrize("doc_length", [2.5, True, "200", 0, None])
+def test_fit_config_doc_length_must_be_a_positive_integer(doc_length):
+    with pytest.raises(DataFormatError, match="doc_length must be a positive integer"):
+        FitConfig(ranks=(2, 2, 2), doc_length=doc_length)
+
+
+def test_fit_config_accepts_numpy_integer_doc_length():
+    assert FitConfig(ranks=(2, 2, 2), doc_length=np.int64(30)).doc_length == 30
 
 
 def test_fit_and_threshold_validate_the_tensor_once(monkeypatch):

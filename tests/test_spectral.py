@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tensortopics import build_q, leading_eigvecs, unfold
-from tensortopics.spectral import SpectralFactors, _fix_signs, hooi_refine
+from tensortopics.spectral import _fix_signs, hooi_refine
 
-from helpers import exact_mode_basis, planted, subspace_gap
+from helpers import exact_mode_basis, hooi_reference, planted, subspace_gap
 
 
 def test_build_q_hand_example_modes12():
@@ -87,9 +87,8 @@ def test_noiseless_gram_has_exact_rank():
 def test_hooi_zero_iters_identity():
     inst = planted((10, 8, 15), (2, 2, 2), doc_length=30, seed=6)
     xi = tuple(exact_mode_basis(inst.d, m, 2) for m in (1, 2, 3))
-    factors = SpectralFactors(xi=xi, eigvals=(np.ones(2),) * 3)
-    out = hooi_refine(inst.y, factors, iters=0)
-    for a, b in zip(out.xi, factors.xi):
+    out = hooi_refine(inst.y, xi, iters=0)
+    for a, b in zip(out, xi):
         np.testing.assert_array_equal(a, b)
 
 
@@ -97,9 +96,8 @@ def test_hooi_noiseless_fixed_point():
     """On exact data the true subspaces are invariant under a power sweep."""
     inst = planted((12, 9, 25), (2, 2, 3), doc_length=100, seed=8)
     xi = tuple(exact_mode_basis(inst.d, m, k) for m, k in ((1, 2), (2, 2), (3, 3)))
-    factors = SpectralFactors(xi=xi, eigvals=(None, None, None))
-    out = hooi_refine(inst.d, factors, iters=1)
-    for before, after in zip(xi, out.xi):
+    out = hooi_refine(inst.d, xi, iters=1)
+    for before, after in zip(xi, out):
         assert subspace_gap(before, after) < 1e-9
 
 
@@ -113,11 +111,36 @@ def test_hooi_helps_on_noisy_data():
         for mode, k in ((1, 2), (2, 2), (3, 3)):
             q = build_q(unfold(inst.y, mode), mode, 200)
             xi.append(leading_eigvecs(q, k)[0])
-        start = SpectralFactors(xi=tuple(xi), eigvals=(None, None, None))
+        start = tuple(xi)
         refined = hooi_refine(inst.y, start, iters=3)
         truth = [exact_mode_basis(inst.d, m, k) for m, k in ((1, 2), (2, 2), (3, 3))]
-        before = sum(subspace_gap(x, t) for x, t in zip(start.xi, truth))
-        after = sum(subspace_gap(x, t) for x, t in zip(refined.xi, truth))
+        before = sum(subspace_gap(x, t) for x, t in zip(start, truth))
+        after = sum(subspace_gap(x, t) for x, t in zip(refined, truth))
         gains.append(before - after)
     gains = np.asarray(gains)
     assert np.median(gains) >= -1e-6
+
+
+@pytest.mark.parametrize("dims,ranks,seed", [
+    ((20, 15, 40), (2, 2, 3), 1),
+    ((18, 12, 30), (3, 2, 4), 2),
+    ((16, 10, 30), (4, 2, 2), 3),  # k1 == k2 * k3: mode 1 keeps the whole projection
+])
+def test_hooi_matches_kronecker_reference(dims, ranks, seed):
+    inst = planted(dims, ranks, doc_length=100, seed=seed)
+    start = tuple(leading_eigvecs(build_q(unfold(inst.y, m), m, 100), k)[0]
+                  for m, k in zip((1, 2, 3), ranks))
+    refined = hooi_refine(inst.y, start, iters=3)
+    reference = hooi_reference(inst.y, start, iters=3)
+    for got, want in zip(refined, reference):
+        assert got.shape == want.shape
+        assert subspace_gap(got, want) <= 1e-12
+
+
+def test_hooi_rejects_rank_beyond_projected_span():
+    inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=9)
+    xi = tuple(exact_mode_basis(inst.d, m, k) for m, k in ((1, 5), (2, 2), (3, 2)))
+    with pytest.raises(ValueError, match="mode 1 rank 5 exceeds the projected span 4"):
+        hooi_refine(inst.y, xi, iters=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        hooi_refine(inst.y, xi, iters=-1)

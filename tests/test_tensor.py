@@ -1,11 +1,11 @@
-"""Unfolding, folding, Kronecker, and reconstruction against loop oracles."""
+"""Unfolding, folding, and reconstruction against loop oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensortopics import fold, kronecker, unfold
+from tensortopics import fold, unfold
 from tensortopics.errors import DataFormatError
 from tensortopics.tensor import reconstruct
 
@@ -79,19 +79,6 @@ def test_unfold_rejects_bad_mode_and_shape():
         fold(np.zeros((2, 4)), 1, (2, 2, 3))
 
 
-def test_kronecker_entry_law():
-    rng = np.random.default_rng(13)
-    a = rng.normal(size=(3, 2))
-    b = rng.normal(size=(2, 4))
-    k = kronecker(a, b)
-    assert k.shape == (6, 8)
-    for i in range(3):
-        for j in range(2):
-            for p in range(2):
-                for q in range(4):
-                    assert k[i * 2 + p, j * 4 + q] == a[i, j] * b[p, q]
-
-
 def test_reconstruct_matches_triple_loop():
     rng = np.random.default_rng(14)
     g = rng.uniform(size=(2, 3, 2))
@@ -121,6 +108,6 @@ def test_matricization_identity(mode):
     others = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
     b, c = others[mode]
     lhs = unfold(inst.d, mode)
-    rhs = factors[mode] @ unfold(m.g, mode) @ kronecker(factors[b], factors[c]).T
+    rhs = factors[mode] @ unfold(m.g, mode) @ np.kron(factors[b], factors[c]).T
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
