@@ -30,8 +30,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import DataFormatError, FitDegenerateError
-from .estimator import FitConfig, TuckerModel, _is_int, fit
+from .errors import DataFormatError, FitDegenerateError, _checked_int, _checked_triple
+from .estimator import FitConfig, TuckerModel, fit
 from .metrics import evaluate, scree
 from .synth import GenSpec, generate
 
@@ -197,17 +197,18 @@ def write_model(path, model, extra=None):
 
 
 def read_model(path):
-    """Load a model JSON file, validating shapes against declared dims."""
+    """Load a model JSON file: the arrays must hold numbers only, match the
+    declared dims and ranks, and pass ``TuckerModel.validate()``."""
     payload = _load_json(path, "model file")
     try:
-        dims = tuple(int(v) for v in payload["dims"])
-        ranks = tuple(int(v) for v in payload["ranks"])
-        model = TuckerModel(
-            a1=np.asarray(payload["a1"], dtype=float),
-            a2=np.asarray(payload["a2"], dtype=float),
-            a3=np.asarray(payload["a3"], dtype=float),
-            g=np.asarray(payload["g"], dtype=float),
-        )
+        dims = _checked_triple("dims", payload["dims"])
+        ranks = _checked_triple("ranks", payload["ranks"])
+        arrays = {name: np.asarray(payload[name]) for name in ("a1", "a2", "a3", "g")}
+        for name, array in arrays.items():
+            if array.dtype.kind not in "iuf":
+                raise DataFormatError(f"{name} must be an array of numbers")
+        model = TuckerModel(**arrays)
+        model.validate()
     except (KeyError, TypeError, ValueError) as err:
         raise DataFormatError(f"{path}: malformed model payload: {err}") from None
     if model.dims != dims or model.ranks != ranks:
@@ -411,12 +412,10 @@ def cmd_sweep(args):
     cells = grid.get("cells")
     if not isinstance(cells, list) or not cells:
         raise DataFormatError(f'{args.grid}: grid must hold a nonempty "cells" list')
-    master_seed = args.seed if args.seed is not None else grid.get("seed", 0)
-    trials = args.trials if args.trials is not None else grid.get("trials", 1)
-    for key, value, low in (("seed", master_seed, 0), ("trials", trials, 1)):
-        if not _is_int(value) or value < low:
-            raise DataFormatError(
-                f"{args.grid}: {key} must be an integer of at least {low}, got {value!r}")
+    master_seed = _checked_int(f"{args.grid}: seed",
+                               args.seed if args.seed is not None else grid.get("seed", 0), 0)
+    trials = _checked_int(f"{args.grid}: trials",
+                          args.trials if args.trials is not None else grid.get("trials", 1), 1)
     checked = [_sweep_cell(cell, f"{args.grid}: cell {ci}") for ci, cell in enumerate(cells)]
     jobs = [(spec, cfg, ci, ti, master_seed)
             for ci, (spec, cfg) in enumerate(checked) for ti in range(trials)]

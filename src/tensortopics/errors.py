@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the input checks that return the checked
+value: ``2.5`` is no integer, ``True`` no count and ``"3"`` no number."""
+
+import numbers
+import sys
 
 
 class DataFormatError(ValueError):
@@ -12,3 +16,36 @@ class FitDegenerateError(RuntimeError):
     vertex hunt, weight recovery, topic mass) so callers can report a
     precise failure instead of a numerical crash.
     """
+
+
+def _is_int(value):
+    """Whether ``value`` is an integer (numpy integers too) and no boolean."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _checked_int(name, value, low):
+    """``value`` as an ``int``; it must be an integer of at least ``low``."""
+    if not _is_int(value) or value < low:
+        wanted = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            low, f"an integer of at least {low}")
+        raise DataFormatError(f"{name} must be {wanted}, got {value!r}")
+    return int(value)
+
+
+def _checked_real(name, value, positive):
+    """``value`` as a ``float``; it must be a finite real number, above zero
+    when ``positive`` is set and at least zero otherwise."""
+    # the exact comparison also rejects NaN and integers beyond the float range
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not 0 <= value <= sys.float_info.max or (positive and value == 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise DataFormatError(f"{name} must be a finite {sign} number, got {value!r}")
+    return float(value)
+
+
+def _checked_triple(name, value):
+    """``value`` as a tuple of three positive ``int``s; a tuple or list."""
+    entries = tuple(value) if isinstance(value, (tuple, list)) else ()
+    if len(entries) != 3 or not all(_is_int(v) and v >= 1 for v in entries):
+        raise DataFormatError(f"{name} must be three positive integers, got {value!r}")
+    return tuple(int(v) for v in entries)

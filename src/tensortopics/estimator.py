@@ -18,12 +18,12 @@ Everything is deterministic: equal data and config give bit-identical output.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, FitDegenerateError
+from .errors import (DataFormatError, FitDegenerateError, _checked_int, _checked_real,
+                     _checked_triple)
 from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
 from .spectral import build_q, hooi_refine, leading_eigvecs
 from .tensor import reconstruct, unfold
@@ -68,7 +68,8 @@ class TuckerModel:
         return self.g.shape
 
     def validate(self, tol=1e-9):
-        """Raise unless all stochasticity constraints hold within ``tol``."""
+        """Raise unless every entry is finite and all stochasticity
+        constraints hold within ``tol``."""
         checks = (
             ("a1 rows", self.a1, self.a1.sum(axis=1)),
             ("a2 rows", self.a2, self.a2.sum(axis=1)),
@@ -76,6 +77,8 @@ class TuckerModel:
             ("core tubes", self.g, self.g.sum(axis=2)),
         )
         for label, block, sums in checks:
+            if not np.isfinite(block).all():
+                raise DataFormatError(f"{label}: non-finite entries")
             if np.min(block) < -tol:
                 raise DataFormatError(f"{label}: entries below -{tol}")
             if np.max(np.abs(sums - 1.0)) > tol:
@@ -116,24 +119,14 @@ class FitConfig:
     oracle: bool = False
 
     def __post_init__(self):
-        ranks = tuple(self.ranks) if isinstance(self.ranks, (tuple, list)) else ()
-        if len(ranks) != 3 or not all(_is_int(k) and k >= 1 for k in ranks):
-            raise DataFormatError(f"ranks must be three positive integers, got {self.ranks!r}")
-        object.__setattr__(self, "ranks", tuple(int(k) for k in ranks))
-        if not _is_int(self.doc_length) or self.doc_length < 1:
-            raise DataFormatError(
-                f"doc_length must be a positive integer, got {self.doc_length!r}")
+        object.__setattr__(self, "ranks", _checked_triple("ranks", self.ranks))
+        object.__setattr__(self, "doc_length", _checked_int("doc_length", self.doc_length, 1))
         for name in ("use_hooi", "oracle"):
             if not isinstance(getattr(self, name), bool):
                 raise DataFormatError(f"{name} must be a boolean, got {getattr(self, name)!r}")
-        if not _is_int(self.hooi_iters) or self.hooi_iters < 0:
-            raise DataFormatError(
-                f"hooi_iters must be a nonnegative integer, got {self.hooi_iters!r}")
-        c_prime = self.sparse_c_prime
-        if not (_is_real(c_prime) and c_prime >= 0):
-            raise DataFormatError(
-                f"sparse_c_prime must be a finite nonnegative number, got {c_prime!r}")
-        object.__setattr__(self, "sparse_c_prime", float(c_prime))
+        object.__setattr__(self, "hooi_iters", _checked_int("hooi_iters", self.hooi_iters, 0))
+        object.__setattr__(self, "sparse_c_prime",
+                           _checked_real("sparse_c_prime", self.sparse_c_prime, positive=False))
 
 
 @dataclass(frozen=True)
@@ -155,15 +148,6 @@ class FitResult:
     eigvals: tuple
 
 
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value):
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def _as_data(y):
     y = np.asarray(y, dtype=float)
     if y.ndim != 3:
@@ -183,13 +167,9 @@ def threshold_vocab(y, doc_length, c_prime):
     a zero constant keeps every word.
     """
     y = _as_data(y)
-    if c_prime < 0:
-        raise ValueError("c_prime must be nonnegative")
-    if doc_length < 1:
-        raise ValueError("doc_length must be at least 1")
+    c_prime = _checked_real("c_prime", c_prime, positive=False)
+    doc_length = _checked_int("doc_length", doc_length, 1)
     n1, n2, n_words = y.shape
-    if c_prime == 0:
-        return np.arange(n_words)
     tau = c_prime * math.sqrt(math.log(max(n1, n2, n_words)) / (n1 * n2 * doc_length))
     freq = y.sum(axis=(0, 1)) / (n1 * n2)
     return np.flatnonzero(freq >= tau)
@@ -265,16 +245,20 @@ def fit(y, cfg):
     vocab = threshold_vocab(y, cfg.doc_length, cfg.sparse_c_prime)  # validates y
     n1, n2, n_words = y.shape
     k1, k2, k3 = cfg.ranks
-    for k, n, label in ((k1, n1, "mode 1"), (k2, n2, "mode 2"), (k3, n_words, "mode 3")):
+    # a Tucker core's mode rank is at most the product of the other two
+    for mode, k, n, span in ((1, k1, n1, k2 * k3), (2, k2, n2, k1 * k3),
+                             (3, k3, n_words, k1 * k2)):
         if k > n:
-            raise ValueError(f"{label} rank {k} exceeds dimension {n}")
+            raise ValueError(f"mode {mode} rank {k} exceeds dimension {n}")
+        if k > span:
+            raise ValueError(f"mode {mode} rank {k} exceeds the projected span {span}")
     if k3 < 2:
         raise ValueError("word-mode recovery needs at least two topics")
     if vocab.size < k3:
         raise FitDegenerateError(
             f"vocabulary threshold: kept {vocab.size} of {n_words} words, "
             f"fewer than the {k3} requested topics")
-    data = np.ascontiguousarray(y[:, :, vocab])
+    data = np.take(y, vocab, axis=2)
 
     xi, spectra = zip(*(_mode_basis(data, mode, k, cfg)
                         for mode, k in ((1, k1), (2, k2), (3, k3))))

@@ -9,6 +9,8 @@ exact-mean inputs.
 
 import numpy as np
 
+from .errors import _checked_int
+
 # Dense symmetric eigendecomposition budget; larger modes need a different
 # solver strategy than this package provides.
 _MAX_MODE_DIM = 5000
@@ -42,9 +44,7 @@ def build_q(y_mat, mode, doc_length, centered=True):
             f"budget of {_MAX_MODE_DIM}")
     q = y @ y.T
     if mode == 3 and centered:
-        if doc_length < 1:
-            raise ValueError("doc_length must be at least 1 to correct sampling bias")
-        q = q - np.diag(y.sum(axis=1) / doc_length)
+        q = q - np.diag(y.sum(axis=1) / _checked_int("doc_length", doc_length, 1))
     return (q + q.T) / 2.0
 
 
@@ -93,8 +93,7 @@ def hooi_refine(y, xi, iters):
     ``iters=0`` returns the input bases unchanged.  Sign convention matches
     :func:`leading_eigvecs`.
     """
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
+    iters = _checked_int("iters", iters, 0)
     y = np.asarray(y, dtype=float)
     if y.ndim != 3:
         raise ValueError("expected an order-3 data tensor")

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError
-from .estimator import TuckerModel, _is_int, _is_real
+from .errors import DataFormatError, _checked_int, _checked_real, _checked_triple
+from .estimator import TuckerModel, _as_data
 
 _MODEL_STREAM = 0
 _DOC_STREAM = 1
@@ -50,29 +50,19 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dims", "ranks"):
-            value = getattr(self, name)
-            entries = tuple(value) if isinstance(value, (tuple, list)) else ()
-            if len(entries) != 3 or not all(_is_int(v) and v >= 1 for v in entries):
-                raise DataFormatError(f"{name} must be three positive integers, got {value!r}")
-            object.__setattr__(self, name, tuple(int(v) for v in entries))
+        object.__setattr__(self, "dims", _checked_triple("dims", self.dims))
+        object.__setattr__(self, "ranks", _checked_triple("ranks", self.ranks))
         if any(k > d for k, d in zip(self.ranks, self.dims)):
             raise DataFormatError(
                 f"ranks {self.ranks} must lie in [1, dim] for dims {self.dims}")
-        if not _is_int(self.doc_length) or self.doc_length < 1:
-            raise DataFormatError(
-                f"doc_length must be a positive integer, got {self.doc_length!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise DataFormatError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "doc_length", _checked_int("doc_length", self.doc_length, 1))
+        object.__setattr__(self, "seed", _checked_int("seed", self.seed, 0))
         if self.anchor_mode not in _ANCHOR_MODES:
             raise DataFormatError(f"anchor_mode must be one of {_ANCHOR_MODES}")
         if self.word_dist not in _WORD_DISTS:
             raise DataFormatError(f"word_dist must be one of {_WORD_DISTS}")
         for name in ("dirichlet_alpha", "zipf_q"):
-            value = getattr(self, name)
-            if not (_is_real(value) and value > 0):
-                raise DataFormatError(f"{name} must be a finite positive number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _checked_real(name, getattr(self, name), positive=True))
 
 
 @dataclass(frozen=True)
@@ -85,57 +75,46 @@ class PlantedInstance:
     counts: np.ndarray   # int64; every document sums to doc_length
 
 
-def sample_dirichlet(alpha, rng):
-    """One Dirichlet draw via normalized Gamma variates."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or alpha.size == 0 or not np.all(alpha > 0):
-        raise DataFormatError("alpha must be a nonempty vector of positive reals")
-    draw = rng.gamma(alpha)
-    total = draw.sum()
-    while total == 0.0:  # tiny alpha can underflow every coordinate
-        draw = rng.gamma(alpha)
-        total = draw.sum()
-    return draw / total
-
-
-def sample_multinomial(n_draws, p, rng):
-    """Multinomial counts of ``n_draws`` items over categories ``p``."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0 or not np.isfinite(p).all() or np.any(p < 0):
-        raise DataFormatError("p must be a vector of finite nonnegative reals")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise DataFormatError(f"p sums to {total!r}, expected 1 within 1e-9")
-    if n_draws < 0 or int(n_draws) != n_draws:
-        raise DataFormatError(f"n_draws must be a nonnegative integer, got {n_draws!r}")
-    return rng.multinomial(int(n_draws), p / total)
-
-
 def sample_counts(d, doc_length, seed):
     """Fresh multinomial counts for every document of a mean tensor ``d``.
 
-    Each document draws from its own substream of ``seed``, so the result
-    does not depend on traversal order.
+    ``d`` must be an order-3 tensor of finite nonnegative entries whose every
+    tube ``d[i, j, :]`` sums to one within 1e-9, ``doc_length`` a positive
+    integer and ``seed`` a nonnegative integer.  Each document draws from its
+    own substream of ``seed``, so the result does not depend on traversal
+    order.
     """
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 3:
-        raise DataFormatError("expected an order-3 mean tensor")
-    if doc_length < 1:
-        raise DataFormatError("doc_length must be at least 1")
-    n1, n2, n_words = d.shape
+    # a C-order copy sums every tube exactly as the vector it is on its own
+    p = np.array(_as_data(d), order="C")
+    sums = p.sum(axis=2, keepdims=True)
+    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    if off.size:
+        i, j = np.unravel_index(off[0], p.shape[:2])
+        raise DataFormatError(f"tube ({i + 1}, {j + 1}) of the mean tensor sums to "
+                              f"{float(sums[i, j, 0])!r}, expected 1 within 1e-9")
+    doc_length = _checked_int("doc_length", doc_length, 1)
+    seed = _checked_int("seed", seed, 0)
+    p /= sums
+    n1, n2, n_words = p.shape
     counts = np.empty((n1, n2, n_words), dtype=np.int64)
     for i in range(n1):
         for j in range(n2):
             rng = substream(seed, _DOC_STREAM, i * n2 + j)
-            counts[i, j] = sample_multinomial(doc_length, d[i, j], rng)
+            counts[i, j] = rng.multinomial(doc_length, p[i, j])
     return counts
 
 
 def _dirichlet_rows(n, k, alpha, rng):
+    """``n`` draws of a symmetric Dirichlet of concentration ``alpha`` over
+    ``k`` coordinates, each a row of normalized Gamma variates."""
     rows = np.empty((n, k))
     concentration = np.full(k, alpha)
-    for i in range(n):
-        rows[i] = sample_dirichlet(concentration, rng)
+    for row in rows:
+        total = 0.0
+        while total == 0.0:  # tiny alpha can underflow every coordinate
+            draw = rng.gamma(concentration)
+            total = draw.sum()
+        row[:] = draw / total
     return rows
 
 

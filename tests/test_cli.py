@@ -350,6 +350,38 @@ def test_hooi_rank_beyond_projected_span_is_exit_3(tmp_path, capsys):
     assert not (tmp_path / "f.model.json").exists()
 
 
+@pytest.mark.parametrize("flags", [["--ranks", "5,2,2"], ["--ranks", "2,2,5", "--hooi", "0"]])
+def test_rank_beyond_projected_span_is_exit_3_with_or_without_hooi(tmp_path, capsys, flags):
+    code = main(["fit", "--data", str(_tiny_counts(tmp_path)), *flags,
+                 "--out", str(tmp_path / "f")])
+    assert code == 3
+    assert "rank 5 exceeds the projected span 4" in capsys.readouterr().err
+    assert not (tmp_path / "f.model.json").exists()
+
+
+def _set_entry(name, value):
+    def edit(payload):
+        payload[name][0][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_entry("a1", float("nan")),
+    _set_entry("a1", -5.0),
+    _set_entry("a1", "0.5"),
+    lambda payload: payload.update(dims=[8.7, 6, 20]),
+], ids=["nan-entry", "negative-entry", "string-entry", "float-dims"])
+def test_bad_model_file_is_exit_3_naming_the_file(tmp_path, capsys, edit):
+    truth = tmp_path / "truth.json"
+    write_model(truth, planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82).model)
+    payload = json.loads(truth.read_text())
+    edit(payload)
+    bad = tmp_path / "bad.model.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["eval", "--model", str(bad), "--truth", str(truth)]) == 3
+    assert f"{bad}: malformed model payload" in capsys.readouterr().err
+
+
 def _tiny_counts(tmp_path):
     inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82)
     path = tmp_path / "tiny.counts.txt"
@@ -362,6 +394,7 @@ def _tiny_counts(tmp_path):
     {"ranks": [2, 2, 2], "sparse_c_prime": None},
     {"ranks": [2, 2, 2], "use_hooi": "false"},
     {"ranks": [2, 2, 2], "use_hoi": True},
+    {"ranks": [2, 2, 2], "sparse_c_prime": 10 ** 400},
 ])
 def test_bad_fit_config_is_exit_3_naming_the_file(tmp_path, capsys, config):
     data = _tiny_counts(tmp_path)

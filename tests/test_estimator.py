@@ -192,6 +192,16 @@ def test_fit_hooi_rank_beyond_projected_span_is_value_error():
         fit(inst.y, cfg)
 
 
+@pytest.mark.parametrize("ranks", [(5, 2, 2), (2, 2, 5)])
+@pytest.mark.parametrize("hooi", [None, 0], ids=["no-hooi", "hooi-0"])
+def test_fit_rank_beyond_projected_span_is_value_error_with_or_without_hooi(ranks, hooi):
+    inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=47)
+    options = {} if hooi is None else {"use_hooi": True, "hooi_iters": hooi}
+    mode = 1 + ranks.index(5)
+    with pytest.raises(ValueError, match=f"mode {mode} rank 5 exceeds the projected span 4"):
+        fit(inst.y, FitConfig(ranks=ranks, doc_length=30, **options))
+
+
 @pytest.mark.parametrize("doc_length", [2.5, True, "200", 0, None])
 def test_fit_config_doc_length_must_be_a_positive_integer(doc_length):
     with pytest.raises(DataFormatError, match="doc_length must be a positive integer"):
@@ -232,6 +242,14 @@ def test_model_validate_catches_violations():
         broken.validate()
     with pytest.raises(DataFormatError):
         TuckerModel(a1=m.a1[:, :1], a2=m.a2, a3=m.a3, g=m.g)
+
+
+def test_model_validate_rejects_non_finite_entries():
+    m = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=49).model
+    a1 = m.a1.copy()
+    a1[0, 0] = np.nan
+    with pytest.raises(DataFormatError, match="a1 rows: non-finite entries"):
+        TuckerModel(a1=a1, a2=m.a2, a3=m.a3, g=m.g).validate()
 
 
 def test_doc_topic_weights_are_stochastic():

@@ -7,42 +7,51 @@ from scipy import stats
 
 from tensortopics import GenSpec, generate, sample_counts
 from tensortopics.errors import DataFormatError
-from tensortopics.synth import sample_dirichlet, sample_multinomial, substream
+from tensortopics.synth import _dirichlet_rows, substream
 
 from helpers import planted
 
 
 def test_dirichlet_mean_matches_theory():
     rng = np.random.default_rng(100)
-    alpha = np.array([0.5, 1.0, 2.0])
-    draws = np.array([sample_dirichlet(alpha, rng) for _ in range(100_000)])
+    alpha, k = 0.5, 3
+    draws = _dirichlet_rows(50_000, k, alpha, rng)
     np.testing.assert_allclose(draws.sum(axis=1), 1.0, atol=1e-12)
-    mean = alpha / alpha.sum()
-    # symmetric-Dirichlet marginals are Beta(a_i, a_rest); 3 standard errors
-    var = mean * (1 - mean) / (alpha.sum() + 1)
+    mean = 1.0 / k
+    # symmetric-Dirichlet marginals are Beta(a, (k - 1) a); 3 standard errors
+    var = mean * (1 - mean) / (k * alpha + 1)
     se = np.sqrt(var / draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - mean) < 3 * se + 1e-4)
 
 
 def test_dirichlet_length_one():
     rng = np.random.default_rng(101)
-    np.testing.assert_array_equal(sample_dirichlet([3.7], rng), [1.0])
+    np.testing.assert_array_equal(_dirichlet_rows(4, 1, 3.7, rng), np.ones((4, 1)))
+
+
+def test_dirichlet_tiny_alpha_redraws_underflowed_rows():
+    """At alpha 1e-3 both Gamma variates of a row often underflow to zero;
+    such a row is drawn again instead of becoming 0 / 0."""
+    rows = _dirichlet_rows(200, 2, 1e-3, np.random.default_rng(105))
+    assert np.isfinite(rows).all()
+    np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+
+def _tubes(p, n1=2, n2=2):
+    return np.broadcast_to(np.asarray(p, dtype=float), (n1, n2, len(p))).copy()
 
 
 def test_multinomial_zero_draws_and_one_hot():
-    rng = np.random.default_rng(102)
-    np.testing.assert_array_equal(sample_multinomial(0, [0.3, 0.7], rng), [0, 0])
-    out = sample_multinomial(9, [0.0, 1.0, 0.0], rng)
-    np.testing.assert_array_equal(out, [0, 9, 0])
+    with pytest.raises(DataFormatError, match="doc_length must be a positive integer"):
+        sample_counts(_tubes([0.3, 0.7]), 0, seed=102)
+    out = sample_counts(_tubes([0.0, 1.0, 0.0]), 9, seed=102)
+    np.testing.assert_array_equal(out, _tubes([0, 9, 0]))
 
 
 def test_multinomial_goodness_of_fit():
-    rng = np.random.default_rng(103)
     p = np.array([0.2, 0.3, 0.5])
     m = 50
-    total = np.zeros(3)
-    for _ in range(10_000):
-        total += sample_multinomial(m, p, rng)
+    total = sample_counts(_tubes(p, 100, 100), m, seed=103).sum(axis=(0, 1))
     expected = 10_000 * m * p
     chi2 = float(((total - expected) ** 2 / expected).sum())
     # conservative: cell totals are sums of multinomials, df = 2
@@ -50,15 +59,21 @@ def test_multinomial_goodness_of_fit():
 
 
 def test_multinomial_validation():
-    rng = np.random.default_rng(104)
-    with pytest.raises(DataFormatError):
-        sample_multinomial(-1, [1.0], rng)
-    with pytest.raises(DataFormatError):
-        sample_multinomial(5, [0.5, -0.5], rng)
-    with pytest.raises(DataFormatError):
-        sample_multinomial(5, [0.4, 0.4], rng)
-    with pytest.raises(DataFormatError):
-        sample_multinomial(5, [np.nan, 1.0], rng)
+    off = _tubes([0.5, 0.5])
+    off[1, 0] = [0.4, 0.4]
+    off[1, 1] = [0.7, 0.7]
+    for d, doc_length, message in [
+        (_tubes([1.5, -0.5]), 5, "negative"),
+        (off, 5, r"tube \(2, 1\) .* sums to 0\.8"),
+        (_tubes([np.nan, 1.0]), 5, "non-finite"),
+        (np.array([0.5, 0.5]), 5, "order-3"),
+        (_tubes([1.0]), -1, "doc_length must be a positive integer"),
+        (_tubes([1.0]), 2.5, "doc_length must be a positive integer"),
+    ]:
+        with pytest.raises(DataFormatError, match=message):
+            sample_counts(d, doc_length, seed=104)
+    with pytest.raises(DataFormatError, match="seed must be a nonnegative integer"):
+        sample_counts(_tubes([1.0]), 5, seed=104.5)
 
 
 def test_spec_validation():
