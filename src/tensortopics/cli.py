@@ -30,7 +30,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import DataFormatError, FitDegenerateError, _checked_int, _checked_triple
+from .errors import (DataFormatError, FitDegenerateError, _check_tucker_ranks, _checked_int,
+                     _checked_triple)
 from .estimator import FitConfig, TuckerModel, fit
 from .metrics import evaluate, scree
 from .synth import GenSpec, generate
@@ -384,7 +385,8 @@ def cmd_eval(args):
 def _sweep_cell(cell, where):
     """Seed-0 generator spec and fit config of one grid cell.
 
-    The fit options default to the cell's planted ranks.
+    The fit options default to the cell's planted ranks, and fit ranks must
+    obey the Tucker rank rule too.
     """
     options = cell.get("fit", {}) if isinstance(cell, dict) else None
     if not isinstance(options, dict):
@@ -393,14 +395,21 @@ def _sweep_cell(cell, where):
     spec = _from_json(GenSpec, fields, where, seed=0)
     cfg = _from_json(FitConfig, {"ranks": spec.ranks, **options}, where,
                      doc_length=spec.doc_length)
+    try:
+        _check_tucker_ranks(cfg.ranks)
+    except DataFormatError as err:
+        raise DataFormatError(f"{where}: {err}") from None
     return spec, cfg
 
 
 def _sweep_trial(payload):
-    spec, cfg, cell_index, trial_index, master_seed = payload
+    spec, cfg, cell_index, trial_index, master_seed, where = payload
     seed = derive_seed(master_seed, cell_index, trial_index)
     instance = generate(replace(spec, seed=seed))
-    result = fit(instance.y, cfg)
+    try:
+        result = fit(instance.y, cfg)
+    except (FitDegenerateError, ValueError) as err:
+        raise type(err)(f"{where}, trial {trial_index}: {err}") from None
     report = evaluate(result.model, instance.model)
     return (cell_index, trial_index, seed,
             tuple(getattr(report, column) for column in _EVAL_COLUMNS))
@@ -416,8 +425,9 @@ def cmd_sweep(args):
                                args.seed if args.seed is not None else grid.get("seed", 0), 0)
     trials = _checked_int(f"{args.grid}: trials",
                           args.trials if args.trials is not None else grid.get("trials", 1), 1)
-    checked = [_sweep_cell(cell, f"{args.grid}: cell {ci}") for ci, cell in enumerate(cells)]
-    jobs = [(spec, cfg, ci, ti, master_seed)
+    where = [f"{args.grid}: cell {ci}" for ci in range(len(cells))]
+    checked = [_sweep_cell(cell, where[ci]) for ci, cell in enumerate(cells)]
+    jobs = [(spec, cfg, ci, ti, master_seed, where[ci])
             for ci, (spec, cfg) in enumerate(checked) for ti in range(trials)]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

@@ -1,4 +1,4 @@
-"""Shared exception types, and the input checks that return the checked
+"""Shared exception types and input checks.  The checks return the checked
 value: ``2.5`` is no integer, ``True`` no count and ``"3"`` no number."""
 
 import numbers
@@ -49,3 +49,12 @@ def _checked_triple(name, value):
     if len(entries) != 3 or not all(_is_int(v) and v >= 1 for v in entries):
         raise DataFormatError(f"{name} must be three positive integers, got {value!r}")
     return tuple(int(v) for v in entries)
+
+
+def _check_tucker_ranks(ranks):
+    """Raise unless each mode rank is at most the product of the other two:
+    no ``K1 x K2 x K3`` Tucker core has a larger mode rank."""
+    k1, k2, k3 = ranks
+    for mode, k, span in ((1, k1, k2 * k3), (2, k2, k1 * k3), (3, k3, k1 * k2)):
+        if k > span:
+            raise DataFormatError(f"mode {mode} rank {k} exceeds the projected span {span}")

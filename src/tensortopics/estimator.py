@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DataFormatError, FitDegenerateError, _checked_int, _checked_real,
-                     _checked_triple)
+from .errors import (DataFormatError, FitDegenerateError, _check_tucker_ranks, _checked_int,
+                     _checked_real, _checked_triple)
 from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
 from .spectral import build_q, hooi_refine, leading_eigvecs
 from .tensor import reconstruct, unfold
@@ -176,8 +176,18 @@ def threshold_vocab(y, doc_length, c_prime):
 
 
 def _mode_basis(y, mode, k, cfg):
-    q = build_q(unfold(y, mode), mode, cfg.doc_length, centered=not cfg.oracle)
-    return leading_eigvecs(q, k)
+    """Leading gram eigenbasis of one mode, with the mode named in its errors."""
+    y_mat = unfold(y, mode)
+    n = y_mat.shape[0]
+    try:
+        q = build_q(y_mat, mode, cfg.doc_length, centered=not cfg.oracle)
+    except MemoryError:
+        raise DataFormatError(
+            f"mode {mode} gram: a {n} x {n} matrix is too big to allocate") from None
+    try:
+        return leading_eigvecs(q, k)
+    except np.linalg.LinAlgError as err:
+        raise FitDegenerateError(f"mode {mode} eigensolve did not converge: {err}") from err
 
 
 def _stage_weights(stage, s_star, v_star):
@@ -245,13 +255,10 @@ def fit(y, cfg):
     vocab = threshold_vocab(y, cfg.doc_length, cfg.sparse_c_prime)  # validates y
     n1, n2, n_words = y.shape
     k1, k2, k3 = cfg.ranks
-    # a Tucker core's mode rank is at most the product of the other two
-    for mode, k, n, span in ((1, k1, n1, k2 * k3), (2, k2, n2, k1 * k3),
-                             (3, k3, n_words, k1 * k2)):
+    for mode, k, n in ((1, k1, n1), (2, k2, n2), (3, k3, n_words)):
         if k > n:
             raise ValueError(f"mode {mode} rank {k} exceeds dimension {n}")
-        if k > span:
-            raise ValueError(f"mode {mode} rank {k} exceeds the projected span {span}")
+    _check_tucker_ranks(cfg.ranks)
     if k3 < 2:
         raise ValueError("word-mode recovery needs at least two topics")
     if vocab.size < k3:

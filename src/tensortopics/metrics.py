@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .estimator import fit
-from .spectral import build_q
+from .spectral import build_q, leading_eigvecs
 from .tensor import unfold
 
 
@@ -194,13 +194,11 @@ def topic_resolution(y, cfg, trials=20, rng=None, axis=1, splits=None):
 def scree(y, mode, k_max, doc_length):
     """Leading gram eigenvalues of one mode, descending, for rank choice.
 
-    Uses the same bias-corrected gram matrix as the fit, so a knee in this
-    sequence suggests the planted rank of that mode.
+    Uses the same bias-corrected gram matrix and eigensolver as the fit, so
+    a knee in this sequence suggests the planted rank of that mode.
     """
     y_mat = unfold(np.asarray(y, dtype=float), mode)
     n = y_mat.shape[0]
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
-    q = build_q(y_mat, mode, doc_length)
-    vals = np.linalg.eigvalsh(q)
-    return vals[::-1][:k_max].copy()
+    return leading_eigvecs(build_q(y_mat, mode, doc_length), k_max)[1]

@@ -5,15 +5,20 @@ the multinomial sampling noise.  That bias cancels between documents on the
 two membership modes but not on the word mode, so mode 3 subtracts it before
 the eigendecomposition; ``centered=False`` restores the plain gram matrix for
 exact-mean inputs.
+
+``leading_eigvecs`` computes only the top ``k + 1`` eigenpairs, by ARPACK's
+Lanczos method (``scipy.sparse.linalg.eigsh``) started from a fixed vector of
+a seeded generator, so replays are bit-identical; a start at the all-ones
+vector would never reach an eigenvector that sums to zero.  When ``k + 1``
+reaches the matrix size, the full LAPACK ``eigh`` runs instead.  Eigenvalues,
+those in the fit diagnostics included, agree with a full ``eigh`` within
+1e-12 relative, and bases within the solver residual over the eigengap.
 """
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import _checked_int
-
-# Dense symmetric eigendecomposition budget; larger modes need a different
-# solver strategy than this package provides.
-_MAX_MODE_DIM = 5000
 
 # Per mode: the other two modes, and the contraction of the tensor with their
 # bases that keeps this mode's axis first.  Reshaped to a matrix, it equals
@@ -38,10 +43,6 @@ def build_q(y_mat, mode, doc_length, centered=True):
         raise ValueError("expected an unfolded (matrix) input")
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
-    if y.shape[0] > _MAX_MODE_DIM:
-        raise ValueError(
-            f"mode dimension {y.shape[0]} exceeds the dense eigendecomposition "
-            f"budget of {_MAX_MODE_DIM}")
     q = y @ y.T
     if mode == 3 and centered:
         q = q - np.diag(y.sum(axis=1) / _checked_int("doc_length", doc_length, 1))
@@ -68,7 +69,7 @@ def leading_eigvecs(q, k):
     """Top ``k`` eigenpairs of a symmetric matrix, deterministically signed.
 
     Columns come back orthonormal with eigenvalues sorted descending.
-    Raises ``ValueError`` when ``k`` is out of range and propagates
+    Raises ``ValueError`` when ``k`` is out of range and
     ``numpy.linalg.LinAlgError`` if the eigensolver fails to converge.
     """
     q = np.asarray(q, dtype=float)
@@ -77,10 +78,16 @@ def leading_eigvecs(q, k):
     n = q.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    vals, vecs = np.linalg.eigh(q)
-    vals = vals[::-1][:k].copy()
-    vecs = _fix_signs(vecs[:, ::-1][:, :k])
-    return vecs, vals
+    if k + 1 < n:
+        rng = np.random.default_rng(0)
+        try:
+            vals, vecs = eigsh(q, k=k + 1, which="LA", v0=rng.uniform(0.5, 1.5, n), rng=rng)
+        except ArpackError as err:
+            raise np.linalg.LinAlgError(str(err)) from err
+    else:
+        vals, vecs = np.linalg.eigh(q)
+    order = np.argsort(vals, kind="stable")[::-1][:k]
+    return _fix_signs(vecs[:, order]), vals[order]
 
 
 def hooi_refine(y, xi, iters):

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, _checked_int, _checked_real, _checked_triple
+from .errors import (DataFormatError, _check_tucker_ranks, _checked_int, _checked_real,
+                     _checked_triple)
 from .estimator import TuckerModel, _as_data
 
 _MODEL_STREAM = 0
@@ -55,6 +56,7 @@ class GenSpec:
         if any(k > d for k, d in zip(self.ranks, self.dims)):
             raise DataFormatError(
                 f"ranks {self.ranks} must lie in [1, dim] for dims {self.dims}")
+        _check_tucker_ranks(self.ranks)
         object.__setattr__(self, "doc_length", _checked_int("doc_length", self.doc_length, 1))
         object.__setattr__(self, "seed", _checked_int("seed", self.seed, 0))
         if self.anchor_mode not in _ANCHOR_MODES:

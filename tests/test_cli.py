@@ -1,7 +1,9 @@
 """File formats, exit codes, and the generate/fit/eval/sweep/scree commands
 driven in-process through main()."""
 
+import functools
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tensortopics import GenSpec, generate
+from tensortopics import GenSpec, estimator, generate, spectral
 from tensortopics.cli import (
     derive_seed,
     main,
@@ -411,6 +413,8 @@ def test_bad_fit_config_is_exit_3_naming_the_file(tmp_path, capsys, config):
     {"label": "bad", "dims": [8, 6, 20], "ranks": [2, 2, 2], "doc_length": 30,
      "fit": {"bogus": 1}},
     [1, 2],
+    {"dims": [8, 6, 20], "ranks": [5, 2, 2], "doc_length": 30},
+    {"dims": [8, 6, 20], "ranks": [2, 2, 2], "doc_length": 30, "fit": {"ranks": [2, 2, 5]}},
 ])
 def test_bad_sweep_cell_is_exit_3_naming_file_and_cell(tmp_path, capsys, bad_cell):
     good = {"dims": [8, 6, 20], "ranks": [2, 2, 2], "doc_length": 30}
@@ -427,6 +431,7 @@ def test_bad_sweep_cell_is_exit_3_naming_file_and_cell(tmp_path, capsys, bad_cel
     {"ranks": [2, 2, 2.5]},
     {"doc_length": 30.5},
     {"seed": "1"},
+    {"ranks": [5, 2, 2]},
 ])
 def test_bad_generator_spec_is_exit_3_naming_the_file(tmp_path, capsys, override):
     spec = _spec_file(tmp_path, **override)
@@ -471,13 +476,54 @@ def test_fit_config_fuzz_exits_cleanly(tmp_path):
 
 
 def test_linalg_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
+    """ARPACK stopped after one restart fails on the 40-word gram, where its
+    20 Lanczos vectors span less than the whole space."""
+    spec = _spec_file(tmp_path)
+    main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
+    monkeypatch.setattr(spectral, "eigsh", functools.partial(spectral.eigsh, maxiter=1))
+    assert main(["fit", "--data", str(tmp_path / "g.counts.txt"), "--ranks", "2,2,3",
+                 "--out", str(tmp_path / "f")]) == 4
+    err = capsys.readouterr().err
+    assert "degenerate fit" in err and "did not converge" in err
+    assert "mode 3 eigensolve" in err and "No convergence" in err
+    assert not (tmp_path / "f.model.json").exists()
+
+
+def test_full_eigh_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
+    """Mode 2 has 6 rows and rank 5, so its k + 1 pairs take the full eigh."""
     data = _tiny_counts(tmp_path)
 
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-    assert main(["fit", "--data", str(data), "--ranks", "2,2,2",
+    assert main(["fit", "--data", str(data), "--ranks", "2,5,3",
                  "--out", str(tmp_path / "f")]) == 4
     err = capsys.readouterr().err
-    assert "degenerate fit" in err and "did not converge" in err
+    assert "degenerate fit: mode 2 eigensolve did not converge" in err
+
+
+def test_gram_allocation_failure_is_exit_3_naming_mode_and_size(tmp_path, capsys, monkeypatch):
+    data = _tiny_counts(tmp_path)
+    real_build_q = estimator.build_q
+
+    def no_memory_for_words(y_mat, mode, *args, **kwargs):
+        if mode == 3:
+            raise MemoryError
+        return real_build_q(y_mat, mode, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "build_q", no_memory_for_words)
+    assert main(["fit", "--data", str(data), "--ranks", "2,2,2",
+                 "--out", str(tmp_path / "f")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"data error: mode 3 gram: a (\d+) x \1 matrix is too big to allocate", err)
+    assert not (tmp_path / "f.model.json").exists()
+
+
+def test_sweep_trial_failure_names_grid_cell_and_trial(tmp_path, capsys):
+    cell = {"dims": [8, 6, 20], "ranks": [2, 2, 2], "doc_length": 30}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cells": [cell, {**cell, "fit": {"sparse_c_prime": 1e9}}]}))
+    assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "s")]) == 4
+    assert f"degenerate fit: {grid}: cell 1, trial 0: vocabulary threshold" in \
+        capsys.readouterr().err

@@ -99,7 +99,10 @@ def test_fit_mode3_requires_two_topics():
 
 
 def test_fit_core_trivial_ranks():
-    y = planted((5, 4, 10), (1, 1, 2), doc_length=30, seed=44).d
+    # a 1 x 1 x 2 core breaks the Tucker rank rule, so GenSpec cannot plant it
+    w = np.random.default_rng(44).uniform(size=(10, 2))
+    y = TuckerModel(a1=np.ones((5, 1)), a2=np.ones((4, 1)), a3=w / w.sum(axis=0),
+                    g=np.array([[[0.3, 0.7]]])).mean_tensor()
     xi1 = np.full((5, 1), 1 / np.sqrt(5))
     xi2 = np.full((4, 1), 1 / np.sqrt(4))
     # rank-1 modes project onto constants; any orthonormal xi3 works since

@@ -10,11 +10,13 @@ from tensortopics import (
     FitConfig,
     TuckerModel,
     aligned_l1_loss,
+    build_q,
     evaluate,
     fit,
     reconstruction_error,
     scree,
     topic_resolution,
+    unfold,
 )
 from tensortopics.metrics import (
     _align_brute,
@@ -198,6 +200,20 @@ def test_scree_descends_and_shows_rank_knee():
         # at the true rank
         ratios = values[1:-1] / values[2:]
         assert int(np.argmax(ratios)) + 2 == k
+
+
+@pytest.mark.parametrize("mode", [1, 3])
+def test_scree_matches_full_eigvalsh_up_to_every_eigenvalue(mode):
+    """k_max = n takes the full eigh; shorter screens take ARPACK's pairs."""
+    inst = planted((25, 20, 60), (2, 2, 3), doc_length=2000, seed=70)
+    q = build_q(unfold(inst.y, mode), mode, 2000)
+    reference = np.linalg.eigvalsh(q)[::-1]
+    n = q.shape[0]
+    for k_max in (3, n - 2, n - 1, n):
+        values = scree(inst.y, mode, k_max, 2000)
+        assert values.shape == (k_max,)
+        np.testing.assert_allclose(values, reference[:k_max], rtol=1e-12,
+                                   atol=1e-12 * reference[0])
 
 
 def test_evaluate_on_fitted_model_reports_finite_losses():

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from tensortopics import build_q, leading_eigvecs, unfold
+from tensortopics import spectral, threshold_vocab
 from tensortopics.spectral import _fix_signs, hooi_refine
 
-from helpers import exact_mode_basis, hooi_reference, planted, subspace_gap
+from helpers import (eigh_reference, exact_mode_basis, hooi_reference, planted, subspace_gap,
+                     subspace_sine)
 
 
 def test_build_q_hand_example_modes12():
@@ -32,8 +34,6 @@ def test_build_q_exactly_symmetric():
 
 
 def test_build_q_rejects_oversized_mode():
-    with pytest.raises(ValueError):
-        build_q(np.zeros((5001, 2)), 1, 10)
     with pytest.raises(ValueError):
         build_q(np.ones((2, 2)), 3, 0)
 
@@ -75,6 +75,104 @@ def test_leading_eigvecs_k_range():
         leading_eigvecs(np.eye(3), 0)
     with pytest.raises(ValueError):
         leading_eigvecs(np.eye(3), 4)
+
+
+# (dims, ranks, doc_length, seed, oracle) of the acceptance suite's instances
+_ACCEPTANCE_INSTANCES = {
+    "criterion-1": ((30, 10, 50), (2, 2, 3), 500, 7, True),
+    "criteria-3-5": ((40, 40, 300), (2, 2, 4), 1000, 3000, False),
+    "criterion-4": ((80, 40, 100), (2, 2, 3), 1000, 4000, False),
+    "criterion-6": ((30, 30, 100), (2, 2, 3), 200, 6000, False),
+    "criterion-7": ((20, 12, 40), (2, 2, 3), 150, 72, False),
+    "criterion-8": ((15, 8, 30), (2, 2, 3), 100, 17, False),
+}
+
+
+@pytest.mark.parametrize("dims,ranks,doc_length,seed,oracle",
+                         list(_ACCEPTANCE_INSTANCES.values()), ids=list(_ACCEPTANCE_INSTANCES))
+def test_partial_eigensolve_matches_full_eigh_on_acceptance_instances(
+        dims, ranks, doc_length, seed, oracle):
+    inst = planted(dims, ranks, doc_length=doc_length, seed=seed)
+    y = inst.d if oracle else inst.y
+    for mode, k in zip((1, 2, 3), ranks):
+        q = build_q(unfold(y, mode), mode, doc_length, centered=not oracle)
+        xi, vals = leading_eigvecs(q, k)
+        ref_vals, ref_vecs = eigh_reference(q)
+        np.testing.assert_allclose(vals, ref_vals[:k], rtol=1e-12, atol=0)
+        assert subspace_sine(ref_vecs[:, :k], xi) <= 1e-8
+
+
+def test_partial_eigensolve_drift_on_narrow_gap_word_gram():
+    """The word gram of the benchmark's reference instance (seed 1) has
+    lambda_5 / lambda_6 = 1.003: there the basis may drift from a full eigh's,
+    by at most the two residuals over the gap."""
+    inst = planted((100, 80, 2000), (3, 3, 5), doc_length=200, seed=1)
+    data = np.take(inst.y, threshold_vocab(inst.y, 200, 0.005), axis=2)
+    q = build_q(unfold(data, 3), 3, 200)
+    k = 5
+    xi, vals = leading_eigvecs(q, k)
+    ref_vals, ref_vecs = eigh_reference(q)
+    gap = ref_vals[k - 1] - ref_vals[k]
+    assert ref_vals[k - 1] / ref_vals[k] < 1.004 and gap / ref_vals[0] < 2e-5
+    np.testing.assert_allclose(vals, ref_vals[:k], rtol=1e-12, atol=0)
+    residual = np.linalg.norm(q @ xi - xi * vals, 2)
+    ref_residual = np.linalg.norm(q @ ref_vecs[:, :k] - ref_vecs[:, :k] * ref_vals[:k], 2)
+    assert residual <= 1e-12 * ref_vals[0]  # solved to working precision
+    assert subspace_sine(ref_vecs[:, :k], xi) <= (residual + ref_residual) / gap
+
+
+def test_leading_eigenvector_summing_to_zero_is_found():
+    """A Krylov space started from the all-ones vector never reaches an
+    eigenvector orthogonal to it; the seeded start does.  Here rows 1 and 2
+    map equal entries to exact zeros, so from ones every Lanczos vector keeps
+    them equal and misses the leading eigenvector (1, -1, 0, ...) / sqrt(2)."""
+    rng = np.random.default_rng(31)
+    b = rng.normal(size=(48, 48))
+    b = b @ b.T
+    b *= 7.0 / np.linalg.eigvalsh(b)[-1]  # the rest of the spectrum lies in [0, 7]
+    q = np.zeros((50, 50))
+    q[:2, :2] = [[4.0, -4.0], [-4.0, 4.0]]
+    q[2:, 2:] = (b + b.T) / 2.0
+    xi, vals = leading_eigvecs(q, 3)
+    np.testing.assert_allclose(vals[0], 8.0, rtol=1e-12)
+    np.testing.assert_allclose(xi[:, 0], np.r_[1.0, -1.0, np.zeros(48)] / np.sqrt(2.0),
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [8, 9, 10])
+def test_full_eigh_only_when_k_plus_one_reaches_n(monkeypatch, k):
+    a = np.random.default_rng(23).normal(size=(10, 10))
+    q = a @ a.T
+    calls = []
+    real_eigsh = spectral.eigsh
+
+    def counted_eigsh(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", counted_eigsh)
+    xi, vals = leading_eigvecs(q, k)
+    ref_vals, ref_vecs = eigh_reference(q)
+    if k + 1 < 10:
+        assert calls == [k + 1]
+        np.testing.assert_allclose(vals, ref_vals[:k], rtol=1e-12)
+        assert subspace_sine(ref_vecs[:, :k], xi) <= 1e-8
+    else:
+        assert calls == []
+        np.testing.assert_array_equal(vals, ref_vals[:k])
+        np.testing.assert_array_equal(xi, _fix_signs(ref_vecs[:, :k]))
+
+
+_A = np.random.default_rng(24).normal(size=(60, 60))
+
+
+@pytest.mark.parametrize("q", [_A @ _A.T, np.eye(5)], ids=["generic", "identity"])
+def test_two_calls_are_bit_identical(q):
+    """Equal inputs give equal bits, also where ARPACK draws restart vectors
+    (every vector is an eigenvector of the identity)."""
+    first, second = leading_eigvecs(q, 2), leading_eigvecs(q, 2)
+    np.testing.assert_array_equal(first[0], second[0])
+    np.testing.assert_array_equal(first[1], second[1])
 
 
 def test_noiseless_gram_has_exact_rank():

@@ -77,18 +77,29 @@ def test_multinomial_validation():
 
 
 def test_spec_validation():
-    with pytest.raises(DataFormatError):
-        GenSpec(dims=(0, 3, 4), ranks=(1, 1, 2), doc_length=10)
-    with pytest.raises(DataFormatError):
+    # ranks (1, 2, 2) obey the Tucker rank rule, so each row fails for its own field
+    with pytest.raises(DataFormatError, match="dims must be"):
+        GenSpec(dims=(0, 3, 4), ranks=(1, 2, 2), doc_length=10)
+    with pytest.raises(DataFormatError, match=r"must lie in \[1, dim\]"):
         GenSpec(dims=(4, 3, 4), ranks=(5, 1, 2), doc_length=10)
-    with pytest.raises(DataFormatError):
-        GenSpec(dims=(4, 3, 4), ranks=(1, 1, 2), doc_length=0)
-    with pytest.raises(DataFormatError):
-        GenSpec(dims=(4, 3, 4), ranks=(1, 1, 2), doc_length=10, dirichlet_alpha=0.0)
-    with pytest.raises(DataFormatError):
-        GenSpec(dims=(4, 3, 4), ranks=(1, 1, 2), doc_length=10, word_dist="zipfian")
-    with pytest.raises(DataFormatError):
-        GenSpec(dims=(4, 3, 4), ranks=(1, 1, 2), doc_length=10, anchor_mode="maybe")
+    with pytest.raises(DataFormatError, match="doc_length"):
+        GenSpec(dims=(4, 3, 4), ranks=(1, 2, 2), doc_length=0)
+    with pytest.raises(DataFormatError, match="dirichlet_alpha"):
+        GenSpec(dims=(4, 3, 4), ranks=(1, 2, 2), doc_length=10, dirichlet_alpha=0.0)
+    with pytest.raises(DataFormatError, match="word_dist"):
+        GenSpec(dims=(4, 3, 4), ranks=(1, 2, 2), doc_length=10, word_dist="zipfian")
+    with pytest.raises(DataFormatError, match="anchor_mode"):
+        GenSpec(dims=(4, 3, 4), ranks=(1, 2, 2), doc_length=10, anchor_mode="maybe")
+
+
+@pytest.mark.parametrize("ranks,message", [
+    ((5, 2, 2), "mode 1 rank 5 exceeds the projected span 4"),
+    ((2, 2, 5), "mode 3 rank 5 exceeds the projected span 4"),
+    ((1, 1, 2), "mode 3 rank 2 exceeds the projected span 1"),
+])
+def test_spec_rejects_ranks_beyond_projected_span(ranks, message):
+    with pytest.raises(DataFormatError, match=message):
+        GenSpec(dims=(8, 6, 20), ranks=ranks, doc_length=30)
 
 
 def test_model_constraints_and_anchors():
