@@ -318,7 +318,7 @@ def cmd_generate(args):
 
 def cmd_fit(args):
     start = time.perf_counter()
-    counts, doc_length = read_count_tensor(args.data)
+    y, doc_length = read_count_tensor(args.data)
     options = _load_json(args.config, "fit config") if args.config else {}
     flags = {"ranks": args.ranks, "sparse_c_prime": args.sparse, "hooi_iters": args.hooi}
     options.update((key, value) for key, value in flags.items() if value is not None)
@@ -331,7 +331,8 @@ def cmd_fit(args):
     cfg = _from_json(FitConfig, options, args.config or "command line",
                      doc_length=doc_length)
     loaded = time.perf_counter()
-    result = fit(counts / doc_length, cfg)
+    y = y / doc_length  # frees the int64 counts: only frequencies stay alive
+    result = fit(y, cfg)
     fitted = time.perf_counter()
     model_path = _out(args.out, "model.json")
     diag_path = _out(args.out, "diagnostics.json")
@@ -476,9 +477,10 @@ def cmd_sweep(args):
 
 def cmd_scree(args):
     start = time.perf_counter()
-    counts, doc_length = read_count_tensor(args.data)
-    k_max = args.kmax if args.kmax is not None else counts.shape[args.mode - 1]
-    values = scree(counts / doc_length, args.mode, k_max, doc_length)
+    y, doc_length = read_count_tensor(args.data)
+    k_max = args.kmax if args.kmax is not None else y.shape[args.mode - 1]
+    y = y / doc_length  # frees the int64 counts: only frequencies stay alive
+    values = scree(y, args.mode, k_max, doc_length)
     computed = time.perf_counter()
     rows = [[index + 1, float(value)] for index, value in enumerate(values)]
     if args.out is None:

@@ -26,7 +26,7 @@ from .errors import (DataFormatError, FitDegenerateError, _check_tucker_ranks, _
                      _checked_real, _checked_triple)
 from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
 from .spectral import build_q, hooi_refine, leading_eigvecs
-from .tensor import reconstruct, unfold
+from .tensor import reconstruct
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,9 @@ def threshold_vocab(y, doc_length, c_prime):
 
 def _mode_basis(y, mode, k, cfg):
     """Leading gram eigenbasis of one mode, with the mode named in its errors."""
-    y_mat = unfold(y, mode)
-    n = y_mat.shape[0]
+    n = y.shape[mode - 1]
     try:
-        q = build_q(y_mat, mode, cfg.doc_length, centered=not cfg.oracle)
+        q = build_q(np.moveaxis(y, mode - 1, 0), mode, cfg.doc_length, centered=not cfg.oracle)
     except MemoryError:
         raise DataFormatError(
             f"mode {mode} gram: a {n} x {n} matrix is too big to allocate") from None
@@ -211,6 +210,9 @@ def _word_factor_from_basis(xi):
     """
     n_words, k = xi.shape
     score = score_normalize(xi)
+    if score.kept.size < k:
+        raise FitDegenerateError(f"ratio normalization: kept {score.kept.size} of {n_words} "
+                                 f"word rows, fewer than the {k} requested topics")
     hunt = spa_vertex_hunt(score.s, k)
     v_star = np.column_stack([np.ones(k), hunt.v])
     s_star = np.column_stack([np.ones(score.s.shape[0]), score.s])
@@ -247,11 +249,12 @@ def fit(y, cfg):
     """Full pipeline: threshold, spectral bases, vertex hunts, core.
 
     ``y`` is the frequency tensor (counts over ``cfg.doc_length``), or the
-    exact mean tensor when ``cfg.oracle`` is set.  Raises
-    ``FitDegenerateError`` with the failing stage named when the data cannot
-    support the requested ranks.
+    exact mean tensor when ``cfg.oracle`` is set; it is never written to, and
+    copied only if it is not C-ordered float or the threshold drops a word.
+    Raises ``FitDegenerateError`` with the failing stage named when the data
+    cannot support the requested ranks.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
     vocab = threshold_vocab(y, cfg.doc_length, cfg.sparse_c_prime)  # validates y
     n1, n2, n_words = y.shape
     k1, k2, k3 = cfg.ranks
@@ -265,7 +268,7 @@ def fit(y, cfg):
         raise FitDegenerateError(
             f"vocabulary threshold: kept {vocab.size} of {n_words} words, "
             f"fewer than the {k3} requested topics")
-    data = np.take(y, vocab, axis=2)
+    data = y if vocab.size == n_words else np.take(y, vocab, axis=2)
 
     xi, spectra = zip(*(_mode_basis(data, mode, k, cfg)
                         for mode, k in ((1, k1), (2, k2), (3, k3))))

@@ -9,11 +9,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .estimator import fit
 from .spectral import build_q, leading_eigvecs
-from .tensor import unfold
+from .tensor import reconstruct, unfold
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,7 @@ def _align_brute(cost):
 
 
 def _align_hungarian(cost):
+    from scipy.optimize import linear_sum_assignment  # here, so the CLI starts without it
     rows, columns = linear_sum_assignment(cost)
     perm = np.empty(len(rows), dtype=int)
     perm[columns] = rows
@@ -93,12 +93,14 @@ def core_loss(g_hat, g, perms):
 
 
 def reconstruction_error(model, d):
-    """Entrywise l1 distance between the model's mean tensor and ``d``."""
+    """Entrywise l1 distance between the model's mean tensor and ``d``, by blocks."""
     d = np.asarray(d, dtype=float)
-    mean = model.mean_tensor()
-    if mean.shape != d.shape:
-        raise ValueError(f"model dims {mean.shape} do not match tensor {d.shape}")
-    return float(np.abs(mean - d).sum())
+    if model.dims != d.shape:
+        raise ValueError(f"model dims {model.dims} do not match tensor {d.shape}")
+    rows = max(1, (1 << 20) // max(1, d.shape[1] * d.shape[2]))  # about 2**20 entries
+    blocks = (reconstruct(model.g, model.a1[i:i + rows], model.a2, model.a3) - d[i:i + rows]
+              for i in range(0, d.shape[0], rows))
+    return float(sum(np.abs(block).sum() for block in blocks))
 
 
 def evaluate(fitted, truth):

@@ -30,23 +30,37 @@ _PROJECTIONS = {
 }
 
 
+def _gram(m):
+    """``m @ m.T``, exactly symmetric: a rank-k update once ``m`` is contiguous."""
+    m = m if m.flags.f_contiguous else np.ascontiguousarray(m)
+    return m @ m.T
+
+
 def build_q(y_mat, mode, doc_length, centered=True):
     """Gram matrix of an unfolding, bias-corrected on the word mode.
 
-    ``y_mat`` is a mode unfolding of the frequency tensor.  For mode 3 with
+    ``y_mat`` is a mode unfolding of the frequency tensor, or the tensor with
+    the mode's axis first, read in place (a sum over slabs ``y_mat[:, i, :]``
+    unless its trailing axes flatten to a view).  For mode 3 with
     ``centered=True`` the result is ``y @ y.T - diag(y @ 1) / doc_length``;
     modes 1 and 2 always return the plain gram matrix.  The output is exactly
     symmetric.
     """
     y = np.asarray(y_mat, dtype=float)
-    if y.ndim != 2:
-        raise ValueError("expected an unfolded (matrix) input")
+    if y.ndim not in (2, 3):
+        raise ValueError("expected an unfolding or a tensor with the mode's axis first")
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
-    q = y @ y.T
+    if y.ndim == 3 and y.strides[1] == y.shape[2] * y.strides[2]:
+        y = y.reshape(y.shape[0], -1)  # a view for these strides
+    slabs = np.moveaxis(y, 1, 0) if y.ndim == 3 else [y]
+    q = _gram(slabs[0])
+    for slab in slabs[1:]:
+        q += _gram(slab)
     if mode == 3 and centered:
-        q = q - np.diag(y.sum(axis=1) / _checked_int("doc_length", doc_length, 1))
-    return (q + q.T) / 2.0
+        q[np.diag_indices_from(q)] -= (y.sum(axis=tuple(range(1, y.ndim)))
+                                       / _checked_int("doc_length", doc_length, 1))
+    return q
 
 
 def _fix_signs(vecs):

@@ -97,3 +97,13 @@ def hooi_reference(y, xi, iters):
             new_xi.append(_fix_signs(u[:, :xi[mode - 1].shape[1]]))
         xi = tuple(new_xi)
     return xi
+
+
+def layouts(y):
+    """The same float tensor in three memory layouts: C-ordered,
+    Fortran-ordered, and a strided slice of a larger array."""
+    y = np.asarray(y, dtype=float)
+    host = np.full((y.shape[0] + 1, y.shape[1], 2 * y.shape[2]), np.nan)
+    strided = host[1:, :, ::2]
+    strided[...] = y
+    return {"C": np.ascontiguousarray(y), "F": np.asfortranarray(y), "strided": strided}

@@ -1,8 +1,14 @@
 """End-to-end estimator checks: thresholding, per-mode recovery on exact
 data (read off full oracle fits), core recovery, and full-fit determinism."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tensortopics import (
     FitConfig,
@@ -20,7 +26,7 @@ from tensortopics.errors import DataFormatError, FitDegenerateError
 from tensortopics.estimator import _as_data as as_data
 from tensortopics.estimator import fit_core
 
-from helpers import planted
+from helpers import layouts, planted
 
 
 def _oracle_cfg(ranks, doc_length):
@@ -263,3 +269,139 @@ def test_doc_topic_weights_are_stochastic():
     # mean tensor factorizes through the per-document weights
     np.testing.assert_allclose(np.einsum("ijs,rs->ijr", w, inst.model.a3),
                                inst.d, atol=1e-12)
+
+
+def _fit_outcome(y, cfg):
+    """Everything a fit returns, as comparable values, or its error."""
+    try:
+        res = fit(y, cfg)
+    except (DataFormatError, FitDegenerateError, ValueError) as err:
+        return type(err).__name__, str(err)
+    return tuple(np.asarray(a).tobytes() for a in (
+        res.model.a1, res.model.a2, res.model.a3, res.model.g, res.vocab, res.q0,
+        *res.vertices, *res.eigvals))
+
+
+def _one_word_dropped(y, word):
+    y = y.copy()
+    y[:, :, word] = 0.0
+    return y
+
+
+@pytest.mark.parametrize("layout", ["F", "strided"])
+@pytest.mark.parametrize("drop", [False, True], ids=["all-kept", "word-dropped"])
+def test_fit_of_any_layout_equals_the_c_ordered_fit_bit_for_bit(layout, drop):
+    y = planted((12, 9, 40), (2, 2, 3), doc_length=60, seed=52).y
+    y = _one_word_dropped(y, 5) if drop else y
+    cfg = FitConfig(ranks=(2, 2, 3), doc_length=60, sparse_c_prime=0.005 if drop else 0.0,
+                    use_hooi=True, hooi_iters=2)
+    assert fit(y, cfg).vocab.size == 40 - drop
+    assert _fit_outcome(layouts(y)[layout], cfg) == _fit_outcome(y, cfg)
+
+
+def test_fit_eigenvalues_drift_from_explicit_unfolding_grams_only_in_mode_2():
+    """Reading the tensor in place leaves the mode-1 and mode-3 grams, and so
+    their eigenvalues, bit-identical to those of explicit unfoldings; mode 2
+    sums slab grams in another order, within 1e-13 relative."""
+    y = planted((40, 30, 300), (2, 2, 3), doc_length=100, seed=54).y
+    cfg = FitConfig(ranks=(2, 2, 3), doc_length=100)
+    res = fit(y, cfg)
+    data = np.take(y, res.vocab, axis=2)
+    for mode, k in zip((1, 2, 3), cfg.ranks):
+        ref = leading_eigvecs(build_q(unfold(data, mode), mode, 100), k)[1]
+        if mode == 2:
+            np.testing.assert_allclose(res.eigvals[1], ref, rtol=1e-13, atol=0)
+        else:
+            np.testing.assert_array_equal(res.eigvals[mode - 1], ref)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("drop", [False, True], ids=["all-kept", "word-dropped"])
+def test_fit_never_writes_its_input(drop, oracle):
+    y = planted((12, 9, 40), (2, 2, 3), doc_length=60, seed=53).y
+    y = _one_word_dropped(y, 7) if drop else y.copy()
+    before = y.copy()
+    y.flags.writeable = False  # a write inside fit raises
+    cfg = FitConfig(ranks=(2, 2, 3), doc_length=60, sparse_c_prime=0.005 if drop else 0.0,
+                    use_hooi=True, hooi_iters=1, oracle=oracle)
+    assert fit(y, cfg).vocab.size == 40 - drop
+    np.testing.assert_array_equal(y, before)
+
+
+def _traced_fit(y, cfg):
+    tracemalloc.start()
+    try:
+        res = fit(y, cfg)
+        return res, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_peak_memory_holds_no_copy_of_the_tensor():
+    """With every word kept, the grams, HOOI and the core read the tensor in
+    place; a dropped word costs one gathered copy and the word gram."""
+    y = planted((60, 50, 200), (2, 2, 3), doc_length=100, seed=5).y
+    res, peak = _traced_fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100, sparse_c_prime=0.0,
+                                         use_hooi=True))
+    assert res.vocab.size == 200
+    assert peak < 0.25 * y.nbytes
+    y = _one_word_dropped(y, 7)
+    res, peak = _traced_fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100, use_hooi=True))
+    assert res.vocab.size == 199
+    assert peak < 1.25 * y.nbytes + 8 * 199 ** 2
+
+
+def test_fit_with_fewer_positive_word_rows_than_topics_is_degenerate():
+    """A word whose leading-eigenvector entry is not positive is dropped by
+    ratio normalization; fewer survivors than topics is a named degenerate
+    fit, not the vertex hunt's bare range error."""
+    y = np.zeros((5, 5, 8))
+    y[:, :, 3] = 1.0
+    with pytest.raises(FitDegenerateError,
+                       match="ratio normalization: kept 1 of 8 word rows, fewer than the 2"):
+        fit(y, FitConfig(ranks=(2, 2, 2), doc_length=10, sparse_c_prime=0.0, oracle=True))
+
+
+# a named stage in every error message fit may raise
+_STAGE = re.compile(r"data tensor|vocabulary threshold|mode [123]|word-mode|ratio normalization"
+                    r"|membership|topic mass")
+
+
+@st.composite
+def _degenerate_tensors(draw):
+    """Small tensors with degenerate structure, in an odd memory layout."""
+    shape = tuple(draw(st.integers(1, high)) for high in (5, 5, 8))
+    y = draw(arrays(float, shape, elements=st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])))
+    kind = draw(st.sampled_from(["as drawn", "zeros", "single", "one word", "empty slabs",
+                                 "duplicated slabs"]))
+    if kind == "zeros":
+        y[...] = 0.0
+    elif kind == "single":
+        cell = tuple(draw(st.integers(0, n - 1)) for n in shape)
+        y[...] = 0.0
+        y[cell] = 2.0
+    elif kind == "one word":
+        y[:, :, np.arange(shape[2]) != draw(st.integers(0, shape[2] - 1))] = 0.0
+    elif kind == "empty slabs":
+        y[draw(st.integers(0, shape[0] - 1))] = 0.0
+        y[:, draw(st.integers(0, shape[1] - 1))] = 0.0
+    elif kind == "duplicated slabs":
+        y[...] = y[:1] if draw(st.booleans()) else y[:, :1]
+    return layouts(y)[draw(st.sampled_from(["C", "F", "strided"]))]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_degenerate_tensors(),
+       st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
+       st.integers(1, 50), st.booleans(), st.integers(0, 2),
+       st.sampled_from([0.0, 0.005, 1.0]), st.booleans())
+def test_fit_of_degenerate_tensors_names_the_stage_or_returns_a_valid_model(
+        y, ranks, doc_length, use_hooi, hooi_iters, c_prime, oracle):
+    cfg = FitConfig(ranks=ranks, doc_length=doc_length, use_hooi=use_hooi,
+                    hooi_iters=hooi_iters, sparse_c_prime=c_prime, oracle=oracle)
+    outcome = _fit_outcome(y, cfg)
+    assert outcome == _fit_outcome(np.ascontiguousarray(y), cfg)
+    if isinstance(outcome[1], str):
+        assert _STAGE.search(outcome[1]), f"{outcome[0]} names no stage: {outcome[1]}"
+    else:
+        fit(y, cfg).model.validate()

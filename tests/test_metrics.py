@@ -2,6 +2,10 @@
 scree diagnostic."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +132,27 @@ def test_core_loss_validates_permutations():
 def test_reconstruction_error_zero_on_truth():
     inst = planted((6, 5, 15), (2, 2, 2), doc_length=30, seed=64)
     assert reconstruction_error(inst.model, inst.d) == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("dims", [(6, 5, 15), (37, 180, 160)], ids=["one-block", "ragged-blocks"])
+def test_blocked_reconstruction_error_matches_the_full_mean_tensor(dims):
+    """37 rows of 180 x 160 entries run as a block of 36 rows and one of 1."""
+    inst = planted(dims, (2, 2, 2), doc_length=30, seed=65)
+    full = float(np.abs(inst.model.mean_tensor() - inst.y).sum())
+    assert reconstruction_error(inst.model, inst.y) == pytest.approx(full, rel=1e-12, abs=0)
+    with pytest.raises(ValueError, match="do not match"):
+        reconstruction_error(inst.model, inst.y[:, :, 1:])
+
+
+def test_cli_import_leaves_the_assignment_solver_unloaded():
+    """Only scoring needs scipy.optimize, so fit and generate skip its import."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, tensortopics.cli; print('scipy.optimize' in sys.modules)"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_cosine_match_zero_column():

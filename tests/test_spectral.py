@@ -7,8 +7,8 @@ from tensortopics import build_q, leading_eigvecs, unfold
 from tensortopics import spectral, threshold_vocab
 from tensortopics.spectral import _fix_signs, hooi_refine
 
-from helpers import (eigh_reference, exact_mode_basis, hooi_reference, planted, subspace_gap,
-                     subspace_sine)
+from helpers import (eigh_reference, exact_mode_basis, hooi_reference, layouts, planted,
+                     subspace_gap, subspace_sine)
 
 
 def test_build_q_hand_example_modes12():
@@ -31,6 +31,24 @@ def test_build_q_exactly_symmetric():
     assert np.array_equal(q, q.T)
     q3 = build_q(y, 3, 50)
     assert np.array_equal(q3, q3.T)
+
+
+@pytest.mark.parametrize("shape", [(7, 5, 11), (40, 30, 300)], ids=["small", "blocked"])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_build_q_reads_the_tensor_in_place(mode, layout, shape):
+    """The tensor with the mode's axis first gives an exactly symmetric gram
+    in every layout.  On a C-ordered tensor, as ``fit`` passes it, modes 1
+    and 3 flatten to views and match the explicit unfolding's gram bit for
+    bit; mode 2 sums slab grams, in another order."""
+    y = np.random.default_rng(23).uniform(size=shape)
+    ref = build_q(unfold(y, mode), mode, 50)
+    q = build_q(np.moveaxis(layouts(y)[layout], mode - 1, 0), mode, 50)
+    assert np.array_equal(q, q.T)
+    if layout == "C" and mode != 2:
+        assert np.array_equal(q, ref)
+    else:
+        assert np.abs(q - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_build_q_rejects_oversized_mode():
