@@ -318,6 +318,7 @@ def cmd_generate(args):
 
 def cmd_fit(args):
     start = time.perf_counter()
+    import scipy.sparse.linalg  # noqa: F401  (ARPACK: loaded mid-fit, it slows the next BLAS call)
     y, doc_length = read_count_tensor(args.data)
     options = _load_json(args.config, "fit config") if args.config else {}
     flags = {"ranks": args.ranks, "sparse_c_prime": args.sparse, "hooi_iters": args.hooi}
@@ -330,6 +331,9 @@ def cmd_fit(args):
         raise _UsageError('no ranks given: pass --ranks K1,K2,K3 or put "ranks" in the config')
     cfg = _from_json(FitConfig, options, args.config or "command line",
                      doc_length=doc_length)
+    for mode, (k, n) in enumerate(zip(cfg.ranks, y.shape), start=1):
+        if k > n:
+            raise _UsageError(f"{args.data}: mode {mode} rank {k} exceeds dimension {n}")
     loaded = time.perf_counter()
     y = y / doc_length  # frees the int64 counts: only frequencies stay alive
     result = fit(y, cfg)
@@ -477,8 +481,12 @@ def cmd_sweep(args):
 
 def cmd_scree(args):
     start = time.perf_counter()
+    import scipy.sparse.linalg  # noqa: F401  (as in cmd_fit)
     y, doc_length = read_count_tensor(args.data)
     k_max = args.kmax if args.kmax is not None else y.shape[args.mode - 1]
+    if k_max > y.shape[args.mode - 1]:
+        raise _UsageError(f"{args.data}: mode {args.mode} --kmax {k_max} exceeds dimension "
+                          f"{y.shape[args.mode - 1]}")
     y = y / doc_length  # frees the int64 counts: only frequencies stay alive
     values = scree(y, args.mode, k_max, doc_length)
     computed = time.perf_counter()

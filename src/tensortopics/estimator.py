@@ -152,7 +152,9 @@ def _as_data(y):
     y = np.asarray(y, dtype=float)
     if y.ndim != 3:
         raise DataFormatError(f"expected an order-3 data tensor, got ndim={y.ndim}")
-    if not np.isfinite(y).all():
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite sum proves every entry finite
+        finite = np.isfinite(np.sum(y)) or np.isfinite(y).all()
+    if not finite:
         raise DataFormatError("data tensor contains non-finite entries")
     if np.min(y, initial=0.0) < 0:
         raise DataFormatError("data tensor contains negative entries")

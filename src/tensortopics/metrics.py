@@ -92,15 +92,21 @@ def core_loss(g_hat, g, perms):
     return float(np.abs(aligned - g).sum())
 
 
+def _blocked_l1(model, rows_of):
+    """Entrywise l1 distance between the model's mean tensor and the tensor whose
+    mode-1 rows ``i:j`` are ``rows_of(i, j)``, by blocks of about 2**20 entries."""
+    rows = max(1, (1 << 20) // max(1, model.dims[1] * model.dims[2]))
+    blocks = (reconstruct(model.g, model.a1[i:i + rows], model.a2, model.a3) - rows_of(i, i + rows)
+              for i in range(0, model.dims[0], rows))
+    return float(sum(np.abs(block).sum() for block in blocks))
+
+
 def reconstruction_error(model, d):
     """Entrywise l1 distance between the model's mean tensor and ``d``, by blocks."""
     d = np.asarray(d, dtype=float)
     if model.dims != d.shape:
         raise ValueError(f"model dims {model.dims} do not match tensor {d.shape}")
-    rows = max(1, (1 << 20) // max(1, d.shape[1] * d.shape[2]))  # about 2**20 entries
-    blocks = (reconstruct(model.g, model.a1[i:i + rows], model.a2, model.a3) - d[i:i + rows]
-              for i in range(0, d.shape[0], rows))
-    return float(sum(np.abs(block).sum() for block in blocks))
+    return _blocked_l1(model, lambda i, j: d[i:j])
 
 
 def evaluate(fitted, truth):
@@ -108,13 +114,15 @@ def evaluate(fitted, truth):
 
     The permutation minimizing each factor loss is reused to align the core,
     so the reported core loss reflects the same topic labeling, and the
-    reconstruction error compares against the truth's mean tensor.
+    reconstruction error compares against the truth's mean tensor, built
+    block by block alongside the fitted one.
     """
     loss1, perm1 = aligned_l1_loss(fitted.a1, truth.a1)
     loss2, perm2 = aligned_l1_loss(fitted.a2, truth.a2)
     loss3, perm3 = aligned_l1_loss(fitted.a3, truth.a3)
     loss_g = core_loss(fitted.g, truth.g, (perm1, perm2, perm3))
-    recon = reconstruction_error(fitted, truth.mean_tensor())
+    recon = _blocked_l1(fitted, lambda i, j: reconstruct(truth.g, truth.a1[i:j], truth.a2,
+                                                         truth.a3))
     return LossReport(loss_a1=loss1, loss_a2=loss2, loss_a3=loss3,
                       loss_g=loss_g, recon_l1=recon, perms=(perm1, perm2, perm3))
 

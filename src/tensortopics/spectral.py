@@ -16,7 +16,6 @@ those in the fit diagnostics included, agree with a full ``eigh`` within
 """
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import _checked_int
 
@@ -63,6 +62,12 @@ def build_q(y_mat, mode, doc_length, centered=True):
     return q
 
 
+def eigsh(q, **kwargs):
+    """``scipy.sparse.linalg.eigsh``, imported on first use so the CLI starts without ARPACK."""
+    from scipy.sparse.linalg import eigsh as arpack
+    return arpack(q, **kwargs)
+
+
 def _fix_signs(vecs):
     """Flip columns so each sums positive; a zero sum falls back to making
     the first entry of largest magnitude positive."""
@@ -93,6 +98,7 @@ def leading_eigvecs(q, k):
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if k + 1 < n:
+        from scipy.sparse.linalg import ArpackError
         rng = np.random.default_rng(0)
         try:
             vals, vecs = eigsh(q, k=k + 1, which="LA", v0=rng.uniform(0.5, 1.5, n), rng=rng)

@@ -4,8 +4,13 @@ All randomness flows through counter-based Philox streams derived from one
 seed: substream ``(0,)`` draws the planted model and substream
 ``(1, i * n2 + j)`` draws the counts of document ``(i, j)``, so documents
 regenerate bit-identically in any order and equal specs give equal bits.
+Documents are drawn on one thread per usable CPU, a contiguous block each;
+since every document keeps its own substream, the bits depend on neither the
+CPU count nor the order the threads run in.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +88,8 @@ def sample_counts(d, doc_length, seed):
     ``d`` must be an order-3 tensor of finite nonnegative entries whose every
     tube ``d[i, j, :]`` sums to one within 1e-9, ``doc_length`` a positive
     integer and ``seed`` a nonnegative integer.  Each document draws from its
-    own substream of ``seed``, so the result does not depend on traversal
-    order.
+    own substream of ``seed``, so the result depends on neither traversal
+    order nor the number of threads drawing.
     """
     # a C-order copy sums every tube exactly as the vector it is on its own
     p = np.array(_as_data(d), order="C")
@@ -97,12 +102,17 @@ def sample_counts(d, doc_length, seed):
     doc_length = _checked_int("doc_length", doc_length, 1)
     seed = _checked_int("seed", seed, 0)
     p /= sums
-    n1, n2, n_words = p.shape
-    counts = np.empty((n1, n2, n_words), dtype=np.int64)
-    for i in range(n1):
-        for j in range(n2):
-            rng = substream(seed, _DOC_STREAM, i * n2 + j)
-            counts[i, j] = rng.multinomial(doc_length, p[i, j])
+    counts = np.empty(p.shape, dtype=np.int64)
+    rows, out = p.reshape(-1, p.shape[2]), counts.reshape(-1, p.shape[2])
+
+    def draw(block):  # multinomial releases the GIL while it draws
+        for doc in block:
+            out[doc] = substream(seed, _DOC_STREAM, doc).multinomial(doc_length, rows[doc])
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(rows), cpus or 1)
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(draw, np.array_split(np.arange(len(rows)), workers)))
     return counts
 
 

@@ -107,3 +107,18 @@ def layouts(y):
     strided = host[1:, :, ::2]
     strided[...] = y
     return {"C": np.ascontiguousarray(y), "F": np.asfortranarray(y), "strided": strided}
+
+
+def sample_counts_reference(d, doc_length, seed):
+    """Every document drawn in turn on one thread, from its own substream:
+    the serial loop the threaded ``sample_counts`` is held to, bit for bit."""
+    from tensortopics.synth import substream
+
+    p = np.array(d, dtype=float, order="C")
+    p /= p.sum(axis=2, keepdims=True)
+    n1, n2, n_words = p.shape
+    counts = np.empty((n1, n2, n_words), dtype=np.int64)
+    for i in range(n1):
+        for j in range(n2):
+            counts[i, j] = substream(seed, 1, i * n2 + j).multinomial(doc_length, p[i, j])
+    return counts

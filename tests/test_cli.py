@@ -361,6 +361,37 @@ def test_rank_beyond_projected_span_is_exit_3_with_or_without_hooi(tmp_path, cap
     assert not (tmp_path / "f.model.json").exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("ranks, mode, dim", [((9, 2, 3), 1, 8), ((2, 7, 3), 2, 6),
+                                              ((2, 2, 21), 3, 20)])
+def test_rank_above_the_dimension_is_usage_error_naming_the_file(tmp_path, capsys, via,
+                                                                  ranks, mode, dim):
+    data = _tiny_counts(tmp_path)
+    if via == "flag":
+        request = ["--ranks", ",".join(map(str, ranks))]
+    else:
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({"ranks": list(ranks)}))
+        request = ["--config", str(config)]
+    assert main(["fit", "--data", str(data), *request, "--out", str(tmp_path / "f")]) == 2
+    value = ranks[mode - 1]
+    assert capsys.readouterr().err == \
+        f"usage error: {data}: mode {mode} rank {value} exceeds dimension {dim}\n"
+    assert not (tmp_path / "f.model.json").exists()
+
+
+@pytest.mark.parametrize("mode, dim", [(1, 8), (2, 6), (3, 20)])
+def test_scree_kmax_above_the_dimension_is_usage_error_naming_the_file(tmp_path, capsys,
+                                                                        mode, dim):
+    data = _tiny_counts(tmp_path)
+    assert main(["scree", "--data", str(data), "--mode", str(mode), "--kmax", str(dim + 1),
+                 "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == \
+        f"usage error: {data}: mode {mode} --kmax {dim + 1} exceeds dimension {dim}\n"
+    assert main(["scree", "--data", str(data), "--mode", str(mode), "--kmax", str(dim),
+                 "--out", str(tmp_path / "s")]) == 0
+
+
 def _set_entry(name, value):
     def edit(payload):
         payload[name][0][0] = value

@@ -3,6 +3,7 @@ data (read off full oracle fits), core recovery, and full-fit determinism."""
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,35 @@ def test_fit_input_validation():
     bad[0, 0, 0] = np.nan
     with pytest.raises(DataFormatError):
         fit(bad, FitConfig(ranks=(2, 2, 2), doc_length=30))
+
+
+def test_finiteness_check_survives_an_overflowing_sum():
+    """Entries near the float maximum sum to inf, yet every one is finite."""
+    y = np.full((3, 2, 4), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert as_data(y) is y
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("scale", [0.5, 1e308], ids=["plain", "near-max"])
+def test_finiteness_check_rejects_nan_and_infinities(bad, scale):
+    y = np.full((3, 2, 4), scale)
+    y[2, 0, 3] = bad
+    with pytest.raises(DataFormatError, match="^data tensor contains non-finite entries$"):
+        as_data(y)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_finiteness_check_needs_no_full_size_temporary(layout):
+    y = layouts(np.random.default_rng(8).uniform(size=(100, 80, 200)))[layout]
+    tracemalloc.start()
+    try:
+        as_data(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * y.nbytes
 
 
 def test_fit_hooi_rank_beyond_projected_span_is_value_error():

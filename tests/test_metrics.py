@@ -144,15 +144,37 @@ def test_blocked_reconstruction_error_matches_the_full_mean_tensor(dims):
         reconstruction_error(inst.model, inst.y[:, :, 1:])
 
 
-def test_cli_import_leaves_the_assignment_solver_unloaded():
-    """Only scoring needs scipy.optimize, so fit and generate skip its import."""
+def _loaded_after_cli_import(module):
+    """Whether a fresh ``import tensortopics.cli`` loads ``module``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, tensortopics.cli; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, tensortopics.cli; print({module!r} in sys.modules)"
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_the_assignment_solver_unloaded():
+    """Only scoring needs scipy.optimize, so fit and generate skip its import."""
+    assert not _loaded_after_cli_import("scipy.optimize")
+
+
+def test_cli_import_leaves_arpack_unloaded():
+    """The eigensolve imports scipy.sparse.linalg on first use, so generate
+    starts without it."""
+    assert not _loaded_after_cli_import("scipy.sparse.linalg")
+
+
+def test_evaluate_scores_the_truth_within_1e12_of_the_full_mean_tensors():
+    """Both mean tensors are built in blocks: 37 rows of 180 x 160 entries
+    run as a block of 36 rows and one of 1."""
+    truth = planted((37, 180, 160), (2, 2, 2), doc_length=30, seed=66)
+    fitted = fit(truth.y, FitConfig(ranks=(2, 2, 2), doc_length=30)).model
+    full = float(np.abs(fitted.mean_tensor() - truth.model.mean_tensor()).sum())
+    report = evaluate(fitted, truth.model)
+    assert report.recon_l1 == pytest.approx(full, rel=1e-12, abs=0)
+    assert report.recon_l1 == pytest.approx(reconstruction_error(fitted, truth.d), rel=1e-12)
 
 
 def test_cosine_match_zero_column():

@@ -1,15 +1,19 @@
 """Generator distribution checks: Dirichlet/multinomial statistics, anchors,
 seeded determinism, and plain-CLT agreement between counts and means."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from tensortopics import GenSpec, generate, sample_counts
+from tensortopics import GenSpec, generate, sample_counts, synth
 from tensortopics.errors import DataFormatError
 from tensortopics.synth import _dirichlet_rows, substream
 
-from helpers import planted
+from helpers import planted, sample_counts_reference
 
 
 def test_dirichlet_mean_matches_theory():
@@ -146,6 +150,98 @@ def test_documents_use_independent_substreams():
         rng = substream(77, 1, i * 3 + j)
         doc = rng.multinomial(25, inst.d[i, j])
         np.testing.assert_array_equal(doc, inst.counts[i, j])
+
+
+def _mean_tensor(dims, seed):
+    d = np.random.default_rng(seed).uniform(size=dims)
+    return d / d.sum(axis=2, keepdims=True)
+
+
+# a single row; fewer documents than CPUs (one, and two of three); a document
+# count that neither 2 nor 3 divides (35); the corpus-dense-hooi dims at doc
+# length 20
+_SAMPLER_SHAPES = [(1, 5, 30), (1, 1, 7), (1, 2, 12), (5, 7, 11), (200, 150, 400)]
+
+
+@pytest.mark.parametrize("dims", _SAMPLER_SHAPES, ids=lambda dims: "x".join(map(str, dims)))
+def test_threaded_sampler_equals_the_serial_loop(monkeypatch, dims):
+    """Each document keeps its substream, so neither the number of threads
+    nor their order changes a bit: the usable CPUs, then 1 and 3 reported."""
+    d = _mean_tensor(dims, seed=sum(dims))
+    reference = sample_counts_reference(d, 20, 9)
+    np.testing.assert_array_equal(sample_counts(d, 20, 9), reference)
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        np.testing.assert_array_equal(sample_counts(d, 20, 9), reference)
+
+
+def test_threaded_sampler_under_frequent_thread_switches(monkeypatch):
+    """More threads than cores, switching every microsecond, still write
+    each document's own slice only."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    d = _mean_tensor((13, 11, 17), seed=41)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = sample_counts(d, 50, 3)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(counts, sample_counts_reference(d, 50, 3))
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+@pytest.mark.parametrize("docs, cpus", [(35, 3), (35, 2), (2, 3), (1, 1)])
+def test_sampler_gives_each_thread_one_contiguous_block(monkeypatch, docs, cpus, affinity):
+    """One thread per usable CPU, counted by ``os.cpu_count`` where the
+    affinity call is missing, and never more threads than documents."""
+    pools = []
+
+    class RecordingPool(synth.ThreadPoolExecutor):
+        def map(self, fn, blocks):
+            pools.append((self._max_workers, list(blocks)))
+            return super().map(fn, pools[-1][1])
+
+    monkeypatch.setattr(synth, "ThreadPoolExecutor", RecordingPool)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    d = _mean_tensor((1, docs, 6), seed=docs)
+    np.testing.assert_array_equal(sample_counts(d, 30, 5), sample_counts_reference(d, 30, 5))
+    (workers, blocks), = pools
+    assert workers == len(blocks) == min(docs, cpus)
+    assert [int(doc) for block in blocks for doc in block] == list(range(docs))
+    assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    """A failure inside one thread comes back as the same exception object,
+    and the call returns instead of hanging."""
+    failure = RuntimeError("substream 17 failed")
+    real_substream = synth.substream
+
+    def failing(seed, *path):
+        if path == (1, 17):
+            raise failure
+        return real_substream(seed, *path)
+
+    monkeypatch.setattr(synth, "substream", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    raised = []
+
+    def call():
+        try:
+            sample_counts(_mean_tensor((6, 5, 8), seed=3), 10, 0)
+        except RuntimeError as err:
+            raised.append(err)
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert len(raised) == 1 and raised[0] is failure
 
 
 def test_counts_clt_agreement_with_mean_tensor():
