@@ -22,6 +22,7 @@ import platform
 import re
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -76,7 +77,18 @@ def write_count_tensor(path, counts, doc_length):
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_NOT_ASCII_OR_SPACE = re.compile(r"[^\x00-\x7f\s]")
 _INT64 = np.iinfo(np.int64)
+
+
+def _file_text(path):
+    """The count file as text with LF line ends, read for an error that names a line."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None).read()
+    except UnicodeDecodeError as err:
+        line = io.StringIO(data[:err.start].decode("utf-8"), newline=None).read().count("\n") + 1
+        raise DataFormatError(f"{path}: line {line}: not UTF-8 text: {err}") from None
 
 
 def _nonblank_lines(text):
@@ -87,14 +99,14 @@ def _nonblank_lines(text):
             yield number, fields
 
 
-def _line_number(text, row):
+def _line_number(path, row):
     """File line number of parsed row ``row``; blank lines hold no row."""
-    return next(itertools.islice(_nonblank_lines(text), row, None))[0]
+    return next(itertools.islice(_nonblank_lines(_file_text(path)), row, None))[0]
 
 
-def _malformed_line(path, text):
+def _malformed_line(path):
     """Error naming the first line that breaks the record grammar."""
-    for number, fields in _nonblank_lines(text):
+    for number, fields in _nonblank_lines(_file_text(path)):
         where = f"{path}: line {number}"
         if len(fields) != 4:
             return DataFormatError(f"{where}: expected 4 fields, found {len(fields)}")
@@ -105,19 +117,19 @@ def _malformed_line(path, text):
     return DataFormatError(f"{path}: unreadable count records")
 
 
-def _bad_record(path, text, records, shape):
+def _bad_record(path, records, shape):
     """Error naming the first record with an index outside ``shape`` or a
     negative count."""
     outside = ((records[:, :3] < 1) | (records[:, :3] > shape)).any(axis=1)
     row = int(np.argmax(outside | (records[:, 3] < 0)))
-    where = f"{path}: line {_line_number(text, row + 1)}"
+    where = f"{path}: line {_line_number(path, row + 1)}"
     if outside[row]:
         a, b, c, _ = records[row].tolist()
         return DataFormatError(f"{where}: index ({a}, {b}, {c}) outside dims {shape}")
     return DataFormatError(f"{where}: negative count")
 
 
-def _overflow_line(text, flat, values, counts):
+def _overflow_line(path, flat, values, counts):
     """Line number of the first record whose cell sum leaves int64, if any.
 
     Counts are nonnegative, so a wrapped cell sum leaves the tensor's float
@@ -130,7 +142,7 @@ def _overflow_line(text, flat, values, counts):
     for row, (cell, value) in enumerate(zip(flat.tolist(), values.tolist())):
         sums[cell] = sums.get(cell, 0) + value
         if sums[cell] > _INT64.max:
-            return _line_number(text, row + 1)
+            return _line_number(path, row + 1)
     return None
 
 
@@ -144,38 +156,48 @@ def read_count_tensor(path):
     every other line a 1-based record ``i j r count`` with a nonnegative
     count.  Duplicate records accumulate.  A bad file raises
     ``DataFormatError`` naming a line: the first line that breaks the
-    grammar if there is one, else the first out-of-range value.
+    grammar if there is one, else the first out-of-range value.  The file
+    is UTF-8 text, and numpy's parser reads it, so its name must not end in
+    a suffix numpy decompresses.
     """
+    if Path(path).suffix in (".gz", ".bz2", ".xz", ".lzma"):  # numpy would decompress the file
+        raise DataFormatError(f"{path}: a count file name must not end in {Path(path).suffix}")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as handle:  # numpy would also try path + ".gz"
+            # by blocks: a whole-file buffer would lift malloc's mmap threshold and the peak RSS
+            ascii_only = all(block.isascii() for block in iter(lambda: handle.read(1 << 20), b""))
     except OSError as err:
         raise DataFormatError(f"{path}: cannot read tensor file: {err}") from None
-    if not text or text.isspace():
-        raise DataFormatError(f"{path}: empty file, expected a header line")
+    if not ascii_only and _NOT_ASCII_OR_SPACE.search(_file_text(path)):
+        raise _malformed_line(path)  # numpy reads some non-ASCII letters as digits
     try:
-        table = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file: named below
+            table = np.loadtxt(Path(path), dtype=np.int64, comments=None, ndmin=2, encoding="utf-8")
     except ValueError:
-        raise _malformed_line(path, text) from None
+        raise _malformed_line(path) from None
+    if table.size == 0:
+        raise DataFormatError(f"{path}: empty file, expected a header line")
     if table.shape[1] != 4:
-        raise _malformed_line(path, text)
+        raise _malformed_line(path)
     (n1, n2, n_words, doc_length), records = table[0].tolist(), table[1:]
     if min(n1, n2, n_words, doc_length) < 1:
-        raise DataFormatError(f"{path}: line {_line_number(text, 0)}: "
+        raise DataFormatError(f"{path}: line {_line_number(path, 0)}: "
                               "header dims and doc length must be positive")
     try:
         counts = np.zeros((n1, n2, n_words), dtype=np.int64)
     except (MemoryError, ValueError):
         raise DataFormatError(
-            f"{path}: line {_line_number(text, 0)}: a {n1} x {n2} x {n_words} "
+            f"{path}: line {_line_number(path, 0)}: a {n1} x {n2} x {n_words} "
             "count tensor is too big to load") from None
     try:
         flat = np.ravel_multi_index(tuple(records[:, :3].T - 1), counts.shape)
     except ValueError:  # an index outside the dims
         flat = None
     if flat is None or records[:, 3].min(initial=0) < 0:
-        raise _bad_record(path, text, records, counts.shape)
+        raise _bad_record(path, records, counts.shape)
     np.add.at(counts.reshape(-1), flat, records[:, 3])
-    number = _overflow_line(text, flat, records[:, 3], counts)
+    number = _overflow_line(path, flat, records[:, 3], counts)
     if number is not None:
         raise DataFormatError(
             f"{path}: line {number}: accumulated count exceeds the 64-bit integer range")
@@ -242,7 +264,7 @@ def _load_json(path, what):
     """Parse a JSON file that must hold one object."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataFormatError(f"{path}: cannot read {what}: {err}") from None
     except json.JSONDecodeError as err:
         raise DataFormatError(f"{path}: invalid JSON: {err}") from None
@@ -318,7 +340,6 @@ def cmd_generate(args):
 
 def cmd_fit(args):
     start = time.perf_counter()
-    import scipy.sparse.linalg  # noqa: F401  (ARPACK: loaded mid-fit, it slows the next BLAS call)
     y, doc_length = read_count_tensor(args.data)
     options = _load_json(args.config, "fit config") if args.config else {}
     flags = {"ranks": args.ranks, "sparse_c_prime": args.sparse, "hooi_iters": args.hooi}
@@ -481,7 +502,6 @@ def cmd_sweep(args):
 
 def cmd_scree(args):
     start = time.perf_counter()
-    import scipy.sparse.linalg  # noqa: F401  (as in cmd_fit)
     y, doc_length = read_count_tensor(args.data)
     k_max = args.kmax if args.kmax is not None else y.shape[args.mode - 1]
     if k_max > y.shape[args.mode - 1]:

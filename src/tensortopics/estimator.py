@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (DataFormatError, FitDegenerateError, _check_tucker_ranks, _checked_int,
                      _checked_real, _checked_triple)
 from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
-from .spectral import build_q, hooi_refine, leading_eigvecs
+from .spectral import _load_arpack, build_q, hooi_refine, leading_eigvecs
 from .tensor import reconstruct
 
 
@@ -148,13 +148,17 @@ class FitResult:
     eigvals: tuple
 
 
+def _all_finite(a):
+    """Whether every entry is finite: a finite sum proves it without a full-size temporary."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(np.sum(a)) or np.isfinite(a).all())
+
+
 def _as_data(y):
     y = np.asarray(y, dtype=float)
     if y.ndim != 3:
         raise DataFormatError(f"expected an order-3 data tensor, got ndim={y.ndim}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a finite sum proves every entry finite
-        finite = np.isfinite(np.sum(y)) or np.isfinite(y).all()
-    if not finite:
+    if not _all_finite(y):
         raise DataFormatError("data tensor contains non-finite entries")
     if np.min(y, initial=0.0) < 0:
         raise DataFormatError("data tensor contains negative entries")
@@ -173,7 +177,8 @@ def threshold_vocab(y, doc_length, c_prime):
     doc_length = _checked_int("doc_length", doc_length, 1)
     n1, n2, n_words = y.shape
     tau = c_prime * math.sqrt(math.log(max(n1, n2, n_words)) / (n1 * n2 * doc_length))
-    freq = y.sum(axis=(0, 1)) / (n1 * n2)
+    with np.errstate(over="ignore"):  # an overflowing word sum keeps the word; the gram names it
+        freq = y.sum(axis=(0, 1)) / (n1 * n2)
     return np.flatnonzero(freq >= tau)
 
 
@@ -181,10 +186,13 @@ def _mode_basis(y, mode, k, cfg):
     """Leading gram eigenbasis of one mode, with the mode named in its errors."""
     n = y.shape[mode - 1]
     try:
-        q = build_q(np.moveaxis(y, mode - 1, 0), mode, cfg.doc_length, centered=not cfg.oracle)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            q = build_q(np.moveaxis(y, mode - 1, 0), mode, cfg.doc_length, centered=not cfg.oracle)
     except MemoryError:
         raise DataFormatError(
             f"mode {mode} gram: a {n} x {n} matrix is too big to allocate") from None
+    if not _all_finite(q):
+        raise DataFormatError(f"mode {mode} gram overflows: data entries reach {np.max(y):.1e}")
     try:
         return leading_eigvecs(q, k)
     except np.linalg.LinAlgError as err:
@@ -257,6 +265,7 @@ def fit(y, cfg):
     cannot support the requested ranks.
     """
     y = np.ascontiguousarray(y, dtype=float)
+    _load_arpack(cfg.ranks, y.shape)  # ahead of the threshold pass, not just before a gram
     vocab = threshold_vocab(y, cfg.doc_length, cfg.sparse_c_prime)  # validates y
     n1, n2, n_words = y.shape
     k1, k2, k3 = cfg.ranks

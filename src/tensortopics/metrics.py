@@ -5,13 +5,12 @@ permutations and the core loss reuses whatever permutations the factor
 losses chose.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimator import fit
-from .spectral import build_q, leading_eigvecs
+from .spectral import _load_arpack, build_q, leading_eigvecs
 from .tensor import reconstruct, unfold
 
 
@@ -31,42 +30,47 @@ def _column_cost(a_hat, a):
     return np.abs(a_hat[:, :, None] - a[:, None, :]).sum(axis=0)
 
 
-def _align_brute(cost):
-    """Exhaustive minimum over all permutations: the reference that tests
-    hold the assignment solver to."""
-    k = cost.shape[0]
-    columns = np.arange(k)
-    best = np.inf
-    best_perm = None
-    for perm in itertools.permutations(range(k)):
-        total = cost[perm, columns].sum()
-        if total < best:
-            best = total
-            best_perm = perm
-    return float(best), tuple(best_perm)
-
-
 def _align_hungarian(cost):
-    from scipy.optimize import linear_sum_assignment  # here, so the CLI starts without it
-    rows, columns = linear_sum_assignment(cost)
-    perm = np.empty(len(rows), dtype=int)
-    perm[columns] = rows
-    return float(cost[perm, np.arange(len(rows))].sum()), tuple(int(p) for p in perm)
+    """Exact minimum-cost assignment, ``perm[c]`` the row of column ``c``: the Hungarian
+    method by shortest augmenting paths with row and column potentials (Jonker-Volgenant),
+    in O(K^3).  Column ``K`` is a dummy that holds the row being added."""
+    k = cost.shape[0]
+    u, v, row_of = np.zeros(k), np.zeros(k + 1), np.full(k + 1, -1)
+    for i in range(k):
+        row_of[k], col = i, k
+        dist, came_from, done = np.full(k + 1, np.inf), np.full(k + 1, k), np.zeros(k + 1, bool)
+        while row_of[col] != -1:  # grow shortest paths until one reaches a free column
+            done[col] = True
+            row = row_of[col]
+            reduced = cost[row] - u[row] - v[:k]
+            closer = ~done[:k] & (reduced < dist[:k])
+            dist[:k][closer], came_from[:k][closer] = reduced[closer], col
+            col = int(np.argmin(np.where(done[:k], np.inf, dist[:k])))
+            step = dist[col]
+            u[row_of[done]] += step
+            v[done] -= step
+            dist[~done] -= step
+        while col != k:  # augment: shift the matching along the path back to the dummy
+            row_of[col], col = row_of[came_from[col]], came_from[col]
+    perm = row_of[:k]
+    return float(cost[perm, np.arange(k)].sum()), tuple(int(p) for p in perm)
 
 
 def aligned_l1_loss(a_hat, a):
     """Minimum over column permutations of the summed columnwise l1 gaps.
 
     Returns ``(loss, perm)`` with ``perm[k]`` the column of ``a_hat`` aligned
-    to column ``k`` of ``a``, found by a linear assignment solver.  The loss
-    is the exact minimum; where two permutations tie exactly, which of them
-    comes back is left to the solver.
+    to column ``k`` of ``a``, found by the Hungarian method.  The loss is the
+    exact minimum; where two permutations tie exactly, either may come back.
     """
     a_hat = np.asarray(a_hat, dtype=float)
     a = np.asarray(a, dtype=float)
     if a_hat.ndim != 2 or a_hat.shape != a.shape:
         raise ValueError(f"column sets must share a shape, got {a_hat.shape} vs {a.shape}")
-    return _align_hungarian(_column_cost(a_hat, a))
+    cost = _column_cost(a_hat, a)
+    if not np.isfinite(cost).all():
+        raise ValueError("column gaps must be finite")
+    return _align_hungarian(cost)
 
 
 def core_loss(g_hat, g, perms):
@@ -211,4 +215,5 @@ def scree(y, mode, k_max, doc_length):
     n = y_mat.shape[0]
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
+    _load_arpack((k_max,), (n,))
     return leading_eigvecs(build_q(y_mat, mode, doc_length), k_max)[1]

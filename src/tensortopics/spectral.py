@@ -68,6 +68,14 @@ def eigsh(q, **kwargs):
     return arpack(q, **kwargs)
 
 
+def _load_arpack(ranks, sizes):
+    """Import ARPACK if a ``leading_eigvecs`` call of these ranks and matrix sizes
+    would take it.  Its BLAS starts threads as it loads, and a gram run while they
+    start runs slow: callers load it before their first gram, ahead of other work."""
+    if any(k + 1 < n for k, n in zip(ranks, sizes)):
+        import scipy.sparse.linalg  # noqa: F401
+
+
 def _fix_signs(vecs):
     """Flip columns so each sums positive; a zero sum falls back to making
     the first entry of largest magnitude positive."""

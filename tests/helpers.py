@@ -1,7 +1,11 @@
 """Shared fixtures: planted instances, a hand-built structured model, and
 independent brute-force oracles used to cross-check the library."""
 
-from itertools import combinations
+import os
+import subprocess
+import sys
+from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +35,21 @@ def toy_structured_model():
         [[0.1, 0.1, 0.8], [1 / 3, 1 / 3, 1 / 3]],
     ])
     return TuckerModel(a1=a1, a2=a2, a3=a3, g=g)
+
+
+def _align_brute(cost):
+    """Exhaustive minimum over all permutations: the reference that tests
+    hold the assignment solver to."""
+    k = cost.shape[0]
+    columns = np.arange(k)
+    best = np.inf
+    best_perm = None
+    for perm in permutations(range(k)):
+        total = cost[perm, columns].sum()
+        if total < best:
+            best = total
+            best_perm = perm
+    return float(best), tuple(best_perm)
 
 
 def max_volume_subset(points, k):
@@ -122,3 +141,13 @@ def sample_counts_reference(d, doc_length, seed):
         for j in range(n2):
             counts[i, j] = substream(seed, 1, i * n2 + j).multinomial(doc_length, p[i, j])
     return counts
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package; return its stripped standard output."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.strip()

@@ -27,9 +27,9 @@ from tensortopics import (
     unfold,
 )
 from tensortopics.cli import main
-from tensortopics.metrics import _align_brute, _align_hungarian
+from tensortopics.metrics import _align_hungarian
 
-from helpers import max_volume_subset, planted, toy_structured_model
+from helpers import _align_brute, max_volume_subset, planted, toy_structured_model
 
 
 def _check(number, label, ok, detail):

@@ -5,6 +5,7 @@ import functools
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,70 @@ def test_count_file_beyond_limits_is_exit_3_naming_the_line(tmp_path, capsys, bo
     assert main(["fit", "--data", str(path), "--ranks", "2,2,2",
                  "--out", str(tmp_path / "f")]) == 3
     assert f"{path}: {fragment}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["4\u01ff", "\u0903", "\U000983bc"])
+def test_count_file_with_a_non_ascii_letter_names_the_line(tmp_path, field):
+    """numpy's integer parser takes some non-ASCII letters for digits ("4" then
+    U+01FF reads as 503) and can crash on others, so none reaches it."""
+    path = tmp_path / "letters.txt"
+    path.write_text(f"2 2 2 5\n1 1 1 2\n2 1 1 {field}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 3: all fields must be "
+                                                        "integers")):
+        read_count_tensor(path)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_count_file_named_like_a_compressed_file_is_exit_3(tmp_path, capsys, suffix):
+    """numpy's parser opens these names through a decompressor."""
+    path = tmp_path / f"counts{suffix}"
+    path.write_text("2 2 2 5\n1 1 1 2\n")
+    assert main(["fit", "--data", str(path), "--ranks", "1,1,2", "--out", str(tmp_path / "f")]) == 3
+    assert f"{path}: a count file name must not end in {suffix}" in capsys.readouterr().err
+
+
+def test_count_file_may_separate_fields_by_unicode_whitespace(tmp_path):
+    path = tmp_path / "spaces.txt"
+    path.write_text("2 2 2 5\n1\u30001 1\u00a02\n\u2003\n2 1 1 3\n", encoding="utf-8")
+    counts, doc_length = read_count_tensor(path)
+    assert (counts[0, 0, 0], counts[1, 0, 0], counts.sum(), doc_length) == (2, 3, 5, 5)
+
+
+_FIELDS = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(
+    ["x", "1.0", "+2", "-0", "", "#", "1_0", "4\u01ff", "\uff14", "\U000983bc",
+     "9223372036854775807", "9223372036854775808"]))
+_LINES = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+              st.integers(-1, 2 ** 63 - 1)).map(lambda fields: " ".join(map(str, fields))),
+    st.lists(st.tuples(_FIELDS, st.sampled_from([" ", "\t", "\u3000", "\x0b"])),
+             max_size=5).map(lambda pairs: "".join(f + sep for f, sep in pairs)))
+_NEAR_VALID = st.tuples(
+    st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 9)),
+    st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n", "\r", "\n\n"])), max_size=6),
+    st.sampled_from([b"", b"\xff", b"\xc3"]),
+).map(lambda parts: (" ".join(map(str, parts[0])) + "\n"
+                     + "".join(line + end for line, end in parts[1])).encode() + parts[2])
+
+
+@given(st.binary(max_size=48) | _NEAR_VALID)
+@example(b"")
+@example(b"\xff")
+@example(b"2 2 2 5\n1 1 1 \xf2\x98\x83\xbc\n")
+@settings(max_examples=300, deadline=None, database=None)
+def test_count_file_fuzz_reads_or_names_the_file(data):
+    """Any bytes give back counts or a ``DataFormatError`` that starts with
+    the path: no other exception and no warning."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = Path(tmp) / "fuzz.txt"
+        path.write_bytes(data)
+        try:
+            counts, doc_length = read_count_tensor(path)
+        except DataFormatError as err:
+            assert str(err).startswith(f"{path}: ")
+        else:
+            assert counts.dtype == np.int64 and counts.ndim == 3 and counts.min() >= 0
+            assert doc_length >= 1
 
 
 def test_model_json_round_trip_is_bit_faithful(tmp_path):
@@ -480,6 +545,32 @@ def test_bad_sweep_settings_are_exit_3_naming_the_file(tmp_path, capsys, setting
     assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "s")]) == 3
     assert str(grid) in capsys.readouterr().err
     assert not (tmp_path / "s.trials.csv").exists()
+
+
+def _not_utf8(path):
+    path.write_bytes(b'{"dims": [8, 6, 20],\n "seed": "\xff"}\n')
+    return path
+
+
+@pytest.mark.parametrize("kind", ["count file", "model file", "generator spec", "fit config",
+                                  "sweep grid"])
+def test_file_that_is_not_utf8_is_exit_3_naming_the_file(tmp_path, capsys, kind):
+    data = _tiny_counts(tmp_path)
+    truth = tmp_path / "truth.json"
+    write_model(truth, planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82).model)
+    bad = _not_utf8(tmp_path / "bad.txt")
+    out = str(tmp_path / "o")
+    argv = {
+        "count file": ["fit", "--data", bad, "--ranks", "2,2,2", "--out", out],
+        "model file": ["eval", "--model", bad, "--truth", truth],
+        "generator spec": ["generate", "--spec", bad, "--out", out],
+        "fit config": ["fit", "--data", data, "--config", bad, "--out", out],
+        "sweep grid": ["sweep", "--grid", bad, "--out", out],
+    }[kind]
+    assert main([str(arg) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    where = f"{bad}: line 2: not UTF-8 text" if kind == "count file" else f"{bad}: cannot read"
+    assert err.startswith(f"data error: {where}") and "can't decode byte 0xff" in err
 
 
 _FIT_KEYS = ["ranks", "use_hooi", "hooi_iters", "sparse_c_prime", "oracle",

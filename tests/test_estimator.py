@@ -27,7 +27,7 @@ from tensortopics.errors import DataFormatError, FitDegenerateError
 from tensortopics.estimator import _as_data as as_data
 from tensortopics.estimator import fit_core
 
-from helpers import layouts, planted
+from helpers import layouts, planted, run_fresh
 
 
 def _oracle_cfg(ranks, doc_length):
@@ -222,6 +222,48 @@ def test_finiteness_check_needs_no_full_size_temporary(layout):
     finally:
         tracemalloc.stop()
     assert peak < 0.01 * y.nbytes
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["centered", "oracle"])
+def test_fit_names_a_gram_that_overflows(oracle):
+    """Finite entries near 1e307 pass the data check, but neither their gram
+    nor the per-word sums of the threshold fit in a float; no warning is shown."""
+    y = np.random.default_rng(9).uniform(size=(8, 6, 20)) * 1e307
+    cfg = FitConfig(ranks=(2, 2, 2), doc_length=30, oracle=oracle)
+    message = "^" + re.escape(f"mode 1 gram overflows: data entries reach {y.max():.1e}") + "$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert threshold_vocab(y, 30, cfg.sparse_c_prime).size == 20
+        with pytest.raises(DataFormatError, match=message):
+            fit(y, cfg)
+
+
+_ARPACK_PROBE = """
+import sys
+import numpy as np
+from tensortopics import FitConfig, estimator, fit, metrics, scree, spectral
+
+loaded = []
+def probe(*args, **kwargs):
+    loaded.append("scipy.sparse.linalg" in sys.modules)
+    return spectral.build_q(*args, **kwargs)
+estimator.build_q = metrics.build_q = probe
+y = np.random.default_rng(5).uniform(size={dims})
+{call}
+print(loaded[0], "scipy.sparse.linalg" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("dims, call, expected", [
+    ((8, 6, 20), "fit(y, FitConfig(ranks=(2, 2, 2), doc_length=30))", "True True"),
+    ((3, 3, 4), "fit(y, FitConfig(ranks=(2, 2, 3), doc_length=30))", "False False"),
+    ((8, 6, 20), "scree(y, 3, 5, 30)", "True True"),
+    ((8, 6, 20), "scree(y, 1, 8, 30)", "False False"),
+], ids=["fit-arpack", "fit-full-eigh", "scree-arpack", "scree-full-eigh"])
+def test_arpack_is_loaded_before_the_first_gram_and_only_when_used(dims, call, expected):
+    """Loaded mid-fit, while BLAS is busy, ARPACK slows the next gram; where
+    every mode takes the full ``eigh`` it stays unloaded."""
+    assert run_fresh(_ARPACK_PROBE.format(dims=dims, call=call)) == expected
 
 
 def test_fit_hooi_rank_beyond_projected_span_is_value_error():

@@ -2,10 +2,6 @@
 scree diagnostic."""
 
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,15 +18,15 @@ from tensortopics import (
     topic_resolution,
     unfold,
 )
+from tensortopics.cli import write_model
 from tensortopics.metrics import (
-    _align_brute,
     _align_hungarian,
     _column_cost,
     core_loss,
     cosine_match,
 )
 
-from helpers import planted
+from helpers import _align_brute, planted, run_fresh
 
 
 def test_aligned_loss_frozen_example():
@@ -68,6 +64,46 @@ def test_brute_force_equals_hungarian():
             lh, ph = _align_hungarian(cost)
             assert lb == pytest.approx(lh, abs=1e-12)
             assert tuple(pb) == tuple(ph)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_hungarian_equals_brute_force_on_random_and_tie_heavy_costs(k):
+    """Uniform costs have one minimum, which both return; small integer
+    costs tie often, and the solver must still reach the exhaustive minimum."""
+    rng = np.random.default_rng(70 + k)
+    for _ in range(20 if k < 8 else 4):
+        cost = rng.uniform(size=(k, k))
+        lb, pb = _align_brute(cost)
+        lh, ph = _align_hungarian(cost)
+        assert lh == pytest.approx(lb, rel=1e-12, abs=0)
+        assert ph == pb
+        cost = rng.integers(0, 3, size=(k, k)).astype(float)
+        loss, perm = _align_hungarian(cost)
+        assert loss == _align_brute(cost)[0]
+        assert sorted(perm) == list(range(k))
+        assert cost[list(perm), np.arange(k)].sum() == loss
+
+
+@pytest.mark.parametrize("k", [10, 40, 100])
+def test_hungarian_matches_scipy_beyond_brute_force_sizes(k):
+    """scipy's assignment solver serves here only as a test-time reference."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.random.default_rng(k).uniform(size=(k, k))
+    rows, columns = linear_sum_assignment(cost)
+    loss, perm = _align_hungarian(cost)
+    assert loss == pytest.approx(cost[rows, columns].sum(), rel=1e-12, abs=0)
+    assert sorted(perm) == list(range(k))
+    assert loss == cost[list(perm), np.arange(k)].sum()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_aligned_loss_rejects_non_finite_columns(bad):
+    a = np.eye(3)
+    a_hat = a.copy()
+    a_hat[1, 2] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        aligned_l1_loss(a_hat, a)
 
 
 def test_aligned_loss_is_exact_minimum_under_ties():
@@ -146,18 +182,21 @@ def test_blocked_reconstruction_error_matches_the_full_mean_tensor(dims):
 
 def _loaded_after_cli_import(module):
     """Whether a fresh ``import tensortopics.cli`` loads ``module``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = f"import sys, tensortopics.cli; print({module!r} in sys.modules)"
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    return out.stdout.strip() == "True"
+    return run_fresh(f"import sys, tensortopics.cli; print({module!r} in sys.modules)") == "True"
 
 
-def test_cli_import_leaves_the_assignment_solver_unloaded():
-    """Only scoring needs scipy.optimize, so fit and generate skip its import."""
-    assert not _loaded_after_cli_import("scipy.optimize")
+def test_cli_eval_leaves_scipy_optimize_unloaded(tmp_path):
+    """Topic alignment uses the in-package solver: a whole ``eval`` runs
+    without importing scipy.optimize."""
+    inst = planted((8, 6, 20), (2, 2, 3), doc_length=30, seed=67)
+    model, truth = tmp_path / "fit.model.json", tmp_path / "truth.json"
+    write_model(model, fit(inst.y, FitConfig(ranks=(2, 2, 3), doc_length=30)).model)
+    write_model(truth, inst.model)
+    argv = ["eval", "--model", str(model), "--truth", str(truth), "--out", str(tmp_path / "e")]
+    code = ("import sys; from tensortopics.cli import main; "
+            f"status = main({argv!r}); print(status, 'scipy.optimize' in sys.modules)")
+    assert run_fresh(code).splitlines()[-1] == "0 False"
+    assert (tmp_path / "e.losses.csv").exists()
 
 
 def test_cli_import_leaves_arpack_unloaded():
