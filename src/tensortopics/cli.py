@@ -28,7 +28,6 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import (DataFormatError, FitDegenerateError, _check_tucker_ranks, _checked_int,
@@ -248,7 +247,6 @@ def write_manifest(path, command, parameters, outputs, stage_seconds):
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "tensortopics": __version__,
         },
     }

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (DataFormatError, FitDegenerateError, _check_tucker_ranks, _checked_int,
                      _checked_real, _checked_triple)
 from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
-from .spectral import _load_arpack, build_q, hooi_refine, leading_eigvecs
+from .spectral import build_q, hooi_refine, leading_eigvecs
 from .tensor import reconstruct
 
 
@@ -265,7 +265,6 @@ def fit(y, cfg):
     cannot support the requested ranks.
     """
     y = np.ascontiguousarray(y, dtype=float)
-    _load_arpack(cfg.ranks, y.shape)  # ahead of the threshold pass, not just before a gram
     vocab = threshold_vocab(y, cfg.doc_length, cfg.sparse_c_prime)  # validates y
     n1, n2, n_words = y.shape
     k1, k2, k3 = cfg.ranks

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import fit
-from .spectral import _load_arpack, build_q, leading_eigvecs
-from .tensor import reconstruct, unfold
+from .spectral import build_q, leading_eigvecs
+from .tensor import _as_tensor, _check_mode, reconstruct
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,9 @@ def scree(y, mode, k_max, doc_length):
     Uses the same bias-corrected gram matrix and eigensolver as the fit, so
     a knee in this sequence suggests the planted rank of that mode.
     """
-    y_mat = unfold(np.asarray(y, dtype=float), mode)
-    n = y_mat.shape[0]
+    y = _as_tensor(np.asarray(y, dtype=float))
+    _check_mode(mode)
+    n = y.shape[mode - 1]
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
-    _load_arpack((k_max,), (n,))
-    return leading_eigvecs(build_q(y_mat, mode, doc_length), k_max)[1]
+    return leading_eigvecs(build_q(np.moveaxis(y, mode - 1, 0), mode, doc_length), k_max)[1]

@@ -33,14 +33,14 @@ class VertexSet:
 def score_normalize(xi):
     """Divide each eigenvector row by its leading entry, dropping bad rows.
 
-    Rows whose leading entry is zero or negative carry no usable scale; they
-    are excluded and simply absent from ``kept``.  The surviving rows satisfy
-    ``diag(first_col) @ [1 | s] == xi[kept]`` up to rounding.
+    Rows whose leading entry is not positive beyond rounding (``n`` epsilons
+    of the largest) carry no usable scale and are absent from ``kept``.  The
+    surviving rows satisfy ``diag(first_col) @ [1 | s] == xi[kept]`` up to rounding.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2 or xi.shape[1] < 1:
         raise ValueError("xi must be a matrix with at least one column")
-    kept = np.flatnonzero(xi[:, 0] > 0.0)
+    kept = np.flatnonzero(xi[:, 0] > len(xi) * np.finfo(float).eps * np.abs(xi[:, 0]).max())
     if kept.size == 0:
         raise FitDegenerateError(
             "ratio normalization: no row of the leading eigenvector is positive")

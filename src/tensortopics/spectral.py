@@ -6,13 +6,13 @@ two membership modes but not on the word mode, so mode 3 subtracts it before
 the eigendecomposition; ``centered=False`` restores the plain gram matrix for
 exact-mean inputs.
 
-``leading_eigvecs`` computes only the top ``k + 1`` eigenpairs, by ARPACK's
-Lanczos method (``scipy.sparse.linalg.eigsh``) started from a fixed vector of
-a seeded generator, so replays are bit-identical; a start at the all-ones
-vector would never reach an eigenvector that sums to zero.  When ``k + 1``
-reaches the matrix size, the full LAPACK ``eigh`` runs instead.  Eigenvalues,
-those in the fit diagnostics included, agree with a full ``eigh`` within
-1e-12 relative, and bases within the solver residual over the eigengap.
+``leading_eigvecs`` computes only the top ``k + 1`` eigenpairs, by a
+thick-restart Lanczos method started from a fixed vector of a seeded
+generator, so replays are bit-identical; a start at the all-ones vector would
+never reach an eigenvector that sums to zero.  When ``k + 1`` reaches the
+matrix size, the full LAPACK ``eigh`` runs instead.  Eigenvalues, those in the
+fit diagnostics included, agree with a full ``eigh`` within 1e-12 relative,
+and bases within the solver residual over the eigengap.
 """
 
 import numpy as np
@@ -62,18 +62,60 @@ def build_q(y_mat, mode, doc_length, centered=True):
     return q
 
 
-def eigsh(q, **kwargs):
-    """``scipy.sparse.linalg.eigsh``, imported on first use so the CLI starts without ARPACK."""
-    from scipy.sparse.linalg import eigsh as arpack
-    return arpack(q, **kwargs)
+_MAX_RESTARTS = 1000  # the reference word gram takes about 30
 
 
-def _load_arpack(ranks, sizes):
-    """Import ARPACK if a ``leading_eigvecs`` call of these ranks and matrix sizes
-    would take it.  Its BLAS starts threads as it loads, and a gram run while they
-    start runs slow: callers load it before their first gram, ahead of other work."""
-    if any(k + 1 < n for k, n in zip(ranks, sizes)):
-        import scipy.sparse.linalg  # noqa: F401
+def _orthogonalize(w, basis):
+    """Remove from ``w``, in place, its part in the span of the orthonormal
+    columns of ``basis`` by two classical Gram-Schmidt passes; return ``w``."""
+    for _ in range(2):
+        w -= basis @ (basis.T @ w)
+    return w
+
+
+def _lanczos(q, nev):
+    """Top ``nev < n`` eigenpairs of a symmetric ``q``, eigenvalues ascending:
+    thick-restart Lanczos (Wu and Simon), fully reorthogonalized, on a basis of
+    ``max(2 nev + 1, 20)`` vectors (at most ``n``) rotated in place.  Restarts
+    keep the leading Ritz vectors largest first, so a converged dominant pair
+    does not spread its rounding over the rest.  Pairs converge at residual
+    estimates of epsilon times the largest ``|q v|`` seen.  An invariant
+    subspace goes on from a fresh seeded direction.
+    """
+    n = q.shape[0]
+    m = min(n, max(2 * nev + 1, 20))
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(0)
+    basis = np.empty((n, m), order="F")
+    t = np.zeros((m, m))
+    v = rng.uniform(0.5, 1.5, n)
+    kept, scale = 0, 0.0
+    for _ in range(_MAX_RESTARTS + 1):
+        for j in range(kept, m):
+            basis[:, j] = v = v / np.linalg.norm(v)
+            w = q @ v
+            scale = max(scale, np.linalg.norm(w))
+            t[j, j] = v @ w
+            beta = np.linalg.norm(_orthogonalize(w, basis[:, :j + 1]))
+            if beta <= n * eps * scale:  # numerically invariant, as a full basis is
+                beta = 0.0
+            if j + 1 < m:
+                t[j, j + 1] = t[j + 1, j] = beta
+                v = w if beta else _orthogonalize(rng.uniform(-1.0, 1.0, n), basis[:, :j + 1])
+        theta, s = np.linalg.eigh(t)
+        converged = np.abs(beta * s[-1, -nev:]) <= eps * scale
+        kept = nev if converged.all() else nev + (m - nev) // 2
+        top = slice(None, -kept - 1, -1)
+        for rows in range(0, n, 512):
+            block = basis[rows:rows + 512]
+            block[:, :kept] = block @ s[:, top]
+        if converged.all():
+            return theta[-nev:], basis[:, nev - 1::-1]
+        t = np.diag(np.r_[theta[top], np.zeros(m - kept)])
+        t[:kept, kept] = t[kept, :kept] = beta * s[-1, top]
+        v = w
+    raise np.linalg.LinAlgError(f"Lanczos: {converged.sum()} of {nev} eigenpairs converged "
+                                f"in {_MAX_RESTARTS} restarts")
 
 
 def _fix_signs(vecs):
@@ -105,17 +147,8 @@ def leading_eigvecs(q, k):
     n = q.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if k + 1 < n:
-        from scipy.sparse.linalg import ArpackError
-        rng = np.random.default_rng(0)
-        try:
-            vals, vecs = eigsh(q, k=k + 1, which="LA", v0=rng.uniform(0.5, 1.5, n), rng=rng)
-        except ArpackError as err:
-            raise np.linalg.LinAlgError(str(err)) from err
-    else:
-        vals, vecs = np.linalg.eigh(q)
-    order = np.argsort(vals, kind="stable")[::-1][:k]
-    return _fix_signs(vecs[:, order]), vals[order]
+    vals, vecs = _lanczos(q, k + 1) if k + 1 < n else np.linalg.eigh(q)
+    return _fix_signs(vecs[:, :-k - 1:-1]), vals[:-k - 1:-1].copy()
 
 
 def hooi_refine(y, xi, iters):

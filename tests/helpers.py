@@ -91,6 +91,18 @@ def eigh_reference(q):
     return vals[::-1], vecs[:, ::-1]
 
 
+def arpack_pairs(q, nev):
+    """Top ``nev`` eigenpairs by ARPACK from the solver's seeded start vector,
+    eigenvalues ascending: the eigensolver the package used before its own
+    Lanczos method, the reference that fits are held to."""
+    from scipy.sparse.linalg import eigsh
+
+    rng = np.random.default_rng(0)
+    vals, vecs = eigsh(q, k=nev, which="LA", v0=rng.uniform(0.5, 1.5, q.shape[0]), rng=rng)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
+
+
 def exact_mode_basis(d, mode, k):
     """Top-k left singular vectors of a mode unfolding, sign unconstrained."""
     from tensortopics import unfold

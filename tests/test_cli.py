@@ -1,7 +1,6 @@
 """File formats, exit codes, and the generate/fit/eval/sweep/scree commands
 driven in-process through main()."""
 
-import functools
 import json
 import re
 import tempfile
@@ -25,7 +24,7 @@ from tensortopics.cli import (
 )
 from tensortopics.errors import DataFormatError
 
-from helpers import planted
+from helpers import planted, run_fresh
 
 
 # ------------------------------------------------------------ file formats
@@ -358,6 +357,31 @@ def test_sweep_parallel_matches_serial(tmp_path):
         (tmp_path / "w2.trials.csv").read_bytes()
 
 
+def test_cli_commands_leave_scipy_unloaded(tmp_path):
+    """The program needs only numpy at run time: generate, fit, eval, scree
+    and a one-cell sweep, run in turn in a fresh process, import no scipy."""
+    spec = _spec_file(tmp_path)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"trials": 1, "cells": [
+        {"dims": [12, 8, 25], "ranks": [2, 2, 2], "doc_length": 80}]}))
+    g, f = tmp_path / "g", tmp_path / "f"
+    commands = {
+        "generate": ["generate", "--spec", str(spec), "--out", str(g)],
+        "fit": ["fit", "--data", f"{g}.counts.txt", "--ranks", "2,2,3", "--out", str(f)],
+        "eval": ["eval", "--model", f"{f}.model.json", "--truth", f"{g}.truth.json",
+                 "--out", str(tmp_path / "e")],
+        "scree": ["scree", "--data", f"{g}.counts.txt", "--mode", "3", "--kmax", "5",
+                  "--out", str(tmp_path / "sc")],
+        "sweep": ["sweep", "--grid", str(grid), "--out", str(tmp_path / "sw")],
+    }
+    code = ("import sys; from tensortopics.cli import main\n"
+            f"for name, argv in {commands!r}.items():\n"
+            "    print(name, main(argv), 'scipy' in sys.modules)")
+    lines = run_fresh(code).splitlines()
+    assert [line for line in lines if line.split()[0] in commands] == \
+        [f"{name} 0 False" for name in commands]
+
+
 def test_scree_csv(tmp_path):
     spec = _spec_file(tmp_path, dims=[15, 8, 30], doc_length=100)
     main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
@@ -598,25 +622,31 @@ def test_fit_config_fuzz_exits_cleanly(tmp_path):
 
 
 def test_linalg_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
-    """ARPACK stopped after one restart fails on the 40-word gram, where its
-    20 Lanczos vectors span less than the whole space."""
+    """Lanczos allowed no restart fails on the 40-word gram, where its 20
+    basis vectors span less than the whole space; the modes of 20 and 10
+    rows fill their space in the first sweep."""
     spec = _spec_file(tmp_path)
     main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
-    monkeypatch.setattr(spectral, "eigsh", functools.partial(spectral.eigsh, maxiter=1))
+    monkeypatch.setattr(spectral, "_MAX_RESTARTS", 0)
     assert main(["fit", "--data", str(tmp_path / "g.counts.txt"), "--ranks", "2,2,3",
                  "--out", str(tmp_path / "f")]) == 4
     err = capsys.readouterr().err
     assert "degenerate fit" in err and "did not converge" in err
-    assert "mode 3 eigensolve" in err and "No convergence" in err
+    assert "mode 3 eigensolve" in err and "eigenpairs converged in 0 restarts" in err
     assert not (tmp_path / "f.model.json").exists()
 
 
 def test_full_eigh_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
-    """Mode 2 has 6 rows and rank 5, so its k + 1 pairs take the full eigh."""
+    """Mode 2 has 6 rows and rank 5, so its k + 1 pairs take the full eigh.
+    Only that 6 x 6 eigh fails: the Lanczos solves of modes 1 and 3 also call
+    ``eigh``, on their 8 x 8 and 20 x 20 projected matrices."""
     data = _tiny_counts(tmp_path)
+    real_eigh = np.linalg.eigh
 
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def no_convergence(a, *args, **kwargs):
+        if a.shape == (6, 6):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", no_convergence)
     assert main(["fit", "--data", str(data), "--ranks", "2,5,3",

@@ -2,6 +2,7 @@
 scree diagnostic."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,11 +181,6 @@ def test_blocked_reconstruction_error_matches_the_full_mean_tensor(dims):
         reconstruction_error(inst.model, inst.y[:, :, 1:])
 
 
-def _loaded_after_cli_import(module):
-    """Whether a fresh ``import tensortopics.cli`` loads ``module``."""
-    return run_fresh(f"import sys, tensortopics.cli; print({module!r} in sys.modules)") == "True"
-
-
 def test_cli_eval_leaves_scipy_optimize_unloaded(tmp_path):
     """Topic alignment uses the in-package solver: a whole ``eval`` runs
     without importing scipy.optimize."""
@@ -197,12 +193,6 @@ def test_cli_eval_leaves_scipy_optimize_unloaded(tmp_path):
             f"status = main({argv!r}); print(status, 'scipy.optimize' in sys.modules)")
     assert run_fresh(code).splitlines()[-1] == "0 False"
     assert (tmp_path / "e.losses.csv").exists()
-
-
-def test_cli_import_leaves_arpack_unloaded():
-    """The eigensolve imports scipy.sparse.linalg on first use, so generate
-    starts without it."""
-    assert not _loaded_after_cli_import("scipy.sparse.linalg")
 
 
 def test_evaluate_scores_the_truth_within_1e12_of_the_full_mean_tensors():
@@ -290,7 +280,7 @@ def test_scree_descends_and_shows_rank_knee():
 
 @pytest.mark.parametrize("mode", [1, 3])
 def test_scree_matches_full_eigvalsh_up_to_every_eigenvalue(mode):
-    """k_max = n takes the full eigh; shorter screens take ARPACK's pairs."""
+    """k_max = n takes the full eigh; shorter screens take the Lanczos pairs."""
     inst = planted((25, 20, 60), (2, 2, 3), doc_length=2000, seed=70)
     q = build_q(unfold(inst.y, mode), mode, 2000)
     reference = np.linalg.eigvalsh(q)[::-1]
@@ -300,6 +290,23 @@ def test_scree_matches_full_eigvalsh_up_to_every_eigenvalue(mode):
         assert values.shape == (k_max,)
         np.testing.assert_allclose(values, reference[:k_max], rtol=1e-12,
                                    atol=1e-12 * reference[0])
+
+
+def test_scree_reads_the_tensor_in_place_and_matches_the_fit():
+    """scree builds each gram as fit does, so its values equal the fit's
+    eigenvalues bit for bit, and it reads the tensor in place: the mode-2
+    unfolding would be a copy of the whole tensor."""
+    inst = planted((60, 50, 400), (2, 2, 3), doc_length=300, seed=72)
+    result = fit(inst.y, FitConfig(ranks=(2, 2, 3), doc_length=300, sparse_c_prime=0.0))
+    for mode, k in zip((1, 2, 3), (2, 2, 3)):
+        np.testing.assert_array_equal(scree(inst.y, mode, k, 300), result.eigvals[mode - 1])
+    tracemalloc.start()
+    try:
+        scree(inst.y, 2, 5, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * inst.y.nbytes
 
 
 def test_evaluate_on_fitted_model_reports_finite_losses():

@@ -29,7 +29,9 @@ def test_score_reconstruction_identity():
 
 
 def test_score_drops_nonpositive_rows():
-    xi = np.array([[1.0, 2.0], [0.0, 5.0], [-1.0, 3.0], [2.0, 1.0]])
+    """The last row's leading entry is rounding noise on a zero, as an
+    eigensolver leaves it where an exact leading eigenvector is zero."""
+    xi = np.array([[1.0, 2.0], [0.0, 5.0], [-1.0, 3.0], [2.0, 1.0], [1e-17, 4.0]])
     sc = score_normalize(xi)
     np.testing.assert_array_equal(sc.kept, [0, 3])
     np.testing.assert_allclose(sc.s[:, 0], [2.0, 0.5])

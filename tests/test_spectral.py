@@ -1,5 +1,7 @@
 """Gram construction, eigenvector conventions, and the power refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,16 +161,19 @@ def test_leading_eigenvector_summing_to_zero_is_found():
 
 @pytest.mark.parametrize("k", [8, 9, 10])
 def test_full_eigh_only_when_k_plus_one_reaches_n(monkeypatch, k):
+    """At k = 8 the Lanczos basis fills all 10 dimensions, leaving no room
+    to restart: the full basis is exact, so no restart is needed."""
     a = np.random.default_rng(23).normal(size=(10, 10))
     q = a @ a.T
     calls = []
-    real_eigsh = spectral.eigsh
+    real_lanczos = spectral._lanczos
 
-    def counted_eigsh(*args, **kwargs):
-        calls.append(kwargs["k"])
-        return real_eigsh(*args, **kwargs)
+    def counted_lanczos(q, nev):
+        calls.append(nev)
+        return real_lanczos(q, nev)
 
-    monkeypatch.setattr(spectral, "eigsh", counted_eigsh)
+    monkeypatch.setattr(spectral, "_lanczos", counted_lanczos)
+    monkeypatch.setattr(spectral, "_MAX_RESTARTS", 0)
     xi, vals = leading_eigvecs(q, k)
     ref_vals, ref_vecs = eigh_reference(q)
     if k + 1 < 10:
@@ -181,13 +186,67 @@ def test_full_eigh_only_when_k_plus_one_reaches_n(monkeypatch, k):
         np.testing.assert_array_equal(xi, _fix_signs(ref_vecs[:, :k]))
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_k_plus_one_one_short_of_n(n):
+    """k + 1 = n - 1 pairs: the basis spans the whole space and ends the
+    solve without a restart, also where it has to start fresh directions."""
+    a = np.random.default_rng(n).normal(size=(n, n))
+    for q in (a @ a.T, np.diag(np.r_[3.0, 3.0, np.ones(n - 2)])):
+        xi, vals = leading_eigvecs(q, n - 2)
+        ref_vals, ref_vecs = eigh_reference(q)
+        np.testing.assert_allclose(vals, ref_vals[:n - 2], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(xi.T @ xi, np.eye(n - 2), atol=1e-12)
+        assert np.linalg.norm(q @ xi - xi * vals, 2) <= 1e-12 * ref_vals[0]
+
+
+def _repeated_top_gram(n=40):
+    """Eigenvalues 5 (three times), 2 (five times) and 1, in a random basis:
+    the Krylov space of one start vector closes after three steps."""
+    u, _ = np.linalg.qr(np.random.default_rng(25).normal(size=(n, n)))
+    return (u * np.r_[5.0, 5.0, 5.0, [2.0] * 5, np.ones(n - 8)]) @ u.T
+
+
+@pytest.mark.parametrize("q, k, top", [
+    (np.eye(30), 3, [1.0, 1.0, 1.0]),
+    (_repeated_top_gram(), 4, [5.0, 5.0, 5.0, 2.0]),
+    (np.zeros((30, 30)), 3, [0.0, 0.0, 0.0]),
+], ids=["identity", "repeated-top", "zero"])
+def test_invariant_subspaces_go_on_from_fresh_directions(q, k, top):
+    """Each invariant Krylov subspace is continued from a seeded fresh
+    direction until the basis holds every copy of a repeated eigenvalue."""
+    xi, vals = leading_eigvecs(q, k)
+    np.testing.assert_allclose(vals, top, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(xi.T @ xi, np.eye(k), atol=1e-12)
+    assert np.linalg.norm(q @ xi - xi * vals, 2) <= 1e-12 * max(1.0, top[0])
+    if top[0] == 5.0:
+        assert subspace_sine(eigh_reference(q)[1][:, :3], xi[:, :3]) <= 1e-10
+
+
+def test_lanczos_workspace_is_a_few_vectors():
+    """On a 2000-row gram, the solve allocates at most 25 vectors of that
+    length beyond its output: the 20-vector basis is rotated in place."""
+    n = 2000
+    a = np.random.default_rng(26).normal(size=(n, 200))
+    q = a @ a.T / 200.0
+    tracemalloc.start()
+    try:
+        xi, vals = leading_eigvecs(q, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= xi.nbytes + vals.nbytes + 25 * n * 8
+    ref_vals, _ = eigh_reference(q)
+    np.testing.assert_allclose(vals, ref_vals[:5], rtol=1e-12, atol=0)
+
+
 _A = np.random.default_rng(24).normal(size=(60, 60))
 
 
-@pytest.mark.parametrize("q", [_A @ _A.T, np.eye(5)], ids=["generic", "identity"])
+@pytest.mark.parametrize("q", [_A @ _A.T, np.eye(5), _repeated_top_gram(), np.zeros((30, 30))],
+                         ids=["generic", "identity", "repeated-top", "zero"])
 def test_two_calls_are_bit_identical(q):
-    """Equal inputs give equal bits, also where ARPACK draws restart vectors
-    (every vector is an eigenvector of the identity)."""
+    """Equal inputs give equal bits, also where the solver draws fresh
+    directions (every vector is an eigenvector of the identity)."""
     first, second = leading_eigvecs(q, 2), leading_eigvecs(q, 2)
     np.testing.assert_array_equal(first[0], second[0])
     np.testing.assert_array_equal(first[1], second[1])
