@@ -27,7 +27,7 @@ from tensortopics.errors import DataFormatError, FitDegenerateError
 from tensortopics.estimator import _as_data as as_data
 from tensortopics.estimator import fit_core
 
-from helpers import arpack_pairs, layouts, planted
+from helpers import arpack_pairs, layouts, planted, run_fresh
 
 
 def _oracle_cfg(ranks, doc_length):
@@ -236,6 +236,41 @@ def test_fit_names_a_gram_that_overflows(oracle):
         assert threshold_vocab(y, 30, cfg.sparse_c_prime).size == 20
         with pytest.raises(DataFormatError, match=message):
             fit(y, cfg)
+
+
+_ARPACK_PROBE = """
+import sys
+import numpy as np
+from tensortopics import FitConfig, estimator, fit, metrics, scree, spectral
+
+loaded, partial = [], []
+def probe(*args, **kwargs):
+    loaded.append("scipy.sparse.linalg" in sys.modules)
+    return spectral.build_q(*args, **kwargs)
+def lanczos(*args, **kwargs):
+    partial.append(True)
+    return solver(*args, **kwargs)
+solver = spectral._lanczos
+estimator.build_q = metrics.build_q = probe
+spectral._lanczos = lanczos
+y = np.random.default_rng(5).uniform(size={dims})
+{call}
+print(loaded[0], "scipy.sparse.linalg" in sys.modules, bool(partial))
+"""
+
+
+@pytest.mark.parametrize("dims, call, expected", [
+    ((8, 6, 20), "fit(y, FitConfig(ranks=(2, 2, 2), doc_length=30))", "False False True"),
+    ((3, 3, 4), "fit(y, FitConfig(ranks=(2, 2, 3), doc_length=30))", "False False False"),
+    ((8, 6, 20), "scree(y, 3, 5, 30)", "False False True"),
+    ((8, 6, 20), "scree(y, 1, 8, 30)", "False False False"),
+], ids=["fit-arpack", "fit-full-eigh", "scree-arpack", "scree-full-eigh"])
+def test_arpack_is_loaded_before_the_first_gram_and_only_when_used(dims, call, expected):
+    """The ``arpack`` cases take the partial eigensolve that ARPACK once ran
+    and the ``full-eigh`` cases the full ``eigh``.  The partial solve is now
+    the in-package Lanczos method, so ARPACK is never used: neither path
+    loads scipy.sparse.linalg, before the first gram or after the fit."""
+    assert run_fresh(_ARPACK_PROBE.format(dims=dims, call=call)) == expected
 
 
 @pytest.mark.parametrize("dims, ranks, doc_length, options", [

@@ -195,6 +195,13 @@ def test_cli_eval_leaves_scipy_optimize_unloaded(tmp_path):
     assert (tmp_path / "e.losses.csv").exists()
 
 
+def test_cli_import_leaves_arpack_unloaded():
+    """The eigensolve runs in-package, so importing the CLI loads no
+    scipy.sparse.linalg."""
+    code = "import sys, tensortopics.cli; print('scipy.sparse.linalg' in sys.modules)"
+    assert run_fresh(code) == "False"
+
+
 def test_evaluate_scores_the_truth_within_1e12_of_the_full_mean_tensors():
     """Both mean tensors are built in blocks: 37 rows of 180 x 160 entries
     run as a block of 36 rows and one of 1."""
