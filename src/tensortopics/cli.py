@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (DataFormatError, FitDegenerateError, _check_tucker_ranks, _checked_int,
-                     _checked_triple)
+from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_tucker_ranks,
+                     _checked_int, _checked_triple)
 from .estimator import FitConfig, TuckerModel, fit
 from .metrics import evaluate, scree
 from .synth import GenSpec, generate
@@ -52,9 +52,7 @@ def write_count_tensor(path, counts, doc_length):
     The records are formatted as arrays: each field's decimal digits fill
     fixed-width byte columns, and the leading zeros are masked out.
     """
-    counts = np.asarray(counts)
-    if counts.ndim != 3:
-        raise DataFormatError("counts must form an order-3 tensor")
+    counts = _as_tensor(counts, "count tensor")
     if counts.size and counts.min() < 0:
         raise DataFormatError("counts must be nonnegative")
     cells = np.nonzero(counts)
@@ -386,7 +384,9 @@ def cmd_eval(args):
     fitted = read_model(args.model)
     truth = read_model(args.truth)
     if fitted.dims != truth.dims or fitted.ranks != truth.ranks:
-        raise DataFormatError("fitted and truth models disagree on dims or ranks")
+        raise DataFormatError(
+            f"{args.model} (dims {fitted.dims}, ranks {fitted.ranks}) and {args.truth} "
+            f"(dims {truth.dims}, ranks {truth.ranks}) disagree on dims or ranks")
     report = evaluate(fitted, truth)
     scored = time.perf_counter()
     row = [getattr(report, column) for column in _EVAL_COLUMNS]
@@ -527,6 +527,16 @@ def cmd_scree(args):
 # ------------------------------------------------------------------ parser
 
 
+def _int_at_least(low):
+    """An argparse ``type``: an integer of at least ``low``."""
+    def integer(text):  # argparse reports a failing int() by this function's name
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _parse_ranks(text):
     parts = text.split(",")
     if len(parts) != 3:
@@ -545,7 +555,7 @@ def build_parser():
 
     p = sub.add_parser("generate", help="draw a planted instance")
     p.add_argument("--spec", required=True, help="generator spec JSON")
-    p.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the spec seed")
     p.add_argument("--out", required=True, metavar="PREFIX")
     p.set_defaults(func=cmd_generate)
 
@@ -555,7 +565,7 @@ def build_parser():
     p.add_argument("--config", default=None, help="fit config JSON (flags win)")
     p.add_argument("--sparse", type=float, default=None, metavar="C",
                    help="vocabulary threshold constant")
-    p.add_argument("--hooi", type=int, default=None, metavar="N",
+    p.add_argument("--hooi", type=_int_at_least(0), default=None, metavar="N",
                    help="refine bases with N power sweeps")
     p.add_argument("--oracle", action="store_true",
                    help="treat the input as the exact mean tensor")
@@ -571,16 +581,16 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="generate-fit-eval over a grid of cells")
     p.add_argument("--grid", required=True, help="sweep grid JSON")
-    p.add_argument("--seed", type=int, default=None, help="override the grid seed")
-    p.add_argument("--trials", type=int, default=None, help="override grid trials")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the grid seed")
+    p.add_argument("--trials", type=_int_at_least(1), default=None, help="override grid trials")
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--out", required=True, metavar="PREFIX")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("scree", help="leading gram eigenvalues of one mode")
     p.add_argument("--data", required=True, help="count tensor file")
     p.add_argument("--mode", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--kmax", type=_int_at_least(1), default=None)
     p.add_argument("--out", default=None, metavar="PREFIX",
                    help="write CSV and manifest here instead of stdout")
     p.set_defaults(func=cmd_scree)

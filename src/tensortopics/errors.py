@@ -4,6 +4,10 @@ value: ``2.5`` is no integer, ``True`` no count and ``"3"`` no number."""
 import numbers
 import sys
 
+import numpy as np
+
+_MODES = (1, 2, 3)
+
 
 class DataFormatError(ValueError):
     """Malformed input: bad shapes, bad file contents, inconsistent config."""
@@ -58,3 +62,31 @@ def _check_tucker_ranks(ranks):
     for mode, k, span in ((1, k1, k2 * k3), (2, k2, k1 * k3), (3, k3, k1 * k2)):
         if k > span:
             raise DataFormatError(f"mode {mode} rank {k} exceeds the projected span {span}")
+
+
+def _check_mode(mode):
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+
+
+def _as_tensor(t, what="tensor"):
+    t = np.asarray(t)
+    if t.ndim != 3:
+        raise DataFormatError(f"expected an order-3 {what}, got ndim={t.ndim}")
+    return t
+
+
+def _all_finite(a):
+    """Whether every entry is finite: a finite sum proves it without a full-size temporary."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(np.sum(a)) or np.isfinite(a).all())
+
+
+def _as_data(y):
+    """``y`` as an order-3 float tensor of finite nonnegative entries."""
+    y = _as_tensor(np.asarray(y, dtype=float), "data tensor")
+    if not _all_finite(y):
+        raise DataFormatError("data tensor contains non-finite entries")
+    if np.min(y, initial=0.0) < 0:
+        raise DataFormatError("data tensor contains negative entries")
+    return y

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DataFormatError, FitDegenerateError, _check_tucker_ranks, _checked_int,
-                     _checked_real, _checked_triple)
+from .errors import (DataFormatError, FitDegenerateError, _all_finite, _as_data, _as_tensor,
+                     _check_tucker_ranks, _checked_int, _checked_real, _checked_triple)
 from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
 from .spectral import build_q, hooi_refine, leading_eigvecs
 from .tensor import reconstruct
@@ -50,14 +50,11 @@ class TuckerModel:
             if factor.ndim != 2:
                 raise DataFormatError(f"{name} must be a matrix, got ndim={factor.ndim}")
             object.__setattr__(self, name, factor)
-        g = np.asarray(self.g, dtype=float)
-        if g.ndim != 3:
-            raise DataFormatError(f"g must be an order-3 core, got ndim={g.ndim}")
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", _as_tensor(np.asarray(self.g, dtype=float), "core"))
         widths = (self.a1.shape[1], self.a2.shape[1], self.a3.shape[1])
-        if widths != g.shape:
+        if widths != self.g.shape:
             raise DataFormatError(
-                f"factor column counts {widths} do not match core shape {g.shape}")
+                f"factor column counts {widths} do not match core shape {self.g.shape}")
 
     @property
     def dims(self):
@@ -148,23 +145,6 @@ class FitResult:
     eigvals: tuple
 
 
-def _all_finite(a):
-    """Whether every entry is finite: a finite sum proves it without a full-size temporary."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.isfinite(np.sum(a)) or np.isfinite(a).all())
-
-
-def _as_data(y):
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 3:
-        raise DataFormatError(f"expected an order-3 data tensor, got ndim={y.ndim}")
-    if not _all_finite(y):
-        raise DataFormatError("data tensor contains non-finite entries")
-    if np.min(y, initial=0.0) < 0:
-        raise DataFormatError("data tensor contains negative entries")
-    return y
-
-
 def threshold_vocab(y, doc_length, c_prime):
     """Indices of words whose average frequency reaches the sparsity cut.
 
@@ -182,12 +162,13 @@ def threshold_vocab(y, doc_length, c_prime):
     return np.flatnonzero(freq >= tau)
 
 
-def _mode_basis(y, mode, k, cfg):
-    """Leading gram eigenbasis of one mode, with the mode named in its errors."""
+def _mode_basis(y, mode, k, doc_length, centered=True):
+    """Leading ``k`` gram eigenpairs of one mode of the checked tensor ``y``, as
+    ``fit`` and ``scree`` take them, with the mode named in every error."""
     n = y.shape[mode - 1]
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            q = build_q(np.moveaxis(y, mode - 1, 0), mode, cfg.doc_length, centered=not cfg.oracle)
+            q = build_q(np.moveaxis(y, mode - 1, 0), mode, doc_length, centered=centered)
     except MemoryError:
         raise DataFormatError(
             f"mode {mode} gram: a {n} x {n} matrix is too big to allocate") from None
@@ -280,7 +261,7 @@ def fit(y, cfg):
             f"fewer than the {k3} requested topics")
     data = y if vocab.size == n_words else np.take(y, vocab, axis=2)
 
-    xi, spectra = zip(*(_mode_basis(data, mode, k, cfg)
+    xi, spectra = zip(*(_mode_basis(data, mode, k, cfg.doc_length, not cfg.oracle)
                         for mode, k in ((1, k1), (2, k2), (3, k3))))
     if cfg.use_hooi:
         xi = hooi_refine(data, xi, cfg.hooi_iters)

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import fit
-from .spectral import build_q, leading_eigvecs
-from .tensor import _as_tensor, _check_mode, reconstruct
+from .errors import _as_data, _as_tensor, _check_mode, _is_int
+from .estimator import _mode_basis, fit
+from .tensor import reconstruct
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,9 @@ def core_loss(g_hat, g, perms):
     :func:`aligned_l1_loss`; entry ``g_hat[p1[i], p2[j], p3[k]]`` is compared
     against ``g[i, j, k]``.
     """
-    g_hat = np.asarray(g_hat, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if g_hat.ndim != 3 or g_hat.shape != g.shape:
+    g_hat = _as_tensor(np.asarray(g_hat, dtype=float), "core")
+    g = _as_tensor(np.asarray(g, dtype=float), "core")
+    if g_hat.shape != g.shape:
         raise ValueError(f"cores must share a shape, got {g_hat.shape} vs {g.shape}")
     if len(perms) != 3:
         raise ValueError("need one permutation per mode")
@@ -169,9 +169,7 @@ def topic_resolution(y, cfg, trials=20, rng=None, axis=1, splits=None):
     scores.  Pass ``splits`` (one ``(first, second)`` index pair per trial)
     to force the halves; otherwise ``rng`` shuffles the slices.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 3:
-        raise ValueError("expected an order-3 data tensor")
+    y = _as_data(y)
     if axis not in (1, 2):
         raise ValueError("splits run along mode 1 or mode 2")
     if trials < 1:
@@ -208,12 +206,13 @@ def topic_resolution(y, cfg, trials=20, rng=None, axis=1, splits=None):
 def scree(y, mode, k_max, doc_length):
     """Leading gram eigenvalues of one mode, descending, for rank choice.
 
-    Uses the same bias-corrected gram matrix and eigensolver as the fit, so
-    a knee in this sequence suggests the planted rank of that mode.
+    Runs the fit's own data check and per-mode spectral stage, bias
+    correction and errors included, so a knee in this sequence suggests the
+    planted rank of that mode.
     """
-    y = _as_tensor(np.asarray(y, dtype=float))
+    y = _as_data(y)
     _check_mode(mode)
     n = y.shape[mode - 1]
-    if not 1 <= k_max <= n:
-        raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
-    return leading_eigvecs(build_q(np.moveaxis(y, mode - 1, 0), mode, doc_length), k_max)[1]
+    if not (_is_int(k_max) and 1 <= k_max <= n):
+        raise ValueError(f"mode {mode} k_max must be an integer in [1, {n}], got {k_max!r}")
+    return _mode_basis(y, mode, k_max, doc_length)[1]

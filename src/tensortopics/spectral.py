@@ -17,7 +17,7 @@ and bases within the solver residual over the eigengap.
 
 import numpy as np
 
-from .errors import _checked_int
+from .errors import _check_mode, _checked_int
 
 # Per mode: the other two modes, and the contraction of the tensor with their
 # bases that keeps this mode's axis first.  Reshaped to a matrix, it equals
@@ -48,8 +48,7 @@ def build_q(y_mat, mode, doc_length, centered=True):
     y = np.asarray(y_mat, dtype=float)
     if y.ndim not in (2, 3):
         raise ValueError("expected an unfolding or a tensor with the mode's axis first")
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
+    _check_mode(mode)
     if y.ndim == 3 and y.strides[1] == y.shape[2] * y.strides[2]:
         y = y.reshape(y.shape[0], -1)  # a view for these strides
     slabs = np.moveaxis(y, 1, 0) if y.ndim == 3 else [y]
@@ -159,12 +158,8 @@ def hooi_refine(y, xi, iters):
     and takes fresh leading left singular vectors of the projection, so all
     three updates within a sweep read the same iterate.
     ``iters=0`` returns the input bases unchanged.  Sign convention matches
-    :func:`leading_eigvecs`.
+    :func:`leading_eigvecs`.  Inputs are taken as ``fit`` checks them.
     """
-    iters = _checked_int("iters", iters, 0)
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 3:
-        raise ValueError("expected an order-3 data tensor")
     xi = tuple(xi)
     for _ in range(iters):
         new_xi = []
@@ -173,10 +168,6 @@ def hooi_refine(y, xi, iters):
             projected = np.einsum(subscripts, y, xi[b - 1], xi[c - 1], optimize=True)
             projected = projected.reshape(projected.shape[0], -1)
             k = xi[mode - 1].shape[1]
-            if k > min(projected.shape):
-                raise ValueError(
-                    f"mode {mode} rank {k} exceeds the projected span "
-                    f"{min(projected.shape)}")
             u, _, _ = np.linalg.svd(projected, full_matrices=False)
             new_xi.append(_fix_signs(u[:, :k]))
         xi = tuple(new_xi)

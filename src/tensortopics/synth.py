@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DataFormatError, _check_tucker_ranks, _checked_int, _checked_real,
-                     _checked_triple)
-from .estimator import TuckerModel, _as_data
+from .errors import (DataFormatError, _as_data, _check_tucker_ranks, _checked_int,
+                     _checked_real, _checked_triple)
+from .estimator import TuckerModel
 
 _MODEL_STREAM = 0
 _DOC_STREAM = 1

@@ -16,21 +16,7 @@ and cyclically for modes 2 and 3.  Nothing here mutates its inputs.
 
 import numpy as np
 
-from .errors import DataFormatError
-
-_MODES = (1, 2, 3)
-
-
-def _check_mode(mode):
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def _as_tensor(t, what="tensor"):
-    t = np.asarray(t)
-    if t.ndim != 3:
-        raise DataFormatError(f"expected an order-3 {what}, got ndim={t.ndim}")
-    return t
+from .errors import _as_tensor, _check_mode
 
 
 def unfold(t, mode):

@@ -398,13 +398,29 @@ def test_scree_csv(tmp_path):
 # -------------------------------------------------------------- exit codes
 
 
-def test_usage_exit_codes(tmp_path):
+def test_usage_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit"])  # missing required arguments
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    # an integer flag out of its range is refused when parsed, before any file is read
+    missing = str(tmp_path / "missing.json")
+    for argv, flag, low in [
+        (["scree", "--data", missing, "--mode", "3", "--kmax", "0"], "--kmax", 1),
+        (["sweep", "--grid", missing, "--workers", "0"], "--workers", 1),
+        (["sweep", "--grid", missing, "--workers", "-3"], "--workers", 1),
+        (["sweep", "--grid", missing, "--trials", "0"], "--trials", 1),
+        (["sweep", "--grid", missing, "--seed", "-1"], "--seed", 0),
+        (["generate", "--spec", missing, "--seed", "-1"], "--seed", 0),
+        (["fit", "--data", missing, "--ranks", "2,2,2", "--hooi", "-1"], "--hooi", 0),
+    ]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least {low}, got" in capsys.readouterr().err
 
 
 def test_missing_ranks_is_usage_error(tmp_path):
@@ -421,6 +437,17 @@ def test_malformed_data_is_exit_3(tmp_path):
                  "--out", str(tmp_path / "f")]) == 3
     assert main(["eval", "--model", str(tmp_path / "missing.json"),
                  "--truth", str(tmp_path / "missing.json")]) == 3
+
+
+def test_eval_of_models_that_disagree_names_both_files(tmp_path, capsys):
+    paths = []
+    for dims, ranks in (((8, 6, 20), (2, 2, 2)), ((8, 6, 20), (2, 2, 3))):
+        paths.append(tmp_path / f"model-{len(paths)}.json")
+        write_model(paths[-1], planted(dims, ranks, doc_length=30, seed=83).model)
+    assert main(["eval", "--model", str(paths[0]), "--truth", str(paths[1])]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {paths[0]} (dims (8, 6, 20), ranks (2, 2, 2)) and {paths[1]} "
+        "(dims (8, 6, 20), ranks (2, 2, 3)) disagree on dims or ranks\n")
 
 
 def test_degenerate_fit_is_exit_4(tmp_path):
@@ -517,6 +544,7 @@ def _tiny_counts(tmp_path):
     {"ranks": [2, 2, 2], "use_hooi": "false"},
     {"ranks": [2, 2, 2], "use_hoi": True},
     {"ranks": [2, 2, 2], "sparse_c_prime": 10 ** 400},
+    {"ranks": [2, 2, 2], "use_hooi": True, "hooi_iters": -1},
 ])
 def test_bad_fit_config_is_exit_3_naming_the_file(tmp_path, capsys, config):
     data = _tiny_counts(tmp_path)
@@ -670,6 +698,12 @@ def test_gram_allocation_failure_is_exit_3_naming_mode_and_size(tmp_path, capsys
     err = capsys.readouterr().err
     assert re.search(r"data error: mode 3 gram: a (\d+) x \1 matrix is too big to allocate", err)
     assert not (tmp_path / "f.model.json").exists()
+    # scree runs the fit's gram stage, so it names the mode and size too
+    assert main(["scree", "--data", str(data), "--mode", "3", "--kmax", "2",
+                 "--out", str(tmp_path / "s")]) == 3
+    assert capsys.readouterr().err == \
+        "data error: mode 3 gram: a 20 x 20 matrix is too big to allocate\n"
+    assert not (tmp_path / "s.scree.csv").exists()
 
 
 def test_sweep_trial_failure_names_grid_cell_and_trial(tmp_path, capsys):

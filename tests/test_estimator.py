@@ -19,12 +19,13 @@ from tensortopics import (
     evaluate,
     fit,
     leading_eigvecs,
+    scree,
     threshold_vocab,
     unfold,
 )
 from tensortopics import estimator, spectral
 from tensortopics.errors import DataFormatError, FitDegenerateError
-from tensortopics.estimator import _as_data as as_data
+from tensortopics.errors import _as_data as as_data
 from tensortopics.estimator import fit_core
 
 from helpers import arpack_pairs, layouts, planted, run_fresh
@@ -185,14 +186,16 @@ def test_fit_input_validation():
         fit(inst.y, FitConfig(ranks=(9, 2, 2), doc_length=30))
     with pytest.raises(ValueError):
         fit(inst.y, FitConfig(ranks=(2, 2, 1), doc_length=30))
-    bad = inst.y.copy()
-    bad[0, 0, 0] = -0.5
-    with pytest.raises(DataFormatError):
-        fit(bad, FitConfig(ranks=(2, 2, 2), doc_length=30))
-    bad = inst.y.copy()
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(DataFormatError):
-        fit(bad, FitConfig(ranks=(2, 2, 2), doc_length=30))
+    with pytest.raises(DataFormatError, match="^hooi_iters must be a nonnegative integer"):
+        FitConfig(ranks=(2, 2, 2), doc_length=30, use_hooi=True, hooi_iters=-1)
+    for entry, kind in ((-0.5, "negative"), (np.nan, "non-finite")):
+        bad = inst.y.copy()
+        bad[0, 0, 0] = entry
+        message = f"^data tensor contains {kind} entries$"
+        with pytest.raises(DataFormatError, match=message):
+            fit(bad, FitConfig(ranks=(2, 2, 2), doc_length=30))
+        with pytest.raises(DataFormatError, match=message):  # scree runs the fit's data check
+            scree(bad, 1, 3, 30)
 
 
 def test_finiteness_check_survives_an_overflowing_sum():
@@ -236,6 +239,8 @@ def test_fit_names_a_gram_that_overflows(oracle):
         assert threshold_vocab(y, 30, cfg.sparse_c_prime).size == 20
         with pytest.raises(DataFormatError, match=message):
             fit(y, cfg)
+        with pytest.raises(DataFormatError, match=message):  # scree runs the fit's gram stage
+            scree(y, 1, 3, 30)
 
 
 _ARPACK_PROBE = """

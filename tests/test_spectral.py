@@ -310,12 +310,3 @@ def test_hooi_matches_kronecker_reference(dims, ranks, seed):
     for got, want in zip(refined, reference):
         assert got.shape == want.shape
         assert subspace_gap(got, want) <= 1e-12
-
-
-def test_hooi_rejects_rank_beyond_projected_span():
-    inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=9)
-    xi = tuple(exact_mode_basis(inst.d, m, k) for m, k in ((1, 5), (2, 2), (3, 2)))
-    with pytest.raises(ValueError, match="mode 1 rank 5 exceeds the projected span 4"):
-        hooi_refine(inst.y, xi, iters=1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        hooi_refine(inst.y, xi, iters=-1)
