@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _as_data, _as_tensor, _check_mode, _is_int
+from .errors import _as_data, _as_tensor, _check_mode, _checked_int, _is_int
 from .estimator import _mode_basis, fit
 from .tensor import reconstruct
 
@@ -172,8 +172,7 @@ def topic_resolution(y, cfg, trials=20, rng=None, axis=1, splits=None):
     y = _as_data(y)
     if axis not in (1, 2):
         raise ValueError("splits run along mode 1 or mode 2")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = _checked_int("trials", trials, 1)
     n = y.shape[axis - 1]
     if n // 2 < cfg.ranks[axis - 1]:
         raise ValueError(
@@ -212,6 +211,7 @@ def scree(y, mode, k_max, doc_length):
     """
     y = _as_data(y)
     _check_mode(mode)
+    doc_length = _checked_int("doc_length", doc_length, 1)
     n = y.shape[mode - 1]
     if not (_is_int(k_max) and 1 <= k_max <= n):
         raise ValueError(f"mode {mode} k_max must be an integer in [1, {n}], got {k_max!r}")

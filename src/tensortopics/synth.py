@@ -7,6 +7,13 @@ regenerate bit-identically in any order and equal specs give equal bits.
 Documents are drawn on one thread per usable CPU, a contiguous block each;
 since every document keeps its own substream, the bits depend on neither the
 CPU count nor the order the threads run in.
+
+A Philox stream is fixed by its key alone: counter zero and an empty buffer
+start it.  So ``sample_counts`` derives every document's key in one
+vectorized pass of numpy's SeedSequence arithmetic, and each thread rekeys
+one generator per document instead of building a SeedSequence, a Philox and
+a Generator for it; every document still draws exactly the bits of its
+``substream``.
 """
 
 import os
@@ -14,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from .errors import (DataFormatError, _as_data, _check_tucker_ranks, _checked_int,
                      _checked_real, _checked_triple)
@@ -23,12 +31,64 @@ _MODEL_STREAM = 0
 _DOC_STREAM = 1
 _ANCHOR_MODES = ("none", "inject")
 _WORD_DISTS = ("uniform", "zipf")
+# numpy SeedSequence constants: the entropy hash, the pool mix, the state hash
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
 
 
 def substream(seed, *path):
     """Deterministic generator for one tagged substream of ``seed``."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
+    return Generator(Philox(ss))
+
+
+def _hash_chain(init, mult):
+    """SeedSequence's hash of uint32 arrays: each call takes the next multiplier."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+    return hashmix
+
+
+def _mix(x, y):
+    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return out ^ out >> np.uint32(16)
+
+
+def _doc_keys(seed, docs):
+    """Philox keys of documents ``docs`` of ``seed``, one ``uint64`` pair per row:
+    row ``r`` is ``SeedSequence(seed, spawn_key=(1, docs[r])).generate_state(2,
+    np.uint64)``, the key of ``substream(seed, 1, docs[r])``, computed as numpy's
+    SeedSequence computes it, in ``uint32`` arithmetic over all documents at once."""
+    docs = np.asarray(docs, dtype=np.int64)
+    bad = docs[(docs < 0) | (docs > _MASK32)]
+    if bad.size:  # a larger index takes two spawn-key words: another hash
+        raise DataFormatError(f"document index {int(bad[0])} lies outside [0, 2**32)")
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    # a spawn key pads the seed to the pool size, then appends its own words
+    words = seed_words + [0] * (_POOL - len(seed_words)) + [_DOC_STREAM]
+    entropy = [np.array([w], np.uint32) for w in words] + [docs.astype(np.uint32)]
+    hashmix = _hash_chain(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hash_chain(_INIT_B, _MULT_B)
+    state = [hashmix(word).astype(np.uint64) for word in pool]  # four words: the pool once
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -87,9 +147,9 @@ def sample_counts(d, doc_length, seed):
 
     ``d`` must be an order-3 tensor of finite nonnegative entries whose every
     tube ``d[i, j, :]`` sums to one within 1e-9, ``doc_length`` a positive
-    integer and ``seed`` a nonnegative integer.  Each document draws from its
-    own substream of ``seed``, so the result depends on neither traversal
-    order nor the number of threads drawing.
+    integer and ``seed`` a nonnegative integer.  Each document draws the
+    bits of its own ``substream(seed, 1, doc)``, so the result depends on
+    neither traversal order nor the number of threads drawing.
     """
     # a C-order copy sums every tube exactly as the vector it is on its own
     p = np.array(_as_data(d), order="C")
@@ -104,10 +164,19 @@ def sample_counts(d, doc_length, seed):
     p /= sums
     counts = np.empty(p.shape, dtype=np.int64)
     rows, out = p.reshape(-1, p.shape[2]), counts.reshape(-1, p.shape[2])
+    keys = _doc_keys(seed, np.arange(len(rows))).tolist()
 
     def draw(block):  # multinomial releases the GIL while it draws
+        bits = Philox(0)
+        rng = Generator(bits)
+        # document doc's substream as it starts: its key, counter 0, no buffered bits
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": [0, 0, 0, 0], "key": None},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         for doc in block:
-            out[doc] = substream(seed, _DOC_STREAM, doc).multinomial(doc_length, rows[doc])
+            state["state"]["key"] = keys[doc]
+            bits.state = state
+            out[doc] = rng.multinomial(doc_length, rows[doc])
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(rows), cpus or 1)

@@ -20,6 +20,7 @@ from tensortopics import (
     unfold,
 )
 from tensortopics.cli import write_model
+from tensortopics.errors import DataFormatError
 from tensortopics.metrics import (
     _align_hungarian,
     _column_cost,
@@ -271,6 +272,26 @@ def test_topic_resolution_validates_half_size():
     cfg = FitConfig(ranks=(4, 2, 2), doc_length=30)
     with pytest.raises(ValueError):
         topic_resolution(inst.y, cfg, trials=2)
+
+
+@pytest.mark.parametrize("trials", [0, -2, 2.5, True, "3"])
+def test_topic_resolution_refuses_a_trial_count_that_is_no_positive_integer(trials):
+    inst = planted((12, 8, 30), (2, 2, 3), doc_length=60, seed=65)
+    cfg = FitConfig(ranks=(2, 2, 3), doc_length=60)
+    with pytest.raises(DataFormatError, match="trials must be a positive integer"):
+        topic_resolution(inst.y, cfg, trials=trials)
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+@pytest.mark.parametrize("doc_length", [0, -5, 2.5, True])
+def test_scree_refuses_a_doc_length_fit_refuses(mode, doc_length):
+    """Every mode checks the document length, as ``FitConfig`` does, though
+    only the bias-corrected gram reads it."""
+    y = planted((8, 6, 20), (2, 2, 3), doc_length=30, seed=69).y
+    with pytest.raises(DataFormatError, match="doc_length must be a positive integer"):
+        FitConfig(ranks=(2, 2, 3), doc_length=doc_length)
+    with pytest.raises(DataFormatError, match="doc_length must be a positive integer"):
+        scree(y, mode, 3, doc_length)
 
 
 def test_scree_descends_and_shows_rank_knee():

@@ -219,15 +219,16 @@ def test_sampler_gives_each_thread_one_contiguous_block(monkeypatch, docs, cpus,
 def test_worker_exception_reaches_the_caller(monkeypatch):
     """A failure inside one thread comes back as the same exception object,
     and the call returns instead of hanging."""
-    failure = RuntimeError("substream 17 failed")
-    real_substream = synth.substream
+    failure = RuntimeError("document 17 failed")
+    key_17 = substream(0, 1, 17).bit_generator.state["state"]["key"]
 
-    def failing(seed, *path):
-        if path == (1, 17):
-            raise failure
-        return real_substream(seed, *path)
+    class FailingGenerator(synth.Generator):
+        def multinomial(self, n, pvals):
+            if np.array_equal(self.bit_generator.state["state"]["key"], key_17):
+                raise failure
+            return super().multinomial(n, pvals)
 
-    monkeypatch.setattr(synth, "substream", failing)
+    monkeypatch.setattr(synth, "Generator", FailingGenerator)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     raised = []
 
@@ -242,6 +243,49 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     caller.join(timeout=60)
     assert not caller.is_alive()
     assert len(raised) == 1 and raised[0] is failure
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
+def test_document_keys_are_the_substream_keys(seed):
+    """The vectorized key of each document is the key its own SeedSequence
+    generates, for one- and two-word seeds and for a seed longer than the
+    four-word pool."""
+    docs = np.array([0, 1, 2**16, 2**32 - 1])
+    expected = [np.random.SeedSequence(seed, spawn_key=(1, int(doc))).generate_state(2, np.uint64)
+                for doc in docs]
+    np.testing.assert_array_equal(synth._doc_keys(seed, docs), expected)
+
+
+@pytest.mark.parametrize("doc", [2**32, 2**40, -1])
+def test_document_key_outside_one_word_is_refused(doc):
+    with pytest.raises(DataFormatError, match=f"document index {doc} lies outside"):
+        synth._doc_keys(3, np.array([0, doc]))
+
+
+def test_shared_generator_carries_no_state_between_documents(monkeypatch):
+    """Documents that share one rekeyed generator draw as if each had its own:
+    long documents in the BTPE regime (n p > 30), with one-hot tubes and
+    tubes of zero entries among them.  Each of the two blocks builds one
+    Philox only."""
+    built = []
+    real_philox = synth.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(args)
+        return real_philox(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "Philox", counting_philox)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    d = _mean_tensor((4, 5, 7), seed=11)
+    d[0, 1] = 0.0
+    d[0, 1, 3] = 1.0
+    d[2, :, :] = 0.0
+    d[2, :, 0] = 1.0
+    d[3, 4, :] = [0.0, 0.5, 0.0, 0.25, 0.0, 0.25, 0.0]
+    counts = sample_counts(d, 5000, 8)
+    assert len(built) == 2
+    np.testing.assert_array_equal(counts, sample_counts_reference(d, 5000, 8))
+    np.testing.assert_array_equal(counts[2, :, 0], 5000)
 
 
 def test_counts_clt_agreement_with_mean_tensor():
