@@ -317,7 +317,10 @@ def cmd_generate(args):
         payload["seed"] = args.seed
     spec = _from_json(GenSpec, payload, args.spec)
     loaded = time.perf_counter()
-    instance = generate(spec)
+    try:
+        instance = generate(spec)
+    except DataFormatError as err:
+        raise DataFormatError(f"{args.spec}: {err}") from None
     generated = time.perf_counter()
     counts_path = _out(args.out, "counts.txt")
     truth_path = _out(args.out, "truth.json")
@@ -429,8 +432,8 @@ def _sweep_cell(cell, where):
 def _sweep_trial(payload):
     spec, cfg, cell_index, trial_index, master_seed, where = payload
     seed = derive_seed(master_seed, cell_index, trial_index)
-    instance = generate(replace(spec, seed=seed))
     try:
+        instance = generate(replace(spec, seed=seed))
         result = fit(instance.y, cfg)
     except (FitDegenerateError, ValueError) as err:
         raise type(err)(f"{where}, trial {trial_index}: {err}") from None

@@ -85,15 +85,6 @@ class TuckerModel:
         """The modeled document-word mean tensor; every tube sums to one."""
         return reconstruct(self.g, self.a1, self.a2, self.a3)
 
-    def doc_topic_weights(self):
-        """Per-document topic weights ``w[i, j, t]``.
-
-        The mode-3 unfolding of this tensor equals
-        ``unfold(g, 3) @ np.kron(a1, a2).T``, the matrix the word factor
-        multiplies to yield the mean tensor's word unfolding.
-        """
-        return np.einsum("pqs,ip,jq->ijs", self.g, self.a1, self.a2, optimize=True)
-
 
 @dataclass(frozen=True)
 class FitConfig:

@@ -6,7 +6,9 @@ seed: substream ``(0,)`` draws the planted model and substream
 regenerate bit-identically in any order and equal specs give equal bits.
 Documents are drawn on one thread per usable CPU, a contiguous block each;
 since every document keeps its own substream, the bits depend on neither the
-CPU count nor the order the threads run in.
+CPU count nor the order the threads run in.  Each tube is normalized where
+it lies in the mean tensor, which is neither copied nor changed, and an
+instance keeps no tensor but its counts.
 
 A Philox stream is fixed by its key alone: counter zero and an empty buffer
 start it.  So ``sample_counts`` derives every document's key in one
@@ -19,6 +21,7 @@ a Generator for it; every document still draws exactly the bits of its
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -31,6 +34,7 @@ _MODEL_STREAM = 0
 _DOC_STREAM = 1
 _ANCHOR_MODES = ("none", "inject")
 _WORD_DISTS = ("uniform", "zipf")
+_DIRICHLET_TRIES = 1000  # Gamma draws of one Dirichlet row before alpha is refused
 # numpy SeedSequence constants: the entropy hash, the pool mix, the state hash
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -134,12 +138,17 @@ class GenSpec:
 
 @dataclass(frozen=True)
 class PlantedInstance:
-    """A planted model together with one multinomial realization of it."""
+    """A planted model and one multinomial realization of it, nothing derived:
+    the mean tensor is ``model.mean_tensor()``, and ``y`` is made on first use."""
 
     model: TuckerModel
-    d: np.ndarray        # mean tensor; every tube sums to one
-    y: np.ndarray        # counts / doc_length
     counts: np.ndarray   # int64; every document sums to doc_length
+    doc_length: int
+
+    @cached_property
+    def y(self):
+        """The frequencies ``counts / doc_length``."""
+        return self.counts / self.doc_length
 
 
 def sample_counts(d, doc_length, seed):
@@ -149,22 +158,16 @@ def sample_counts(d, doc_length, seed):
     tube ``d[i, j, :]`` sums to one within 1e-9, ``doc_length`` a positive
     integer and ``seed`` a nonnegative integer.  Each document draws the
     bits of its own ``substream(seed, 1, doc)``, so the result depends on
-    neither traversal order nor the number of threads drawing.
+    neither traversal order nor the number of threads drawing.  Each tube is
+    summed and normalized where it lies, in any layout, so no copy of ``d``
+    is made; a tensor without documents gives an empty count tensor.
     """
-    # a C-order copy sums every tube exactly as the vector it is on its own
-    p = np.array(_as_data(d), order="C")
-    sums = p.sum(axis=2, keepdims=True)
-    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-    if off.size:
-        i, j = np.unravel_index(off[0], p.shape[:2])
-        raise DataFormatError(f"tube ({i + 1}, {j + 1}) of the mean tensor sums to "
-                              f"{float(sums[i, j, 0])!r}, expected 1 within 1e-9")
+    d = _as_data(d)
     doc_length = _checked_int("doc_length", doc_length, 1)
     seed = _checked_int("seed", seed, 0)
-    p /= sums
-    counts = np.empty(p.shape, dtype=np.int64)
-    rows, out = p.reshape(-1, p.shape[2]), counts.reshape(-1, p.shape[2])
-    keys = _doc_keys(seed, np.arange(len(rows))).tolist()
+    n1, n2, _ = d.shape
+    counts = np.empty(d.shape, dtype=np.int64)
+    keys = _doc_keys(seed, np.arange(n1 * n2)).tolist()
 
     def draw(block):  # multinomial releases the GIL while it draws
         bits = Philox(0)
@@ -173,15 +176,21 @@ def sample_counts(d, doc_length, seed):
         state = {"bit_generator": "Philox",
                  "state": {"counter": [0, 0, 0, 0], "key": None},
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        for doc in block:
+        for doc in block.tolist():
+            i, j = divmod(doc, n2)
+            total = d[i, j].sum()  # a 1-D sum adds a tube in the same order in any layout
+            if abs(total - 1.0) > 1e-9:  # the block's first bad tube ends it
+                raise DataFormatError(f"tube ({i + 1}, {j + 1}) of the mean tensor sums to "
+                                      f"{float(total)!r}, expected 1 within 1e-9")
             state["state"]["key"] = keys[doc]
             bits.state = state
-            out[doc] = rng.multinomial(doc_length, rows[doc])
+            counts[i, j] = rng.multinomial(doc_length, d[i, j] / total)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(rows), cpus or 1)
+    workers = max(1, min(n1 * n2, cpus or 1))
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(draw, np.array_split(np.arange(len(rows)), workers)))
+        # results come back in block order, so the first bad tube's error is raised
+        list(pool.map(draw, np.array_split(np.arange(n1 * n2), workers)))
     return counts
 
 
@@ -191,20 +200,15 @@ def _dirichlet_rows(n, k, alpha, rng):
     rows = np.empty((n, k))
     concentration = np.full(k, alpha)
     for row in rows:
-        total = 0.0
-        while total == 0.0:  # tiny alpha can underflow every coordinate
+        for _ in range(_DIRICHLET_TRIES):  # tiny alpha can underflow every coordinate
             draw = rng.gamma(concentration)
-            total = draw.sum()
-        row[:] = draw / total
+            if draw.sum() > 0.0:
+                break
+        else:
+            raise DataFormatError(f"dirichlet_alpha {alpha!r} is too small: {_DIRICHLET_TRIES} "
+                                  "Gamma draws of one row all underflowed to 0")
+        row[:] = draw / draw.sum()
     return rows
-
-
-def _word_columns(spec, rng):
-    n_words, k = spec.dims[2], spec.ranks[2]
-    w = rng.uniform(size=(n_words, k))
-    if spec.word_dist == "zipf":
-        w *= np.arange(1, n_words + 1, dtype=float)[:, None] ** (-1.0 / spec.zipf_q)
-    return w
 
 
 def generate(spec):
@@ -215,7 +219,9 @@ def generate(spec):
     a1 = _dirichlet_rows(n1, k1, spec.dirichlet_alpha, rng)
     a2 = _dirichlet_rows(n2, k2, spec.dirichlet_alpha, rng)
     g = _dirichlet_rows(k1 * k2, k3, spec.dirichlet_alpha, rng).reshape(k1, k2, k3)
-    w = _word_columns(spec, rng)
+    w = rng.uniform(size=(n_words, k3))
+    if spec.word_dist == "zipf":
+        w *= np.arange(1, n_words + 1, dtype=float)[:, None] ** (-1.0 / spec.zipf_q)
     if spec.anchor_mode == "inject":
         a1[:k1] = np.eye(k1)
         a2[:k2] = np.eye(k2)
@@ -225,6 +231,5 @@ def generate(spec):
         raise DataFormatError("a word column lost all mass; widen the word distribution")
     a3 = w / column_mass
     model = TuckerModel(a1=a1, a2=a2, a3=a3, g=g)
-    d = model.mean_tensor()
-    counts = sample_counts(d, spec.doc_length, spec.seed)
-    return PlantedInstance(model=model, d=d, y=counts / spec.doc_length, counts=counts)
+    counts = sample_counts(model.mean_tensor(), spec.doc_length, spec.seed)
+    return PlantedInstance(model=model, counts=counts, doc_length=spec.doc_length)

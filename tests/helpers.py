@@ -155,11 +155,19 @@ def sample_counts_reference(d, doc_length, seed):
     return counts
 
 
+def run_python(*args, timeout=120):
+    """Run ``python *args`` in a fresh interpreter that imports this checkout's
+    package, stopped after ``timeout`` seconds; return the completed process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def run_fresh(code):
     """Run ``code`` in a fresh interpreter that imports this checkout's
     package; return its stripped standard output."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True, timeout=120)
+    out = run_python("-c", code)
+    out.check_returncode()
     return out.stdout.strip()

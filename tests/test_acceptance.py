@@ -43,7 +43,7 @@ def test_criterion_1_noiseless_exact_recovery():
     inst = planted((30, 10, 50), (2, 2, 3), doc_length=500, seed=7)
     cfg = FitConfig(ranks=(2, 2, 3), doc_length=500, oracle=True,
                     sparse_c_prime=0.0)
-    rep = evaluate(fit(inst.d, cfg).model, inst.model)
+    rep = evaluate(fit(inst.model.mean_tensor(), cfg).model, inst.model)
     elapsed = time.perf_counter() - start
     worst = max(rep.loss_a1, rep.loss_a2, rep.loss_a3, rep.loss_g)
     _check(1, "noiseless exact recovery",
@@ -173,7 +173,7 @@ def test_criterion_7_invariant_suites():
         t = rng.normal(size=(5, 4, 6))
         ok &= bool(np.array_equal(fold(unfold(t, mode), mode, t.shape), t))
         b, c = others[mode]
-        lhs = unfold(inst.d, mode)
+        lhs = unfold(inst.model.mean_tensor(), mode)
         rhs = factors[mode] @ unfold(inst.model.g, mode) @ \
             np.kron(factors[b], factors[c]).T
         worst_identity = max(worst_identity, float(np.max(np.abs(lhs - rhs))))

@@ -24,7 +24,7 @@ from tensortopics.cli import (
 )
 from tensortopics.errors import DataFormatError
 
-from helpers import planted, run_fresh
+from helpers import planted, run_fresh, run_python
 
 
 # ------------------------------------------------------------ file formats
@@ -586,6 +586,27 @@ def test_bad_generator_spec_is_exit_3_naming_the_file(tmp_path, capsys, override
     assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")]) == 3
     assert str(spec) in capsys.readouterr().err
     assert not (tmp_path / "g.counts.txt").exists()
+
+
+def test_generate_with_an_underflowing_alpha_is_exit_3_naming_the_file(tmp_path):
+    """At alpha 1e-20 every Gamma draw of a row underflows; the command
+    stops within seconds instead of drawing for ever."""
+    spec = _spec_file(tmp_path, dims=[3, 3, 4], ranks=[2, 2, 2], dirichlet_alpha=1e-20)
+    out = run_python("-m", "tensortopics.cli", "generate", "--spec", spec,
+                     "--out", tmp_path / "g", timeout=30)
+    assert out.returncode == 3
+    assert out.stderr == f"data error: {spec}: dirichlet_alpha 1e-20 is too small: " \
+        "1000 Gamma draws of one row all underflowed to 0\n"
+    assert not (tmp_path / "g.counts.txt").exists()
+
+
+def test_sweep_with_an_underflowing_alpha_names_grid_cell_and_trial(tmp_path, capsys):
+    cell = {"dims": [3, 3, 4], "ranks": [2, 2, 2], "doc_length": 30, "dirichlet_alpha": 1e-20}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cells": [cell]}))
+    assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "s")]) == 3
+    assert f"data error: {grid}: cell 0, trial 0: dirichlet_alpha 1e-20" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting", [{"trials": 1.9}, {"trials": "two"}, {"seed": -1},

@@ -55,14 +55,14 @@ def test_threshold_zero_keeps_everything():
 
 def test_fit_mode12_rank_one_is_all_ones():
     inst = planted((8, 6, 20), (1, 2, 2), doc_length=30, seed=42)
-    a1 = fit(inst.d, _oracle_cfg((1, 2, 2), 30)).model.a1
+    a1 = fit(inst.model.mean_tensor(), _oracle_cfg((1, 2, 2), 30)).model.a1
     np.testing.assert_allclose(a1, np.ones((8, 1)), atol=1e-12)
 
 
 @pytest.mark.parametrize("mode,k", [(1, 2), (2, 2)])
 def test_fit_mode12_oracle_exact(mode, k):
     inst = planted((30, 10, 50), (2, 2, 3), doc_length=500, seed=7)
-    model = fit(inst.d, _oracle_cfg((2, 2, 3), 500)).model
+    model = fit(inst.model.mean_tensor(), _oracle_cfg((2, 2, 3), 500)).model
     a_hat = model.a1 if mode == 1 else model.a2
     truth = inst.model.a1 if mode == 1 else inst.model.a2
     assert a_hat.shape[1] == k
@@ -74,7 +74,7 @@ def test_fit_mode12_oracle_exact(mode, k):
 
 def test_fit_mode3_oracle_exact_and_q0_law():
     inst = planted((30, 10, 50), (2, 2, 3), doc_length=500, seed=7)
-    res = fit(inst.d, _oracle_cfg((2, 2, 3), 500))
+    res = fit(inst.model.mean_tensor(), _oracle_cfg((2, 2, 3), 500))
     a3 = res.model.a3
     loss, perm = aligned_l1_loss(a3, inst.model.a3)
     assert loss < 1e-8
@@ -83,7 +83,7 @@ def test_fit_mode3_oracle_exact_and_q0_law():
     assert a3.min() >= 0
     # q0 equals the first column of the basis coordinates of A3: with
     # Xi = A3 @ B, column normalization forces q0[k] = B[k, 0]
-    q = build_q(unfold(inst.d, 3), 3, 500, centered=False)
+    q = build_q(unfold(inst.model.mean_tensor(), 3), 3, 500, centered=False)
     xi, _ = leading_eigvecs(q, 3)
     b = np.linalg.lstsq(inst.model.a3, xi, rcond=None)[0]
     np.testing.assert_allclose(res.q0[np.asarray(perm)], b[:, 0], atol=1e-8)
@@ -91,7 +91,7 @@ def test_fit_mode3_oracle_exact_and_q0_law():
 
 def test_fit_mode3_anchor_rows_are_unit_weights():
     inst = planted((30, 10, 50), (2, 2, 3), doc_length=500, seed=7)
-    res = fit(inst.d, _oracle_cfg((2, 2, 3), 500))
+    res = fit(inst.model.mean_tensor(), _oracle_cfg((2, 2, 3), 500))
     # anchors are words 0..2; a word's simplex weights are its a3 row scaled
     # by the topic masses, so an anchor's normalized row is one-hot
     for anchor in range(3):
@@ -103,7 +103,7 @@ def test_fit_mode3_anchor_rows_are_unit_weights():
 def test_fit_mode3_requires_two_topics():
     inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=43)
     with pytest.raises(ValueError, match="two topics"):
-        fit(inst.d, _oracle_cfg((2, 2, 1), 30))
+        fit(inst.model.mean_tensor(), _oracle_cfg((2, 2, 1), 30))
 
 
 def test_fit_core_trivial_ranks():
@@ -135,7 +135,7 @@ def test_fit_core_empty_tube_becomes_uniform():
 
 def test_fit_oracle_recovers_everything():
     inst = planted((30, 10, 50), (2, 2, 3), doc_length=500, seed=7)
-    res = fit(inst.d, _oracle_cfg((2, 2, 3), 500))
+    res = fit(inst.model.mean_tensor(), _oracle_cfg((2, 2, 3), 500))
     rep = evaluate(res.model, inst.model)
     assert rep.loss_a1 < 1e-8
     assert rep.loss_a2 < 1e-8
@@ -147,7 +147,7 @@ def test_fit_oracle_recovers_everything():
 
 def test_fit_reports_anchor_vertices_on_oracle_data():
     inst = planted((30, 10, 50), (2, 2, 3), doc_length=500, seed=7)
-    res = fit(inst.d, _oracle_cfg((2, 2, 3), 500))
+    res = fit(inst.model.mean_tensor(), _oracle_cfg((2, 2, 3), 500))
     assert sorted(res.vertices[0].tolist()) == [0, 1]
     assert sorted(res.vertices[1].tolist()) == [0, 1]
     assert sorted(res.vertices[2].tolist()) == [0, 1, 2]
@@ -364,16 +364,6 @@ def test_model_validate_rejects_non_finite_entries():
     a1[0, 0] = np.nan
     with pytest.raises(DataFormatError, match="a1 rows: non-finite entries"):
         TuckerModel(a1=a1, a2=m.a2, a3=m.a3, g=m.g).validate()
-
-
-def test_doc_topic_weights_are_stochastic():
-    inst = planted((8, 6, 20), (2, 2, 3), doc_length=30, seed=50)
-    w = inst.model.doc_topic_weights()
-    assert w.shape == (8, 6, 3)
-    np.testing.assert_allclose(w.sum(axis=2), 1.0, atol=1e-10)
-    # mean tensor factorizes through the per-document weights
-    np.testing.assert_allclose(np.einsum("ijs,rs->ijr", w, inst.model.a3),
-                               inst.d, atol=1e-12)
 
 
 def _fit_outcome(y, cfg):

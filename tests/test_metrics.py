@@ -169,7 +169,8 @@ def test_core_loss_validates_permutations():
 
 def test_reconstruction_error_zero_on_truth():
     inst = planted((6, 5, 15), (2, 2, 2), doc_length=30, seed=64)
-    assert reconstruction_error(inst.model, inst.d) == pytest.approx(0.0, abs=1e-10)
+    d = inst.model.mean_tensor()
+    assert reconstruction_error(inst.model, d) == pytest.approx(0.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("dims", [(6, 5, 15), (37, 180, 160)], ids=["one-block", "ragged-blocks"])
@@ -211,7 +212,8 @@ def test_evaluate_scores_the_truth_within_1e12_of_the_full_mean_tensors():
     full = float(np.abs(fitted.mean_tensor() - truth.model.mean_tensor()).sum())
     report = evaluate(fitted, truth.model)
     assert report.recon_l1 == pytest.approx(full, rel=1e-12, abs=0)
-    assert report.recon_l1 == pytest.approx(reconstruction_error(fitted, truth.d), rel=1e-12)
+    assert report.recon_l1 == pytest.approx(reconstruction_error(fitted, truth.model.mean_tensor()),
+                                            rel=1e-12)
 
 
 def test_cosine_match_zero_column():
@@ -232,7 +234,8 @@ def test_cosine_match_greedy_without_replacement():
 def test_topic_resolution_duplicated_halves_is_one():
     """Both halves hold identical documents, so refits agree exactly."""
     inst = planted((12, 8, 30), (2, 2, 3), doc_length=60, seed=65)
-    doubled = np.concatenate([inst.d, inst.d], axis=0)
+    d = inst.model.mean_tensor()
+    doubled = np.concatenate([d, d], axis=0)
     cfg = FitConfig(ranks=(2, 2, 3), doc_length=60, oracle=True,
                     sparse_c_prime=0.0)
     splits = [(np.arange(12), np.arange(12, 24))]
@@ -246,8 +249,8 @@ def test_topic_resolution_disjoint_vocabularies_is_zero():
     first = planted((10, 6, 40), (2, 2, 2), doc_length=50, seed=66)
     second = planted((10, 6, 40), (2, 2, 2), doc_length=50, seed=67)
     d = np.zeros((20, 6, 80))
-    d[:10, :, :40] = first.d
-    d[10:, :, 40:] = second.d
+    d[:10, :, :40] = first.model.mean_tensor()
+    d[10:, :, 40:] = second.model.mean_tensor()
     cfg = FitConfig(ranks=(2, 2, 2), doc_length=50, oracle=True,
                     sparse_c_prime=0.0)
     splits = [(np.arange(10), np.arange(10, 20))]

@@ -113,7 +113,7 @@ _ACCEPTANCE_INSTANCES = {
 def test_partial_eigensolve_matches_full_eigh_on_acceptance_instances(
         dims, ranks, doc_length, seed, oracle):
     inst = planted(dims, ranks, doc_length=doc_length, seed=seed)
-    y = inst.d if oracle else inst.y
+    y = inst.model.mean_tensor() if oracle else inst.y
     for mode, k in zip((1, 2, 3), ranks):
         q = build_q(unfold(y, mode), mode, doc_length, centered=not oracle)
         xi, vals = leading_eigvecs(q, k)
@@ -254,14 +254,15 @@ def test_two_calls_are_bit_identical(q):
 
 def test_noiseless_gram_has_exact_rank():
     inst = planted((30, 10, 50), (2, 2, 3), doc_length=100, seed=4)
-    q = build_q(unfold(inst.d, 1), 1, 100)
+    q = build_q(unfold(inst.model.mean_tensor(), 1), 1, 100)
     vals = np.linalg.eigvalsh(q)[::-1]
     assert vals[2] / vals[0] < 1e-8  # rank k1 = 2
 
 
 def test_hooi_zero_iters_identity():
     inst = planted((10, 8, 15), (2, 2, 2), doc_length=30, seed=6)
-    xi = tuple(exact_mode_basis(inst.d, m, 2) for m in (1, 2, 3))
+    d = inst.model.mean_tensor()
+    xi = tuple(exact_mode_basis(d, m, 2) for m in (1, 2, 3))
     out = hooi_refine(inst.y, xi, iters=0)
     for a, b in zip(out, xi):
         np.testing.assert_array_equal(a, b)
@@ -270,8 +271,9 @@ def test_hooi_zero_iters_identity():
 def test_hooi_noiseless_fixed_point():
     """On exact data the true subspaces are invariant under a power sweep."""
     inst = planted((12, 9, 25), (2, 2, 3), doc_length=100, seed=8)
-    xi = tuple(exact_mode_basis(inst.d, m, k) for m, k in ((1, 2), (2, 2), (3, 3)))
-    out = hooi_refine(inst.d, xi, iters=1)
+    d = inst.model.mean_tensor()
+    xi = tuple(exact_mode_basis(d, m, k) for m, k in ((1, 2), (2, 2), (3, 3)))
+    out = hooi_refine(d, xi, iters=1)
     for before, after in zip(xi, out):
         assert subspace_gap(before, after) < 1e-9
 
@@ -288,7 +290,8 @@ def test_hooi_helps_on_noisy_data():
             xi.append(leading_eigvecs(q, k)[0])
         start = tuple(xi)
         refined = hooi_refine(inst.y, start, iters=3)
-        truth = [exact_mode_basis(inst.d, m, k) for m, k in ((1, 2), (2, 2), (3, 3))]
+        d = inst.model.mean_tensor()
+        truth = [exact_mode_basis(d, m, k) for m, k in ((1, 2), (2, 2), (3, 3))]
         before = sum(subspace_gap(x, t) for x, t in zip(start, truth))
         after = sum(subspace_gap(x, t) for x, t in zip(refined, truth))
         gains.append(before - after)

@@ -4,6 +4,8 @@ seeded determinism, and plain-CLT agreement between counts and means."""
 import os
 import sys
 import threading
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from scipy import stats
 
 from tensortopics import GenSpec, generate, sample_counts, synth
 from tensortopics.errors import DataFormatError
-from tensortopics.synth import _dirichlet_rows, substream
+from tensortopics.synth import PlantedInstance, _dirichlet_rows, substream
 
-from helpers import planted, sample_counts_reference
+from helpers import layouts, planted, run_python, sample_counts_reference
 
 
 def test_dirichlet_mean_matches_theory():
@@ -39,6 +41,34 @@ def test_dirichlet_tiny_alpha_redraws_underflowed_rows():
     rows = _dirichlet_rows(200, 2, 1e-3, np.random.default_rng(105))
     assert np.isfinite(rows).all()
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_dirichlet_gives_up_on_a_row_after_a_thousand_underflowed_draws():
+    class Underflowing:
+        draws = 0
+
+        def gamma(self, shape):
+            self.draws += 1
+            return np.zeros_like(shape)
+
+    rng = Underflowing()
+    with pytest.raises(DataFormatError, match=r"dirichlet_alpha 1e-20 is too small: 1000 Gamma"):
+        _dirichlet_rows(3, 2, 1e-20, rng)
+    assert rng.draws == 1000
+
+
+def test_generate_refuses_an_alpha_that_underflows_every_row():
+    """Every Gamma draw of a row underflows at alpha 1e-20: generate raises
+    within seconds instead of drawing for ever."""
+    code = ("from tensortopics import GenSpec, DataFormatError, generate\n"
+            "try:\n"
+            "    generate(GenSpec(dims=(3, 3, 4), ranks=(2, 2, 2), doc_length=10,\n"
+            "                     dirichlet_alpha=1e-20))\n"
+            "except DataFormatError as err:\n"
+            "    print(err)\n")
+    out = run_python("-c", code, timeout=30)
+    assert out.returncode == 0
+    assert out.stdout.startswith("dirichlet_alpha 1e-20 is too small")
 
 
 def _tubes(p, n1=2, n2=2):
@@ -132,23 +162,47 @@ def test_counts_per_document_sum_to_doc_length():
     np.testing.assert_allclose(inst.y, inst.counts / 37)
 
 
+def test_instance_keeps_its_model_and_counts_only():
+    """The frequencies are derived from the counts on first use, with the
+    bits of ``counts / doc_length``, and kept."""
+    assert [f.name for f in fields(PlantedInstance)] == ["model", "counts", "doc_length"]
+    inst = planted((6, 5, 20), (2, 2, 2), doc_length=37, seed=1)
+    assert inst.doc_length == 37
+    assert inst.y is inst.y
+    np.testing.assert_array_equal(inst.y, inst.counts / 37)
+
+
+def test_generate_keeps_no_derived_tensor():
+    """While it draws, generate holds the mean tensor and the counts, and
+    nothing else of their size."""
+    dims = (40, 30, 500)
+    tracemalloc.start()
+    try:
+        generate(GenSpec(dims=dims, ranks=(2, 2, 3), doc_length=50, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * np.prod(dims) * 8
+
+
 def test_generate_deterministic():
     spec = GenSpec(dims=(6, 5, 20), ranks=(2, 2, 2), doc_length=37, seed=123)
     a, b = generate(spec), generate(spec)
     np.testing.assert_array_equal(a.counts, b.counts)
     np.testing.assert_array_equal(a.model.a3, b.model.a3)
-    np.testing.assert_array_equal(a.d, b.d)
+    np.testing.assert_array_equal(a.model.mean_tensor(), b.model.mean_tensor())
 
 
 def test_documents_use_independent_substreams():
     """Each document owns a seed-derived stream, so any single document's
     counts can be regenerated in isolation, in any order."""
     inst = planted((4, 3, 10), (2, 2, 2), doc_length=25, seed=77)
-    redone = sample_counts(inst.d, 25, seed=77)
+    d = inst.model.mean_tensor()
+    redone = sample_counts(d, 25, seed=77)
     np.testing.assert_array_equal(redone, inst.counts)
     for i, j in [(3, 2), (0, 0), (2, 1)]:
         rng = substream(77, 1, i * 3 + j)
-        doc = rng.multinomial(25, inst.d[i, j])
+        doc = rng.multinomial(25, d[i, j])
         np.testing.assert_array_equal(doc, inst.counts[i, j])
 
 
@@ -174,6 +228,52 @@ def test_threaded_sampler_equals_the_serial_loop(monkeypatch, dims):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
                             raising=False)
         np.testing.assert_array_equal(sample_counts(d, 20, 9), reference)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("dims", [(1, 5, 30), (5, 7, 11), (20, 15, 400)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_threaded_sampler_reads_every_layout(monkeypatch, dims, layout):
+    """Each tube is summed and normalized where it lies, so a Fortran-ordered
+    or strided mean tensor draws the bits of the serial loop over its C-ordered
+    copy, on any number of threads."""
+    d = layouts(_mean_tensor(dims, seed=sum(dims)))[layout]
+    reference = sample_counts_reference(d, 20, 9)
+    np.testing.assert_array_equal(sample_counts(d, 20, 9), reference)
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        np.testing.assert_array_equal(sample_counts(d, 20, 9), reference)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_sampler_makes_no_copy_of_the_mean_tensor(layout):
+    d = layouts(_mean_tensor((40, 30, 500), seed=12))[layout]
+    tracemalloc.start()
+    try:
+        sample_counts(d, 50, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * d.nbytes
+
+
+@pytest.mark.parametrize("dims", [(0, 3, 5), (2, 0, 5), (0, 0, 0)])
+def test_sampler_on_no_documents_returns_empty_counts(dims):
+    counts = sample_counts(np.zeros(dims), 10, 1)
+    assert counts.shape == dims and counts.dtype == np.int64
+
+
+def test_sampler_names_the_first_bad_tube_in_document_order(monkeypatch):
+    """Blocks run at once, yet the error names the first bad tube of all,
+    not the first one a thread happens to reach."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    d = _mean_tensor((3, 10, 6), seed=2)
+    d[2, 9] *= 3.0
+    d[1, 2] *= 0.5
+    d[0, 8] *= 2.0
+    with pytest.raises(DataFormatError, match=r"tube \(1, 9\) .* sums to 1\.99"):
+        sample_counts(d, 10, 0)
 
 
 def test_threaded_sampler_under_frequent_thread_switches(monkeypatch):
@@ -293,12 +393,13 @@ def test_counts_clt_agreement_with_mean_tensor():
     4 binomial standard errors of D for at least 99% of entries."""
     inst = planted((4, 3, 20), (2, 2, 2), doc_length=50, seed=5)
     trials = 200
-    acc = np.zeros_like(inst.d)
+    d = inst.model.mean_tensor()
+    acc = np.zeros_like(d)
     for t in range(trials):
-        acc += sample_counts(inst.d, 50, seed=1000 + t)
+        acc += sample_counts(d, 50, seed=1000 + t)
     freq = acc / (trials * 50)
-    se = np.sqrt(inst.d * (1 - inst.d) / (trials * 50))
-    ok = np.abs(freq - inst.d) <= 4 * se + 1e-12
+    se = np.sqrt(d * (1 - d) / (trials * 50))
+    ok = np.abs(freq - d) <= 4 * se + 1e-12
     assert ok.mean() >= 0.99
 
 

@@ -107,7 +107,7 @@ def test_matricization_identity(mode):
     factors = {1: m.a1, 2: m.a2, 3: m.a3}
     others = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
     b, c = others[mode]
-    lhs = unfold(inst.d, mode)
+    lhs = unfold(inst.model.mean_tensor(), mode)
     rhs = factors[mode] @ unfold(m.g, mode) @ np.kron(factors[b], factors[c]).T
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
