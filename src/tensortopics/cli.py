@@ -49,28 +49,32 @@ class _UsageError(Exception):
 def write_count_tensor(path, counts, doc_length):
     """Write integer counts in the sparse text format (zeros omitted).
 
-    The records are formatted as arrays: each field's decimal digits fill
-    fixed-width byte columns, and the leading zeros are masked out.
+    Blocks of mode-1 rows of about 2**18 cells are formatted as arrays in turn: each field's
+    decimal digits fill fixed-width byte columns, and the leading zeros are masked out.
     """
     counts = _as_tensor(counts, "count tensor")
     if counts.size and counts.min() < 0:
         raise DataFormatError("counts must be nonnegative")
-    cells = np.nonzero(counts)
-    columns = [index + 1 for index in cells] + [counts[cells]]
-    widths = [len(str(int(column.max(initial=0)))) for column in columns]
-    chars = np.empty((columns[-1].size, sum(widths) + 4), dtype=np.uint8)
-    keep = np.ones(chars.shape, dtype=bool)
-    end = 0
-    for values, width, separator in zip(columns, widths, b"   \n"):
-        rest = values  # every value is positive, so its last digit is kept
-        for place in range(end + width - 1, end - 1, -1):
-            np.greater(rest, 0, out=keep[:, place])
-            rest, digit = np.divmod(rest, 10)
-            np.add(digit, ord("0"), out=chars[:, place], casting="unsafe")
-        chars[:, end + width] = separator
-        end += width + 1
-    header = " ".join(str(v) for v in (*counts.shape, int(doc_length))) + "\n"
-    Path(path).write_bytes(header.encode("ascii") + chars[keep].tobytes())
+    rows = max(1, (1 << 18) // max(1, counts.shape[1] * counts.shape[2]))
+    with open(path, "wb") as out:
+        out.write((" ".join(str(v) for v in (*counts.shape, int(doc_length))) + "\n").encode())
+        for first in range(0, counts.shape[0], rows):
+            block = counts[first:first + rows]
+            cells = np.nonzero(block)
+            columns = [cells[0] + first + 1, cells[1] + 1, cells[2] + 1, block[cells]]
+            widths = [len(str(int(column.max(initial=0)))) for column in columns]
+            chars = np.empty((columns[-1].size, sum(widths) + 4), dtype=np.uint8)
+            keep = np.ones(chars.shape, dtype=bool)
+            end = 0
+            for values, width, separator in zip(columns, widths, b"   \n"):
+                rest = values  # every value is positive, so its last digit is kept
+                for place in range(end + width - 1, end - 1, -1):
+                    np.greater(rest, 0, out=keep[:, place])
+                    rest, digit = np.divmod(rest, 10)
+                    np.add(digit, ord("0"), out=chars[:, place], casting="unsafe")
+                chars[:, end + width] = separator
+                end += width + 1
+            out.write(chars[keep])
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (DataFormatError, FitDegenerateError, _all_finite, _as_data, _as_tensor,
                      _check_tucker_ranks, _checked_int, _checked_real, _checked_triple)
 from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
-from .spectral import build_q, hooi_refine, leading_eigvecs
+from .spectral import _subtract_word_noise, build_q, hooi_refine, leading_eigvecs
 from .tensor import reconstruct
 
 
@@ -143,23 +143,29 @@ def threshold_vocab(y, doc_length, c_prime):
     against the per-word mean frequency ``y.sum(axis=(0, 1)) / (n1 * n2)``;
     a zero constant keeps every word.
     """
-    y = _as_data(y)
+    return _threshold(_as_data(y), doc_length, c_prime)[0]
+
+
+def _threshold(y, doc_length, c_prime):
+    """``threshold_vocab`` of the checked tensor ``y``, with the per-word sums it cut."""
     c_prime = _checked_real("c_prime", c_prime, positive=False)
     doc_length = _checked_int("doc_length", doc_length, 1)
     n1, n2, n_words = y.shape
     tau = c_prime * math.sqrt(math.log(max(n1, n2, n_words)) / (n1 * n2 * doc_length))
     with np.errstate(over="ignore"):  # an overflowing word sum keeps the word; the gram names it
-        freq = y.sum(axis=(0, 1)) / (n1 * n2)
-    return np.flatnonzero(freq >= tau)
+        word_sums = y.sum(axis=(0, 1))
+    return np.flatnonzero(word_sums / (n1 * n2) >= tau), word_sums
 
 
-def _mode_basis(y, mode, k, doc_length, centered=True):
-    """Leading ``k`` gram eigenpairs of one mode of the checked tensor ``y``, as
-    ``fit`` and ``scree`` take them, with the mode named in every error."""
+def _mode_basis(y, mode, k, doc_length, centered=True, mass=None):
+    """Leading ``k`` gram eigenpairs of one mode of the checked tensor ``y`` (word sums ``mass``
+    if known) as ``fit`` and ``scree`` take them, with the mode named in every error."""
     n = y.shape[mode - 1]
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            q = build_q(np.moveaxis(y, mode - 1, 0), mode, doc_length, centered=centered)
+            q = build_q(np.moveaxis(y, mode - 1, 0), mode, doc_length, centered and mass is None)
+            if mode == 3 and centered and mass is not None:
+                _subtract_word_noise(q, mass, doc_length)
     except MemoryError:
         raise DataFormatError(
             f"mode {mode} gram: a {n} x {n} matrix is too big to allocate") from None
@@ -236,8 +242,8 @@ def fit(y, cfg):
     Raises ``FitDegenerateError`` with the failing stage named when the data
     cannot support the requested ranks.
     """
-    y = np.ascontiguousarray(y, dtype=float)
-    vocab = threshold_vocab(y, cfg.doc_length, cfg.sparse_c_prime)  # validates y
+    y = _as_data(np.ascontiguousarray(y, dtype=float))
+    vocab, mass = _threshold(y, cfg.doc_length, cfg.sparse_c_prime)
     n1, n2, n_words = y.shape
     k1, k2, k3 = cfg.ranks
     for mode, k, n in ((1, k1, n1), (2, k2, n2), (3, k3, n_words)):
@@ -246,13 +252,15 @@ def fit(y, cfg):
     _check_tucker_ranks(cfg.ranks)
     if k3 < 2:
         raise ValueError("word-mode recovery needs at least two topics")
+    if not mass.any():
+        raise FitDegenerateError("vocabulary threshold: the data tensor holds no mass")
     if vocab.size < k3:
         raise FitDegenerateError(
             f"vocabulary threshold: kept {vocab.size} of {n_words} words, "
             f"fewer than the {k3} requested topics")
     data = y if vocab.size == n_words else np.take(y, vocab, axis=2)
 
-    xi, spectra = zip(*(_mode_basis(data, mode, k, cfg.doc_length, not cfg.oracle)
+    xi, spectra = zip(*(_mode_basis(data, mode, k, cfg.doc_length, not cfg.oracle, mass[vocab])
                         for mode, k in ((1, k1), (2, k2), (3, k3))))
     if cfg.use_hooi:
         xi = hooi_refine(data, xi, cfg.hooi_iters)

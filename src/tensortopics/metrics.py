@@ -96,13 +96,21 @@ def core_loss(g_hat, g, perms):
     return float(np.abs(aligned - g).sum())
 
 
-def _blocked_l1(model, rows_of):
-    """Entrywise l1 distance between the model's mean tensor and the tensor whose
-    mode-1 rows ``i:j`` are ``rows_of(i, j)``, by blocks of about 2**20 entries."""
-    rows = max(1, (1 << 20) // max(1, model.dims[1] * model.dims[2]))
-    blocks = (reconstruct(model.g, model.a1[i:i + rows], model.a2, model.a3) - rows_of(i, i + rows)
-              for i in range(0, model.dims[0], rows))
-    return float(sum(np.abs(block).sum() for block in blocks))
+def _mean_l1(models, d=None):
+    """Entrywise l1 norm of the first model's mean tensor less the second's and ``d``, where
+    given, by blocks of mode-1 rows of about 2**20 entries: with ``T = G(1) (a2 kron a3)^T``
+    per model, a block is one GEMM, ``[a1_first | a1_second][rows] @ [T_first; -T_second]``."""
+    a1 = np.hstack([model.a1 for model in models])
+    t = np.vstack([sign * reconstruct(m.g, np.eye(m.ranks[0]), m.a2, m.a3).reshape(m.ranks[0], -1)
+                   for sign, m in zip((1.0, -1.0), models)])
+    rows = max(1, (1 << 20) // max(1, t.shape[1]))
+    total = 0.0
+    for i in range(0, a1.shape[0], rows):
+        block = a1[i:i + rows] @ t
+        if d is not None:
+            block -= d[i:i + rows].reshape(block.shape)
+        total += np.abs(block, out=block).sum()
+    return float(total)
 
 
 def reconstruction_error(model, d):
@@ -110,7 +118,7 @@ def reconstruction_error(model, d):
     d = np.asarray(d, dtype=float)
     if model.dims != d.shape:
         raise ValueError(f"model dims {model.dims} do not match tensor {d.shape}")
-    return _blocked_l1(model, lambda i, j: d[i:j])
+    return _mean_l1((model,), d)
 
 
 def evaluate(fitted, truth):
@@ -118,17 +126,15 @@ def evaluate(fitted, truth):
 
     The permutation minimizing each factor loss is reused to align the core,
     so the reported core loss reflects the same topic labeling, and the
-    reconstruction error compares against the truth's mean tensor, built
-    block by block alongside the fitted one.
+    reconstruction error compares the two mean tensors block by block, one
+    GEMM a block, without forming either.
     """
     loss1, perm1 = aligned_l1_loss(fitted.a1, truth.a1)
     loss2, perm2 = aligned_l1_loss(fitted.a2, truth.a2)
     loss3, perm3 = aligned_l1_loss(fitted.a3, truth.a3)
     loss_g = core_loss(fitted.g, truth.g, (perm1, perm2, perm3))
-    recon = _blocked_l1(fitted, lambda i, j: reconstruct(truth.g, truth.a1[i:j], truth.a2,
-                                                         truth.a3))
-    return LossReport(loss_a1=loss1, loss_a2=loss2, loss_a3=loss3,
-                      loss_g=loss_g, recon_l1=recon, perms=(perm1, perm2, perm3))
+    return LossReport(loss_a1=loss1, loss_a2=loss2, loss_a3=loss3, loss_g=loss_g,
+                      recon_l1=_mean_l1((fitted, truth)), perms=(perm1, perm2, perm3))
 
 
 def cosine_match(a, b):

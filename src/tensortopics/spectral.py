@@ -19,16 +19,6 @@ import numpy as np
 
 from .errors import _check_mode, _checked_int
 
-# Per mode: the other two modes, and the contraction of the tensor with their
-# bases that keeps this mode's axis first.  Reshaped to a matrix, it equals
-# ``unfold(y, mode) @ np.kron(xi_b, xi_c)`` without building either factor.
-_PROJECTIONS = {
-    1: ((2, 3), "ijr,jq,rs->iqs"),
-    2: ((1, 3), "ijr,ip,rs->jps"),
-    3: ((1, 2), "ijr,ip,jq->rpq"),
-}
-
-
 def _gram(m):
     """``m @ m.T``, exactly symmetric: a rank-k update once ``m`` is contiguous."""
     m = m if m.flags.f_contiguous else np.ascontiguousarray(m)
@@ -56,9 +46,13 @@ def build_q(y_mat, mode, doc_length, centered=True):
     for slab in slabs[1:]:
         q += _gram(slab)
     if mode == 3 and centered:
-        q[np.diag_indices_from(q)] -= (y.sum(axis=tuple(range(1, y.ndim)))
-                                       / _checked_int("doc_length", doc_length, 1))
+        _subtract_word_noise(q, y.sum(axis=tuple(range(1, y.ndim))), doc_length)
     return q
+
+
+def _subtract_word_noise(q, word_sums, doc_length):
+    """Subtract the sampling noise ``diag(word_sums) / doc_length`` from a word gram."""
+    q[np.diag_indices_from(q)] -= word_sums / _checked_int("doc_length", doc_length, 1)
 
 
 _MAX_RESTARTS = 1000  # the reference word gram takes about 30
@@ -153,22 +147,20 @@ def leading_eigvecs(q, k):
 def hooi_refine(y, xi, iters):
     """Power-iteration refinement of all three bases against raw ``y``.
 
-    ``xi`` holds one orthonormal ``(n_a, k_a)`` basis per mode.  Each sweep
-    contracts ``y`` with the other two modes' bases from the previous sweep
-    and takes fresh leading left singular vectors of the projection, so all
-    three updates within a sweep read the same iterate.
-    ``iters=0`` returns the input bases unchanged.  Sign convention matches
-    :func:`leading_eigvecs`.  Inputs are taken as ``fit`` checks them.
+    ``xi`` holds one orthonormal ``(n_a, k_a)`` basis per mode.  Each sweep contracts ``y``
+    with the other two modes' bases from the previous sweep and takes fresh leading left
+    singular vectors of the projection, so all three updates within a sweep read the same
+    iterate.  Modes 1 and 2 share the contraction with the word basis, so a sweep reads ``y``
+    twice.  ``iters=0`` returns the input bases unchanged.  Signs follow
+    :func:`leading_eigvecs`; inputs are taken as ``fit`` checks them.
     """
     xi = tuple(xi)
     for _ in range(iters):
-        new_xi = []
-        for mode in (1, 2, 3):
-            (b, c), subscripts = _PROJECTIONS[mode]
-            projected = np.einsum(subscripts, y, xi[b - 1], xi[c - 1], optimize=True)
-            projected = projected.reshape(projected.shape[0], -1)
-            k = xi[mode - 1].shape[1]
-            u, _, _ = np.linalg.svd(projected, full_matrices=False)
-            new_xi.append(_fix_signs(u[:, :k]))
-        xi = tuple(new_xi)
+        by_word = np.tensordot(xi[2], y, axes=([0], [2]))  # (k3, n1, n2)
+        projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
+                     np.tensordot(by_word, xi[0], axes=([1], [0])).transpose(1, 2, 0)]
+        del by_word  # freed before mode 3 contracts y
+        projected.append(np.einsum("ijr,ip,jq->rpq", y, xi[0], xi[1], optimize=True))
+        xi = tuple(_fix_signs(np.linalg.svd(p.reshape(len(p), -1), full_matrices=False)[0][:, :k])
+                   for p, k in zip(projected, (x.shape[1] for x in xi)))
     return xi

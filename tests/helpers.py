@@ -130,6 +130,35 @@ def hooi_reference(y, xi, iters):
     return xi
 
 
+# Per mode: the other two modes, and the contraction of the tensor with their
+# bases that keeps this mode's axis first.
+_PROJECTIONS = {
+    1: ((2, 3), "ijr,jq,rs->iqs"),
+    2: ((1, 3), "ijr,ip,rs->jps"),
+    3: ((1, 2), "ijr,ip,jq->rpq"),
+}
+
+
+def hooi_per_mode_reference(y, xi, iters):
+    """HOOI sweeps with one three-operand ``einsum`` per mode, each reading the
+    whole tensor: the loop ``hooi_refine`` ran before modes 1 and 2 shared
+    their word-mode contraction, the reference it is held to bit for bit."""
+    from tensortopics.spectral import _fix_signs
+
+    xi = tuple(xi)
+    for _ in range(iters):
+        new_xi = []
+        for mode in (1, 2, 3):
+            (b, c), subscripts = _PROJECTIONS[mode]
+            projected = np.einsum(subscripts, y, xi[b - 1], xi[c - 1], optimize=True)
+            projected = projected.reshape(projected.shape[0], -1)
+            k = xi[mode - 1].shape[1]
+            u, _, _ = np.linalg.svd(projected, full_matrices=False)
+            new_xi.append(_fix_signs(u[:, :k]))
+        xi = tuple(new_xi)
+    return xi
+
+
 def layouts(y):
     """The same float tensor in three memory layouts: C-ordered,
     Fortran-ordered, and a strided slice of a larger array."""

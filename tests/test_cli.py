@@ -4,6 +4,7 @@ driven in-process through main()."""
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -50,6 +51,13 @@ def test_count_tensor_duplicates_accumulate(tmp_path):
     assert m == 5
 
 
+def _count_file_reference(counts, doc_length):
+    """The count file formatted record by record, the writer's reference."""
+    return "".join([" ".join(map(str, (*counts.shape, doc_length))) + "\n"]
+                   + [f"{i + 1} {j + 1} {r + 1} {counts[i, j, r]}\n"
+                      for i, j, r in np.argwhere(counts)])
+
+
 @given(arrays(np.int64, array_shapes(min_dims=3, max_dims=3, max_side=4),
               elements=st.integers(0, 2 ** 63 - 1) | st.integers(0, 3)),
        st.integers(1, 10 ** 6))
@@ -62,14 +70,44 @@ def test_count_tensor_round_trip_property(counts, doc_length):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.txt"
         write_count_tensor(path, counts, doc_length)
-        expected = "".join([" ".join(map(str, (*counts.shape, doc_length))) + "\n"]
-                           + [f"{i + 1} {j + 1} {r + 1} {counts[i, j, r]}\n"
-                              for i, j, r in np.argwhere(counts)])
-        assert path.read_text() == expected
+        assert path.read_text() == _count_file_reference(counts, doc_length)
         back, m = read_count_tensor(path)
     assert m == doc_length
     assert back.dtype == np.int64
     np.testing.assert_array_equal(back, counts)
+
+
+@pytest.mark.parametrize("shape", [(11, 200, 300), (3, 600, 500)],
+                         ids=["ragged-blocks", "one-row-blocks"])
+def test_blocked_count_writer_matches_the_whole_tensor_formatting(tmp_path, shape):
+    """Blocks of mode-1 rows choose their own field widths, and the bytes stay
+    those of the per-record formatting.  11 rows of 200 x 300 cells run
+    as blocks of 4, 4 and 3 rows, where row indices reach two digits; a row of
+    600 x 500 cells exceeds 2**18 and is a block of its own."""
+    rng = np.random.default_rng(84)
+    counts = rng.integers(0, 30, size=shape) * (rng.uniform(size=shape) < 0.1)
+    counts[1, 5, 7] = 10 ** 15
+    path = tmp_path / "counts.txt"
+    write_count_tensor(path, counts, 40)
+    assert path.read_bytes() == _count_file_reference(counts, 40).encode()
+
+
+def test_count_writer_memory_does_not_grow_with_the_tensor(tmp_path):
+    """A dense tensor is written by blocks of 2**18 cells: three times the
+    rows take no more memory (formatting them at once took about 120 bytes a
+    cell, 260 MB for the larger tensor)."""
+    rng = np.random.default_rng(85)
+    peaks = []
+    for rows in (12, 36):
+        counts = rng.integers(1, 40, size=(rows, 150, 400))
+        tracemalloc.start()
+        try:
+            write_count_tensor(tmp_path / "counts.txt", counts, 2000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
+    assert peaks[1] < 48e6
 
 
 def test_count_tensor_reads_shuffled_split_records(tmp_path):
@@ -456,6 +494,17 @@ def test_degenerate_fit_is_exit_4(tmp_path):
     assert main(["fit", "--data", str(tmp_path / "g.counts.txt"),
                  "--ranks", "2,2,3", "--sparse", "1e9",
                  "--out", str(tmp_path / "f")]) == 4
+
+
+def test_empty_corpus_is_exit_4(tmp_path, capsys):
+    """A count file of only a header holds no mass: with the threshold off
+    every word is kept, and the fit is refused instead of solving zero grams."""
+    data = tmp_path / "empty.counts.txt"
+    data.write_text("4 4 6 10\n")
+    assert main(["fit", "--data", str(data), "--ranks", "2,2,2", "--sparse", "0",
+                 "--out", str(tmp_path / "f")]) == 4
+    assert "vocabulary threshold: the data tensor holds no mass" in capsys.readouterr().err
+    assert not (tmp_path / "f.model.json").exists()
 
 
 def test_hooi_rank_beyond_projected_span_is_exit_3(tmp_path, capsys):

@@ -383,6 +383,41 @@ def _one_word_dropped(y, word):
     return y
 
 
+class _WordGramSeen(Exception):
+    pass
+
+
+@pytest.mark.parametrize("dims", [(100, 80, 2000), (200, 150, 400), (7, 5, 13)],
+                         ids=["corpus-sparse", "corpus-dense-hooi", "odd"])
+@pytest.mark.parametrize("drop", [False, True], ids=["all-kept", "word-dropped"])
+def test_fit_word_gram_takes_the_threshold_sums_bit_for_bit(dims, drop, monkeypatch):
+    """The word gram's bias correction reuses the threshold's per-word sums,
+    and equals build_q's own correction bit for bit."""
+    y = np.random.default_rng(1).uniform(size=dims)
+    y = _one_word_dropped(y, 3) if drop else y
+    grams = []
+
+    def seen(q, k):
+        grams.append(q.copy())
+        if len(grams) == 3:
+            raise _WordGramSeen
+        return leading_eigvecs(q, k)
+
+    monkeypatch.setattr(estimator, "leading_eigvecs", seen)
+    with pytest.raises(_WordGramSeen):
+        fit(y, FitConfig(ranks=(2, 2, 3), doc_length=50))
+    data = np.delete(y, 3, axis=2) if drop else y
+    np.testing.assert_array_equal(grams[2], build_q(np.moveaxis(data, 2, 0), 3, 50))
+
+
+def test_fit_of_an_empty_corpus_is_degenerate():
+    """With the threshold off every word of an all-zero tensor is kept; the
+    fit names the missing mass instead of solving a zero gram."""
+    with pytest.raises(FitDegenerateError,
+                       match="^vocabulary threshold: the data tensor holds no mass$"):
+        fit(np.zeros((4, 4, 6)), FitConfig(ranks=(2, 2, 2), doc_length=10, sparse_c_prime=0.0))
+
+
 @pytest.mark.parametrize("layout", ["F", "strided"])
 @pytest.mark.parametrize("drop", [False, True], ids=["all-kept", "word-dropped"])
 def test_fit_of_any_layout_equals_the_c_ordered_fit_bit_for_bit(layout, drop):

@@ -205,7 +205,7 @@ def test_cli_import_leaves_arpack_unloaded():
 
 
 def test_evaluate_scores_the_truth_within_1e12_of_the_full_mean_tensors():
-    """Both mean tensors are built in blocks: 37 rows of 180 x 160 entries
+    """Each block of the difference is one GEMM: 37 rows of 180 x 160 entries
     run as a block of 36 rows and one of 1."""
     truth = planted((37, 180, 160), (2, 2, 2), doc_length=30, seed=66)
     fitted = fit(truth.y, FitConfig(ranks=(2, 2, 2), doc_length=30)).model
@@ -214,6 +214,25 @@ def test_evaluate_scores_the_truth_within_1e12_of_the_full_mean_tensors():
     assert report.recon_l1 == pytest.approx(full, rel=1e-12, abs=0)
     assert report.recon_l1 == pytest.approx(reconstruction_error(fitted, truth.model.mean_tensor()),
                                             rel=1e-12)
+
+
+def _random_model(rng, dims, ranks):
+    """A model with Dirichlet-drawn factors and core."""
+    return TuckerModel(a1=rng.dirichlet(np.ones(ranks[0]), dims[0]),
+                       a2=rng.dirichlet(np.ones(ranks[1]), dims[1]),
+                       a3=rng.dirichlet(np.ones(dims[2]), ranks[2]).T,
+                       g=rng.dirichlet(np.ones(ranks[2]), ranks[:2]))
+
+
+def test_scoring_with_one_row_per_block_matches_the_full_mean_tensors():
+    """With n2 * n3 above 2**20 every block of the GEMM holds one mode-1 row."""
+    dims, ranks = (3, 2, (1 << 19) + 1), (2, 2, 3)
+    rng = np.random.default_rng(68)
+    fitted, truth = _random_model(rng, dims, ranks), _random_model(rng, dims, ranks)
+    mean = truth.mean_tensor()
+    full = float(np.abs(fitted.mean_tensor() - mean).sum())
+    assert evaluate(fitted, truth).recon_l1 == pytest.approx(full, rel=1e-12, abs=0)
+    assert reconstruction_error(fitted, mean) == pytest.approx(full, rel=1e-12, abs=0)
 
 
 def test_cosine_match_zero_column():

@@ -9,8 +9,8 @@ from tensortopics import build_q, leading_eigvecs, unfold
 from tensortopics import spectral, threshold_vocab
 from tensortopics.spectral import _fix_signs, hooi_refine
 
-from helpers import (eigh_reference, exact_mode_basis, hooi_reference, layouts, planted,
-                     subspace_gap, subspace_sine)
+from helpers import (eigh_reference, exact_mode_basis, hooi_per_mode_reference, hooi_reference,
+                     layouts, planted, subspace_gap, subspace_sine)
 
 
 def test_build_q_hand_example_modes12():
@@ -313,3 +313,51 @@ def test_hooi_matches_kronecker_reference(dims, ranks, seed):
     for got, want in zip(refined, reference):
         assert got.shape == want.shape
         assert subspace_gap(got, want) <= 1e-12
+
+
+def _random_bases(dims, ranks, seed):
+    """A seeded uniform tensor and orthonormal bases of the given shapes."""
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(size=dims)
+    return y, tuple(np.linalg.qr(rng.normal(size=(n, k)))[0] for n, k in zip(dims, ranks))
+
+
+_BENCHMARK_SHAPES = [((100, 80, 2000), (3, 3, 5)), ((200, 150, 400), (4, 3, 6))]
+
+
+@pytest.mark.parametrize("dims,ranks", _BENCHMARK_SHAPES, ids=["corpus-sparse", "corpus-dense-hooi"])
+def test_hooi_shared_word_contraction_is_bit_identical_to_per_mode_einsums(dims, ranks):
+    """On these shapes einsum contracts the word mode first for modes 1 and 2,
+    so sharing that contraction changes no bit."""
+    y, start = _random_bases(dims, ranks, seed=1)
+    for got, want in zip(hooi_refine(y, start, iters=2), hooi_per_mode_reference(y, start, 2)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_hooi_shared_word_contraction_where_einsum_orders_mode_2_otherwise():
+    """On (30, 20, 50) with ranks (2, 3, 4) einsum contracts mode 1 first for
+    mode 2, so the bases may differ in the last bits, not in their spans."""
+    dims, ranks = (30, 20, 50), (2, 3, 4)
+    assert np.einsum_path("ijr,ip,rs->jps", np.empty(dims), np.empty((30, 2)), np.empty((50, 4)),
+                          optimize=True)[0][1] == (0, 1)
+    inst = planted(dims, ranks, doc_length=100, seed=1)
+    start = tuple(leading_eigvecs(build_q(unfold(inst.y, m), m, 100), k)[0]
+                  for m, k in zip((1, 2, 3), ranks))
+    refined = hooi_refine(inst.y, start, iters=3)
+    for reference in (hooi_per_mode_reference, hooi_reference):
+        for got, want in zip(refined, reference(inst.y, start, 3)):
+            assert subspace_gap(got, want) <= 1e-12
+
+
+def test_hooi_sweep_peaks_no_higher_than_per_mode_einsums():
+    """The shared contraction is freed before mode 3 contracts the tensor."""
+    y, start = _random_bases(*_BENCHMARK_SHAPES[1], seed=1)
+    peaks = []
+    for refine in (hooi_refine, hooi_per_mode_reference):
+        tracemalloc.start()
+        try:
+            refine(y, start, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
