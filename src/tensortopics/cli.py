@@ -53,6 +53,8 @@ def write_count_tensor(path, counts, doc_length):
     decimal digits fill fixed-width byte columns, and the leading zeros are masked out.
     """
     counts = _as_tensor(counts, "count tensor")
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise DataFormatError(f"counts must have an integer dtype, got {counts.dtype}")
     if counts.size and counts.min() < 0:
         raise DataFormatError("counts must be nonnegative")
     rows = max(1, (1 << 18) // max(1, counts.shape[1] * counts.shape[2]))
@@ -465,30 +467,18 @@ def cmd_sweep(args):
             raw = list(pool.map(_sweep_trial, jobs))
     else:
         raw = [_sweep_trial(job) for job in jobs]
-    results = {(ci, ti): (seed, losses) for ci, ti, seed, losses in raw}
     swept = time.perf_counter()
 
+    labels = [str(cell.get("label", f"cell{ci}")) for ci, cell in enumerate(cells)]
     trial_header = ("label", "cell", "trial", "seed") + _EVAL_COLUMNS
-    trial_rows = []
-    summary_header = ("label", "n1", "n2", "n_words", "doc_length",
-                      "k1", "k2", "k3", "trials")
-    for column in _EVAL_COLUMNS:
-        summary_header += (f"{column}_median", f"{column}_iqr")
-    summary_rows = []
-    for ci, (cell, (spec, _)) in enumerate(zip(cells, checked)):
-        label = str(cell.get("label", f"cell{ci}"))
-        per_metric = []
-        for ti in range(trials):
-            seed, losses = results[(ci, ti)]
-            trial_rows.append([label, ci, ti, seed, *losses])
-            per_metric.append(losses)
-        per_metric = np.asarray(per_metric)
-        row = [label, *spec.dims, spec.doc_length, *spec.ranks, trials]
-        for column_index in range(len(_EVAL_COLUMNS)):
-            values = per_metric[:, column_index]
-            q25, q75 = np.percentile(values, [25.0, 75.0])
-            row.extend([float(np.median(values)), float(q75 - q25)])
-        summary_rows.append(row)
+    trial_rows = [[labels[ci], ci, ti, seed, *losses] for ci, ti, seed, losses in raw]
+    losses = np.asarray([row[4:] for row in trial_rows]).reshape(len(cells), trials, -1)
+    q25, q75 = np.percentile(losses, [25.0, 75.0], axis=1)
+    stats = np.stack([np.median(losses, axis=1), q75 - q25], axis=-1).reshape(len(cells), -1)
+    summary_header = ("label", "n1", "n2", "n_words", "doc_length", "k1", "k2", "k3", "trials",
+                      *(f"{c}_{s}" for c in _EVAL_COLUMNS for s in ("median", "iqr")))
+    summary_rows = [[label, *spec.dims, spec.doc_length, *spec.ranks, trials, *row]
+                    for label, (spec, _), row in zip(labels, checked, stats.tolist())]
 
     trials_path = _out(args.out, "trials.csv")
     summary_path = _out(args.out, "summary.csv")

@@ -2,8 +2,9 @@
 
 One fit runs four stages:
 
-1. optionally drop words whose average frequency falls below the sparsity
-   threshold (``threshold_vocab``);
+1. check the ranks against the tensor's dimensions, then optionally drop
+   words whose average frequency falls below the sparsity threshold
+   (``threshold_vocab``);
 2. take leading eigenvector bases of each mode's gram matrix, word mode
    bias-corrected, optionally refined by power sweeps (``spectral``);
 3. hunt simplex vertices in each basis row cloud and solve for memberships;
@@ -141,15 +142,19 @@ def threshold_vocab(y, doc_length, c_prime):
 
     The cut is ``c_prime * sqrt(log(max_dim) / (n1 * n2 * doc_length))``
     against the per-word mean frequency ``y.sum(axis=(0, 1)) / (n1 * n2)``;
-    a zero constant keeps every word.
+    a zero constant keeps every word.  A tensor with no documents is an error.
     """
-    return _threshold(_as_data(y), doc_length, c_prime)[0]
+    y = _as_data(y)
+    c_prime = _checked_real("c_prime", c_prime, positive=False)
+    doc_length = _checked_int("doc_length", doc_length, 1)
+    if not y.shape[0] * y.shape[1]:
+        raise DataFormatError(
+            f"vocabulary threshold: a tensor of dims {y.shape} holds no documents")
+    return _threshold(y, doc_length, c_prime)[0]
 
 
 def _threshold(y, doc_length, c_prime):
-    """``threshold_vocab`` of the checked tensor ``y``, with the per-word sums it cut."""
-    c_prime = _checked_real("c_prime", c_prime, positive=False)
-    doc_length = _checked_int("doc_length", doc_length, 1)
+    """``threshold_vocab`` with the per-word sums it cut, on inputs as ``fit`` checks them."""
     n1, n2, n_words = y.shape
     tau = c_prime * math.sqrt(math.log(max(n1, n2, n_words)) / (n1 * n2 * doc_length))
     with np.errstate(over="ignore"):  # an overflowing word sum keeps the word; the gram names it
@@ -234,7 +239,7 @@ def fit_core(y, xi, v_hats, q0):
 
 
 def fit(y, cfg):
-    """Full pipeline: threshold, spectral bases, vertex hunts, core.
+    """Full pipeline: rank checks, threshold, spectral bases, vertex hunts, core.
 
     ``y`` is the frequency tensor (counts over ``cfg.doc_length``), or the
     exact mean tensor when ``cfg.oracle`` is set; it is never written to, and
@@ -243,7 +248,6 @@ def fit(y, cfg):
     cannot support the requested ranks.
     """
     y = _as_data(np.ascontiguousarray(y, dtype=float))
-    vocab, mass = _threshold(y, cfg.doc_length, cfg.sparse_c_prime)
     n1, n2, n_words = y.shape
     k1, k2, k3 = cfg.ranks
     for mode, k, n in ((1, k1, n1), (2, k2, n2), (3, k3, n_words)):
@@ -252,6 +256,7 @@ def fit(y, cfg):
     _check_tucker_ranks(cfg.ranks)
     if k3 < 2:
         raise ValueError("word-mode recovery needs at least two topics")
+    vocab, mass = _threshold(y, cfg.doc_length, cfg.sparse_c_prime)
     if not mass.any():
         raise FitDegenerateError("vocabulary threshold: the data tensor holds no mass")
     if vocab.size < k3:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _as_data, _as_tensor, _check_mode, _checked_int, _is_int
+from .errors import _as_data, _check_mode, _checked_int, _is_int
 from .estimator import _mode_basis, fit
 from .tensor import reconstruct
 
@@ -78,22 +78,10 @@ def core_loss(g_hat, g, perms):
 
     ``perms`` holds one permutation per mode, as produced by
     :func:`aligned_l1_loss`; entry ``g_hat[p1[i], p2[j], p3[k]]`` is compared
-    against ``g[i, j, k]``.
+    against ``g[i, j, k]``.  Inputs are taken as ``evaluate`` hands them on:
+    two cores of one shape and a permutation of each axis.
     """
-    g_hat = _as_tensor(np.asarray(g_hat, dtype=float), "core")
-    g = _as_tensor(np.asarray(g, dtype=float), "core")
-    if g_hat.shape != g.shape:
-        raise ValueError(f"cores must share a shape, got {g_hat.shape} vs {g.shape}")
-    if len(perms) != 3:
-        raise ValueError("need one permutation per mode")
-    aligned_axes = []
-    for axis, perm in enumerate(perms):
-        perm = np.asarray(perm, dtype=np.intp)
-        if sorted(perm.tolist()) != list(range(g.shape[axis])):
-            raise ValueError(f"perms[{axis}] is not a permutation of axis {axis}")
-        aligned_axes.append(perm)
-    aligned = g_hat[np.ix_(*aligned_axes)]
-    return float(np.abs(aligned - g).sum())
+    return float(np.abs(g_hat[np.ix_(*perms)] - g).sum())
 
 
 def _mean_l1(models, d=None):
@@ -142,12 +130,9 @@ def cosine_match(a, b):
 
     Repeatedly takes the highest-similarity remaining pair (ties to the
     lowest indices) and removes both columns.  A zero column has similarity 0
-    with everything.  Returns the matched similarities in pick order.
+    with everything.  Returns the matched similarities in pick order.  Inputs
+    are taken as ``topic_resolution`` hands them on: two word factors of one shape.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError("need two column sets with equal column counts")
     norm_a = np.linalg.norm(a, axis=0)
     norm_b = np.linalg.norm(b, axis=0)
     denom = np.outer(norm_a, norm_b)

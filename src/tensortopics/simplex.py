@@ -36,10 +36,8 @@ def score_normalize(xi):
     Rows whose leading entry is not positive beyond rounding (``n`` epsilons
     of the largest) carry no usable scale and are absent from ``kept``.  The
     surviving rows satisfy ``diag(first_col) @ [1 | s] == xi[kept]`` up to rounding.
+    ``xi`` is taken as ``fit`` hands it on: a float eigenvector basis.
     """
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 2 or xi.shape[1] < 1:
-        raise ValueError("xi must be a matrix with at least one column")
     kept = np.flatnonzero(xi[:, 0] > len(xi) * np.finfo(float).eps * np.abs(xi[:, 0]).max())
     if kept.size == 0:
         raise FitDegenerateError(
@@ -94,20 +92,16 @@ def recover_weights(s_star, v_star):
     Solves ``weights @ v_star = s_star`` row by row, zeroes negative solved
     coordinates, and renormalizes each row to unit sum; a row that loses all
     its mass becomes uniform.  Raises when the vertex matrix is numerically
-    singular (smallest singular value at most ``1e-10`` of the largest).
+    singular (smallest singular value at most ``1e-10`` of the largest).  Inputs
+    are taken as ``fit`` hands them on: float rows and a square vertex matrix
+    of matching width.
     """
-    s = np.asarray(s_star, dtype=float)
-    v = np.asarray(v_star, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValueError("vertex matrix must be square")
-    if s.ndim != 2 or s.shape[1] != v.shape[0]:
-        raise ValueError(f"rows of shape {s.shape} do not match {v.shape[0]} vertices")
-    spectrum = np.linalg.svd(v, compute_uv=False)
+    spectrum = np.linalg.svd(v_star, compute_uv=False)
     if spectrum[-1] <= 1e-10 * spectrum[0]:
         raise FitDegenerateError(
             "weight recovery: vertex matrix is numerically singular, the hunted "
             "vertices do not span the simplex")
-    return clip_to_simplex(np.linalg.solve(v.T, s.T).T)
+    return clip_to_simplex(np.linalg.solve(v_star.T, s_star.T).T)
 
 
 def clip_to_simplex(x):

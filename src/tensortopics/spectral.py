@@ -46,13 +46,15 @@ def build_q(y_mat, mode, doc_length, centered=True):
     for slab in slabs[1:]:
         q += _gram(slab)
     if mode == 3 and centered:
+        doc_length = _checked_int("doc_length", doc_length, 1)
         _subtract_word_noise(q, y.sum(axis=tuple(range(1, y.ndim))), doc_length)
     return q
 
 
 def _subtract_word_noise(q, word_sums, doc_length):
-    """Subtract the sampling noise ``diag(word_sums) / doc_length`` from a word gram."""
-    q[np.diag_indices_from(q)] -= word_sums / _checked_int("doc_length", doc_length, 1)
+    """Subtract the sampling noise ``diag(word_sums) / doc_length`` from a word gram; the
+    positive integer ``doc_length`` is taken as its callers check it."""
+    q[np.diag_indices_from(q)] -= word_sums / doc_length
 
 
 _MAX_RESTARTS = 1000  # the reference word gram takes about 30

@@ -51,13 +51,8 @@ def reconstruct(g, a1, a2, a3):
     Entry law::
 
         out[i, j, k] = sum_{p,q,s} g[p, q, s] * a1[i, p] * a2[j, q] * a3[k, s]
+
+    Inputs are taken as a ``TuckerModel`` holds them: factor widths match the core.
     """
-    g = _as_tensor(g, what="core")
-    for axis, factor in enumerate((a1, a2, a3)):
-        factor = np.asarray(factor)
-        if factor.ndim != 2 or factor.shape[1] != g.shape[axis]:
-            raise ValueError(
-                f"factor {axis + 1} of shape {factor.shape} does not match "
-                f"core axis of size {g.shape[axis]}")
     return np.einsum("pqs,ip,jq,ks->ijk", g, a1, a2, a3, optimize=True)
 

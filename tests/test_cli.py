@@ -92,6 +92,14 @@ def test_blocked_count_writer_matches_the_whole_tensor_formatting(tmp_path, shap
     assert path.read_bytes() == _count_file_reference(counts, 40).encode()
 
 
+@pytest.mark.parametrize("value", [2.5, np.inf, np.nan])
+def test_count_writer_refuses_counts_that_are_not_integers(tmp_path, value):
+    counts = np.ones((2, 2, 3))
+    counts[1, 0, 2] = value
+    with pytest.raises(DataFormatError, match="^counts must have an integer dtype, got float64$"):
+        write_count_tensor(tmp_path / "counts.txt", counts, 5)
+
+
 def test_count_writer_memory_does_not_grow_with_the_tensor(tmp_path):
     """A dense tensor is written by blocks of 2**18 cells: three times the
     rows take no more memory (formatting them at once took about 120 bytes a
@@ -379,6 +387,27 @@ def test_sweep_writes_deterministic_tables(tmp_path):
     # trial seeds come from the documented derivation
     row = trials[1].split(",")
     assert int(row[3]) == derive_seed(3, 0, 0)
+
+
+def test_sweep_summary_is_the_median_and_iqr_of_the_trials(tmp_path):
+    grid = {"seed": 5, "trials": 4, "cells": [
+        {"label": "a", "dims": [12, 8, 25], "ranks": [2, 2, 2], "doc_length": 80},
+        {"label": "b", "dims": [10, 8, 20], "ranks": [2, 2, 2], "doc_length": 40},
+        {"dims": [12, 8, 25], "ranks": [2, 2, 2], "doc_length": 80, "fit": {"use_hooi": True}},
+    ]}
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    assert main(["sweep", "--grid", str(grid_path), "--out", str(tmp_path / "s")]) == 0
+    trials = [line.split(",") for line in (tmp_path / "s.trials.csv").read_text().splitlines()]
+    summary = [line.split(",") for line in (tmp_path / "s.summary.csv").read_text().splitlines()]
+    assert [row[:3] for row in trials[1:]] == [[label, str(ci), str(ti)] for ci, label in
+                                               enumerate(["a", "b", "cell2"]) for ti in range(4)]
+    assert [row[0] for row in summary[1:]] == ["a", "b", "cell2"]
+    for ci, row in enumerate(summary[1:]):
+        losses = np.array([[float(v) for v in t[4:]] for t in trials[1:] if t[1] == str(ci)])
+        q25, q75 = np.percentile(losses, [25.0, 75.0], axis=0)
+        expected = np.stack([np.median(losses, axis=0), q75 - q25], axis=-1).ravel()
+        assert [float(v) for v in row[9:]] == expected.tolist()
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -341,6 +341,31 @@ def test_fit_and_threshold_validate_the_tensor_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("dims", [(0, 3, 5), (3, 0, 5)], ids=["n1-zero", "n2-zero"])
+def test_a_tensor_with_no_documents_is_an_error_naming_the_cause(dims):
+    mode = 1 + dims.index(0)
+    with pytest.raises(ValueError, match=f"^mode {mode} rank 1 exceeds dimension 0$"):
+        fit(np.zeros(dims), FitConfig(ranks=(1, 1, 2), doc_length=5))
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"vocabulary threshold: a tensor of dims {dims} holds no documents")):
+        threshold_vocab(np.zeros(dims), 5, 0.005)
+
+
+@pytest.mark.parametrize("ranks, message", [
+    ((3, 2, 2), "mode 1 rank 3 exceeds dimension 2"),
+    ((1, 1, 2), "mode 3 rank 2 exceeds the projected span 1"),
+    ((1, 1, 1), "word-mode recovery needs at least two topics"),
+], ids=["dimension", "projected-span", "one-topic"])
+def test_fit_checks_its_ranks_before_the_threshold_reads_the_tensor(monkeypatch, ranks,
+                                                                    message):
+    def threshold(*args):
+        raise AssertionError("the threshold ran before the rank checks")
+
+    monkeypatch.setattr(estimator, "_threshold", threshold)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit(np.ones((2, 3, 5)), FitConfig(ranks=ranks, doc_length=5))
+
+
 def test_fit_threshold_too_aggressive_is_degenerate():
     inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=48)
     with pytest.raises(FitDegenerateError):
