@@ -351,8 +351,6 @@ def cmd_fit(args):
     options.update((key, value) for key, value in flags.items() if value is not None)
     if args.hooi is not None:
         options["use_hooi"] = True
-    if args.oracle:
-        options["oracle"] = True
     if "ranks" not in options:
         raise _UsageError('no ranks given: pass --ranks K1,K2,K3 or put "ranks" in the config')
     cfg = _from_json(FitConfig, options, args.config or "command line",
@@ -564,8 +562,6 @@ def build_parser():
                    help="vocabulary threshold constant")
     p.add_argument("--hooi", type=_int_at_least(0), default=None, metavar="N",
                    help="refine bases with N power sweeps")
-    p.add_argument("--oracle", action="store_true",
-                   help="treat the input as the exact mean tensor")
     p.add_argument("--out", required=True, metavar="PREFIX")
     p.set_defaults(func=cmd_fit)
 

@@ -5,8 +5,8 @@ One fit runs four stages:
 1. check the ranks against the tensor's dimensions, then optionally drop
    words whose average frequency falls below the sparsity threshold
    (``threshold_vocab``);
-2. take leading eigenvector bases of each mode's gram matrix, word mode
-   bias-corrected, optionally refined by power sweeps (``spectral``);
+2. take leading eigenvector bases of the mode-1 and mode-2 grams and the word basis
+   of the tensor projected on them, optionally refined by power sweeps (``spectral``);
 3. hunt simplex vertices in each basis row cloud and solve for memberships;
    the word mode first passes to ratio coordinates, and the recovered
    weights are rescaled by the leading eigenvector and normalized per topic
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (DataFormatError, FitDegenerateError, _all_finite, _as_data, _as_tensor,
                      _check_tucker_ranks, _checked_int, _checked_real, _checked_triple)
 from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
-from .spectral import _subtract_word_noise, build_q, hooi_refine, leading_eigvecs
+from .spectral import _gram, build_q, hooi_refine, leading_eigvecs, word_basis
 from .tensor import reconstruct
 
 
@@ -91,13 +91,11 @@ class TuckerModel:
 class FitConfig:
     """Knobs for one fit.
 
-    ``doc_length`` scales the word-mode bias correction and the sparsity
-    threshold.  ``sparse_c_prime=0`` keeps the whole vocabulary; the default
-    constant matches the recommended value for power-law vocabularies and is
-    far below any uniform word frequency at desk scales.  ``oracle=True``
-    declares the input to be the exact mean tensor, which skips the word-mode
-    bias correction.  Field types are checked, not coerced: a string
-    ``"false"`` is no boolean and ``2.5`` is no rank.
+    ``doc_length`` scales the sparsity threshold.  ``sparse_c_prime=0`` keeps
+    the whole vocabulary; the default constant matches the recommended value
+    for power-law vocabularies and is far below any uniform word frequency at
+    desk scales.  Field types are checked, not coerced: a string ``"false"``
+    is no boolean and ``2.5`` is no rank.
     """
 
     ranks: tuple
@@ -105,14 +103,12 @@ class FitConfig:
     use_hooi: bool = False
     hooi_iters: int = 5
     sparse_c_prime: float = 0.005
-    oracle: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", _checked_triple("ranks", self.ranks))
         object.__setattr__(self, "doc_length", _checked_int("doc_length", self.doc_length, 1))
-        for name in ("use_hooi", "oracle"):
-            if not isinstance(getattr(self, name), bool):
-                raise DataFormatError(f"{name} must be a boolean, got {getattr(self, name)!r}")
+        if not isinstance(self.use_hooi, bool):
+            raise DataFormatError(f"use_hooi must be a boolean, got {self.use_hooi!r}")
         object.__setattr__(self, "hooi_iters", _checked_int("hooi_iters", self.hooi_iters, 0))
         object.__setattr__(self, "sparse_c_prime",
                            _checked_real("sparse_c_prime", self.sparse_c_prime, positive=False))
@@ -126,8 +122,8 @@ class FitResult:
     ``model.a3`` outside it are exactly zero.  ``q0`` holds the recovered
     strictly positive topic masses.  ``vertices`` gives per mode the row
     indices chosen as simplex vertices (word-mode entries are original word
-    indices).  ``eigvals`` are the leading gram eigenvalues per mode from the
-    initial spectral step.
+    indices).  ``eigvals`` are the initial spectral step's leading gram eigenvalues of
+    modes 1 and 2 and squared singular values of the word projection (``word_basis``).
     """
 
     model: TuckerModel
@@ -154,23 +150,23 @@ def threshold_vocab(y, doc_length, c_prime):
 
 
 def _threshold(y, doc_length, c_prime):
-    """``threshold_vocab`` with the per-word sums it cut, on inputs as ``fit`` checks them."""
+    """``threshold_vocab``, and whether any word has mass, on inputs as ``fit`` checks them."""
     n1, n2, n_words = y.shape
     tau = c_prime * math.sqrt(math.log(max(n1, n2, n_words)) / (n1 * n2 * doc_length))
     with np.errstate(over="ignore"):  # an overflowing word sum keeps the word; the gram names it
         word_sums = y.sum(axis=(0, 1))
-    return np.flatnonzero(word_sums / (n1 * n2) >= tau), word_sums
+    return np.flatnonzero(word_sums / (n1 * n2) >= tau), bool(word_sums.any())
 
 
-def _mode_basis(y, mode, k, doc_length, centered=True, mass=None):
-    """Leading ``k`` gram eigenpairs of one mode of the checked tensor ``y`` (word sums ``mass``
-    if known) as ``fit`` and ``scree`` take them, with the mode named in every error."""
+def _mode_basis(y, mode, k, doc_length, dropped=()):
+    """Leading ``k`` gram eigenpairs of one mode of the checked tensor ``y`` as ``fit`` and
+    ``scree`` take them, less the grams of ``dropped`` words' slabs, naming the mode in errors."""
     n = y.shape[mode - 1]
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            q = build_q(np.moveaxis(y, mode - 1, 0), mode, doc_length, centered and mass is None)
-            if mode == 3 and centered and mass is not None:
-                _subtract_word_noise(q, mass, doc_length)
+            q = build_q(np.moveaxis(y, mode - 1, 0), mode, doc_length)
+            for word in dropped:
+                q -= _gram(np.moveaxis(y[:, :, word], mode - 1, 0))
     except MemoryError:
         raise DataFormatError(
             f"mode {mode} gram: a {n} x {n} matrix is too big to allocate") from None
@@ -241,9 +237,10 @@ def fit_core(y, xi, v_hats, q0):
 def fit(y, cfg):
     """Full pipeline: rank checks, threshold, spectral bases, vertex hunts, core.
 
-    ``y`` is the frequency tensor (counts over ``cfg.doc_length``), or the
-    exact mean tensor when ``cfg.oracle`` is set; it is never written to, and
-    copied only if it is not C-ordered float or the threshold drops a word.
+    ``y`` is the frequency tensor (counts over ``cfg.doc_length``) or the
+    exact mean tensor; it is never written to, and copied only if it is not
+    C-ordered float.  The gram of a dropped word's slab is taken off the
+    mode-1 and mode-2 grams, and its row of the word basis is zero.
     Raises ``FitDegenerateError`` with the failing stage named when the data
     cannot support the requested ranks.
     """
@@ -256,24 +253,26 @@ def fit(y, cfg):
     _check_tucker_ranks(cfg.ranks)
     if k3 < 2:
         raise ValueError("word-mode recovery needs at least two topics")
-    vocab, mass = _threshold(y, cfg.doc_length, cfg.sparse_c_prime)
-    if not mass.any():
+    vocab, has_mass = _threshold(y, cfg.doc_length, cfg.sparse_c_prime)
+    if not has_mass:
         raise FitDegenerateError("vocabulary threshold: the data tensor holds no mass")
     if vocab.size < k3:
         raise FitDegenerateError(
             f"vocabulary threshold: kept {vocab.size} of {n_words} words, "
             f"fewer than the {k3} requested topics")
-    data = y if vocab.size == n_words else np.take(y, vocab, axis=2)
+    dropped = np.setdiff1d(np.arange(n_words), vocab)
 
-    xi, spectra = zip(*(_mode_basis(data, mode, k, cfg.doc_length, not cfg.oracle, mass[vocab])
-                        for mode, k in ((1, k1), (2, k2), (3, k3))))
+    (xi1, vals1), (xi2, vals2) = (_mode_basis(y, mode, k, cfg.doc_length, dropped)
+                                  for mode, k in ((1, k1), (2, k2)))
+    xi3, vals3 = word_basis(y, xi1, xi2, k3, vocab)
+    xi = (xi1, xi2, xi3)
     if cfg.use_hooi:
-        xi = hooi_refine(data, xi, cfg.hooi_iters)
+        xi = hooi_refine(y, xi, cfg.hooi_iters, vocab)
 
     a1, hunt1 = _membership_from_basis(xi[0], "mode 1 membership")
     a2, hunt2 = _membership_from_basis(xi[1], "mode 2 membership")
-    a3_kept, q0, v3_star, word_rows = _word_factor_from_basis(xi[2])
-    g = fit_core(data, xi, (hunt1.v, hunt2.v, v3_star), q0)
+    a3_kept, q0, v3_star, word_rows = _word_factor_from_basis(xi[2][vocab])
+    g = fit_core(y, xi, (hunt1.v, hunt2.v, v3_star), q0)
 
     a3 = np.zeros((n_words, k3))
     a3[vocab] = a3_kept
@@ -283,5 +282,5 @@ def fit(y, cfg):
         vocab=vocab,
         q0=q0,
         vertices=(hunt1.indices, hunt2.indices, vocab[word_rows]),
-        eigvals=spectra,
+        eigvals=(vals1, vals2, vals3),
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _as_data, _check_mode, _checked_int, _is_int
+from .errors import DataFormatError, _as_data, _check_mode, _checked_int, _is_int
 from .estimator import _mode_basis, fit
 from .tensor import reconstruct
 
@@ -196,13 +196,15 @@ def topic_resolution(y, cfg, trials=20, rng=None, axis=1, splits=None):
 def scree(y, mode, k_max, doc_length):
     """Leading gram eigenvalues of one mode, descending, for rank choice.
 
-    Runs the fit's own data check and per-mode spectral stage, bias
-    correction and errors included, so a knee in this sequence suggests the
-    planted rank of that mode.
+    Runs the fit's own data check and gram stage, errors included, so a knee
+    in this sequence suggests the planted rank of that mode.  Mode 3 reads the
+    word gram less its sampling noise, which ``fit`` does not form.
     """
     y = _as_data(y)
     _check_mode(mode)
     doc_length = _checked_int("doc_length", doc_length, 1)
+    if not y.shape[0] * y.shape[1]:
+        raise DataFormatError(f"scree: a tensor of dims {y.shape} holds no documents")
     n = y.shape[mode - 1]
     if not (_is_int(k_max) and 1 <= k_max <= n):
         raise ValueError(f"mode {mode} k_max must be an integer in [1, {n}], got {k_max!r}")

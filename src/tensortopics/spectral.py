@@ -2,22 +2,23 @@
 
 The gram matrix of a noisy frequency unfolding is biased on its diagonal by
 the multinomial sampling noise.  That bias cancels between documents on the
-two membership modes but not on the word mode, so mode 3 subtracts it before
-the eigendecomposition; ``centered=False`` restores the plain gram matrix for
-exact-mean inputs.
+two membership modes but not on the word mode, so ``build_q`` subtracts it
+from a mode-3 gram; ``centered=False`` restores the plain gram matrix for
+exact-mean inputs.  A fit forms no word gram: ``word_basis`` projects the
+tensor on the bases of modes 1 and 2, leaving too few noise directions.
 
 ``leading_eigvecs`` computes only the top ``k + 1`` eigenpairs, by a
 thick-restart Lanczos method started from a fixed vector of a seeded
 generator, so replays are bit-identical; a start at the all-ones vector would
 never reach an eigenvector that sums to zero.  When ``k + 1`` reaches the
-matrix size, the full LAPACK ``eigh`` runs instead.  Eigenvalues, those in the
-fit diagnostics included, agree with a full ``eigh`` within 1e-12 relative,
+matrix size, the full LAPACK ``eigh`` runs instead.  Eigenvalues, the fit's
+for modes 1 and 2 included, agree with a full ``eigh`` within 1e-12 relative,
 and bases within the solver residual over the eigengap.
 """
 
 import numpy as np
 
-from .errors import _check_mode, _checked_int
+from .errors import DataFormatError, FitDegenerateError, _check_mode, _checked_int
 
 def _gram(m):
     """``m @ m.T``, exactly symmetric: a rank-k update once ``m`` is contiguous."""
@@ -47,14 +48,8 @@ def build_q(y_mat, mode, doc_length, centered=True):
         q += _gram(slab)
     if mode == 3 and centered:
         doc_length = _checked_int("doc_length", doc_length, 1)
-        _subtract_word_noise(q, y.sum(axis=tuple(range(1, y.ndim))), doc_length)
+        q[np.diag_indices_from(q)] -= y.sum(axis=tuple(range(1, y.ndim))) / doc_length
     return q
-
-
-def _subtract_word_noise(q, word_sums, doc_length):
-    """Subtract the sampling noise ``diag(word_sums) / doc_length`` from a word gram; the
-    positive integer ``doc_length`` is taken as its callers check it."""
-    q[np.diag_indices_from(q)] -= word_sums / doc_length
 
 
 _MAX_RESTARTS = 1000  # the reference word gram takes about 30
@@ -146,15 +141,34 @@ def leading_eigvecs(q, k):
     return _fix_signs(vecs[:, :-k - 1:-1]), vals[:-k - 1:-1].copy()
 
 
-def hooi_refine(y, xi, iters):
+def word_basis(y, xi1, xi2, k3, words=slice(None)):
+    """The ``k3`` leading left singular vectors of ``P = Y x1 xi1^T x2 xi2^T`` unfolded to
+    ``n3 x k1 k2``, signed as :func:`leading_eigvecs` signs them, and their squared singular
+    values.  Only the rows in ``words`` (default: all) enter; other rows are zero.  Errors
+    name mode 3.  ``P`` cannot overflow where the mode-1 gram did not."""
+    try:
+        p = np.einsum("ijr,ip,jq->rpq", y, xi1, xi2, optimize=True)
+        u, s, _ = np.linalg.svd(p.reshape(len(p), -1)[words], full_matrices=False)
+    except MemoryError:
+        raise DataFormatError(f"mode 3 projection: a {y.shape[2]} x {xi1.shape[1] * xi2.shape[1]}"
+                              " matrix is too big to allocate") from None
+    except np.linalg.LinAlgError as err:
+        raise FitDegenerateError(f"mode 3 SVD did not converge: {err}") from err
+    basis = np.zeros((len(p), k3))
+    basis[words] = _fix_signs(u[:, :k3])
+    return basis, s[:k3] ** 2
+
+
+def hooi_refine(y, xi, iters, words=slice(None)):
     """Power-iteration refinement of all three bases against raw ``y``.
 
     ``xi`` holds one orthonormal ``(n_a, k_a)`` basis per mode.  Each sweep contracts ``y``
     with the other two modes' bases from the previous sweep and takes fresh leading left
     singular vectors of the projection, so all three updates within a sweep read the same
-    iterate.  Modes 1 and 2 share the contraction with the word basis, so a sweep reads ``y``
-    twice.  ``iters=0`` returns the input bases unchanged.  Signs follow
-    :func:`leading_eigvecs`; inputs are taken as ``fit`` checks them.
+    iterate.  Modes 1 and 2 share the contraction with the word basis, and mode 3 is
+    :func:`word_basis` over the rows in ``words``, so a sweep reads ``y`` twice.  ``iters=0``
+    returns the input bases unchanged.  Signs follow :func:`leading_eigvecs`; inputs are taken
+    as ``fit`` checks them.
     """
     xi = tuple(xi)
     for _ in range(iters):
@@ -162,7 +176,7 @@ def hooi_refine(y, xi, iters):
         projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
                      np.tensordot(by_word, xi[0], axes=([1], [0])).transpose(1, 2, 0)]
         del by_word  # freed before mode 3 contracts y
-        projected.append(np.einsum("ijr,ip,jq->rpq", y, xi[0], xi[1], optimize=True))
-        xi = tuple(_fix_signs(np.linalg.svd(p.reshape(len(p), -1), full_matrices=False)[0][:, :k])
-                   for p, k in zip(projected, (x.shape[1] for x in xi)))
+        word = word_basis(y, xi[0], xi[1], xi[2].shape[1], words)[0]
+        xi = (*(_fix_signs(np.linalg.svd(p.reshape(len(p), -1), full_matrices=False)[0][:, :k])
+                for p, k in zip(projected, (x.shape[1] for x in xi))), word)
     return xi

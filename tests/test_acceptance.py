@@ -41,8 +41,7 @@ def _check(number, label, ok, detail):
 def test_criterion_1_noiseless_exact_recovery():
     start = time.perf_counter()
     inst = planted((30, 10, 50), (2, 2, 3), doc_length=500, seed=7)
-    cfg = FitConfig(ranks=(2, 2, 3), doc_length=500, oracle=True,
-                    sparse_c_prime=0.0)
+    cfg = FitConfig(ranks=(2, 2, 3), doc_length=500, sparse_c_prime=0.0)
     rep = evaluate(fit(inst.model.mean_tensor(), cfg).model, inst.model)
     elapsed = time.perf_counter() - start
     worst = max(rep.loss_a1, rep.loss_a2, rep.loss_a3, rep.loss_g)

@@ -586,6 +586,17 @@ def test_scree_kmax_above_the_dimension_is_usage_error_naming_the_file(tmp_path,
                  "--out", str(tmp_path / "s")]) == 0
 
 
+@pytest.mark.parametrize("header", ["0 3 5 5", "4 0 5 5"])
+def test_scree_of_a_file_with_no_documents_exits_3(tmp_path, capsys, header):
+    """A count file cannot declare an empty document mode, so scree never
+    reaches the library's own refusal of such a tensor."""
+    data = tmp_path / "empty.counts.txt"
+    data.write_text(header + "\n")
+    assert main(["scree", "--data", str(data), "--mode", "3", "--kmax", "2"]) == 3
+    assert capsys.readouterr().err == \
+        f"data error: {data}: line 1: header dims and doc length must be positive\n"
+
+
 def _set_entry(name, value):
     def edit(payload):
         payload[name][0][0] = value
@@ -724,8 +735,7 @@ def test_file_that_is_not_utf8_is_exit_3_naming_the_file(tmp_path, capsys, kind)
     assert err.startswith(f"data error: {where}") and "can't decode byte 0xff" in err
 
 
-_FIT_KEYS = ["ranks", "use_hooi", "hooi_iters", "sparse_c_prime", "oracle",
-             "doc_length", "use_hoi"]
+_FIT_KEYS = ["ranks", "use_hooi", "hooi_iters", "sparse_c_prime", "doc_length", "use_hoi"]
 _SMALL_INTS = st.integers(min_value=-2, max_value=9)
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), _SMALL_INTS, st.floats(), st.text(max_size=4),
@@ -749,24 +759,36 @@ def test_fit_config_fuzz_exits_cleanly(tmp_path):
 
 
 def test_linalg_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
-    """Lanczos allowed no restart fails on the 40-word gram, where its 20
-    basis vectors span less than the whole space; the modes of 20 and 10
-    rows fill their space in the first sweep."""
+    """An SVD of the 40 x 4 word projection that does not converge is a
+    degenerate fit naming mode 3.  ``scree --mode 3`` still solves the word
+    gram by Lanczos, which, allowed no restart, fails on the 40-word gram:
+    its 20 basis vectors span less than the whole space."""
     spec = _spec_file(tmp_path)
     main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
-    monkeypatch.setattr(spectral, "_MAX_RESTARTS", 0)
+    real_svd = np.linalg.svd
+
+    def no_convergence(a, *args, **kwargs):
+        if np.shape(a) == (40, 4):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
     assert main(["fit", "--data", str(tmp_path / "g.counts.txt"), "--ranks", "2,2,3",
                  "--out", str(tmp_path / "f")]) == 4
-    err = capsys.readouterr().err
-    assert "degenerate fit" in err and "did not converge" in err
-    assert "mode 3 eigensolve" in err and "eigenpairs converged in 0 restarts" in err
+    assert capsys.readouterr().err == \
+        "degenerate fit: mode 3 SVD did not converge: SVD did not converge\n"
     assert not (tmp_path / "f.model.json").exists()
+    monkeypatch.setattr(spectral, "_MAX_RESTARTS", 0)
+    assert main(["scree", "--data", str(tmp_path / "g.counts.txt"), "--mode", "3",
+                 "--kmax", "3"]) == 4
+    err = capsys.readouterr().err
+    assert "mode 3 eigensolve" in err and "eigenpairs converged in 0 restarts" in err
 
 
 def test_full_eigh_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
     """Mode 2 has 6 rows and rank 5, so its k + 1 pairs take the full eigh.
-    Only that 6 x 6 eigh fails: the Lanczos solves of modes 1 and 3 also call
-    ``eigh``, on their 8 x 8 and 20 x 20 projected matrices."""
+    Only that 6 x 6 eigh fails: the Lanczos solve of mode 1 also calls
+    ``eigh``, on its 8 x 8 projected matrix."""
     data = _tiny_counts(tmp_path)
     real_eigh = np.linalg.eigh
 
@@ -783,21 +805,28 @@ def test_full_eigh_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
 
 
 def test_gram_allocation_failure_is_exit_3_naming_mode_and_size(tmp_path, capsys, monkeypatch):
+    """fit forms no word gram: an allocation failure in the word projection
+    names mode 3 and the projection's size, and scree's word gram its own."""
     data = _tiny_counts(tmp_path)
-    real_build_q = estimator.build_q
+    real_einsum, real_build_q = np.einsum, estimator.build_q
+
+    def no_memory_for_the_projection(subscripts, *operands, **kwargs):
+        if subscripts == "ijr,ip,jq->rpq":
+            raise MemoryError
+        return real_einsum(subscripts, *operands, **kwargs)
 
     def no_memory_for_words(y_mat, mode, *args, **kwargs):
         if mode == 3:
             raise MemoryError
         return real_build_q(y_mat, mode, *args, **kwargs)
 
+    monkeypatch.setattr(np, "einsum", no_memory_for_the_projection)
     monkeypatch.setattr(estimator, "build_q", no_memory_for_words)
     assert main(["fit", "--data", str(data), "--ranks", "2,2,2",
                  "--out", str(tmp_path / "f")]) == 3
-    err = capsys.readouterr().err
-    assert re.search(r"data error: mode 3 gram: a (\d+) x \1 matrix is too big to allocate", err)
+    assert capsys.readouterr().err == \
+        "data error: mode 3 projection: a 20 x 4 matrix is too big to allocate\n"
     assert not (tmp_path / "f.model.json").exists()
-    # scree runs the fit's gram stage, so it names the mode and size too
     assert main(["scree", "--data", str(data), "--mode", "3", "--kmax", "2",
                  "--out", str(tmp_path / "s")]) == 3
     assert capsys.readouterr().err == \

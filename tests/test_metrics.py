@@ -2,6 +2,7 @@
 scree diagnostic."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -247,8 +248,7 @@ def test_topic_resolution_duplicated_halves_is_one():
     inst = planted((12, 8, 30), (2, 2, 3), doc_length=60, seed=65)
     d = inst.model.mean_tensor()
     doubled = np.concatenate([d, d], axis=0)
-    cfg = FitConfig(ranks=(2, 2, 3), doc_length=60, oracle=True,
-                    sparse_c_prime=0.0)
+    cfg = FitConfig(ranks=(2, 2, 3), doc_length=60, sparse_c_prime=0.0)
     splits = [(np.arange(12), np.arange(12, 24))]
     median, iqr = topic_resolution(doubled, cfg, trials=1, splits=splits)
     assert median == pytest.approx(1.0, abs=1e-9)
@@ -262,8 +262,7 @@ def test_topic_resolution_disjoint_vocabularies_is_zero():
     d = np.zeros((20, 6, 80))
     d[:10, :, :40] = first.model.mean_tensor()
     d[10:, :, 40:] = second.model.mean_tensor()
-    cfg = FitConfig(ranks=(2, 2, 2), doc_length=50, oracle=True,
-                    sparse_c_prime=0.0)
+    cfg = FitConfig(ranks=(2, 2, 2), doc_length=50, sparse_c_prime=0.0)
     splits = [(np.arange(10), np.arange(10, 20))]
     median, _ = topic_resolution(d, cfg, trials=1, splits=splits)
     assert median == pytest.approx(0.0, abs=1e-9)
@@ -335,12 +334,13 @@ def test_scree_matches_full_eigvalsh_up_to_every_eigenvalue(mode):
 
 
 def test_scree_reads_the_tensor_in_place_and_matches_the_fit():
-    """scree builds each gram as fit does, so its values equal the fit's
-    eigenvalues bit for bit, and it reads the tensor in place: the mode-2
-    unfolding would be a copy of the whole tensor."""
+    """scree builds the mode-1 and mode-2 grams as fit does, so its values
+    equal the fit's eigenvalues bit for bit, and it reads the tensor in place:
+    the mode-2 unfolding would be a copy of the whole tensor.  Its mode 3 is
+    the word gram, which fit does not form."""
     inst = planted((60, 50, 400), (2, 2, 3), doc_length=300, seed=72)
     result = fit(inst.y, FitConfig(ranks=(2, 2, 3), doc_length=300, sparse_c_prime=0.0))
-    for mode, k in zip((1, 2, 3), (2, 2, 3)):
+    for mode, k in zip((1, 2), (2, 2)):
         np.testing.assert_array_equal(scree(inst.y, mode, k, 300), result.eigvals[mode - 1])
     tracemalloc.start()
     try:
@@ -349,6 +349,14 @@ def test_scree_reads_the_tensor_in_place_and_matches_the_fit():
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * inst.y.nbytes
+
+
+@pytest.mark.parametrize("dims", [(0, 3, 5), (4, 0, 5)])
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_scree_refuses_a_tensor_with_no_documents(dims, mode):
+    with pytest.raises(DataFormatError,
+                       match=re.escape(f"scree: a tensor of dims {dims} holds no documents")):
+        scree(np.zeros(dims), mode, 1, 5)
 
 
 def test_evaluate_on_fitted_model_reports_finite_losses():
