@@ -11,7 +11,6 @@ from .metrics import (
 )
 from .simplex import spa_vertex_hunt
 from .spectral import build_q, leading_eigvecs
-from .synth import GenSpec, generate, sample_counts
 from .tensor import fold, unfold
 
 __version__ = "0.1.0"
@@ -39,3 +38,13 @@ __all__ = [
     "unfold",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """``GenSpec``, ``generate`` and ``sample_counts`` load ``synth`` on first use: it
+    imports ``numpy.random`` and a thread pool, which the fit and eval commands never need."""
+    if name in ("GenSpec", "generate", "sample_counts"):
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

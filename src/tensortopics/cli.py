@@ -9,6 +9,12 @@ manifest echoing its parameters, library versions, output paths, and stage
 timings; replaying a command with equal inputs reproduces every numeric
 output byte for byte (only the manifest's timings differ).
 
+``fit`` and ``scree`` read a count file straight into the frequency tensor
+``counts / doc_length``: the reader allocates that float tensor and no
+integer one, and the commands hand it on as it is.  Only ``generate`` and
+``sweep`` load the synthetic-data module, and only ``sweep --workers``
+starts a process pool.
+
 Exit codes: 0 success, 2 usage error, 3 malformed data, 4 degenerate fit.
 """
 
@@ -23,7 +29,6 @@ import re
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -34,7 +39,6 @@ from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_tuc
                      _checked_int, _checked_triple)
 from .estimator import FitConfig, TuckerModel, fit
 from .metrics import evaluate, scree
-from .synth import GenSpec, generate
 
 _EVAL_COLUMNS = ("loss_a1", "loss_a2", "loss_a3", "loss_g", "recon_l1")
 
@@ -132,36 +136,44 @@ def _bad_record(path, records, shape):
     return DataFormatError(f"{where}: negative count")
 
 
-def _overflow_line(path, flat, values, counts):
+def _overflow_line(path, flat, values, sums):
     """Line number of the first record whose cell sum leaves int64, if any.
 
-    Counts are nonnegative, so a wrapped cell sum leaves the tensor's float
-    total at least 2**64 below the records' float total.
+    ``flat`` and ``values`` are the records in file order and ``sums`` their
+    int64 cell sums.  Counts are nonnegative, so a wrapped cell sum leaves the
+    cells' float total at least 2**64 below the records' float total.
     """
     total = values.sum(dtype=float)
-    if total < 2.0 ** 62 or abs(counts.sum(dtype=float) - total) < 2.0 ** 62:
+    if total < 2.0 ** 62 or abs(sums.sum(dtype=float) - total) < 2.0 ** 62:
         return None
-    sums = {}
+    cells = {}
     for row, (cell, value) in enumerate(zip(flat.tolist(), values.tolist())):
-        sums[cell] = sums.get(cell, 0) + value
-        if sums[cell] > _INT64.max:
+        cells[cell] = cells.get(cell, 0) + value
+        if cells[cell] > _INT64.max:
             return _line_number(path, row + 1)
     return None
 
 
 def read_count_tensor(path):
-    """Parse the sparse text format back into ``(counts, doc_length)``.
+    """Parse the sparse text format into ``(y, doc_length)``, ``y`` the
+    frequency tensor: the counts over ``doc_length``, bit for bit.
 
     The grammar: every nonblank line holds four ASCII decimal integers, each
     with an optional sign, separated by whitespace; LF and CRLF line ends
     both work; blank lines are ignored and there are no comments.  The first
     line is the header ``n1 n2 n_words doc_length``, each one positive, and
     every other line a 1-based record ``i j r count`` with a nonnegative
-    count.  Duplicate records accumulate.  A bad file raises
+    count.  Duplicate records accumulate in int64.  A bad file raises
     ``DataFormatError`` naming a line: the first line that breaks the
     grammar if there is one, else the first out-of-range value.  The file
     is UTF-8 text, and numpy's parser reads it, so its name must not end in
     a suffix numpy decompresses.
+
+    The only tensor-sized array is ``y``: each cell's count is divided by
+    ``doc_length`` and scattered into zeros.  Records whose flat indices
+    strictly increase, as the writer orders them, hold no duplicates and are
+    scattered as they come; any other file first has its records sorted and
+    each cell's counts summed.
     """
     if Path(path).suffix in (".gz", ".bz2", ".xz", ".lzma"):  # numpy would decompress the file
         raise DataFormatError(f"{path}: a count file name must not end in {Path(path).suffix}")
@@ -188,23 +200,30 @@ def read_count_tensor(path):
         raise DataFormatError(f"{path}: line {_line_number(path, 0)}: "
                               "header dims and doc length must be positive")
     try:
-        counts = np.zeros((n1, n2, n_words), dtype=np.int64)
+        y = np.zeros((n1, n2, n_words))
     except (MemoryError, ValueError):
         raise DataFormatError(
             f"{path}: line {_line_number(path, 0)}: a {n1} x {n2} x {n_words} "
             "count tensor is too big to load") from None
     try:
-        flat = np.ravel_multi_index(tuple(records[:, :3].T - 1), counts.shape)
+        flat = np.ravel_multi_index(tuple(records[:, :3].T - 1), y.shape)
     except ValueError:  # an index outside the dims
         flat = None
-    if flat is None or records[:, 3].min(initial=0) < 0:
-        raise _bad_record(path, records, counts.shape)
-    np.add.at(counts.reshape(-1), flat, records[:, 3])
-    number = _overflow_line(path, flat, records[:, 3], counts)
-    if number is not None:
-        raise DataFormatError(
-            f"{path}: line {number}: accumulated count exceeds the 64-bit integer range")
-    return counts, doc_length
+    values = records[:, 3]
+    if flat is None or values.min(initial=0) < 0:
+        raise _bad_record(path, records, y.shape)
+    cells, sums = flat, values
+    if not (flat[1:] > flat[:-1]).all():
+        order = np.argsort(flat)
+        cells = flat[order]
+        starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+        cells, sums = cells[starts], np.add.reduceat(values[order], starts)
+        number = _overflow_line(path, flat, values, sums)
+        if number is not None:
+            raise DataFormatError(
+                f"{path}: line {number}: accumulated count exceeds the 64-bit integer range")
+    y.reshape(-1)[cells] = sums / doc_length
+    return y, doc_length
 
 
 def write_model(path, model, extra=None):
@@ -317,6 +336,8 @@ def derive_seed(master, *path):
 
 
 def cmd_generate(args):
+    from .synth import GenSpec, generate  # loads numpy.random, which fit and eval never need
+
     start = time.perf_counter()
     payload = _load_json(args.spec, "generator spec")
     if args.seed is not None:
@@ -359,7 +380,6 @@ def cmd_fit(args):
         if k > n:
             raise _UsageError(f"{args.data}: mode {mode} rank {k} exceeds dimension {n}")
     loaded = time.perf_counter()
-    y = y / doc_length  # frees the int64 counts: only frequencies stay alive
     result = fit(y, cfg)
     fitted = time.perf_counter()
     model_path = _out(args.out, "model.json")
@@ -419,6 +439,8 @@ def _sweep_cell(cell, where):
     The fit options default to the cell's planted ranks, and fit ranks must
     obey the Tucker rank rule too.
     """
+    from .synth import GenSpec
+
     options = cell.get("fit", {}) if isinstance(cell, dict) else None
     if not isinstance(options, dict):
         raise DataFormatError(f'{where}: a cell and its "fit" entry must be JSON objects')
@@ -434,6 +456,8 @@ def _sweep_cell(cell, where):
 
 
 def _sweep_trial(payload):
+    from .synth import generate
+
     spec, cfg, cell_index, trial_index, master_seed, where = payload
     seed = derive_seed(master_seed, cell_index, trial_index)
     try:
@@ -461,6 +485,8 @@ def cmd_sweep(args):
     jobs = [(spec, cfg, ci, ti, master_seed, where[ci])
             for ci, (spec, cfg) in enumerate(checked) for ti in range(trials)]
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             raw = list(pool.map(_sweep_trial, jobs))
     else:
@@ -500,7 +526,6 @@ def cmd_scree(args):
     if k_max > y.shape[args.mode - 1]:
         raise _UsageError(f"{args.data}: mode {args.mode} --kmax {k_max} exceeds dimension "
                           f"{y.shape[args.mode - 1]}")
-    y = y / doc_length  # frees the int64 counts: only frequencies stay alive
     values = scree(y, args.mode, k_max, doc_length)
     computed = time.perf_counter()
     rows = [[index + 1, float(value)] for index, value in enumerate(values)]

@@ -82,11 +82,21 @@ def _all_finite(a):
         return bool(np.isfinite(np.sum(a)) or np.isfinite(a).all())
 
 
-def _as_data(y):
-    """``y`` as an order-3 float tensor of finite nonnegative entries."""
+def _data_word_sums(y):
+    """``y`` as an order-3 float tensor of finite nonnegative entries, and its word sums
+    ``y.sum(axis=(0, 1))``.  Finite word sums prove every entry finite, so only a bad entry or
+    an overflowing sum makes the check look at each entry."""
     y = _as_tensor(np.asarray(y, dtype=float), "data tensor")
-    if not _all_finite(y):
+    with np.errstate(over="ignore", invalid="ignore"):
+        word_sums = y.sum(axis=(0, 1))
+        finite = np.isfinite(word_sums).all() or np.isfinite(y).all()
+    if not finite:
         raise DataFormatError("data tensor contains non-finite entries")
     if np.min(y, initial=0.0) < 0:
         raise DataFormatError("data tensor contains negative entries")
-    return y
+    return y, word_sums
+
+
+def _as_data(y):
+    """``y`` as :func:`_data_word_sums` checks it."""
+    return _data_word_sums(y)[0]

@@ -11,9 +11,10 @@ One fit runs four stages:
    the word mode first passes to ratio coordinates, and the recovered
    weights are rescaled by the leading eigenvector and normalized per topic
    (``simplex``);
-4. project the tensor onto the bases, map the projection through the vertex
-   matrices (word mode rescaled by the recovered topic masses), then clip
-   negatives and renormalize every topic tube (``fit_core``).
+4. project the word projection of the final mode-1 and mode-2 bases onto the
+   word basis, map the result through the vertex matrices (word mode rescaled
+   by the recovered topic masses), then clip negatives and renormalize every
+   topic tube (``fit_core``).
 
 Everything is deterministic: equal data and config give bit-identical output.
 """
@@ -23,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DataFormatError, FitDegenerateError, _all_finite, _as_data, _as_tensor,
-                     _check_tucker_ranks, _checked_int, _checked_real, _checked_triple)
+from .errors import (DataFormatError, FitDegenerateError, _all_finite, _as_tensor,
+                     _check_tucker_ranks, _checked_int, _checked_real, _checked_triple,
+                     _data_word_sums)
 from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
-from .spectral import _gram, build_q, hooi_refine, leading_eigvecs, word_basis
+from .spectral import _gram, build_q, hooi_refine, leading_eigvecs, word_basis, word_projection
 from .tensor import reconstruct
 
 
@@ -140,21 +142,21 @@ def threshold_vocab(y, doc_length, c_prime):
     against the per-word mean frequency ``y.sum(axis=(0, 1)) / (n1 * n2)``;
     a zero constant keeps every word.  A tensor with no documents is an error.
     """
-    y = _as_data(y)
+    y, word_sums = _data_word_sums(y)
     c_prime = _checked_real("c_prime", c_prime, positive=False)
     doc_length = _checked_int("doc_length", doc_length, 1)
     if not y.shape[0] * y.shape[1]:
         raise DataFormatError(
             f"vocabulary threshold: a tensor of dims {y.shape} holds no documents")
-    return _threshold(y, doc_length, c_prime)[0]
+    return _threshold(word_sums, y.shape, doc_length, c_prime)[0]
 
 
-def _threshold(y, doc_length, c_prime):
-    """``threshold_vocab``, and whether any word has mass, on inputs as ``fit`` checks them."""
-    n1, n2, n_words = y.shape
+def _threshold(word_sums, dims, doc_length, c_prime):
+    """``threshold_vocab`` of a tensor of ``dims`` from its word sums, and whether any word
+    has mass, on inputs as ``fit`` checks them.  An overflowing (infinite) word sum keeps its
+    word; the gram names the overflow."""
+    n1, n2, n_words = dims
     tau = c_prime * math.sqrt(math.log(max(n1, n2, n_words)) / (n1 * n2 * doc_length))
-    with np.errstate(over="ignore"):  # an overflowing word sum keeps the word; the gram names it
-        word_sums = y.sum(axis=(0, 1))
     return np.flatnonzero(word_sums / (n1 * n2) >= tau), bool(word_sums.any())
 
 
@@ -217,18 +219,17 @@ def _word_factor_from_basis(xi):
     return a3, q0, v_star, score.kept[hunt.indices]
 
 
-def fit_core(y, xi, v_hats, q0):
-    """Core recovery from bases, vertex matrices, and topic masses.
+def fit_core(p, xi3, v_hats, q0):
+    """Core recovery from the word projection, word basis, vertex matrices, and topic masses.
 
-    Projects ``y`` onto the three bases, maps the projection through the
-    vertex matrices (``v_hats[2]`` rescaled row-wise by ``q0``), then clips
-    negatives and renormalizes every topic tube to unit sum; a tube clipped
-    to nothing becomes uniform.  Inputs are taken as ``fit`` produces them:
-    a validated float tensor and strictly positive ``q0``.
+    Projects the :func:`~tensortopics.spectral.word_projection` ``p`` (the tensor projected
+    on the mode-1 and mode-2 bases) onto the word basis ``xi3``, maps the result through the
+    vertex matrices (``v_hats[2]`` rescaled row-wise by ``q0``), then clips negatives and
+    renormalizes every topic tube to unit sum; a tube clipped to nothing becomes uniform.
+    Inputs are taken as ``fit`` produces them: strictly positive ``q0``.
     """
-    xi1, xi2, xi3 = xi
     v1, v2, v3 = v_hats
-    projected = np.einsum("ijr,ip,jq,rs->pqs", y, xi1, xi2, xi3, optimize=True)
+    projected = np.tensordot(p, xi3, axes=([0], [0]))
     core = np.einsum("pqs,ap,bq,cs->abc", projected, v1, v2, q0[:, None] * v3,
                      optimize=True)
     return clip_to_simplex(core)
@@ -244,7 +245,7 @@ def fit(y, cfg):
     Raises ``FitDegenerateError`` with the failing stage named when the data
     cannot support the requested ranks.
     """
-    y = _as_data(np.ascontiguousarray(y, dtype=float))
+    y, word_sums = _data_word_sums(np.ascontiguousarray(y, dtype=float))
     n1, n2, n_words = y.shape
     k1, k2, k3 = cfg.ranks
     for mode, k, n in ((1, k1, n1), (2, k2, n2), (3, k3, n_words)):
@@ -253,7 +254,8 @@ def fit(y, cfg):
     _check_tucker_ranks(cfg.ranks)
     if k3 < 2:
         raise ValueError("word-mode recovery needs at least two topics")
-    vocab, has_mass = _threshold(y, cfg.doc_length, cfg.sparse_c_prime)
+    vocab, has_mass = _threshold(word_sums, y.shape, cfg.doc_length, cfg.sparse_c_prime)
+    del word_sums  # freed before the grams
     if not has_mass:
         raise FitDegenerateError("vocabulary threshold: the data tensor holds no mass")
     if vocab.size < k3:
@@ -264,15 +266,18 @@ def fit(y, cfg):
 
     (xi1, vals1), (xi2, vals2) = (_mode_basis(y, mode, k, cfg.doc_length, dropped)
                                   for mode, k in ((1, k1), (2, k2)))
-    xi3, vals3 = word_basis(y, xi1, xi2, k3, vocab)
+    p = word_projection(y, xi1, xi2)
+    xi3, vals3 = word_basis(p, k3, vocab)
     xi = (xi1, xi2, xi3)
     if cfg.use_hooi:
+        del p  # freed before the sweeps
         xi = hooi_refine(y, xi, cfg.hooi_iters, vocab)
+        p = word_projection(y, xi[0], xi[1])
 
     a1, hunt1 = _membership_from_basis(xi[0], "mode 1 membership")
     a2, hunt2 = _membership_from_basis(xi[1], "mode 2 membership")
     a3_kept, q0, v3_star, word_rows = _word_factor_from_basis(xi[2][vocab])
-    g = fit_core(y, xi, (hunt1.v, hunt2.v, v3_star), q0)
+    g = fit_core(p, xi[2], (hunt1.v, hunt2.v, v3_star), q0)
 
     a3 = np.zeros((n_words, k3))
     a3[vocab] = a3_kept

@@ -87,14 +87,17 @@ def core_loss(g_hat, g, perms):
 def _mean_l1(models, d=None):
     """Entrywise l1 norm of the first model's mean tensor less the second's and ``d``, where
     given, by blocks of mode-1 rows of about 2**20 entries: with ``T = G(1) (a2 kron a3)^T``
-    per model, a block is one GEMM, ``[a1_first | a1_second][rows] @ [T_first; -T_second]``."""
+    per model, a block is one GEMM, ``[a1_first | a1_second][rows] @ [T_first; -T_second]``,
+    written into one buffer that every block reuses."""
     a1 = np.hstack([model.a1 for model in models])
     t = np.vstack([sign * reconstruct(m.g, np.eye(m.ranks[0]), m.a2, m.a3).reshape(m.ranks[0], -1)
                    for sign, m in zip((1.0, -1.0), models)])
     rows = max(1, (1 << 20) // max(1, t.shape[1]))
+    buf = np.empty((min(rows, a1.shape[0]), t.shape[1]))
     total = 0.0
     for i in range(0, a1.shape[0], rows):
-        block = a1[i:i + rows] @ t
+        part = a1[i:i + rows]
+        block = np.matmul(part, t, out=buf[:len(part)])
         if d is not None:
             block -= d[i:i + rows].reshape(block.shape)
         total += np.abs(block, out=block).sum()

@@ -4,8 +4,9 @@ The gram matrix of a noisy frequency unfolding is biased on its diagonal by
 the multinomial sampling noise.  That bias cancels between documents on the
 two membership modes but not on the word mode, so ``build_q`` subtracts it
 from a mode-3 gram; ``centered=False`` restores the plain gram matrix for
-exact-mean inputs.  A fit forms no word gram: ``word_basis`` projects the
-tensor on the bases of modes 1 and 2, leaving too few noise directions.
+exact-mean inputs.  A fit forms no word gram: ``word_basis`` takes the
+tensor projected on the bases of modes 1 and 2 (``word_projection``), which
+leaves too few noise directions.
 
 ``leading_eigvecs`` computes only the top ``k + 1`` eigenpairs, by a
 thick-restart Lanczos method started from a fixed vector of a seeded
@@ -141,17 +142,30 @@ def leading_eigvecs(q, k):
     return _fix_signs(vecs[:, :-k - 1:-1]), vals[:-k - 1:-1].copy()
 
 
-def word_basis(y, xi1, xi2, k3, words=slice(None)):
-    """The ``k3`` leading left singular vectors of ``P = Y x1 xi1^T x2 xi2^T`` unfolded to
-    ``n3 x k1 k2``, signed as :func:`leading_eigvecs` signs them, and their squared singular
-    values.  Only the rows in ``words`` (default: all) enter; other rows are zero.  Errors
-    name mode 3.  ``P`` cannot overflow where the mode-1 gram did not."""
+def _too_big_for_mode_3(n_words, width):
+    return DataFormatError(
+        f"mode 3 projection: a {n_words} x {width} matrix is too big to allocate")
+
+
+def word_projection(y, xi1, xi2):
+    """``P = Y x1 xi1^T x2 xi2^T``, of shape ``(n3, k1, k2)``; errors name mode 3.  ``P``
+    cannot overflow where the mode-1 gram did not."""
     try:
-        p = np.einsum("ijr,ip,jq->rpq", y, xi1, xi2, optimize=True)
-        u, s, _ = np.linalg.svd(p.reshape(len(p), -1)[words], full_matrices=False)
+        return np.einsum("ijr,ip,jq->rpq", y, xi1, xi2, optimize=True)
     except MemoryError:
-        raise DataFormatError(f"mode 3 projection: a {y.shape[2]} x {xi1.shape[1] * xi2.shape[1]}"
-                              " matrix is too big to allocate") from None
+        raise _too_big_for_mode_3(y.shape[2], xi1.shape[1] * xi2.shape[1]) from None
+
+
+def word_basis(p, k3, words=slice(None)):
+    """The ``k3`` leading left singular vectors of the :func:`word_projection` ``p`` unfolded
+    to ``n3 x k1 k2``, signed as :func:`leading_eigvecs` signs them, and their squared singular
+    values.  Only the rows in ``words`` (default: all) enter; other rows are zero.  Errors
+    name mode 3."""
+    unfolded = p.reshape(len(p), -1)
+    try:
+        u, s, _ = np.linalg.svd(unfolded[words], full_matrices=False)
+    except MemoryError:
+        raise _too_big_for_mode_3(*unfolded.shape) from None
     except np.linalg.LinAlgError as err:
         raise FitDegenerateError(f"mode 3 SVD did not converge: {err}") from err
     basis = np.zeros((len(p), k3))
@@ -166,9 +180,9 @@ def hooi_refine(y, xi, iters, words=slice(None)):
     with the other two modes' bases from the previous sweep and takes fresh leading left
     singular vectors of the projection, so all three updates within a sweep read the same
     iterate.  Modes 1 and 2 share the contraction with the word basis, and mode 3 is
-    :func:`word_basis` over the rows in ``words``, so a sweep reads ``y`` twice.  ``iters=0``
-    returns the input bases unchanged.  Signs follow :func:`leading_eigvecs`; inputs are taken
-    as ``fit`` checks them.
+    :func:`word_basis` of the :func:`word_projection` over the rows in ``words``, so a sweep
+    reads ``y`` twice.  ``iters=0`` returns the input bases unchanged.  Signs follow
+    :func:`leading_eigvecs`; inputs are taken as ``fit`` checks them.
     """
     xi = tuple(xi)
     for _ in range(iters):
@@ -176,7 +190,7 @@ def hooi_refine(y, xi, iters, words=slice(None)):
         projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
                      np.tensordot(by_word, xi[0], axes=([1], [0])).transpose(1, 2, 0)]
         del by_word  # freed before mode 3 contracts y
-        word = word_basis(y, xi[0], xi[1], xi[2].shape[1], words)[0]
+        word = word_basis(word_projection(y, xi[0], xi[1]), xi[2].shape[1], words)[0]
         xi = (*(_fix_signs(np.linalg.svd(p.reshape(len(p), -1), full_matrices=False)[0][:, :k])
                 for p, k in zip(projected, (x.shape[1] for x in xi))), word)
     return xi

@@ -26,7 +26,10 @@ from tensortopics import (
 from tensortopics import estimator, spectral
 from tensortopics.errors import DataFormatError, FitDegenerateError
 from tensortopics.errors import _as_data as as_data
+from tensortopics.errors import _data_word_sums as data_word_sums
 from tensortopics.estimator import fit_core
+from tensortopics.simplex import clip_to_simplex
+from tensortopics.spectral import word_projection
 
 from helpers import arpack_pairs, layouts, planted, run_fresh
 
@@ -117,7 +120,7 @@ def test_fit_core_trivial_ranks():
     # tube renormalization restores scale
     u, _, _ = np.linalg.svd(unfold(y, 3), full_matrices=False)
     v3 = np.column_stack([np.ones(2), np.zeros(2)])
-    g = fit_core(y, (xi1, xi2, u[:, :2]), (np.eye(1), np.eye(1), v3),
+    g = fit_core(word_projection(y, xi1, xi2), u[:, :2], (np.eye(1), np.eye(1), v3),
                  np.array([1.0, 1.0]))
     assert g.shape == (1, 1, 2)
     np.testing.assert_allclose(g.sum(), 1.0, atol=1e-12)
@@ -126,11 +129,50 @@ def test_fit_core_trivial_ranks():
 def test_fit_core_empty_tube_becomes_uniform():
     y = np.zeros((2, 2, 3))
     y[..., 0] = 1.0
-    xi = (np.eye(2), np.eye(2), np.eye(3)[:, :2])
     # vertex maps chosen to zero out one tube entirely
     v3 = np.zeros((2, 2))
-    g = fit_core(y, xi, (np.eye(2), np.eye(2), v3), np.array([1.0, 1.0]))
+    g = fit_core(word_projection(y, np.eye(2), np.eye(2)), np.eye(3)[:, :2],
+                 (np.eye(2), np.eye(2), v3), np.array([1.0, 1.0]))
     np.testing.assert_allclose(g, 0.5)
+
+
+def _core_from_the_tensor(y, xi, v_hats, q0):
+    """The core contracted from the whole tensor with all three bases at once: the
+    reference that the core from the word projection is held to."""
+    v1, v2, v3 = v_hats
+    projected = np.einsum("ijr,ip,jq,rs->pqs", y, *xi, optimize=True)
+    return clip_to_simplex(np.einsum("pqs,ap,bq,cs->abc", projected, v1, v2, q0[:, None] * v3,
+                                     optimize=True))
+
+
+@pytest.mark.parametrize("use_hooi", [False, True], ids=["spectral", "hooi"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_core_from_the_word_projection_is_within_1e_12_of_the_tensor_core(monkeypatch, seed,
+                                                                          use_hooi):
+    """fit takes its core from the word projection of its final mode-1 and mode-2 bases:
+    every entry lies within 1e-12 of the core contracted from the whole tensor with the
+    final bases, and the factors, vocabulary, vertices and eigenvalues, which never read
+    the core, are bit-identical."""
+    y = planted((40, 30, 300), (2, 2, 3), doc_length=100, seed=seed).y
+    cfg = FitConfig(ranks=(2, 2, 3), doc_length=100, use_hooi=use_hooi, hooi_iters=2)
+    got = fit(y, cfg)
+    bases, membership = [], estimator._membership_from_basis
+
+    def recorded(xi, label):
+        bases.append(xi)
+        return membership(xi, label)
+
+    monkeypatch.setattr(estimator, "_membership_from_basis", recorded)
+    monkeypatch.setattr(estimator, "fit_core", lambda p, xi3, v_hats, q0:
+                        _core_from_the_tensor(y, (*bases, xi3), v_hats, q0))
+    want = fit(y, cfg)
+    assert np.abs(got.model.g - want.model.g).max() <= 1e-12
+    for name in ("a1", "a2", "a3"):
+        np.testing.assert_array_equal(getattr(got.model, name), getattr(want.model, name))
+    for got_part, want_part in ((got.vocab, want.vocab), (got.q0, want.q0),
+                                *zip(got.vertices, want.vertices),
+                                *zip(got.eigvals, want.eigvals)):
+        np.testing.assert_array_equal(got_part, want_part)
 
 
 def test_fit_oracle_recovers_everything():
@@ -326,14 +368,15 @@ def test_fit_config_accepts_numpy_integer_doc_length():
 
 
 def test_fit_and_threshold_validate_the_tensor_once(monkeypatch):
+    """One check serves both: its word sums prove the entries finite and feed the threshold."""
     inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=47)
     calls = []
 
     def counted(y):
         calls.append(1)
-        return as_data(y)
+        return data_word_sums(y)
 
-    monkeypatch.setattr(estimator, "_as_data", counted)
+    monkeypatch.setattr(estimator, "_data_word_sums", counted)
     fit(inst.y, FitConfig(ranks=(2, 2, 2), doc_length=30))
     assert len(calls) == 1
     threshold_vocab(inst.y, 30, 0.01)
@@ -428,14 +471,19 @@ def test_fit_word_gram_takes_the_threshold_sums_bit_for_bit(dims, drop, monkeypa
     y = _one_word_dropped(y, 3) if drop else y
     seen = []
 
-    def recorded(y, xi1, xi2, k3, words):
-        seen.append((xi1, xi2, spectral.word_basis(y, xi1, xi2, k3, words)))
+    def projected(y, xi1, xi2):
+        seen.append((xi1, xi2))
+        return spectral.word_projection(y, xi1, xi2)
+
+    def recorded(p, k3, words):
+        seen.append(spectral.word_basis(p, k3, words))
         raise _WordBasisSeen
 
+    monkeypatch.setattr(estimator, "word_projection", projected)
     monkeypatch.setattr(estimator, "word_basis", recorded)
     with pytest.raises(_WordBasisSeen):
         fit(y, FitConfig(ranks=(2, 2, 3), doc_length=50))
-    (xi1, xi2, (xi3, vals3)), = seen
+    (xi1, xi2), (xi3, vals3) = seen
     kept = np.arange(dims[2]) != 3 if drop else np.ones(dims[2], dtype=bool)
     u, sigma, _ = np.linalg.svd(_explicit_projection(y, xi1, xi2)[kept], full_matrices=False)
     np.testing.assert_allclose(xi3[kept], spectral._fix_signs(u[:, :3]), rtol=0, atol=1e-12)
@@ -508,10 +556,11 @@ def test_fit_leaves_dropped_words_out_of_the_mode_grams_within_rounding(seed, mo
         np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-13 * ref_vals[0])
 
 
-def _word_gram_start(doc_length):
-    """A stand-in for ``word_basis`` that takes the word basis from the word
-    gram less its sampling noise, as the paper's modified HOSVD does."""
-    def gram_start(y, xi1, xi2, k3, words):
+def _word_gram_start(y, doc_length):
+    """A stand-in for ``word_basis`` that takes the word basis of ``y`` from the
+    word gram less its sampling noise, as the paper's modified HOSVD does; the
+    word projection it is handed goes unread."""
+    def gram_start(p, k3, words):
         vecs, vals = leading_eigvecs(build_q(np.moveaxis(y[:, :, words], 2, 0), 3, doc_length), k3)
         basis = np.zeros((y.shape[2], k3))
         basis[words] = vecs
@@ -526,7 +575,7 @@ def test_hooi_from_the_projected_start_drifts_from_the_word_gram_start_below_1e_
     inst = planted((200, 150, 400), (4, 3, 6), doc_length=2000, seed=4)
     cfg = FitConfig(ranks=(4, 3, 6), doc_length=2000, use_hooi=True, hooi_iters=5)
     projected = fit(inst.y, cfg).model
-    monkeypatch.setattr(estimator, "word_basis", _word_gram_start(2000))
+    monkeypatch.setattr(estimator, "word_basis", _word_gram_start(inst.y, 2000))
     gram = fit(inst.y, cfg).model
     for name in ("a1", "a2", "a3", "g"):
         assert np.abs(getattr(projected, name) - getattr(gram, name)).max() < 1e-4, name
@@ -540,8 +589,10 @@ def test_projected_word_basis_recovers_topics_no_worse_than_the_word_gram(monkey
     insts = [planted((40, 30, 300), (2, 2, 3), doc_length=2000, seed=seed, dirichlet_alpha=0.1)
              for seed in range(1, 9)]
     projected = [aligned_l1_loss(fit(i.y, cfg).model.a3, i.model.a3)[0] for i in insts]
-    monkeypatch.setattr(estimator, "word_basis", _word_gram_start(2000))
-    gram = [aligned_l1_loss(fit(i.y, cfg).model.a3, i.model.a3)[0] for i in insts]
+    gram = []
+    for i in insts:
+        monkeypatch.setattr(estimator, "word_basis", _word_gram_start(i.y, 2000))
+        gram.append(aligned_l1_loss(fit(i.y, cfg).model.a3, i.model.a3)[0])
     assert all(p <= 1.01 * g for p, g in zip(projected, gram)), (projected, gram)
     assert np.median(projected) < np.median(gram)
 
