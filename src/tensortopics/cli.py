@@ -154,27 +154,15 @@ def _overflow_line(path, flat, values, sums):
     return None
 
 
-def read_count_tensor(path):
-    """Parse the sparse text format into ``(y, doc_length)``, ``y`` the
-    frequency tensor: the counts over ``doc_length``, bit for bit.
+def _too_big_to_load(path, dims):
+    return DataFormatError(f"{path}: line {_line_number(path, 0)}: a {' x '.join(map(str, dims))} "
+                           "count tensor is too big to load")
 
-    The grammar: every nonblank line holds four ASCII decimal integers, each
-    with an optional sign, separated by whitespace; LF and CRLF line ends
-    both work; blank lines are ignored and there are no comments.  The first
-    line is the header ``n1 n2 n_words doc_length``, each one positive, and
-    every other line a 1-based record ``i j r count`` with a nonnegative
-    count.  Duplicate records accumulate in int64.  A bad file raises
-    ``DataFormatError`` naming a line: the first line that breaks the
-    grammar if there is one, else the first out-of-range value.  The file
-    is UTF-8 text, and numpy's parser reads it, so its name must not end in
-    a suffix numpy decompresses.
 
-    The only tensor-sized array is ``y``: each cell's count is divided by
-    ``doc_length`` and scattered into zeros.  Records whose flat indices
-    strictly increase, as the writer orders them, hold no duplicates and are
-    scattered as they come; any other file first has its records sorted and
-    each cell's counts summed.
-    """
+def _cell_frequencies(path):
+    """The dims and doc length of the count file at ``path``, and its records' flat cell
+    indices, unique and ascending, with each cell's summed count over the doc length; see
+    :func:`read_count_tensor`.  The parsed table is freed when this returns."""
     if Path(path).suffix in (".gz", ".bz2", ".xz", ".lzma"):  # numpy would decompress the file
         raise DataFormatError(f"{path}: a count file name must not end in {Path(path).suffix}")
     try:
@@ -196,22 +184,21 @@ def read_count_tensor(path):
     if table.shape[1] != 4:
         raise _malformed_line(path)
     (n1, n2, n_words, doc_length), records = table[0].tolist(), table[1:]
+    dims = (n1, n2, n_words)
     if min(n1, n2, n_words, doc_length) < 1:
         raise DataFormatError(f"{path}: line {_line_number(path, 0)}: "
                               "header dims and doc length must be positive")
-    try:
-        y = np.zeros((n1, n2, n_words))
-    except (MemoryError, ValueError):
-        raise DataFormatError(
-            f"{path}: line {_line_number(path, 0)}: a {n1} x {n2} x {n_words} "
-            "count tensor is too big to load") from None
-    try:
-        flat = np.ravel_multi_index(tuple(records[:, :3].T - 1), y.shape)
-    except ValueError:  # an index outside the dims
-        flat = None
-    values = records[:, 3]
-    if flat is None or values.min(initial=0) < 0:
-        raise _bad_record(path, records, y.shape)
+    if n1 * n2 * n_words > _INT64.max // 8:  # numpy cannot size it, nor int64 index its cells
+        raise _too_big_to_load(path, dims)
+    *index, values = records.T
+    if (any(column.min(initial=1) < 1 or column.max(initial=1) > n
+            for column, n in zip(index, dims)) or values.min(initial=0) < 0):
+        raise _bad_record(path, records, dims)
+    flat = index[0] - 1  # ((i - 1) n2 + j - 1) n_words + r - 1, built in place
+    for column, n in zip(index[1:], dims[1:]):
+        flat *= n
+        flat += column
+        flat -= 1
     cells, sums = flat, values
     if not (flat[1:] > flat[:-1]).all():
         order = np.argsort(flat)
@@ -222,7 +209,36 @@ def read_count_tensor(path):
         if number is not None:
             raise DataFormatError(
                 f"{path}: line {number}: accumulated count exceeds the 64-bit integer range")
-    y.reshape(-1)[cells] = sums / doc_length
+    return dims, doc_length, cells, sums / doc_length
+
+
+def read_count_tensor(path):
+    """Parse the sparse text format into ``(y, doc_length)``, ``y`` the
+    frequency tensor: the counts over ``doc_length``, bit for bit.
+
+    The grammar: every nonblank line holds four ASCII decimal integers, each
+    with an optional sign, separated by whitespace; LF and CRLF line ends
+    both work; blank lines are ignored and there are no comments.  The first
+    line is the header ``n1 n2 n_words doc_length``, each one positive, and
+    every other line a 1-based record ``i j r count`` with a nonnegative
+    count.  Duplicate records accumulate in int64.  A bad file raises
+    ``DataFormatError`` naming a line: the first line that breaks the
+    grammar if there is one, else the first out-of-range value.  The file
+    is UTF-8 text, and numpy's parser reads it, so its name must not end in
+    a suffix numpy decompresses.
+
+    The only tensor-sized array is ``y``, allocated once the parsed table is
+    freed: each cell's count is divided by ``doc_length`` and scattered into
+    zeros.  Records whose flat indices strictly increase, as the writer
+    orders them, hold no duplicates and are scattered as they come; any
+    other file first has its records sorted and each cell's counts summed.
+    """
+    dims, doc_length, cells, frequencies = _cell_frequencies(path)
+    try:
+        y = np.zeros(dims)
+    except MemoryError:
+        raise _too_big_to_load(path, dims) from None
+    y.reshape(-1)[cells] = frequencies
     return y, doc_length
 
 

@@ -5,8 +5,9 @@ One fit runs four stages:
 1. check the ranks against the tensor's dimensions, then optionally drop
    words whose average frequency falls below the sparsity threshold
    (``threshold_vocab``);
-2. take leading eigenvector bases of the mode-1 and mode-2 grams and the word basis
-   of the tensor projected on them, optionally refined by power sweeps (``spectral``);
+2. take the leading eigenvector basis of the mode-1 gram, the mode-2 basis of the
+   tensor projected on it, and the word basis of the tensor projected on both (a
+   sequentially truncated HOSVD), optionally refined by power sweeps (``spectral``);
 3. hunt simplex vertices in each basis row cloud and solve for memberships;
    the word mode first passes to ratio coordinates, and the recovered
    weights are rescaled by the leading eigenvector and normalized per topic
@@ -28,7 +29,8 @@ from .errors import (DataFormatError, FitDegenerateError, _all_finite, _as_tenso
                      _check_tucker_ranks, _checked_int, _checked_real, _checked_triple,
                      _data_word_sums)
 from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
-from .spectral import _gram, build_q, hooi_refine, leading_eigvecs, word_basis, word_projection
+from .spectral import (_gram, build_q, hooi_refine, leading_eigvecs, mode1_projection,
+                       word_basis, word_projection)
 from .tensor import reconstruct
 
 
@@ -124,8 +126,9 @@ class FitResult:
     ``model.a3`` outside it are exactly zero.  ``q0`` holds the recovered
     strictly positive topic masses.  ``vertices`` gives per mode the row
     indices chosen as simplex vertices (word-mode entries are original word
-    indices).  ``eigvals`` are the initial spectral step's leading gram eigenvalues of
-    modes 1 and 2 and squared singular values of the word projection (``word_basis``).
+    indices).  ``eigvals`` are the initial spectral step's leading eigenvalues of the
+    mode-1 gram and of the mode-2 gram of the tensor projected on the mode-1 basis, and
+    squared singular values of the word projection (``word_basis``).
     """
 
     model: TuckerModel
@@ -161,12 +164,16 @@ def _threshold(word_sums, dims, doc_length, c_prime):
 
 
 def _mode_basis(y, mode, k, doc_length, dropped=()):
-    """Leading ``k`` gram eigenpairs of one mode of the checked tensor ``y`` as ``fit`` and
-    ``scree`` take them, less the grams of ``dropped`` words' slabs, naming the mode in errors."""
+    """Leading ``k`` gram eigenpairs of one mode of ``y`` as ``fit`` and ``scree`` take them,
+    less the grams of ``dropped`` words' slabs, naming the mode in errors.  ``y`` is the
+    checked tensor, whose gram ``build_q`` forms, or with ``doc_length=None`` the
+    :func:`~tensortopics.spectral.mode1_projection` of it, whose plain gram is summed over
+    its slabs."""
     n = y.shape[mode - 1]
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            q = build_q(np.moveaxis(y, mode - 1, 0), mode, doc_length)
+            slabs = np.moveaxis(y, mode - 1, 0)
+            q = _gram(slabs) if doc_length is None else build_q(slabs, mode, doc_length)
             for word in dropped:
                 q -= _gram(np.moveaxis(y[:, :, word], mode - 1, 0))
     except MemoryError:
@@ -241,7 +248,7 @@ def fit(y, cfg):
     ``y`` is the frequency tensor (counts over ``cfg.doc_length``) or the
     exact mean tensor; it is never written to, and copied only if it is not
     C-ordered float.  The gram of a dropped word's slab is taken off the
-    mode-1 and mode-2 grams, and its row of the word basis is zero.
+    mode-1 gram and the projected mode-2 gram, and its row of the word basis is zero.
     Raises ``FitDegenerateError`` with the failing stage named when the data
     cannot support the requested ranks.
     """
@@ -264,15 +271,17 @@ def fit(y, cfg):
             f"fewer than the {k3} requested topics")
     dropped = np.setdiff1d(np.arange(n_words), vocab)
 
-    (xi1, vals1), (xi2, vals2) = (_mode_basis(y, mode, k, cfg.doc_length, dropped)
-                                  for mode, k in ((1, k1), (2, k2)))
-    p = word_projection(y, xi1, xi2)
+    xi1, vals1 = _mode_basis(y, 1, k1, cfg.doc_length, dropped)
+    z = mode1_projection(y, xi1)
+    xi2, vals2 = _mode_basis(z, 2, k2, None, dropped)
+    p = word_projection(z, xi2)
+    del z  # freed before the word basis and the sweeps
     xi3, vals3 = word_basis(p, k3, vocab)
     xi = (xi1, xi2, xi3)
     if cfg.use_hooi:
         del p  # freed before the sweeps
         xi = hooi_refine(y, xi, cfg.hooi_iters, vocab)
-        p = word_projection(y, xi[0], xi[1])
+        p = word_projection(mode1_projection(y, xi[0]), xi[1])
 
     a1, hunt1 = _membership_from_basis(xi[0], "mode 1 membership")
     a2, hunt2 = _membership_from_basis(xi[1], "mode 2 membership")

@@ -4,7 +4,9 @@ The gram matrix of a noisy frequency unfolding is biased on its diagonal by
 the multinomial sampling noise.  That bias cancels between documents on the
 two membership modes but not on the word mode, so ``build_q`` subtracts it
 from a mode-3 gram; ``centered=False`` restores the plain gram matrix for
-exact-mean inputs.  A fit forms no word gram: ``word_basis`` takes the
+exact-mean inputs.  A fit forms the mode-1 gram only, as a sequentially
+truncated HOSVD: the mode-2 basis comes from the gram of the tensor projected
+on the mode-1 basis (``mode1_projection``), and ``word_basis`` from the
 tensor projected on the bases of modes 1 and 2 (``word_projection``), which
 leaves too few noise directions.
 
@@ -13,8 +15,8 @@ thick-restart Lanczos method started from a fixed vector of a seeded
 generator, so replays are bit-identical; a start at the all-ones vector would
 never reach an eigenvector that sums to zero.  When ``k + 1`` reaches the
 matrix size, the full LAPACK ``eigh`` runs instead.  Eigenvalues, the fit's
-for modes 1 and 2 included, agree with a full ``eigh`` within 1e-12 relative,
-and bases within the solver residual over the eigengap.
+for modes 1 and 2 included, agree with a full ``eigh`` of their gram within
+1e-12 relative, and bases within the solver residual over the eigengap.
 """
 
 import numpy as np
@@ -22,8 +24,17 @@ import numpy as np
 from .errors import DataFormatError, FitDegenerateError, _check_mode, _checked_int
 
 def _gram(m):
-    """``m @ m.T``, exactly symmetric: a rank-k update once ``m`` is contiguous."""
-    m = m if m.flags.f_contiguous else np.ascontiguousarray(m)
+    """Gram matrix of ``m``, exactly symmetric: ``m @ m.T`` of a matrix, or the sum of the
+    slab grams ``m[:, s, :] @ m[:, s, :].T`` of a tensor with the mode's axis first, read
+    in place (one product where its trailing axes flatten to a view)."""
+    if m.ndim == 3 and m.strides[1] == m.shape[2] * m.strides[2]:
+        m = m.reshape(m.shape[0], -1)  # a view for these strides
+    if m.ndim == 3:
+        q = _gram(m[:, 0])
+        for s in range(1, m.shape[1]):
+            q += _gram(m[:, s])
+        return q
+    m = m if m.flags.f_contiguous else np.ascontiguousarray(m)  # a rank-k update
     return m @ m.T
 
 
@@ -41,12 +52,7 @@ def build_q(y_mat, mode, doc_length, centered=True):
     if y.ndim not in (2, 3):
         raise ValueError("expected an unfolding or a tensor with the mode's axis first")
     _check_mode(mode)
-    if y.ndim == 3 and y.strides[1] == y.shape[2] * y.strides[2]:
-        y = y.reshape(y.shape[0], -1)  # a view for these strides
-    slabs = np.moveaxis(y, 1, 0) if y.ndim == 3 else [y]
-    q = _gram(slabs[0])
-    for slab in slabs[1:]:
-        q += _gram(slab)
+    q = _gram(y)
     if mode == 3 and centered:
         doc_length = _checked_int("doc_length", doc_length, 1)
         q[np.diag_indices_from(q)] -= y.sum(axis=tuple(range(1, y.ndim))) / doc_length
@@ -142,18 +148,28 @@ def leading_eigvecs(q, k):
     return _fix_signs(vecs[:, :-k - 1:-1]), vals[:-k - 1:-1].copy()
 
 
-def _too_big_for_mode_3(n_words, width):
+def _too_big(mode, rows, width):
     return DataFormatError(
-        f"mode 3 projection: a {n_words} x {width} matrix is too big to allocate")
+        f"mode {mode} projection: a {rows} x {width} matrix is too big to allocate")
 
 
-def word_projection(y, xi1, xi2):
-    """``P = Y x1 xi1^T x2 xi2^T``, of shape ``(n3, k1, k2)``; errors name mode 3.  ``P``
-    cannot overflow where the mode-1 gram did not."""
+def mode1_projection(y, xi1):
+    """``Z = Y x1 xi1^T``, of shape ``(k1, n2, n3)``: one GEMM on the mode-1 unfolding
+    view of the C-ordered ``y``.  Errors name mode 2, whose basis ``fit`` takes from ``Z``."""
     try:
-        return np.einsum("ijr,ip,jq->rpq", y, xi1, xi2, optimize=True)
+        return np.matmul(xi1.T, y.reshape(len(y), -1)).reshape(xi1.shape[1], *y.shape[1:])
     except MemoryError:
-        raise _too_big_for_mode_3(y.shape[2], xi1.shape[1] * xi2.shape[1]) from None
+        raise _too_big(2, y.shape[1], xi1.shape[1] * y.shape[2]) from None
+
+
+def word_projection(z, xi2):
+    """``P = Z x2 xi2^T`` of the :func:`mode1_projection` ``z``, viewed as ``(n3, k1, k2)``:
+    one batched GEMM; errors name mode 3.  ``P`` cannot overflow where the mode-1 gram did
+    not."""
+    try:
+        return np.matmul(xi2.T, z).transpose(2, 0, 1)
+    except MemoryError:
+        raise _too_big(3, z.shape[2], z.shape[0] * xi2.shape[1]) from None
 
 
 def word_basis(p, k3, words=slice(None)):
@@ -165,7 +181,7 @@ def word_basis(p, k3, words=slice(None)):
     try:
         u, s, _ = np.linalg.svd(unfolded[words], full_matrices=False)
     except MemoryError:
-        raise _too_big_for_mode_3(*unfolded.shape) from None
+        raise _too_big(3, *unfolded.shape) from None
     except np.linalg.LinAlgError as err:
         raise FitDegenerateError(f"mode 3 SVD did not converge: {err}") from err
     basis = np.zeros((len(p), k3))
@@ -190,7 +206,8 @@ def hooi_refine(y, xi, iters, words=slice(None)):
         projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
                      np.tensordot(by_word, xi[0], axes=([1], [0])).transpose(1, 2, 0)]
         del by_word  # freed before mode 3 contracts y
-        word = word_basis(word_projection(y, xi[0], xi[1]), xi[2].shape[1], words)[0]
+        word = word_basis(word_projection(mode1_projection(y, xi[0]), xi[1]), xi[2].shape[1],
+                          words)[0]
         xi = (*(_fix_signs(np.linalg.svd(p.reshape(len(p), -1), full_matrices=False)[0][:, :k])
                 for p, k in zip(projected, (x.shape[1] for x in xi))), word)
     return xi

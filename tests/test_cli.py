@@ -127,6 +127,27 @@ def test_count_tensor_reader_holds_one_float_tensor(tmp_path):
     assert peak < 2 * y.nbytes
 
 
+def test_count_tensor_reader_frees_the_parsed_records_before_the_tensor(tmp_path):
+    """At doc length 100 a 40 x 30 x 300 corpus has about 100 k records, and
+    the records, not the tensor, set the reader's peak.  The parsed
+    four-column table is freed before the tensor is allocated, so the peak is
+    the tensor plus under three int64 words a record (1.69 times the tensor);
+    holding the table, a copy of its index columns and the flat index beside
+    the tensor peaked at 3.23 times."""
+    inst = planted((40, 30, 300), (2, 2, 3), doc_length=100, seed=3)
+    path = tmp_path / "counts.txt"
+    write_count_tensor(path, inst.counts, 100)
+    records = int(np.count_nonzero(inst.counts))
+    tracemalloc.start()
+    try:
+        y, _ = read_count_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_bits(y, inst.counts / 100)
+    assert peak < y.nbytes + 3 * 8 * records
+
+
 def _count_file_reference(counts, doc_length):
     """The count file formatted record by record, the writer's reference."""
     return "".join([" ".join(map(str, (*counts.shape, doc_length))) + "\n"]
@@ -855,9 +876,10 @@ def test_linalg_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
 
 
 def test_full_eigh_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
-    """Mode 2 has 6 rows and rank 5, so its k + 1 pairs take the full eigh.
-    Only that 6 x 6 eigh fails: the Lanczos solve of mode 1 also calls
-    ``eigh``, on its 8 x 8 projected matrix."""
+    """Mode 2 has 6 rows and rank 5, so its k + 1 pairs take the full eigh:
+    in fit on the gram of the tensor projected on the mode-1 basis, in scree
+    on the full mode-2 gram.  Only a 6 x 6 eigh fails: the Lanczos solve of
+    mode 1 also calls ``eigh``, on its 8 x 8 projected matrix."""
     data = _tiny_counts(tmp_path)
     real_eigh = np.linalg.eigh
 
@@ -871,35 +893,45 @@ def test_full_eigh_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "f")]) == 4
     err = capsys.readouterr().err
     assert "degenerate fit: mode 2 eigensolve did not converge" in err
+    assert main(["scree", "--data", str(data), "--mode", "2", "--kmax", "5"]) == 4
+    err = capsys.readouterr().err
+    assert "degenerate fit: mode 2 eigensolve did not converge" in err
 
 
 def test_gram_allocation_failure_is_exit_3_naming_mode_and_size(tmp_path, capsys, monkeypatch):
-    """fit forms no word gram: an allocation failure in the word projection
-    names mode 3 and the projection's size, and scree's word gram its own."""
+    """fit forms neither a mode-2 nor a word gram: an allocation failure in the
+    tensor projected on the mode-1 basis names mode 2 and the size of that
+    projection's mode-2 unfolding, one in the word projection names mode 3 and
+    its size, and scree's mode-2 and word grams name their own."""
     data = _tiny_counts(tmp_path)
-    real_einsum, real_build_q = np.einsum, estimator.build_q
+    real_matmul, real_build_q = np.matmul, estimator.build_q
 
-    def no_memory_for_the_projection(subscripts, *operands, **kwargs):
-        if subscripts == "ijr,ip,jq->rpq":
-            raise MemoryError
-        return real_einsum(subscripts, *operands, **kwargs)
+    def no_memory_for_the_projection(ndim):
+        def matmul(a, b, *args, **kwargs):
+            if np.ndim(b) == ndim:  # a matrix for Z, a tensor for P
+                raise MemoryError
+            return real_matmul(a, b, *args, **kwargs)
+        return matmul
 
-    def no_memory_for_words(y_mat, mode, *args, **kwargs):
-        if mode == 3:
+    def no_memory_for_modes_2_and_3(y_mat, mode, *args, **kwargs):
+        if mode > 1:
             raise MemoryError
         return real_build_q(y_mat, mode, *args, **kwargs)
 
-    monkeypatch.setattr(np, "einsum", no_memory_for_the_projection)
-    monkeypatch.setattr(estimator, "build_q", no_memory_for_words)
-    assert main(["fit", "--data", str(data), "--ranks", "2,2,2",
-                 "--out", str(tmp_path / "f")]) == 3
-    assert capsys.readouterr().err == \
-        "data error: mode 3 projection: a 20 x 4 matrix is too big to allocate\n"
+    fit_args = ["fit", "--data", str(data), "--ranks", "2,2,2", "--out", str(tmp_path / "f")]
+    for ndim, message in ((2, "mode 2 projection: a 6 x 40"), (3, "mode 3 projection: a 20 x 4")):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", no_memory_for_the_projection(ndim))
+            assert main(fit_args) == 3
+        assert capsys.readouterr().err == \
+            f"data error: {message} matrix is too big to allocate\n"
     assert not (tmp_path / "f.model.json").exists()
-    assert main(["scree", "--data", str(data), "--mode", "3", "--kmax", "2",
-                 "--out", str(tmp_path / "s")]) == 3
-    assert capsys.readouterr().err == \
-        "data error: mode 3 gram: a 20 x 20 matrix is too big to allocate\n"
+    monkeypatch.setattr(estimator, "build_q", no_memory_for_modes_2_and_3)
+    for mode, n in ((2, 6), (3, 20)):
+        assert main(["scree", "--data", str(data), "--mode", str(mode), "--kmax", "2",
+                     "--out", str(tmp_path / "s")]) == 3
+        assert capsys.readouterr().err == \
+            f"data error: mode {mode} gram: a {n} x {n} matrix is too big to allocate\n"
     assert not (tmp_path / "s.scree.csv").exists()
 
 

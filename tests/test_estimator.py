@@ -18,6 +18,7 @@ from tensortopics import (
     build_q,
     evaluate,
     fit,
+    fold,
     leading_eigvecs,
     scree,
     threshold_vocab,
@@ -29,7 +30,7 @@ from tensortopics.errors import _as_data as as_data
 from tensortopics.errors import _data_word_sums as data_word_sums
 from tensortopics.estimator import fit_core
 from tensortopics.simplex import clip_to_simplex
-from tensortopics.spectral import word_projection
+from tensortopics.spectral import mode1_projection, word_projection
 
 from helpers import arpack_pairs, layouts, planted, run_fresh
 
@@ -120,8 +121,8 @@ def test_fit_core_trivial_ranks():
     # tube renormalization restores scale
     u, _, _ = np.linalg.svd(unfold(y, 3), full_matrices=False)
     v3 = np.column_stack([np.ones(2), np.zeros(2)])
-    g = fit_core(word_projection(y, xi1, xi2), u[:, :2], (np.eye(1), np.eye(1), v3),
-                 np.array([1.0, 1.0]))
+    g = fit_core(word_projection(mode1_projection(y, xi1), xi2), u[:, :2],
+                 (np.eye(1), np.eye(1), v3), np.array([1.0, 1.0]))
     assert g.shape == (1, 1, 2)
     np.testing.assert_allclose(g.sum(), 1.0, atol=1e-12)
 
@@ -131,7 +132,7 @@ def test_fit_core_empty_tube_becomes_uniform():
     y[..., 0] = 1.0
     # vertex maps chosen to zero out one tube entirely
     v3 = np.zeros((2, 2))
-    g = fit_core(word_projection(y, np.eye(2), np.eye(2)), np.eye(3)[:, :2],
+    g = fit_core(word_projection(mode1_projection(y, np.eye(2)), np.eye(2)), np.eye(3)[:, :2],
                  (np.eye(2), np.eye(2), v3), np.array([1.0, 1.0]))
     np.testing.assert_allclose(g, 0.5)
 
@@ -471,19 +472,24 @@ def test_fit_word_gram_takes_the_threshold_sums_bit_for_bit(dims, drop, monkeypa
     y = _one_word_dropped(y, 3) if drop else y
     seen = []
 
-    def projected(y, xi1, xi2):
-        seen.append((xi1, xi2))
-        return spectral.word_projection(y, xi1, xi2)
+    def projected_on_mode_1(y, xi1):
+        seen.append(xi1)
+        return spectral.mode1_projection(y, xi1)
+
+    def projected(z, xi2):
+        seen.append(xi2)
+        return spectral.word_projection(z, xi2)
 
     def recorded(p, k3, words):
         seen.append(spectral.word_basis(p, k3, words))
         raise _WordBasisSeen
 
+    monkeypatch.setattr(estimator, "mode1_projection", projected_on_mode_1)
     monkeypatch.setattr(estimator, "word_projection", projected)
     monkeypatch.setattr(estimator, "word_basis", recorded)
     with pytest.raises(_WordBasisSeen):
         fit(y, FitConfig(ranks=(2, 2, 3), doc_length=50))
-    (xi1, xi2), (xi3, vals3) = seen
+    xi1, xi2, (xi3, vals3) = seen
     kept = np.arange(dims[2]) != 3 if drop else np.ones(dims[2], dtype=bool)
     u, sigma, _ = np.linalg.svd(_explicit_projection(y, xi1, xi2)[kept], full_matrices=False)
     np.testing.assert_allclose(xi3[kept], spectral._fix_signs(u[:, :3]), rtol=0, atol=1e-12)
@@ -510,47 +516,53 @@ def test_fit_of_any_layout_equals_the_c_ordered_fit_bit_for_bit(layout, drop):
     assert _fit_outcome(layouts(y)[layout], cfg) == _fit_outcome(y, cfg)
 
 
+def _projected_mode_2_gram(y, xi1, words=slice(None)):
+    """The gram of ``Z = Y x1 xi1^T`` over the words in ``words``, through
+    explicit unfoldings of the gathered tensor and of ``Z``."""
+    data = y[:, :, words]
+    z = unfold(fold(xi1.T @ unfold(data, 1), 1, (xi1.shape[1], *data.shape[1:])), 2)
+    return z @ z.T
+
+
 def test_fit_eigenvalues_drift_from_explicit_unfolding_grams_only_in_mode_2():
     """Reading the tensor in place leaves the mode-1 gram, and so its
-    eigenvalues, bit-identical to those of an explicit unfolding; mode 2 sums
-    slab grams in another order, within 1e-13 relative.  The word mode reports
-    the squared singular values of the projection on those bases, within
-    1e-12 relative of an explicitly unfolded projection."""
+    eigenvalues, bit-identical to those of an explicit unfolding.  Mode 2
+    reports the eigenvalues of the gram of the tensor projected on the mode-1
+    basis, and the word mode the squared singular values of the projection on
+    both bases, each within 1e-12 relative of explicitly unfolded ones."""
     y = planted((40, 30, 300), (2, 2, 3), doc_length=100, seed=54).y
     cfg = FitConfig(ranks=(2, 2, 3), doc_length=100)
     res = fit(y, cfg)
     assert res.vocab.size == 300
-    bases = []
-    for mode, k in zip((1, 2), cfg.ranks):
-        basis, ref = leading_eigvecs(build_q(unfold(y, mode), mode, 100), k)
-        bases.append(basis)
-        if mode == 2:
-            np.testing.assert_allclose(res.eigvals[1], ref, rtol=1e-13, atol=0)
-        else:
-            np.testing.assert_array_equal(res.eigvals[0], ref)
-    sigma = np.linalg.svd(_explicit_projection(y, *bases), compute_uv=False)
+    xi1, ref = leading_eigvecs(build_q(unfold(y, 1), 1, 100), 2)
+    np.testing.assert_array_equal(res.eigvals[0], ref)
+    xi2, ref = leading_eigvecs(_projected_mode_2_gram(y, xi1), 2)
+    np.testing.assert_allclose(res.eigvals[1], ref, rtol=1e-12, atol=0)
+    sigma = np.linalg.svd(_explicit_projection(y, xi1, xi2), compute_uv=False)
     np.testing.assert_allclose(res.eigvals[2], sigma[:3] ** 2, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("seed", [2, 13, 17])
 def test_fit_leaves_dropped_words_out_of_the_mode_grams_within_rounding(seed, monkeypatch):
-    """A dropped word's slab gram is taken off the mode-1 and mode-2 grams,
-    with no copy of the kept words: each gram is within 1e-14 of its largest
-    entry of the gram of the gathered tensor's explicit unfolding, and its
-    eigenvalues within 1e-13 of the leading one."""
+    """A dropped word's slab gram is taken off the mode-1 gram, and its
+    projected slab gram off the projected mode-2 gram, with no copy of the
+    kept words: each gram is within 1e-14 of its largest entry of the gram of
+    the gathered tensor's explicit unfolding, and its eigenvalues within 1e-13
+    of the leading one."""
     y = planted((40, 30, 300), (2, 2, 3), doc_length=100, seed=seed).y
     grams = []
 
     def recorded(q, k):
-        grams.append(q.copy())
-        return leading_eigvecs(q, k)
+        grams.append((q.copy(), leading_eigvecs(q, k)))
+        return grams[-1][1]
 
     monkeypatch.setattr(estimator, "leading_eigvecs", recorded)
     res = fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100))
     assert res.vocab.size == 299
-    data = np.take(y, res.vocab, axis=2)
-    for mode, (gram, vals) in enumerate(zip(grams, res.eigvals[:2]), start=1):
-        ref = build_q(unfold(data, mode), mode, 100)
+    xi1 = grams[0][1][0]
+    refs = (build_q(unfold(np.take(y, res.vocab, axis=2), 1), 1, 100),
+            _projected_mode_2_gram(y, xi1, res.vocab))
+    for (gram, _), vals, ref in zip(grams, res.eigvals[:2], refs):
         assert np.abs(gram - ref).max() <= 1e-14 * np.abs(ref).max()
         ref_vals = leading_eigvecs(ref, 2)[1]
         np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-13 * ref_vals[0])
@@ -595,6 +607,92 @@ def test_projected_word_basis_recovers_topics_no_worse_than_the_word_gram(monkey
         gram.append(aligned_l1_loss(fit(i.y, cfg).model.a3, i.model.a3)[0])
     assert all(p <= 1.01 * g for p, g in zip(projected, gram)), (projected, gram)
     assert np.median(projected) < np.median(gram)
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["all-kept", "word-dropped"])
+def test_fit_takes_mode_1_from_its_gram_and_mode_2_from_the_projected_gram(drop, monkeypatch):
+    """The sequentially truncated HOSVD: without HOOI the mode-1 basis, its
+    eigenvalues and ``a1`` are bit-identical to those of the full mode-1 gram,
+    and the mode-2 basis and eigenvalues lie within 1e-12 of an explicit
+    eigendecomposition of the gram of the tensor projected on the mode-1
+    basis, over the kept words."""
+    y = planted((40, 30, 300), (2, 2, 3), doc_length=100, seed=54).y
+    y = _one_word_dropped(y, 3) if drop else y
+    seen = []
+
+    def projected(z, xi2):
+        seen.append(xi2)
+        return spectral.word_projection(z, xi2)
+
+    monkeypatch.setattr(estimator, "word_projection", projected)
+    res = fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100))
+    dropped = np.setdiff1d(np.arange(300), res.vocab)
+    assert dropped.size == drop
+    xi1, vals1 = estimator._mode_basis(y, 1, 2, 100, dropped)
+    np.testing.assert_array_equal(res.eigvals[0], vals1)
+    np.testing.assert_array_equal(res.model.a1, estimator._membership_from_basis(xi1, "")[0])
+    vals2, vecs2 = np.linalg.eigh(_projected_mode_2_gram(y, xi1, res.vocab))
+    np.testing.assert_allclose(res.eigvals[1], vals2[:-3:-1], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(seen[0], spectral._fix_signs(vecs2[:, :-3:-1]), rtol=0, atol=1e-12)
+
+
+def _two_gram_start(monkeypatch):
+    """Have ``fit`` take its mode-2 basis from the mode-2 gram of the whole
+    tensor, as it did before it took it from the projected tensor."""
+    mode_basis, data = estimator._mode_basis, []
+
+    def from_the_tensor(y, mode, k, doc_length, dropped=()):
+        if mode == 1:
+            data[:] = [y, doc_length]
+        else:  # handed the projection and no doc length
+            y, doc_length = data
+        return mode_basis(y, mode, k, doc_length, dropped)
+
+    monkeypatch.setattr(estimator, "_mode_basis", from_the_tensor)
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+def test_hooi_from_the_projected_mode_2_start_drifts_from_the_two_gram_start_below_1e_5(
+        seed, monkeypatch):
+    """Five HOOI sweeps from either mode-2 basis reach the same
+    corpus-dense-hooi fit: factors and core agree within 1e-5 per entry."""
+    inst = planted((200, 150, 400), (4, 3, 6), doc_length=2000, seed=seed)
+    cfg = FitConfig(ranks=(4, 3, 6), doc_length=2000, use_hooi=True, hooi_iters=5)
+    projected = fit(inst.y, cfg).model
+    _two_gram_start(monkeypatch)
+    gram = fit(inst.y, cfg).model
+    for name in ("a1", "a2", "a3", "g"):
+        assert np.abs(getattr(projected, name) - getattr(gram, name)).max() < 1e-5, name
+
+
+def test_projected_mode_2_basis_recovers_memberships_no_worse_than_the_mode_2_gram(
+        monkeypatch):
+    """Over 20 seeds of a recoverable instance (alpha 0.1, 200-word documents)
+    the median mode-2 membership loss of the projected basis is no higher than
+    that of the full mode-2 gram (1.86 against 2.31)."""
+    cfg = FitConfig(ranks=(2, 2, 3), doc_length=200)
+    insts = [planted((40, 30, 300), (2, 2, 3), doc_length=200, seed=seed, dirichlet_alpha=0.1)
+             for seed in range(20)]
+    projected = [aligned_l1_loss(fit(i.y, cfg).model.a2, i.model.a2)[0] for i in insts]
+    _two_gram_start(monkeypatch)
+    gram = [aligned_l1_loss(fit(i.y, cfg).model.a2, i.model.a2)[0] for i in insts]
+    assert np.median(projected) <= np.median(gram), (projected, gram)
+
+
+@pytest.mark.parametrize("use_hooi", [False, True], ids=["spectral", "hooi"])
+def test_fit_forms_the_full_gram_of_mode_1_only(use_hooi, monkeypatch):
+    """fit calls ``build_q`` once, for mode 1: the mode-2 gram is that of the
+    projected tensor and the word basis comes from the word projection."""
+    modes = []
+
+    def counted(y_mat, mode, *args, **kwargs):
+        modes.append(mode)
+        return build_q(y_mat, mode, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "build_q", counted)
+    y = planted((20, 12, 40), (2, 2, 3), doc_length=100, seed=45).y
+    fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100, use_hooi=use_hooi, hooi_iters=2))
+    assert modes == [1]
 
 
 @pytest.mark.parametrize("use_hooi", [False, True])

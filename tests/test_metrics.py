@@ -334,14 +334,13 @@ def test_scree_matches_full_eigvalsh_up_to_every_eigenvalue(mode):
 
 
 def test_scree_reads_the_tensor_in_place_and_matches_the_fit():
-    """scree builds the mode-1 and mode-2 grams as fit does, so its values
-    equal the fit's eigenvalues bit for bit, and it reads the tensor in place:
-    the mode-2 unfolding would be a copy of the whole tensor.  Its mode 3 is
-    the word gram, which fit does not form."""
+    """scree builds the mode-1 gram as fit does, so its values equal the fit's
+    eigenvalues bit for bit, and it reads the tensor in place: the mode-2
+    unfolding would be a copy of the whole tensor.  Its modes 2 and 3 are the
+    full mode-2 and word grams, which fit does not form."""
     inst = planted((60, 50, 400), (2, 2, 3), doc_length=300, seed=72)
     result = fit(inst.y, FitConfig(ranks=(2, 2, 3), doc_length=300, sparse_c_prime=0.0))
-    for mode, k in zip((1, 2), (2, 2)):
-        np.testing.assert_array_equal(scree(inst.y, mode, k, 300), result.eigvals[mode - 1])
+    np.testing.assert_array_equal(scree(inst.y, 1, 2, 300), result.eigvals[0])
     tracemalloc.start()
     try:
         scree(inst.y, 2, 5, 300)
