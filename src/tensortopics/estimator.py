@@ -278,7 +278,7 @@ def fit(y, cfg):
     del z  # freed before the word basis and the sweeps
     xi3, vals3 = word_basis(p, k3, vocab)
     xi = (xi1, xi2, xi3)
-    if cfg.use_hooi:
+    if cfg.use_hooi and cfg.hooi_iters:
         del p  # freed before the sweeps
         xi = hooi_refine(y, xi, cfg.hooi_iters, vocab)
         p = word_projection(mode1_projection(y, xi[0]), xi[1])

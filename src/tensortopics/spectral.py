@@ -195,16 +195,16 @@ def hooi_refine(y, xi, iters, words=slice(None)):
     ``xi`` holds one orthonormal ``(n_a, k_a)`` basis per mode.  Each sweep contracts ``y``
     with the other two modes' bases from the previous sweep and takes fresh leading left
     singular vectors of the projection, so all three updates within a sweep read the same
-    iterate.  Modes 1 and 2 share the contraction with the word basis, and mode 3 is
-    :func:`word_basis` of the :func:`word_projection` over the rows in ``words``, so a sweep
-    reads ``y`` twice.  ``iters=0`` returns the input bases unchanged.  Signs follow
-    :func:`leading_eigvecs`; inputs are taken as ``fit`` checks them.
+    iterate.  Modes 1 and 2 read their shared contraction with the word basis in place, and
+    mode 3 is :func:`word_basis` of the :func:`word_projection` over the rows in ``words``,
+    so a sweep reads ``y`` twice and holds one contraction-sized array at a time.  Signs
+    follow :func:`leading_eigvecs`; inputs are taken as ``fit`` checks them.
     """
     xi = tuple(xi)
     for _ in range(iters):
         by_word = np.tensordot(xi[2], y, axes=([0], [2]))  # (k3, n1, n2)
         projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
-                     np.tensordot(by_word, xi[0], axes=([1], [0])).transpose(1, 2, 0)]
+                     np.matmul(xi[0].T, by_word).transpose(2, 0, 1)]
         del by_word  # freed before mode 3 contracts y
         word = word_basis(word_projection(mode1_projection(y, xi[0]), xi[1]), xi[2].shape[1],
                           words)[0]

@@ -4,6 +4,7 @@ independent brute-force oracles used to cross-check the library."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -130,6 +131,24 @@ def hooi_reference(y, xi, iters):
     return xi
 
 
+def hooi_tensordot_reference(y, xi, iters, words=slice(None)):
+    """HOOI sweeps as ``hooi_refine`` ran them when mode 2 took its projection
+    from the shared word contraction by ``tensordot``, which copies it to a
+    transposed layout: the reference its in-place batched GEMM is held to."""
+    from tensortopics.spectral import _fix_signs, mode1_projection, word_basis, word_projection
+
+    xi = tuple(xi)
+    for _ in range(iters):
+        by_word = np.tensordot(xi[2], y, axes=([0], [2]))
+        projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
+                     np.tensordot(by_word, xi[0], axes=([1], [0])).transpose(1, 2, 0)]
+        word = word_basis(word_projection(mode1_projection(y, xi[0]), xi[1]), xi[2].shape[1],
+                          words)[0]
+        xi = (*(_fix_signs(np.linalg.svd(p.reshape(len(p), -1), full_matrices=False)[0][:, :k])
+                for p, k in zip(projected, (x.shape[1] for x in xi))), word)
+    return xi
+
+
 # Per mode: the other two modes, and the contraction of the tensor with their
 # bases that keeps this mode's axis first.
 _PROJECTIONS = {
@@ -157,6 +176,16 @@ def hooi_per_mode_reference(y, xi, iters):
             new_xi.append(_fix_signs(u[:, :k]))
         xi = tuple(new_xi)
     return xi
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` under tracemalloc: its result and the peak number of bytes
+    allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def layouts(y):

@@ -4,7 +4,6 @@ driven in-process through main()."""
 import json
 import re
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from tensortopics.cli import (
 )
 from tensortopics.errors import DataFormatError
 
-from helpers import planted, run_fresh, run_python
+from helpers import planted, run_fresh, run_python, traced_peak
 
 
 # ------------------------------------------------------------ file formats
@@ -117,12 +116,7 @@ def test_count_tensor_reader_holds_one_float_tensor(tmp_path):
     inst = planted((40, 30, 300), (2, 2, 3), doc_length=20, seed=3)
     path = tmp_path / "counts.txt"
     write_count_tensor(path, inst.counts, 20)
-    tracemalloc.start()
-    try:
-        y, _ = read_count_tensor(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (y, _), peak = traced_peak(read_count_tensor, path)
     assert y.dtype == np.float64
     assert peak < 2 * y.nbytes
 
@@ -138,12 +132,7 @@ def test_count_tensor_reader_frees_the_parsed_records_before_the_tensor(tmp_path
     path = tmp_path / "counts.txt"
     write_count_tensor(path, inst.counts, 100)
     records = int(np.count_nonzero(inst.counts))
-    tracemalloc.start()
-    try:
-        y, _ = read_count_tensor(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (y, _), peak = traced_peak(read_count_tensor, path)
     _assert_same_bits(y, inst.counts / 100)
     assert peak < y.nbytes + 3 * 8 * records
 
@@ -204,12 +193,7 @@ def test_count_writer_memory_does_not_grow_with_the_tensor(tmp_path):
     peaks = []
     for rows in (12, 36):
         counts = rng.integers(1, 40, size=(rows, 150, 400))
-        tracemalloc.start()
-        try:
-            write_count_tensor(tmp_path / "counts.txt", counts, 2000)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(write_count_tensor, tmp_path / "counts.txt", counts, 2000)[1])
     assert peaks[1] <= 1.05 * peaks[0]
     assert peaks[1] < 48e6
 

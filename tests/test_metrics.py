@@ -3,7 +3,6 @@ scree diagnostic."""
 
 import itertools
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from tensortopics.metrics import (
     cosine_match,
 )
 
-from helpers import _align_brute, planted, run_fresh
+from helpers import _align_brute, planted, run_fresh, traced_peak
 
 
 def test_aligned_loss_frozen_example():
@@ -341,12 +340,7 @@ def test_scree_reads_the_tensor_in_place_and_matches_the_fit():
     inst = planted((60, 50, 400), (2, 2, 3), doc_length=300, seed=72)
     result = fit(inst.y, FitConfig(ranks=(2, 2, 3), doc_length=300, sparse_c_prime=0.0))
     np.testing.assert_array_equal(scree(inst.y, 1, 2, 300), result.eigvals[0])
-    tracemalloc.start()
-    try:
-        scree(inst.y, 2, 5, 300)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(scree, inst.y, 2, 5, 300)[1]
     assert peak < 0.25 * inst.y.nbytes
 
 

@@ -4,7 +4,6 @@ seeded determinism, and plain-CLT agreement between counts and means."""
 import os
 import sys
 import threading
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -15,7 +14,7 @@ from tensortopics import GenSpec, generate, sample_counts, synth
 from tensortopics.errors import DataFormatError
 from tensortopics.synth import PlantedInstance, _dirichlet_rows, substream
 
-from helpers import layouts, planted, run_python, sample_counts_reference
+from helpers import layouts, planted, run_python, sample_counts_reference, traced_peak
 
 
 def test_dirichlet_mean_matches_theory():
@@ -176,12 +175,7 @@ def test_generate_keeps_no_derived_tensor():
     """While it draws, generate holds the mean tensor and the counts, and
     nothing else of their size."""
     dims = (40, 30, 500)
-    tracemalloc.start()
-    try:
-        generate(GenSpec(dims=dims, ranks=(2, 2, 3), doc_length=50, seed=3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(generate, GenSpec(dims=dims, ranks=(2, 2, 3), doc_length=50, seed=3))[1]
     assert peak < 2.25 * np.prod(dims) * 8
 
 
@@ -249,12 +243,7 @@ def test_threaded_sampler_reads_every_layout(monkeypatch, dims, layout):
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 def test_sampler_makes_no_copy_of_the_mean_tensor(layout):
     d = layouts(_mean_tensor((40, 30, 500), seed=12))[layout]
-    tracemalloc.start()
-    try:
-        sample_counts(d, 50, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(sample_counts, d, 50, 4)[1]
     assert peak < 1.25 * d.nbytes
 
 
