@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_tucker_ranks,
                      _checked_int, _checked_triple)
-from .estimator import FitConfig, TuckerModel, fit
+from .estimator import FitConfig, TuckerModel, fit, threshold_vocab
 from .metrics import evaluate, scree
 
 _EVAL_COLUMNS = ("loss_a1", "loss_a2", "loss_a3", "loss_g", "recon_l1")
@@ -342,6 +342,19 @@ def _write_csv(path_or_none, header, rows):
                          for row in rows)
 
 
+def _print_or_write(prefix, command, name, header, rows, parameters, stage_seconds):
+    """Print ``rows`` under ``header``, or write them and a manifest under ``prefix``."""
+    start = time.perf_counter()
+    path = None if prefix is None else _out(prefix, f"{name}.csv")
+    _write_csv(path, header, rows)
+    if path is not None:
+        write_manifest(_out(prefix, "manifest.json"), command, parameters=parameters,
+                       outputs={name: path},
+                       stage_seconds={**stage_seconds, "write": time.perf_counter() - start})
+        print(f"wrote {path}")
+    return 0
+
+
 def derive_seed(master, *path):
     """Stable per-(cell, trial) seed, independent of execution order."""
     ss = np.random.SeedSequence(int(master), spawn_key=tuple(int(p) for p in path))
@@ -432,21 +445,11 @@ def cmd_eval(args):
             f"(dims {truth.dims}, ranks {truth.ranks}) disagree on dims or ranks")
     report = evaluate(fitted, truth)
     scored = time.perf_counter()
-    row = [getattr(report, column) for column in _EVAL_COLUMNS]
-    if args.out is None:
-        _write_csv(None, _EVAL_COLUMNS, [row])
-        return 0
-    losses_path = _out(args.out, "losses.csv")
-    _write_csv(losses_path, _EVAL_COLUMNS, [row])
-    written = time.perf_counter()
-    write_manifest(
-        _out(args.out, "manifest.json"), "eval",
-        parameters={"model": str(args.model), "truth": str(args.truth),
-                    "perms": [list(p) for p in report.perms]},
-        outputs={"losses": losses_path},
-        stage_seconds={"eval": scored - start, "write": written - scored})
-    print(f"wrote {losses_path}")
-    return 0
+    parameters = {"model": str(args.model), "truth": str(args.truth),
+                  "perms": [list(p) for p in report.perms]}
+    return _print_or_write(args.out, "eval", "losses", _EVAL_COLUMNS,
+                           [[getattr(report, column) for column in _EVAL_COLUMNS]],
+                           parameters, {"eval": scored - start})
 
 
 def _sweep_cell(cell, where):
@@ -536,28 +539,26 @@ def cmd_sweep(args):
 
 
 def cmd_scree(args):
+    ranks, mode = args.ranks, len(args.ranks) + 1
+    if mode > 3:
+        raise _UsageError(f"{args.data}: no mode {mode}: --ranks takes at most 2, got {len(ranks)}")
     start = time.perf_counter()
     y, doc_length = read_count_tensor(args.data)
-    k_max = args.kmax if args.kmax is not None else y.shape[args.mode - 1]
-    if k_max > y.shape[args.mode - 1]:
-        raise _UsageError(f"{args.data}: mode {args.mode} --kmax {k_max} exceeds dimension "
-                          f"{y.shape[args.mode - 1]}")
-    values = scree(y, args.mode, k_max, doc_length)
-    computed = time.perf_counter()
-    rows = [[index + 1, float(value)] for index, value in enumerate(values)]
-    if args.out is None:
-        _write_csv(None, ("index", "eigenvalue"), rows)
-        return 0
-    scree_path = _out(args.out, "scree.csv")
-    _write_csv(scree_path, ("index", "eigenvalue"), rows)
-    written = time.perf_counter()
-    write_manifest(
-        _out(args.out, "manifest.json"), "scree",
-        parameters={"data": str(args.data), "mode": args.mode, "k_max": int(k_max)},
-        outputs={"scree": scree_path},
-        stage_seconds={"compute": computed - start, "write": written - computed})
-    print(f"wrote {scree_path}")
-    return 0
+    for m, (k, n) in enumerate(zip(ranks, y.shape), start=1):
+        if not 1 <= k <= n:
+            raise _UsageError(f"{args.data}: mode {m} rank {k} lies outside [1, {n}]")
+    bound, what = y.shape[mode - 1], "dimension"
+    if mode == 3:
+        kept = threshold_vocab(y, doc_length, FitConfig.sparse_c_prime).size
+        bound, what = min(kept, ranks[0] * ranks[1]), f"min({kept} kept words, K1*K2) ="
+    k_max = args.kmax if args.kmax is not None else bound
+    if k_max > bound:
+        raise _UsageError(f"{args.data}: mode {mode} --kmax {k_max} exceeds {what} {bound}")
+    values = scree(y, ranks, k_max, doc_length)
+    parameters = {"data": str(args.data), "ranks": list(ranks), "mode": mode, "k_max": k_max}
+    return _print_or_write(args.out, "scree", "scree", ("index", "eigenvalue"),
+                           [[index + 1, float(value)] for index, value in enumerate(values)],
+                           parameters, {"compute": time.perf_counter() - start})
 
 
 # ------------------------------------------------------------------ parser
@@ -573,14 +574,18 @@ def _int_at_least(low):
     return integer
 
 
-def _parse_ranks(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("ranks must look like K1,K2,K3")
+def _int_list(text):
+    """An argparse ``type``: comma-separated integers."""
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("ranks must be integers") from None
+
+
+def _parse_ranks(text):
+    if text.count(",") != 2:
+        raise argparse.ArgumentTypeError("ranks must look like K1,K2,K3")
+    return _int_list(text)
 
 
 def build_parser():
@@ -621,9 +626,10 @@ def build_parser():
     p.add_argument("--out", required=True, metavar="PREFIX")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("scree", help="leading gram eigenvalues of one mode")
+    p = sub.add_parser("scree", help="leading spectrum of one mode, as fit takes it")
     p.add_argument("--data", required=True, help="count tensor file")
-    p.add_argument("--mode", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--ranks", type=_int_list, default=(), metavar="K1[,K2]",
+                   help="fit ranks of the modes before the screened one (none: mode 1)")
     p.add_argument("--kmax", type=_int_at_least(1), default=None)
     p.add_argument("--out", default=None, metavar="PREFIX",
                    help="write CSV and manifest here instead of stdout")

@@ -128,7 +128,8 @@ class FitResult:
     indices chosen as simplex vertices (word-mode entries are original word
     indices).  ``eigvals`` are the initial spectral step's leading eigenvalues of the
     mode-1 gram and of the mode-2 gram of the tensor projected on the mode-1 basis, and
-    squared singular values of the word projection (``word_basis``).
+    squared singular values of the word projection (``word_basis``); ``scree`` returns a
+    prefix of each mode's spectrum.
     """
 
     model: TuckerModel
@@ -148,9 +149,6 @@ def threshold_vocab(y, doc_length, c_prime):
     y, word_sums = _data_word_sums(y)
     c_prime = _checked_real("c_prime", c_prime, positive=False)
     doc_length = _checked_int("doc_length", doc_length, 1)
-    if not y.shape[0] * y.shape[1]:
-        raise DataFormatError(
-            f"vocabulary threshold: a tensor of dims {y.shape} holds no documents")
     return _threshold(word_sums, y.shape, doc_length, c_prime)[0]
 
 
@@ -159,21 +157,21 @@ def _threshold(word_sums, dims, doc_length, c_prime):
     has mass, on inputs as ``fit`` checks them.  An overflowing (infinite) word sum keeps its
     word; the gram names the overflow."""
     n1, n2, n_words = dims
+    if not n1 * n2:
+        raise DataFormatError(f"vocabulary threshold: a tensor of dims {dims} holds no documents")
     tau = c_prime * math.sqrt(math.log(max(n1, n2, n_words)) / (n1 * n2 * doc_length))
     return np.flatnonzero(word_sums / (n1 * n2) >= tau), bool(word_sums.any())
 
 
-def _mode_basis(y, mode, k, doc_length, dropped=()):
-    """Leading ``k`` gram eigenpairs of one mode of ``y`` as ``fit`` and ``scree`` take them,
-    less the grams of ``dropped`` words' slabs, naming the mode in errors.  ``y`` is the
-    checked tensor, whose gram ``build_q`` forms, or with ``doc_length=None`` the
-    :func:`~tensortopics.spectral.mode1_projection` of it, whose plain gram is summed over
-    its slabs."""
+def _mode_basis(y, mode, k, dropped=()):
+    """Leading ``k`` gram eigenpairs of one mode of ``y``, the checked tensor for mode 1 and
+    its :func:`~tensortopics.spectral.mode1_projection` for mode 2, less the grams of
+    ``dropped`` words' slabs, naming the mode in errors.  ``build_q`` forms both grams; the
+    eigenvalues are the fit's ``eigvals`` of the mode, and ``scree`` returns a prefix of them."""
     n = y.shape[mode - 1]
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            slabs = np.moveaxis(y, mode - 1, 0)
-            q = _gram(slabs) if doc_length is None else build_q(slabs, mode, doc_length)
+            q = build_q(np.moveaxis(y, mode - 1, 0), mode)
             for word in dropped:
                 q -= _gram(np.moveaxis(y[:, :, word], mode - 1, 0))
     except MemoryError:
@@ -185,6 +183,39 @@ def _mode_basis(y, mode, k, doc_length, dropped=()):
         return leading_eigvecs(q, k)
     except np.linalg.LinAlgError as err:
         raise FitDegenerateError(f"mode {mode} eigensolve did not converge: {err}") from err
+
+
+def _hosvd(y, ranks, doc_length, c_prime, tucker=False):
+    """The stages ``fit`` and ``scree`` share, for the first ``len(ranks)`` modes: the data
+    check, the ranks against the dimensions (and, with ``tucker``, the fit's rank rules), the
+    threshold and the sequentially truncated HOSVD.  Returns the checked tensor, the kept
+    words, each mode's ``(basis, spectrum)``, and the word projection ``P`` (or ``None``)."""
+    y, word_sums = _data_word_sums(np.ascontiguousarray(y, dtype=float))
+    for mode, (k, n) in enumerate(zip(ranks, y.shape), start=1):
+        if k > n:
+            raise ValueError(f"mode {mode} rank {k} exceeds dimension {n}")
+    if tucker:
+        _check_tucker_ranks(ranks)
+        if ranks[2] < 2:
+            raise ValueError("word-mode recovery needs at least two topics")
+    vocab, has_mass = _threshold(word_sums, y.shape, doc_length, c_prime)
+    del word_sums  # freed before the grams
+    if not has_mass:
+        raise FitDegenerateError("vocabulary threshold: the data tensor holds no mass")
+    if len(ranks) == 3 and vocab.size < ranks[2]:
+        raise FitDegenerateError(
+            f"vocabulary threshold: kept {vocab.size} of {y.shape[2]} words, "
+            f"fewer than the {ranks[2]} requested topics")
+    dropped = np.setdiff1d(np.arange(y.shape[2]), vocab)
+    bases, p = [_mode_basis(y, 1, ranks[0], dropped)], None
+    if len(ranks) > 1:
+        z = mode1_projection(y, bases[0][0])
+        bases.append(_mode_basis(z, 2, ranks[1], dropped))
+    if len(ranks) > 2:
+        p = word_projection(z, bases[1][0])
+        del z  # freed before the word basis and the sweeps
+        bases.append(word_basis(p, ranks[2], vocab))
+    return y, vocab, bases, p
 
 
 def _stage_weights(stage, s_star, v_star):
@@ -252,32 +283,8 @@ def fit(y, cfg):
     Raises ``FitDegenerateError`` with the failing stage named when the data
     cannot support the requested ranks.
     """
-    y, word_sums = _data_word_sums(np.ascontiguousarray(y, dtype=float))
-    n1, n2, n_words = y.shape
-    k1, k2, k3 = cfg.ranks
-    for mode, k, n in ((1, k1, n1), (2, k2, n2), (3, k3, n_words)):
-        if k > n:
-            raise ValueError(f"mode {mode} rank {k} exceeds dimension {n}")
-    _check_tucker_ranks(cfg.ranks)
-    if k3 < 2:
-        raise ValueError("word-mode recovery needs at least two topics")
-    vocab, has_mass = _threshold(word_sums, y.shape, cfg.doc_length, cfg.sparse_c_prime)
-    del word_sums  # freed before the grams
-    if not has_mass:
-        raise FitDegenerateError("vocabulary threshold: the data tensor holds no mass")
-    if vocab.size < k3:
-        raise FitDegenerateError(
-            f"vocabulary threshold: kept {vocab.size} of {n_words} words, "
-            f"fewer than the {k3} requested topics")
-    dropped = np.setdiff1d(np.arange(n_words), vocab)
-
-    xi1, vals1 = _mode_basis(y, 1, k1, cfg.doc_length, dropped)
-    z = mode1_projection(y, xi1)
-    xi2, vals2 = _mode_basis(z, 2, k2, None, dropped)
-    p = word_projection(z, xi2)
-    del z  # freed before the word basis and the sweeps
-    xi3, vals3 = word_basis(p, k3, vocab)
-    xi = (xi1, xi2, xi3)
+    y, vocab, bases, p = _hosvd(y, cfg.ranks, cfg.doc_length, cfg.sparse_c_prime, tucker=True)
+    xi, eigvals = zip(*bases)
     if cfg.use_hooi and cfg.hooi_iters:
         del p  # freed before the sweeps
         xi = hooi_refine(y, xi, cfg.hooi_iters, vocab)
@@ -288,13 +295,7 @@ def fit(y, cfg):
     a3_kept, q0, v3_star, word_rows = _word_factor_from_basis(xi[2][vocab])
     g = fit_core(p, xi[2], (hunt1.v, hunt2.v, v3_star), q0)
 
-    a3 = np.zeros((n_words, k3))
+    a3 = np.zeros(xi[2].shape)
     a3[vocab] = a3_kept
-    model = TuckerModel(a1=a1, a2=a2, a3=a3, g=g)
-    return FitResult(
-        model=model,
-        vocab=vocab,
-        q0=q0,
-        vertices=(hunt1.indices, hunt2.indices, vocab[word_rows]),
-        eigvals=(vals1, vals2, vals3),
-    )
+    return FitResult(model=TuckerModel(a1=a1, a2=a2, a3=a3, g=g), vocab=vocab, q0=q0,
+                     vertices=(hunt1.indices, hunt2.indices, vocab[word_rows]), eigvals=eigvals)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, _as_data, _check_mode, _checked_int, _is_int
-from .estimator import _mode_basis, fit
+from .errors import _as_data, _checked_int
+from .estimator import FitConfig, _hosvd, fit
 from .tensor import reconstruct
 
 
@@ -196,19 +196,22 @@ def topic_resolution(y, cfg, trials=20, rng=None, axis=1, splits=None):
     return float(np.median(scores)), float(q75 - q25)
 
 
-def scree(y, mode, k_max, doc_length):
-    """Leading gram eigenvalues of one mode, descending, for rank choice.
+def scree(y, ranks, k_max, doc_length):
+    """Leading spectrum of mode ``len(ranks) + 1``, descending, for rank choice.
 
-    Runs the fit's own data check and gram stage, errors included, so a knee
-    in this sequence suggests the planted rank of that mode.  Mode 3 reads the
-    word gram less its sampling noise, which ``fit`` does not form.
+    ``ranks`` holds the fit ranks of the modes before it: ``()``, ``(K1,)`` or ``(K1, K2)``.
+    scree runs the fit's own stages in the fit's order, the default vocabulary threshold
+    included, so it returns a prefix of the spectrum that a fit at these ranks reports in
+    ``FitResult.eigvals`` (bit for bit where ``k_max`` is the fit's rank), and it fails as
+    ``fit`` does.  ``k_max`` is at most ``n1`` for mode 1, ``n2`` for mode 2, and for mode 3
+    both the kept words and ``K1 K2``.  A knee in the sequence suggests the mode's rank.
     """
-    y = _as_data(y)
-    _check_mode(mode)
+    if not isinstance(ranks, (tuple, list)) or len(ranks) > 2:
+        raise ValueError(f"ranks must hold the fit ranks of at most two modes, got {ranks!r}")
+    ranks = (*(_checked_int(f"mode {mode} rank", k, 1) for mode, k in enumerate(ranks, start=1)),
+             _checked_int("k_max", k_max, 1))  # one tuple: scree traces no more than fit does
     doc_length = _checked_int("doc_length", doc_length, 1)
-    if not y.shape[0] * y.shape[1]:
-        raise DataFormatError(f"scree: a tensor of dims {y.shape} holds no documents")
-    n = y.shape[mode - 1]
-    if not (_is_int(k_max) and 1 <= k_max <= n):
-        raise ValueError(f"mode {mode} k_max must be an integer in [1, {n}], got {k_max!r}")
-    return _mode_basis(y, mode, k_max, doc_length)[1]
+    if len(ranks) == 3 and ranks[2] > ranks[0] * ranks[1]:
+        raise ValueError(f"mode 3 k_max {ranks[2]} exceeds the projected span "
+                         f"{ranks[0] * ranks[1]}")
+    return _hosvd(y, ranks, doc_length, FitConfig.sparse_c_prime)[2][-1][1]

@@ -1,27 +1,22 @@
 """Spectral bases per tensor mode.
 
-The gram matrix of a noisy frequency unfolding is biased on its diagonal by
-the multinomial sampling noise.  That bias cancels between documents on the
-two membership modes but not on the word mode, so ``build_q`` subtracts it
-from a mode-3 gram; ``centered=False`` restores the plain gram matrix for
-exact-mean inputs.  A fit forms the mode-1 gram only, as a sequentially
-truncated HOSVD: the mode-2 basis comes from the gram of the tensor projected
-on the mode-1 basis (``mode1_projection``), and ``word_basis`` from the
-tensor projected on the bases of modes 1 and 2 (``word_projection``), which
-leaves too few noise directions.
+A fit forms the mode-1 gram only, as a sequentially truncated HOSVD: the mode-2 basis comes
+from the gram of the tensor projected on the mode-1 basis (``mode1_projection``), and
+``word_basis`` from the tensor projected on the bases of modes 1 and 2 (``word_projection``).
+The projections keep too few of the multinomial sampling noise directions to bias a
+diagonal, so every gram is the plain one.
 
-``leading_eigvecs`` computes only the top ``k + 1`` eigenpairs, by a
-thick-restart Lanczos method started from a fixed vector of a seeded
-generator, so replays are bit-identical; a start at the all-ones vector would
-never reach an eigenvector that sums to zero.  When ``k + 1`` reaches the
-matrix size, the full LAPACK ``eigh`` runs instead.  Eigenvalues, the fit's
-for modes 1 and 2 included, agree with a full ``eigh`` of their gram within
-1e-12 relative, and bases within the solver residual over the eigengap.
+``leading_eigvecs`` computes only the top ``k + 1`` eigenpairs, by a thick-restart Lanczos
+method started from a fixed vector of a seeded generator, so replays are bit-identical; a
+start at the all-ones vector would never reach an eigenvector that sums to zero.  When
+``k + 1`` reaches the matrix size, the full LAPACK ``eigh`` runs instead.  Eigenvalues agree
+with a full ``eigh`` of their gram within 1e-12 relative, and bases within the solver
+residual over the eigengap.
 """
 
 import numpy as np
 
-from .errors import DataFormatError, FitDegenerateError, _check_mode, _checked_int
+from .errors import DataFormatError, FitDegenerateError, _check_mode
 
 def _gram(m):
     """Gram matrix of ``m``, exactly symmetric: ``m @ m.T`` of a matrix, or the sum of the
@@ -38,28 +33,22 @@ def _gram(m):
     return m @ m.T
 
 
-def build_q(y_mat, mode, doc_length, centered=True):
-    """Gram matrix of an unfolding, bias-corrected on the word mode.
+def build_q(y_mat, mode):
+    """Gram matrix of one mode, exactly symmetric.
 
-    ``y_mat`` is a mode unfolding of the frequency tensor, or the tensor with
-    the mode's axis first, read in place (a sum over slabs ``y_mat[:, i, :]``
-    unless its trailing axes flatten to a view).  For mode 3 with
-    ``centered=True`` the result is ``y @ y.T - diag(y @ 1) / doc_length``;
-    modes 1 and 2 always return the plain gram matrix.  The output is exactly
-    symmetric.
+    ``y_mat`` is a mode unfolding, or a tensor with the mode's axis first, read in place (a
+    sum over slabs ``y_mat[:, i, :]`` unless its trailing axes flatten to a view): the
+    frequency tensor for mode 1, its :func:`mode1_projection` for mode 2.  Their leading
+    eigenvalues are a fit's ``eigvals`` of these modes, and ``scree`` returns a prefix of them.
     """
     y = np.asarray(y_mat, dtype=float)
     if y.ndim not in (2, 3):
         raise ValueError("expected an unfolding or a tensor with the mode's axis first")
     _check_mode(mode)
-    q = _gram(y)
-    if mode == 3 and centered:
-        doc_length = _checked_int("doc_length", doc_length, 1)
-        q[np.diag_indices_from(q)] -= y.sum(axis=tuple(range(1, y.ndim))) / doc_length
-    return q
+    return _gram(y)
 
 
-_MAX_RESTARTS = 1000  # the reference word gram takes about 30
+_MAX_RESTARTS = 1000  # the corpus-sparse mode-1 gram takes 7-8 (seeds 1-3)
 
 
 def _orthogonalize(w, basis):

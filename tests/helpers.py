@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tensortopics import GenSpec, TuckerModel, generate
+from tensortopics import GenSpec, TuckerModel, build_q, generate
 
 
 def planted(dims, ranks, doc_length, seed, **kw):
@@ -90,6 +90,17 @@ def eigh_reference(q):
     eigenvalues descending: the reference the partial eigensolver is held to."""
     vals, vecs = np.linalg.eigh(q)
     return vals[::-1], vecs[:, ::-1]
+
+
+def word_gram(y3, doc_length):
+    """The paper's word gram less its multinomial sampling noise,
+    ``Y3 Y3^T - diag(Y3 1) / doc_length``, of a mode-3 unfolding or of the tensor
+    with the word axis first: the estimator the word basis once came from, kept
+    as a reference."""
+    y = np.asarray(y3, dtype=float)
+    q = build_q(y, 3)
+    q[np.diag_indices_from(q)] -= y.sum(axis=tuple(range(1, y.ndim))) / doc_length
+    return q
 
 
 def arpack_pairs(q, nev):

@@ -180,7 +180,7 @@ def test_criterion_7_invariant_suites():
     notes.append(f"unfold identity {worst_identity:.2e}")
 
     # eigenvector orthonormality
-    q = build_q(unfold(inst.y, 1), 1, 40)
+    q = build_q(unfold(inst.y, 1), 1)
     xi, _ = leading_eigvecs(q, 2)
     ortho = float(np.max(np.abs(xi.T @ xi - np.eye(2))))
     ok &= ortho < 1e-10

@@ -1,8 +1,11 @@
 """File formats, exit codes, and the generate/fit/eval/sweep/scree commands
 driven in-process through main()."""
 
+import contextlib
+import io
 import json
 import re
+import shlex
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,8 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tensortopics import GenSpec, estimator, generate, spectral
+from tensortopics import GenSpec, generate
 from tensortopics.cli import (
+    build_parser,
     derive_seed,
     main,
     read_count_tensor,
@@ -511,7 +515,7 @@ def test_cli_commands_leave_scipy_unloaded(tmp_path):
         "fit": ["fit", "--data", f"{g}.counts.txt", "--ranks", "2,2,3", "--out", str(f)],
         "eval": ["eval", "--model", f"{f}.model.json", "--truth", f"{g}.truth.json",
                  "--out", str(tmp_path / "e")],
-        "scree": ["scree", "--data", f"{g}.counts.txt", "--mode", "3", "--kmax", "5",
+        "scree": ["scree", "--data", f"{g}.counts.txt", "--ranks", "2,2", "--kmax", "4",
                   "--out", str(tmp_path / "sc")],
         "sweep": ["sweep", "--grid", str(grid), "--out", str(tmp_path / "sw")],
     }
@@ -523,17 +527,37 @@ def test_cli_commands_leave_scipy_unloaded(tmp_path):
         [f"{name} 0 False" for name in commands]
 
 
+def test_readme_command_lines_parse():
+    """Every ``tensortopics ...`` line of README's "Command line" block parses
+    with the program's own parser, so a renamed or deleted flag fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("tensortopics ")]
+    assert [argv[0] for argv in commands] == ["generate", "fit", "eval", "sweep", "scree"]
+    parser = build_parser()
+    for argv in commands:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README: tensortopics {shlex.join(argv)}: {err.getvalue()}")
+
+
 def test_scree_csv(tmp_path):
     spec = _spec_file(tmp_path, dims=[15, 8, 30], doc_length=100)
     main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
     assert main(["scree", "--data", str(tmp_path / "g.counts.txt"),
-                 "--mode", "3", "--kmax", "6",
+                 "--ranks", "3,2", "--kmax", "6",
                  "--out", str(tmp_path / "sc")]) == 0
     lines = (tmp_path / "sc.scree.csv").read_text().splitlines()
     assert lines[0] == "index,eigenvalue"
     assert len(lines) == 7
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert values == sorted(values, reverse=True)
+    manifest = json.loads((tmp_path / "sc.manifest.json").read_text())
+    assert manifest["parameters"] == {"data": str(tmp_path / "g.counts.txt"), "ranks": [3, 2],
+                                      "mode": 3, "k_max": 6}
 
 
 # -------------------------------------------------------------- exit codes
@@ -549,7 +573,7 @@ def test_usage_exit_codes(tmp_path, capsys):
     # an integer flag out of its range is refused when parsed, before any file is read
     missing = str(tmp_path / "missing.json")
     for argv, flag, low in [
-        (["scree", "--data", missing, "--mode", "3", "--kmax", "0"], "--kmax", 1),
+        (["scree", "--data", missing, "--ranks", "2,2", "--kmax", "0"], "--kmax", 1),
         (["sweep", "--grid", missing, "--workers", "0"], "--workers", 1),
         (["sweep", "--grid", missing, "--workers", "-3"], "--workers", 1),
         (["sweep", "--grid", missing, "--trials", "0"], "--trials", 1),
@@ -648,16 +672,35 @@ def test_rank_above_the_dimension_is_usage_error_naming_the_file(tmp_path, capsy
     assert not (tmp_path / "f.model.json").exists()
 
 
-@pytest.mark.parametrize("mode, dim", [(1, 8), (2, 6), (3, 20)])
+@pytest.mark.parametrize("mode, dim", [(1, 8), (2, 6), (3, 20), (3, 4)])
 def test_scree_kmax_above_the_dimension_is_usage_error_naming_the_file(tmp_path, capsys,
                                                                         mode, dim):
+    """``--kmax`` is at most the screened mode's dimension for modes 1 and 2,
+    and for mode 3 at most the kept words (all 20 here) and ``K1 K2``."""
     data = _tiny_counts(tmp_path)
-    assert main(["scree", "--data", str(data), "--mode", str(mode), "--kmax", str(dim + 1),
-                 "--out", str(tmp_path / "s")]) == 2
+    ranks = {(1, 8): [], (2, 6): ["--ranks", "2"], (3, 20): ["--ranks", "4,6"],
+             (3, 4): ["--ranks", "2,2"]}[mode, dim]
+    scree = ["scree", "--data", str(data), *ranks, "--out", str(tmp_path / "s")]
+    assert main([*scree, "--kmax", str(dim + 1)]) == 2
+    bound = "dimension" if mode < 3 else "min(20 kept words, K1*K2) ="
     assert capsys.readouterr().err == \
-        f"usage error: {data}: mode {mode} --kmax {dim + 1} exceeds dimension {dim}\n"
-    assert main(["scree", "--data", str(data), "--mode", str(mode), "--kmax", str(dim),
-                 "--out", str(tmp_path / "s")]) == 0
+        f"usage error: {data}: mode {mode} --kmax {dim + 1} exceeds {bound} {dim}\n"
+    assert main([*scree, "--kmax", str(dim)]) == 0
+    assert main(scree) == 0  # the bound is the default
+    assert len((tmp_path / "s.scree.csv").read_text().splitlines()) == dim + 1
+
+
+@pytest.mark.parametrize("ranks, message", [
+    ("9", "mode 1 rank 9 lies outside [1, 8]"),
+    ("2,7", "mode 2 rank 7 lies outside [1, 6]"),
+    ("0,2", "mode 1 rank 0 lies outside [1, 8]"),
+    ("2,2,3", "no mode 4: --ranks takes at most 2, got 3"),
+], ids=["mode-1", "mode-2", "not-positive", "three-ranks"])
+def test_scree_ranks_outside_their_bounds_are_usage_errors_naming_the_file(
+        tmp_path, capsys, ranks, message):
+    data = _tiny_counts(tmp_path)
+    assert main(["scree", "--data", str(data), "--ranks", ranks, "--kmax", "2"]) == 2
+    assert capsys.readouterr().err == f"usage error: {data}: {message}\n"
 
 
 @pytest.mark.parametrize("header", ["0 3 5 5", "4 0 5 5"])
@@ -666,7 +709,7 @@ def test_scree_of_a_file_with_no_documents_exits_3(tmp_path, capsys, header):
     reaches the library's own refusal of such a tensor."""
     data = tmp_path / "empty.counts.txt"
     data.write_text(header + "\n")
-    assert main(["scree", "--data", str(data), "--mode", "3", "--kmax", "2"]) == 3
+    assert main(["scree", "--data", str(data), "--ranks", "2,2", "--kmax", "2"]) == 3
     assert capsys.readouterr().err == \
         f"data error: {data}: line 1: header dims and doc length must be positive\n"
 
@@ -834,9 +877,7 @@ def test_fit_config_fuzz_exits_cleanly(tmp_path):
 
 def test_linalg_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
     """An SVD of the 40 x 4 word projection that does not converge is a
-    degenerate fit naming mode 3.  ``scree --mode 3`` still solves the word
-    gram by Lanczos, which, allowed no restart, fails on the 40-word gram:
-    its 20 basis vectors span less than the whole space."""
+    degenerate fit naming mode 3, in fit and in ``scree --ranks 2,2`` alike."""
     spec = _spec_file(tmp_path)
     main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
     real_svd = np.linalg.svd
@@ -847,23 +888,19 @@ def test_linalg_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    assert main(["fit", "--data", str(tmp_path / "g.counts.txt"), "--ranks", "2,2,3",
-                 "--out", str(tmp_path / "f")]) == 4
-    assert capsys.readouterr().err == \
-        "degenerate fit: mode 3 SVD did not converge: SVD did not converge\n"
+    for command in (["fit", "--ranks", "2,2,3", "--out", str(tmp_path / "f")],
+                    ["scree", "--ranks", "2,2", "--kmax", "3"]):
+        assert main([*command, "--data", str(tmp_path / "g.counts.txt")]) == 4
+        assert capsys.readouterr().err == \
+            "degenerate fit: mode 3 SVD did not converge: SVD did not converge\n"
     assert not (tmp_path / "f.model.json").exists()
-    monkeypatch.setattr(spectral, "_MAX_RESTARTS", 0)
-    assert main(["scree", "--data", str(tmp_path / "g.counts.txt"), "--mode", "3",
-                 "--kmax", "3"]) == 4
-    err = capsys.readouterr().err
-    assert "mode 3 eigensolve" in err and "eigenpairs converged in 0 restarts" in err
 
 
 def test_full_eigh_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
-    """Mode 2 has 6 rows and rank 5, so its k + 1 pairs take the full eigh:
-    in fit on the gram of the tensor projected on the mode-1 basis, in scree
-    on the full mode-2 gram.  Only a 6 x 6 eigh fails: the Lanczos solve of
-    mode 1 also calls ``eigh``, on its 8 x 8 projected matrix."""
+    """Mode 2 has 6 rows and rank 5, so its k + 1 pairs take the full eigh of
+    the gram of the tensor projected on the mode-1 basis, in fit and in scree
+    alike.  Only a 6 x 6 eigh fails: the Lanczos solve of mode 1 also calls
+    ``eigh``, on its 8 x 8 projected matrix."""
     data = _tiny_counts(tmp_path)
     real_eigh = np.linalg.eigh
 
@@ -877,18 +914,18 @@ def test_full_eigh_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "f")]) == 4
     err = capsys.readouterr().err
     assert "degenerate fit: mode 2 eigensolve did not converge" in err
-    assert main(["scree", "--data", str(data), "--mode", "2", "--kmax", "5"]) == 4
+    assert main(["scree", "--data", str(data), "--ranks", "2", "--kmax", "5"]) == 4
     err = capsys.readouterr().err
     assert "degenerate fit: mode 2 eigensolve did not converge" in err
 
 
 def test_gram_allocation_failure_is_exit_3_naming_mode_and_size(tmp_path, capsys, monkeypatch):
-    """fit forms neither a mode-2 nor a word gram: an allocation failure in the
-    tensor projected on the mode-1 basis names mode 2 and the size of that
-    projection's mode-2 unfolding, one in the word projection names mode 3 and
-    its size, and scree's mode-2 and word grams name their own."""
+    """Neither fit nor scree forms a full mode-2 or word gram: an allocation
+    failure in the tensor projected on the mode-1 basis names mode 2 and the
+    size of that projection's mode-2 unfolding, and one in the word projection
+    names mode 3 and its size."""
     data = _tiny_counts(tmp_path)
-    real_matmul, real_build_q = np.matmul, estimator.build_q
+    real_matmul = np.matmul
 
     def no_memory_for_the_projection(ndim):
         def matmul(a, b, *args, **kwargs):
@@ -897,25 +934,17 @@ def test_gram_allocation_failure_is_exit_3_naming_mode_and_size(tmp_path, capsys
             return real_matmul(a, b, *args, **kwargs)
         return matmul
 
-    def no_memory_for_modes_2_and_3(y_mat, mode, *args, **kwargs):
-        if mode > 1:
-            raise MemoryError
-        return real_build_q(y_mat, mode, *args, **kwargs)
-
     fit_args = ["fit", "--data", str(data), "--ranks", "2,2,2", "--out", str(tmp_path / "f")]
-    for ndim, message in ((2, "mode 2 projection: a 6 x 40"), (3, "mode 3 projection: a 20 x 4")):
-        with monkeypatch.context() as patch:
-            patch.setattr(np, "matmul", no_memory_for_the_projection(ndim))
-            assert main(fit_args) == 3
-        assert capsys.readouterr().err == \
-            f"data error: {message} matrix is too big to allocate\n"
+    scree_args = ["scree", "--data", str(data), "--kmax", "2", "--out", str(tmp_path / "s")]
+    for ndim, ranks, message in ((2, "2", "mode 2 projection: a 6 x 40"),
+                                 (3, "2,2", "mode 3 projection: a 20 x 4")):
+        for argv in (fit_args, [*scree_args, "--ranks", ranks]):
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "matmul", no_memory_for_the_projection(ndim))
+                assert main(argv) == 3
+            assert capsys.readouterr().err == \
+                f"data error: {message} matrix is too big to allocate\n"
     assert not (tmp_path / "f.model.json").exists()
-    monkeypatch.setattr(estimator, "build_q", no_memory_for_modes_2_and_3)
-    for mode, n in ((2, 6), (3, 20)):
-        assert main(["scree", "--data", str(data), "--mode", str(mode), "--kmax", "2",
-                     "--out", str(tmp_path / "s")]) == 3
-        assert capsys.readouterr().err == \
-            f"data error: mode {mode} gram: a {n} x {n} matrix is too big to allocate\n"
     assert not (tmp_path / "s.scree.csv").exists()
 
 

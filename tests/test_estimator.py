@@ -32,7 +32,7 @@ from tensortopics.simplex import clip_to_simplex
 from tensortopics.spectral import mode1_projection, word_projection
 
 from helpers import (arpack_pairs, hooi_tensordot_reference, layouts, planted, run_fresh,
-                     traced_peak)
+                     traced_peak, word_gram)
 
 
 def _oracle_cfg(ranks, doc_length):
@@ -87,7 +87,7 @@ def test_fit_mode3_oracle_exact_and_q0_law():
     assert a3.min() >= 0
     # q0 equals the first column of the basis coordinates of A3: with
     # Xi = A3 @ B, column normalization forces q0[k] = B[k, 0]
-    q = build_q(unfold(inst.model.mean_tensor(), 3), 3, 500, centered=False)
+    q = build_q(unfold(inst.model.mean_tensor(), 3), 3)
     xi, _ = leading_eigvecs(q, 3)
     b = np.linalg.lstsq(inst.model.a3, xi, rcond=None)[0]
     np.testing.assert_allclose(res.q0[np.asarray(perm)], b[:, 0], atol=1e-8)
@@ -238,7 +238,7 @@ def test_fit_input_validation():
         with pytest.raises(DataFormatError, match=message):
             fit(bad, FitConfig(ranks=(2, 2, 2), doc_length=30))
         with pytest.raises(DataFormatError, match=message):  # scree runs the fit's data check
-            scree(bad, 1, 3, 30)
+            scree(bad, (), 3, 30)
 
 
 def test_finiteness_check_survives_an_overflowing_sum():
@@ -277,7 +277,7 @@ def test_fit_names_a_gram_that_overflows():
         with pytest.raises(DataFormatError, match=message):
             fit(y, cfg)
         with pytest.raises(DataFormatError, match=message):  # scree runs the fit's gram stage
-            scree(y, 1, 3, 30)
+            scree(y, (), 3, 30)
 
 
 _ARPACK_PROBE = """
@@ -304,8 +304,8 @@ print(loaded[0], "scipy.sparse.linalg" in sys.modules, bool(partial))
 @pytest.mark.parametrize("dims, call, expected", [
     ((8, 6, 20), "fit(y, FitConfig(ranks=(2, 2, 2), doc_length=30))", "False False True"),
     ((3, 3, 4), "fit(y, FitConfig(ranks=(2, 2, 3), doc_length=30))", "False False False"),
-    ((8, 6, 20), "scree(y, 3, 5, 30)", "False False True"),
-    ((8, 6, 20), "scree(y, 1, 8, 30)", "False False False"),
+    ((8, 6, 20), "scree(y, (2, 2), 3, 30)", "False False True"),
+    ((8, 6, 20), "scree(y, (), 8, 30)", "False False False"),
 ], ids=["fit-arpack", "fit-full-eigh", "scree-arpack", "scree-full-eigh"])
 def test_arpack_is_loaded_before_the_first_gram_and_only_when_used(dims, call, expected):
     """The ``arpack`` cases take the partial eigensolve that ARPACK once ran
@@ -529,7 +529,7 @@ def test_fit_eigenvalues_drift_from_explicit_unfolding_grams_only_in_mode_2():
     cfg = FitConfig(ranks=(2, 2, 3), doc_length=100)
     res = fit(y, cfg)
     assert res.vocab.size == 300
-    xi1, ref = leading_eigvecs(build_q(unfold(y, 1), 1, 100), 2)
+    xi1, ref = leading_eigvecs(build_q(unfold(y, 1), 1), 2)
     np.testing.assert_array_equal(res.eigvals[0], ref)
     xi2, ref = leading_eigvecs(_projected_mode_2_gram(y, xi1), 2)
     np.testing.assert_allclose(res.eigvals[1], ref, rtol=1e-12, atol=0)
@@ -555,7 +555,7 @@ def test_fit_leaves_dropped_words_out_of_the_mode_grams_within_rounding(seed, mo
     res = fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100))
     assert res.vocab.size == 299
     xi1 = grams[0][1][0]
-    refs = (build_q(unfold(np.take(y, res.vocab, axis=2), 1), 1, 100),
+    refs = (build_q(unfold(np.take(y, res.vocab, axis=2), 1), 1),
             _projected_mode_2_gram(y, xi1, res.vocab))
     for (gram, _), vals, ref in zip(grams, res.eigvals[:2], refs):
         assert np.abs(gram - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -568,7 +568,7 @@ def _word_gram_start(y, doc_length):
     word gram less its sampling noise, as the paper's modified HOSVD does; the
     word projection it is handed goes unread."""
     def gram_start(p, k3, words):
-        vecs, vals = leading_eigvecs(build_q(np.moveaxis(y[:, :, words], 2, 0), 3, doc_length), k3)
+        vecs, vals = leading_eigvecs(word_gram(np.moveaxis(y[:, :, words], 2, 0), doc_length), k3)
         basis = np.zeros((y.shape[2], k3))
         basis[words] = vecs
         return basis, vals
@@ -623,7 +623,7 @@ def test_fit_takes_mode_1_from_its_gram_and_mode_2_from_the_projected_gram(drop,
     res = fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100))
     dropped = np.setdiff1d(np.arange(300), res.vocab)
     assert dropped.size == drop
-    xi1, vals1 = estimator._mode_basis(y, 1, 2, 100, dropped)
+    xi1, vals1 = estimator._mode_basis(y, 1, 2, dropped)
     np.testing.assert_array_equal(res.eigvals[0], vals1)
     np.testing.assert_array_equal(res.model.a1, estimator._membership_from_basis(xi1, "")[0])
     vals2, vecs2 = np.linalg.eigh(_projected_mode_2_gram(y, xi1, res.vocab))
@@ -634,14 +634,12 @@ def test_fit_takes_mode_1_from_its_gram_and_mode_2_from_the_projected_gram(drop,
 def _two_gram_start(monkeypatch):
     """Have ``fit`` take its mode-2 basis from the mode-2 gram of the whole
     tensor, as it did before it took it from the projected tensor."""
-    mode_basis, data = estimator._mode_basis, []
+    mode_basis, tensor = estimator._mode_basis, []
 
-    def from_the_tensor(y, mode, k, doc_length, dropped=()):
+    def from_the_tensor(y, mode, k, dropped=()):
         if mode == 1:
-            data[:] = [y, doc_length]
-        else:  # handed the projection and no doc length
-            y, doc_length = data
-        return mode_basis(y, mode, k, doc_length, dropped)
+            tensor[:] = [y]
+        return mode_basis(tensor[0], mode, k, dropped)  # mode 2 is handed Z, not the tensor
 
     monkeypatch.setattr(estimator, "_mode_basis", from_the_tensor)
 
@@ -698,18 +696,20 @@ def test_projected_mode_2_basis_recovers_memberships_no_worse_than_the_mode_2_gr
 
 @pytest.mark.parametrize("use_hooi", [False, True], ids=["spectral", "hooi"])
 def test_fit_forms_the_full_gram_of_mode_1_only(use_hooi, monkeypatch):
-    """fit calls ``build_q`` once, for mode 1: the mode-2 gram is that of the
-    projected tensor and the word basis comes from the word projection."""
-    modes = []
+    """fit calls ``build_q`` for modes 1 and 2, and mode 2 reads the tensor
+    projected on the mode-1 basis, ``Z`` of shape ``(k1, n2, n3)``: no full
+    mode-2 or word gram is formed, and the word basis comes from the word
+    projection."""
+    calls = []
 
-    def counted(y_mat, mode, *args, **kwargs):
-        modes.append(mode)
-        return build_q(y_mat, mode, *args, **kwargs)
+    def counted(y_mat, mode):
+        calls.append((mode, np.moveaxis(y_mat, 0, mode - 1).shape))
+        return build_q(y_mat, mode)
 
     monkeypatch.setattr(estimator, "build_q", counted)
     y = planted((20, 12, 40), (2, 2, 3), doc_length=100, seed=45).y
     fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100, use_hooi=use_hooi, hooi_iters=2))
-    assert modes == [1]
+    assert calls == [(1, (20, 12, 40)), (2, (2, 12, 40))]
 
 
 @pytest.mark.parametrize("iters, projections", [(0, 1), (2, 2)])

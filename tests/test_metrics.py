@@ -14,8 +14,11 @@ from tensortopics import (
     build_q,
     evaluate,
     fit,
+    fold,
+    leading_eigvecs,
     reconstruction_error,
     scree,
+    threshold_vocab,
     topic_resolution,
     unfold,
 )
@@ -294,23 +297,27 @@ def test_topic_resolution_refuses_a_trial_count_that_is_no_positive_integer(tria
         topic_resolution(inst.y, cfg, trials=trials)
 
 
+# the fit ranks of the modes before each mode, as ``scree`` takes them
+_BEFORE = {1: (), 2: (2,), 3: (2, 2)}
+
+
 @pytest.mark.parametrize("mode", [1, 2, 3])
 @pytest.mark.parametrize("doc_length", [0, -5, 2.5, True])
 def test_scree_refuses_a_doc_length_fit_refuses(mode, doc_length):
-    """Every mode checks the document length, as ``FitConfig`` does, though
-    only the bias-corrected gram reads it."""
+    """Every mode checks the document length, as ``FitConfig`` does: the
+    vocabulary threshold reads it."""
     y = planted((8, 6, 20), (2, 2, 3), doc_length=30, seed=69).y
     with pytest.raises(DataFormatError, match="doc_length must be a positive integer"):
         FitConfig(ranks=(2, 2, 3), doc_length=doc_length)
     with pytest.raises(DataFormatError, match="doc_length must be a positive integer"):
-        scree(y, mode, 3, doc_length)
+        scree(y, _BEFORE[mode], 3, doc_length)
 
 
 def test_scree_descends_and_shows_rank_knee():
     inst = planted((25, 20, 60), (2, 2, 3), doc_length=2000, seed=70)
-    for mode, k in ((1, 2), (2, 2), (3, 3)):
-        values = scree(inst.y, mode, 8, 2000)
-        assert values.shape == (8,)
+    for mode, k, k_max in ((1, 2, 8), (2, 2, 8), (3, 3, 4)):
+        values = scree(inst.y, _BEFORE[mode], k_max, 2000)
+        assert values.shape == (k_max,)
         assert np.all(np.diff(values) <= 1e-12)
         # sharpest relative drop below the leading eigenvalue sits exactly
         # at the true rank
@@ -318,38 +325,77 @@ def test_scree_descends_and_shows_rank_knee():
         assert int(np.argmax(ratios)) + 2 == k
 
 
-@pytest.mark.parametrize("mode", [1, 3])
+@pytest.mark.parametrize("mode", [1, 2, 3])
 def test_scree_matches_full_eigvalsh_up_to_every_eigenvalue(mode):
-    """k_max = n takes the full eigh; shorter screens take the Lanczos pairs."""
+    """Up to its bound, scree matches the whole spectrum of the matrix its
+    stage reads, built from explicit unfoldings: a full eigh of the mode-1 gram
+    and of the gram of the tensor projected on the mode-1 basis (``k_max = n``
+    takes the full eigh, shorter screens the Lanczos pairs), and the squared
+    singular values of the word projection."""
     inst = planted((25, 20, 60), (2, 2, 3), doc_length=2000, seed=70)
-    q = build_q(unfold(inst.y, mode), mode, 2000)
-    reference = np.linalg.eigvalsh(q)[::-1]
-    n = q.shape[0]
+    y = inst.y
+    assert threshold_vocab(y, 2000, FitConfig.sparse_c_prime).size == 60
+    reference = np.linalg.eigvalsh(build_q(unfold(y, 1), 1))[::-1]
+    xi1 = leading_eigvecs(build_q(unfold(y, 1), 1), 2)[0]
+    z2 = unfold(fold(xi1.T @ unfold(y, 1), 1, (2, 20, 60)), 2)
+    if mode == 2:
+        reference = np.linalg.eigvalsh(z2 @ z2.T)[::-1]
+    if mode == 3:
+        xi2 = leading_eigvecs(z2 @ z2.T, 2)[0]
+        reference = np.linalg.svd(unfold(y, 3) @ np.kron(xi1, xi2), compute_uv=False) ** 2
+    n = len(reference)
     for k_max in (3, n - 2, n - 1, n):
-        values = scree(inst.y, mode, k_max, 2000)
+        values = scree(y, _BEFORE[mode], k_max, 2000)
         assert values.shape == (k_max,)
         np.testing.assert_allclose(values, reference[:k_max], rtol=1e-12,
                                    atol=1e-12 * reference[0])
 
 
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_scree_is_the_fits_spectrum_where_the_threshold_drops_a_word(mode):
+    """scree runs the fit's stages, its default vocabulary threshold included:
+    at the fit's rank it returns ``FitResult.eigvals`` of the mode bit for bit,
+    and a longer screen starts with them, within 1e-12 relative on the
+    Lanczos-solved modes 1 and 2 and bit for bit on the word mode, whose
+    singular values come from one SVD."""
+    y = planted((20, 15, 60), (2, 2, 3), doc_length=100, seed=73).y.copy()
+    y[:, :, 7] = 0.0
+    y[3, 4, 7] = 0.01  # one count of word 7 in the corpus, below the threshold
+    ranks = (2, 2, 3)
+    result = fit(y, FitConfig(ranks=ranks, doc_length=100))
+    assert result.vocab.size == 59
+    eigvals = result.eigvals[mode - 1]
+    np.testing.assert_array_equal(scree(y, ranks[:mode - 1], ranks[mode - 1], 100), eigvals)
+    longer = scree(y, ranks[:mode - 1], (8, 8, 4)[mode - 1], 100)
+    if mode == 3:
+        np.testing.assert_array_equal(longer[:3], eigvals)
+    else:
+        np.testing.assert_allclose(longer[:2], eigvals, rtol=1e-12, atol=0)
+
+
 def test_scree_reads_the_tensor_in_place_and_matches_the_fit():
-    """scree builds the mode-1 gram as fit does, so its values equal the fit's
-    eigenvalues bit for bit, and it reads the tensor in place: the mode-2
-    unfolding would be a copy of the whole tensor.  Its modes 2 and 3 are the
-    full mode-2 and word grams, which fit does not form."""
+    """scree builds each mode's matrix as fit does, so its mode-1 values equal
+    the fit's eigenvalues bit for bit, and it reads the tensor in place: the
+    mode-2 unfolding would be a copy of the whole tensor.  Neither the mode-2
+    gram nor the word basis forms an ``n2 x n2`` gram of the tensor or an
+    ``n3 x n3`` word gram, so the word-mode screen traces no more than the fit."""
     inst = planted((60, 50, 400), (2, 2, 3), doc_length=300, seed=72)
-    result = fit(inst.y, FitConfig(ranks=(2, 2, 3), doc_length=300, sparse_c_prime=0.0))
-    np.testing.assert_array_equal(scree(inst.y, 1, 2, 300), result.eigvals[0])
-    peak = traced_peak(scree, inst.y, 2, 5, 300)[1]
-    assert peak < 0.25 * inst.y.nbytes
+    cfg = FitConfig(ranks=(2, 2, 3), doc_length=300)
+    result, fit_peak = traced_peak(fit, inst.y, cfg)
+    np.testing.assert_array_equal(scree(inst.y, (), 2, 300), result.eigvals[0])
+    assert traced_peak(scree, inst.y, (2,), 5, 300)[1] < 0.25 * inst.y.nbytes
+    assert traced_peak(scree, inst.y, (2, 2), 4, 300)[1] <= fit_peak
 
 
 @pytest.mark.parametrize("dims", [(0, 3, 5), (4, 0, 5)])
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_scree_refuses_a_tensor_with_no_documents(dims, mode):
-    with pytest.raises(DataFormatError,
-                       match=re.escape(f"scree: a tensor of dims {dims} holds no documents")):
-        scree(np.zeros(dims), mode, 1, 5)
+    """As fit does: a rank above its empty dimension, or else the threshold."""
+    empty = dims.index(0) + 1
+    message = (f"mode {empty} rank 1 exceeds dimension 0" if empty <= mode
+               else f"vocabulary threshold: a tensor of dims {dims} holds no documents")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        scree(np.zeros(dims), (1,) * (mode - 1), 1, 5)
 
 
 def test_evaluate_on_fitted_model_reports_finite_losses():

@@ -8,28 +8,21 @@ from tensortopics import spectral, threshold_vocab
 from tensortopics.spectral import _fix_signs, hooi_refine
 
 from helpers import (eigh_reference, exact_mode_basis, hooi_per_mode_reference, hooi_reference,
-                     layouts, planted, subspace_gap, subspace_sine, traced_peak)
+                     layouts, planted, subspace_gap, subspace_sine, traced_peak, word_gram)
 
 
 def test_build_q_hand_example_modes12():
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(build_q(y, 1, 10), [[5.0, 11.0], [11.0, 25.0]])
-    np.testing.assert_array_equal(build_q(y, 2, 10), [[5.0, 11.0], [11.0, 25.0]])
-
-
-def test_build_q_mode3_centering():
-    # identity rows: Y Y^T = I, row sums are 1, so centered Q = I - I/m
-    y = np.eye(2)
-    np.testing.assert_allclose(build_q(y, 3, 2), np.eye(2) / 2, atol=1e-15)
-    np.testing.assert_array_equal(build_q(y, 3, 2, centered=False), np.eye(2))
+    np.testing.assert_array_equal(build_q(y, 1), [[5.0, 11.0], [11.0, 25.0]])
+    np.testing.assert_array_equal(build_q(y, 2), [[5.0, 11.0], [11.0, 25.0]])
 
 
 def test_build_q_exactly_symmetric():
     rng = np.random.default_rng(21)
     y = rng.uniform(size=(40, 90))
-    q = build_q(y, 1, 50)
+    q = build_q(y, 1)
     assert np.array_equal(q, q.T)
-    q3 = build_q(y, 3, 50)
+    q3 = build_q(y.T, 3)
     assert np.array_equal(q3, q3.T)
 
 
@@ -42,8 +35,8 @@ def test_build_q_reads_the_tensor_in_place(mode, layout, shape):
     and 3 flatten to views and match the explicit unfolding's gram bit for
     bit; mode 2 sums slab grams, in another order."""
     y = np.random.default_rng(23).uniform(size=shape)
-    ref = build_q(unfold(y, mode), mode, 50)
-    q = build_q(np.moveaxis(layouts(y)[layout], mode - 1, 0), mode, 50)
+    ref = build_q(unfold(y, mode), mode)
+    q = build_q(np.moveaxis(layouts(y)[layout], mode - 1, 0), mode)
     assert np.array_equal(q, q.T)
     if layout == "C" and mode != 2:
         assert np.array_equal(q, ref)
@@ -52,8 +45,8 @@ def test_build_q_reads_the_tensor_in_place(mode, layout, shape):
 
 
 def test_build_q_rejects_oversized_mode():
-    with pytest.raises(ValueError):
-        build_q(np.ones((2, 2)), 3, 0)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        build_q(np.ones((2, 2)), 4)
 
 
 def test_sign_convention():
@@ -113,7 +106,8 @@ def test_partial_eigensolve_matches_full_eigh_on_acceptance_instances(
     inst = planted(dims, ranks, doc_length=doc_length, seed=seed)
     y = inst.model.mean_tensor() if oracle else inst.y
     for mode, k in zip((1, 2, 3), ranks):
-        q = build_q(unfold(y, mode), mode, doc_length, centered=not oracle)
+        q = (word_gram(unfold(y, 3), doc_length) if mode == 3 and not oracle
+             else build_q(unfold(y, mode), mode))
         xi, vals = leading_eigvecs(q, k)
         ref_vals, ref_vecs = eigh_reference(q)
         np.testing.assert_allclose(vals, ref_vals[:k], rtol=1e-12, atol=0)
@@ -126,7 +120,7 @@ def test_partial_eigensolve_drift_on_narrow_gap_word_gram():
     by at most the two residuals over the gap."""
     inst = planted((100, 80, 2000), (3, 3, 5), doc_length=200, seed=1)
     data = np.take(inst.y, threshold_vocab(inst.y, 200, 0.005), axis=2)
-    q = build_q(unfold(data, 3), 3, 200)
+    q = word_gram(unfold(data, 3), 200)
     k = 5
     xi, vals = leading_eigvecs(q, k)
     ref_vals, ref_vecs = eigh_reference(q)
@@ -247,7 +241,7 @@ def test_two_calls_are_bit_identical(q):
 
 def test_noiseless_gram_has_exact_rank():
     inst = planted((30, 10, 50), (2, 2, 3), doc_length=100, seed=4)
-    q = build_q(unfold(inst.model.mean_tensor(), 1), 1, 100)
+    q = build_q(unfold(inst.model.mean_tensor(), 1), 1)
     vals = np.linalg.eigvalsh(q)[::-1]
     assert vals[2] / vals[0] < 1e-8  # rank k1 = 2
 
@@ -271,17 +265,21 @@ def test_hooi_noiseless_fixed_point():
         assert subspace_gap(before, after) < 1e-9
 
 
+def _gram_start(y, ranks, doc_length):
+    """Leading eigenvectors of the grams of modes 1 and 2 and of the word gram
+    less its sampling noise: a spectral start for the sweeps."""
+    return tuple(leading_eigvecs(word_gram(unfold(y, 3), doc_length) if m == 3
+                                 else build_q(unfold(y, m), m), k)[0]
+                 for m, k in zip((1, 2, 3), ranks))
+
+
 def test_hooi_helps_on_noisy_data():
     """Median subspace error over 20 noisy instances: 3 sweeps never lose to
     the plain spectral start by more than rounding."""
     gains = []
     for seed in range(20):
         inst = planted((30, 30, 100), (2, 2, 3), doc_length=200, seed=seed)
-        xi = []
-        for mode, k in ((1, 2), (2, 2), (3, 3)):
-            q = build_q(unfold(inst.y, mode), mode, 200)
-            xi.append(leading_eigvecs(q, k)[0])
-        start = tuple(xi)
+        start = _gram_start(inst.y, (2, 2, 3), 200)
         refined = hooi_refine(inst.y, start, iters=3)
         d = inst.model.mean_tensor()
         truth = [exact_mode_basis(d, m, k) for m, k in ((1, 2), (2, 2), (3, 3))]
@@ -299,8 +297,7 @@ def test_hooi_helps_on_noisy_data():
 ])
 def test_hooi_matches_kronecker_reference(dims, ranks, seed):
     inst = planted(dims, ranks, doc_length=100, seed=seed)
-    start = tuple(leading_eigvecs(build_q(unfold(inst.y, m), m, 100), k)[0]
-                  for m, k in zip((1, 2, 3), ranks))
+    start = _gram_start(inst.y, ranks, 100)
     refined = hooi_refine(inst.y, start, iters=3)
     reference = hooi_reference(inst.y, start, iters=3)
     for got, want in zip(refined, reference):
@@ -337,8 +334,7 @@ def test_hooi_shared_word_contraction_where_einsum_orders_mode_2_otherwise():
     assert np.einsum_path("ijr,ip,rs->jps", np.empty(dims), np.empty((30, 2)), np.empty((50, 4)),
                           optimize=True)[0][1] == (0, 1)
     inst = planted(dims, ranks, doc_length=100, seed=1)
-    start = tuple(leading_eigvecs(build_q(unfold(inst.y, m), m, 100), k)[0]
-                  for m, k in zip((1, 2, 3), ranks))
+    start = _gram_start(inst.y, ranks, 100)
     refined = hooi_refine(inst.y, start, iters=3)
     for reference in (hooi_per_mode_reference, hooi_reference):
         for got, want in zip(refined, reference(inst.y, start, 3)):
