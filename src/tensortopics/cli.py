@@ -37,8 +37,8 @@ import numpy as np
 from . import __version__
 from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_tucker_ranks,
                      _checked_int, _checked_triple)
-from .estimator import FitConfig, TuckerModel, fit, threshold_vocab
-from .metrics import evaluate, scree
+from .estimator import FitConfig, TuckerModel, _hosvd, _vocabulary, fit
+from .metrics import evaluate
 
 _EVAL_COLUMNS = ("loss_a1", "loss_a2", "loss_a3", "loss_g", "recon_l1")
 
@@ -61,13 +61,16 @@ def write_count_tensor(path, counts, doc_length):
         raise DataFormatError(f"counts must have an integer dtype, got {counts.dtype}")
     if counts.size and counts.min() < 0:
         raise DataFormatError("counts must be nonnegative")
-    rows = max(1, (1 << 18) // max(1, counts.shape[1] * counts.shape[2]))
+    n1, n2, n_words = counts.shape
+    rows = max(1, (1 << 18) // max(1, n2 * n_words))
     with open(path, "wb") as out:
         out.write((" ".join(str(v) for v in (*counts.shape, int(doc_length))) + "\n").encode())
-        for first in range(0, counts.shape[0], rows):
-            block = counts[first:first + rows]
-            cells = np.nonzero(block)
-            columns = [cells[0] + first + 1, cells[1] + 1, cells[2] + 1, block[cells]]
+        for first in range(0, n1, rows):
+            block = counts[first:first + rows].reshape(-1)
+            cells = np.flatnonzero(block)
+            doc, word = np.divmod(cells, n_words)
+            i, j = np.divmod(doc, n2)
+            columns = [i + first + 1, j + 1, word + 1, block[cells]]
             widths = [len(str(int(column.max(initial=0)))) for column in columns]
             chars = np.empty((columns[-1].size, sum(widths) + 4), dtype=np.uint8)
             keep = np.ones(chars.shape, dtype=bool)
@@ -389,7 +392,8 @@ def cmd_generate(args):
         outputs={"counts": counts_path, "truth": truth_path},
         stage_seconds={"load": loaded - start, "generate": generated - loaded,
                        "write": written - generated})
-    print(f"wrote {counts_path} ({int(instance.counts.sum())} tokens) and {truth_path}")
+    n1, n2, _ = spec.dims  # every document holds doc_length tokens
+    print(f"wrote {counts_path} ({n1 * n2 * spec.doc_length} tokens) and {truth_path}")
     return 0
 
 
@@ -547,14 +551,14 @@ def cmd_scree(args):
     for m, (k, n) in enumerate(zip(ranks, y.shape), start=1):
         if not 1 <= k <= n:
             raise _UsageError(f"{args.data}: mode {m} rank {k} lies outside [1, {n}]")
+    y, vocab = _vocabulary(y, ranks, doc_length, FitConfig.sparse_c_prime)
     bound, what = y.shape[mode - 1], "dimension"
     if mode == 3:
-        kept = threshold_vocab(y, doc_length, FitConfig.sparse_c_prime).size
-        bound, what = min(kept, ranks[0] * ranks[1]), f"min({kept} kept words, K1*K2) ="
+        bound, what = min(vocab.size, ranks[0] * ranks[1]), f"min({vocab.size} kept words, K1*K2) ="
     k_max = args.kmax if args.kmax is not None else bound
     if k_max > bound:
         raise _UsageError(f"{args.data}: mode {mode} --kmax {k_max} exceeds {what} {bound}")
-    values = scree(y, ranks, k_max, doc_length)
+    values = _hosvd(y, (*ranks, k_max), vocab)[0][-1][1]
     parameters = {"data": str(args.data), "ranks": list(ranks), "mode": mode, "k_max": k_max}
     return _print_or_write(args.out, "scree", "scree", ("index", "eigenvalue"),
                            [[index + 1, float(value)] for index, value in enumerate(values)],

@@ -185,11 +185,10 @@ def _mode_basis(y, mode, k, dropped=()):
         raise FitDegenerateError(f"mode {mode} eigensolve did not converge: {err}") from err
 
 
-def _hosvd(y, ranks, doc_length, c_prime, tucker=False):
-    """The stages ``fit`` and ``scree`` share, for the first ``len(ranks)`` modes: the data
-    check, the ranks against the dimensions (and, with ``tucker``, the fit's rank rules), the
-    threshold and the sequentially truncated HOSVD.  Returns the checked tensor, the kept
-    words, each mode's ``(basis, spectrum)``, and the word projection ``P`` (or ``None``)."""
+def _vocabulary(y, ranks, doc_length, c_prime, tucker=False):
+    """The stages ``fit`` and ``scree`` share before the bases, for the first ``len(ranks)``
+    modes: the data check, the ranks against the dimensions (and, with ``tucker``, the fit's
+    rank rules) and the threshold.  Returns the checked tensor and the kept words."""
     y, word_sums = _data_word_sums(np.ascontiguousarray(y, dtype=float))
     for mode, (k, n) in enumerate(zip(ranks, y.shape), start=1):
         if k > n:
@@ -199,13 +198,19 @@ def _hosvd(y, ranks, doc_length, c_prime, tucker=False):
         if ranks[2] < 2:
             raise ValueError("word-mode recovery needs at least two topics")
     vocab, has_mass = _threshold(word_sums, y.shape, doc_length, c_prime)
-    del word_sums  # freed before the grams
     if not has_mass:
         raise FitDegenerateError("vocabulary threshold: the data tensor holds no mass")
     if len(ranks) == 3 and vocab.size < ranks[2]:
         raise FitDegenerateError(
             f"vocabulary threshold: kept {vocab.size} of {y.shape[2]} words, "
             f"fewer than the {ranks[2]} requested topics")
+    return y, vocab
+
+
+def _hosvd(y, ranks, vocab):
+    """The sequentially truncated HOSVD that ``fit`` and ``scree`` share, for the first
+    ``len(ranks)`` modes of a tensor and kept words as :func:`_vocabulary` returns them: each
+    mode's ``(basis, spectrum)``, and the word projection ``P`` (or ``None``)."""
     dropped = np.setdiff1d(np.arange(y.shape[2]), vocab)
     bases, p = [_mode_basis(y, 1, ranks[0], dropped)], None
     if len(ranks) > 1:
@@ -215,7 +220,7 @@ def _hosvd(y, ranks, doc_length, c_prime, tucker=False):
         p = word_projection(z, bases[1][0])
         del z  # freed before the word basis and the sweeps
         bases.append(word_basis(p, ranks[2], vocab))
-    return y, vocab, bases, p
+    return bases, p
 
 
 def _stage_weights(stage, s_star, v_star):
@@ -283,12 +288,11 @@ def fit(y, cfg):
     Raises ``FitDegenerateError`` with the failing stage named when the data
     cannot support the requested ranks.
     """
-    y, vocab, bases, p = _hosvd(y, cfg.ranks, cfg.doc_length, cfg.sparse_c_prime, tucker=True)
+    y, vocab = _vocabulary(y, cfg.ranks, cfg.doc_length, cfg.sparse_c_prime, tucker=True)
+    bases, p = _hosvd(y, cfg.ranks, vocab)
     xi, eigvals = zip(*bases)
-    if cfg.use_hooi and cfg.hooi_iters:
-        del p  # freed before the sweeps
-        xi = hooi_refine(y, xi, cfg.hooi_iters, vocab)
-        p = word_projection(mode1_projection(y, xi[0]), xi[1])
+    if cfg.use_hooi:
+        xi, p = hooi_refine(y, xi, p, cfg.hooi_iters, vocab)
 
     a1, hunt1 = _membership_from_basis(xi[0], "mode 1 membership")
     a2, hunt2 = _membership_from_basis(xi[1], "mode 2 membership")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _as_data, _checked_int
-from .estimator import FitConfig, _hosvd, fit
+from .estimator import FitConfig, _hosvd, _vocabulary, fit
 from .tensor import reconstruct
 
 
@@ -214,4 +214,5 @@ def scree(y, ranks, k_max, doc_length):
     if len(ranks) == 3 and ranks[2] > ranks[0] * ranks[1]:
         raise ValueError(f"mode 3 k_max {ranks[2]} exceeds the projected span "
                          f"{ranks[0] * ranks[1]}")
-    return _hosvd(y, ranks, doc_length, FitConfig.sparse_c_prime)[2][-1][1]
+    y, vocab = _vocabulary(y, ranks, doc_length, FitConfig.sparse_c_prime)
+    return _hosvd(y, ranks, vocab)[0][-1][1]

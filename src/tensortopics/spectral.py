@@ -178,25 +178,27 @@ def word_basis(p, k3, words=slice(None)):
     return basis, s[:k3] ** 2
 
 
-def hooi_refine(y, xi, iters, words=slice(None)):
-    """Power-iteration refinement of all three bases against raw ``y``.
+def hooi_refine(y, xi, p, iters, words=slice(None)):
+    """Power-iteration refinement of all three bases against raw ``y``; returns the bases and
+    their :func:`word_projection`.
 
-    ``xi`` holds one orthonormal ``(n_a, k_a)`` basis per mode.  Each sweep contracts ``y``
-    with the other two modes' bases from the previous sweep and takes fresh leading left
-    singular vectors of the projection, so all three updates within a sweep read the same
-    iterate.  Modes 1 and 2 read their shared contraction with the word basis in place, and
-    mode 3 is :func:`word_basis` of the :func:`word_projection` over the rows in ``words``,
-    so a sweep reads ``y`` twice and holds one contraction-sized array at a time.  Signs
-    follow :func:`leading_eigvecs`; inputs are taken as ``fit`` checks them.
+    ``xi`` holds one orthonormal ``(n_a, k_a)`` basis per mode and ``p`` is the word projection
+    of its first two.  Each sweep contracts ``y`` with the other two modes' bases from the
+    previous sweep and takes fresh leading left singular vectors of the projection, so all
+    three updates within a sweep read the same iterate.  Mode 3 is :func:`word_basis` of the
+    carried ``p`` over the rows in ``words``; modes 1 and 2 read their shared contraction with
+    the word basis in place, and the sweep ends with the word projection of its new bases, so
+    a sweep reads ``y`` twice and holds one contraction-sized array at a time.  Signs follow
+    :func:`leading_eigvecs`; inputs are taken as ``fit`` checks them.
     """
     xi = tuple(xi)
     for _ in range(iters):
+        word = word_basis(p, xi[2].shape[1], words)[0]
         by_word = np.tensordot(xi[2], y, axes=([0], [2]))  # (k3, n1, n2)
         projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
                      np.matmul(xi[0].T, by_word).transpose(2, 0, 1)]
-        del by_word  # freed before mode 3 contracts y
-        word = word_basis(word_projection(mode1_projection(y, xi[0]), xi[1]), xi[2].shape[1],
-                          words)[0]
-        xi = (*(_fix_signs(np.linalg.svd(p.reshape(len(p), -1), full_matrices=False)[0][:, :k])
-                for p, k in zip(projected, (x.shape[1] for x in xi))), word)
-    return xi
+        del by_word  # freed before the word projection contracts y
+        xi = (*(_fix_signs(np.linalg.svd(m.reshape(len(m), -1), full_matrices=False)[0][:, :k])
+                for m, k in zip(projected, (x.shape[1] for x in xi))), word)
+        p = word_projection(mode1_projection(y, xi[0]), xi[1])
+    return xi, p

@@ -4,18 +4,22 @@ All randomness flows through counter-based Philox streams derived from one
 seed: substream ``(0,)`` draws the planted model and substream
 ``(1, i * n2 + j)`` draws the counts of document ``(i, j)``, so documents
 regenerate bit-identically in any order and equal specs give equal bits.
-Documents are drawn on one thread per usable CPU, a contiguous block each;
-since every document keeps its own substream, the bits depend on neither the
-CPU count nor the order the threads run in.  Each tube is normalized where
-it lies in the mean tensor, which is neither copied nor changed, and an
-instance keeps no tensor but its counts.
+
+``generate`` draws a document shorter than the vocabulary token by token from
+the planted factors: a topic from its topic weights, then a word from that
+topic's column, each by inversion of a cumulative sum.  No mean tensor is
+formed, and an instance keeps no tensor but its counts.  Longer documents
+are drawn by ``sample_counts``, one n_words-way multinomial each from the
+mean tensor, on one thread per usable CPU, a contiguous block each; since
+every document keeps its own substream, the bits depend on neither the CPU
+count nor the order the threads run in.  Each tube is normalized where it
+lies in the mean tensor, which is neither copied nor changed.
 
 A Philox stream is fixed by its key alone: counter zero and an empty buffer
-start it.  So ``sample_counts`` derives every document's key in one
-vectorized pass of numpy's SeedSequence arithmetic, and each thread rekeys
-one generator per document instead of building a SeedSequence, a Philox and
-a Generator for it; every document still draws exactly the bits of its
-``substream``.
+start it.  So both paths derive every document's key in one vectorized pass
+of numpy's SeedSequence arithmetic, and rekey one generator per document
+instead of building a SeedSequence, a Philox and a Generator for it; every
+document still draws exactly the bits of its ``substream``.
 """
 
 import os
@@ -41,6 +45,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _POOL = 4
 _MASK32 = 0xFFFFFFFF
+_BLOCK_CELLS = 1 << 15  # tokens, and count cells, of one block of documents drawn by tokens
 
 
 def substream(seed, *path):
@@ -93,6 +98,20 @@ def _doc_keys(seed, docs):
     state = [hashmix(word).astype(np.uint64) for word in pool]  # four words: the pool once
     return np.stack([state[0] | state[1] << np.uint64(32),
                      state[2] | state[3] << np.uint64(32)], axis=1)
+
+
+def _rekeyable():
+    """A generator and a function that rekeys it to the substream of a document key
+    from :func:`_doc_keys` as that substream starts: the key, counter 0, no buffered bits."""
+    bits = Philox(0)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def rekey(key):
+        state["state"]["key"] = key
+        bits.state = state
+    return Generator(bits), rekey
 
 
 @dataclass(frozen=True)
@@ -170,20 +189,14 @@ def sample_counts(d, doc_length, seed):
     keys = _doc_keys(seed, np.arange(n1 * n2)).tolist()
 
     def draw(block):  # multinomial releases the GIL while it draws
-        bits = Philox(0)
-        rng = Generator(bits)
-        # document doc's substream as it starts: its key, counter 0, no buffered bits
-        state = {"bit_generator": "Philox",
-                 "state": {"counter": [0, 0, 0, 0], "key": None},
-                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        rng, rekey = _rekeyable()
         for doc in block.tolist():
             i, j = divmod(doc, n2)
             total = d[i, j].sum()  # a 1-D sum adds a tube in the same order in any layout
             if abs(total - 1.0) > 1e-9:  # the block's first bad tube ends it
                 raise DataFormatError(f"tube ({i + 1}, {j + 1}) of the mean tensor sums to "
                                       f"{float(total)!r}, expected 1 within 1e-9")
-            state["state"]["key"] = keys[doc]
-            bits.state = state
+            rekey(keys[doc])
             counts[i, j] = rng.multinomial(doc_length, d[i, j] / total)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -192,6 +205,59 @@ def sample_counts(d, doc_length, seed):
         # results come back in block order, so the first bad tube's error is raised
         list(pool.map(draw, np.array_split(np.arange(n1 * n2), workers)))
     return counts
+
+
+def _topic_weights(a1, a2, g):
+    """Every document's topic weights ``w_ij = g x1 a1[i] x2 a2[j]``, of shape ``(n1 n2, k3)``:
+    entry ``t`` adds ``(a1[i, p] * a2[j, q]) * g[p, q, t]`` over ``(p, q)`` in row-major order."""
+    w = np.zeros((len(a1), len(a2), g.shape[2]))
+    for p, q in np.ndindex(g.shape[:2]):
+        w += np.multiply.outer(np.multiply.outer(a1[:, p], a2[:, q]), g[p, q])
+    return w.reshape(-1, g.shape[2])
+
+
+def _token_counts(model, doc_length, seed):
+    """Counts of every document drawn token by token from the factored ``model``: exactly
+    ``Multinomial(doc_length, a3 w_ij)``, with nothing of the mean tensor's size but the counts.
+
+    Document ``doc = i n2 + j`` takes ``2 doc_length`` uniforms of ``substream(seed, 1, doc)``.
+    The first half picks each token's topic by inversion of the cumulative sums of ``w_ij``,
+    the second half its word within column ``a3[:, t]``.  A uniform scales the last cumulative
+    sum, below which its product stays, so no draw lands on zero mass.  Blocks of documents
+    keep the token arrays small, and count their words in one ``bincount``.
+    """
+    n1, n2, n_words = model.dims
+    docs = n1 * n2
+    topic_cdf = np.cumsum(_topic_weights(model.a1, model.a2, model.g), axis=1)
+    word_cdf = np.cumsum(model.a3, axis=0).T.copy()  # one contiguous row per topic
+    keys = _doc_keys(seed, np.arange(docs)).tolist()
+    counts = np.empty((docs, n_words), dtype=np.int64)
+    rows = max(1, _BLOCK_CELLS // max(doc_length, n_words))
+    uniforms = np.empty((rows, 2, doc_length))
+    rng, rekey = _rekeyable()
+    for start in range(0, docs, rows):
+        u = uniforms[:min(rows, docs - start)]
+        for row, key in zip(u, keys[start:start + len(u)]):
+            rekey(key)
+            rng.random(out=row)
+        cdf = topic_cdf[start:start + len(u)]
+        x = u[:, 0] * cdf[:, -1:]
+        topic = np.zeros(x.shape, dtype=np.intp)  # searchsorted(cdf, x, "right"), row by row
+        for below in cdf[:, :-1].T:
+            topic += x >= below[:, None]
+        # the block's tokens by topic, then uniform: one ascending search per topic (a count
+        # does not depend on the order its tokens are searched in)
+        order = np.argsort((topic + 0.5 * u[:, 1]).ravel())
+        topic, x = topic.ravel()[order], u[:, 1].ravel()[order]
+        x *= word_cdf[topic, -1]
+        cell = order // doc_length * n_words
+        bounds = np.searchsorted(topic, np.arange(len(word_cdf) + 1))
+        for t, column in enumerate(word_cdf):
+            tokens = slice(bounds[t], bounds[t + 1])
+            cell[tokens] += np.searchsorted(column, x[tokens], side="right")
+        counts[start:start + len(u)] = np.bincount(
+            cell, minlength=len(u) * n_words).reshape(len(u), n_words)
+    return counts.reshape(n1, n2, n_words)
 
 
 def _dirichlet_rows(n, k, alpha, rng):
@@ -212,7 +278,14 @@ def _dirichlet_rows(n, k, alpha, rng):
 
 
 def generate(spec):
-    """Draw a planted instance; identical specs yield identical bits."""
+    """Draw a planted instance; identical specs yield identical bits.
+
+    The spec chooses how the counts are drawn: documents shorter than the vocabulary
+    (``doc_length < n_words``) token by token from the factors, with no mean tensor formed
+    (``_token_counts``), longer ones by ``sample_counts`` from the mean tensor.  Either way
+    each document's counts are ``Multinomial(doc_length, a3 w_ij)`` and come from its own
+    ``substream(seed, 1, doc)`` alone.
+    """
     n1, n2, n_words = spec.dims
     k1, k2, k3 = spec.ranks
     rng = substream(spec.seed, _MODEL_STREAM)
@@ -231,5 +304,8 @@ def generate(spec):
         raise DataFormatError("a word column lost all mass; widen the word distribution")
     a3 = w / column_mass
     model = TuckerModel(a1=a1, a2=a2, a3=a3, g=g)
-    counts = sample_counts(model.mean_tensor(), spec.doc_length, spec.seed)
+    if spec.doc_length < n_words:
+        counts = _token_counts(model, spec.doc_length, spec.seed)
+    else:
+        counts = sample_counts(model.mean_tensor(), spec.doc_length, spec.seed)
     return PlantedInstance(model=model, counts=counts, doc_length=spec.doc_length)

@@ -142,22 +142,35 @@ def hooi_reference(y, xi, iters):
     return xi
 
 
-def hooi_tensordot_reference(y, xi, iters, words=slice(None)):
+def hooi_tensordot_reference(y, xi, p, iters, words=slice(None)):
     """HOOI sweeps as ``hooi_refine`` ran them when mode 2 took its projection
     from the shared word contraction by ``tensordot``, which copies it to a
-    transposed layout: the reference its in-place batched GEMM is held to."""
+    transposed layout: the reference its in-place batched GEMM is held to.
+    Like :func:`hooi_reprojecting_reference`, it projects the tensor anew for
+    every mode-3 update and ignores ``p``."""
+    return hooi_reprojecting_reference(y, xi, p, iters, words, mode2_by_tensordot=True)
+
+
+def hooi_reprojecting_reference(y, xi, p, iters, words=slice(None), mode2_by_tensordot=False):
+    """HOOI sweeps as ``hooi_refine`` ran them before it carried the word
+    projection: each mode-3 update projects the tensor on the previous bases
+    of modes 1 and 2 anew, ``p`` is ignored, and the word projection of the
+    final bases is formed once more after the last sweep.  Returns the bases
+    and that projection, the reference the carried projection is held to bit
+    for bit."""
     from tensortopics.spectral import _fix_signs, mode1_projection, word_basis, word_projection
 
     xi = tuple(xi)
     for _ in range(iters):
         by_word = np.tensordot(xi[2], y, axes=([0], [2]))
         projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
-                     np.tensordot(by_word, xi[0], axes=([1], [0])).transpose(1, 2, 0)]
+                     np.tensordot(by_word, xi[0], axes=([1], [0])).transpose(1, 2, 0)
+                     if mode2_by_tensordot else np.matmul(xi[0].T, by_word).transpose(2, 0, 1)]
         word = word_basis(word_projection(mode1_projection(y, xi[0]), xi[1]), xi[2].shape[1],
                           words)[0]
-        xi = (*(_fix_signs(np.linalg.svd(p.reshape(len(p), -1), full_matrices=False)[0][:, :k])
-                for p, k in zip(projected, (x.shape[1] for x in xi))), word)
-    return xi
+        xi = (*(_fix_signs(np.linalg.svd(m.reshape(len(m), -1), full_matrices=False)[0][:, :k])
+                for m, k in zip(projected, (x.shape[1] for x in xi))), word)
+    return xi, word_projection(mode1_projection(y, xi[0]), xi[1])
 
 
 # Per mode: the other two modes, and the contraction of the tensor with their
@@ -240,3 +253,30 @@ def run_fresh(code):
     out = run_python("-c", code)
     out.check_returncode()
     return out.stdout.strip()
+
+
+def token_counts_reference(model, doc_length, seed, docs=None):
+    """Each document's tokens drawn in turn, one at a time, from its own substream:
+    ``2 doc_length`` uniforms, the first half picking topics from ``w_ij = g x1 a1[i]
+    x2 a2[j]`` and the second half words within column ``a3[:, t]``, each by
+    ``searchsorted`` on cumulative sums scaled by the uniform.  The serial loop that
+    generate's token path is held to, bit for bit; ``docs`` (default: all) names the
+    documents ``i * n2 + j`` drawn, and the rows of the others stay zero."""
+    from tensortopics.synth import substream
+
+    n1, n2, n_words = model.dims
+    k1, k2, k3 = model.ranks
+    word_cdf = np.cumsum(model.a3, axis=0)
+    counts = np.zeros((n1 * n2, n_words), dtype=np.int64)
+    for doc in range(n1 * n2) if docs is None else docs:
+        i, j = divmod(doc, n2)
+        w = np.zeros(k3)
+        for p in range(k1):
+            for q in range(k2):
+                w += model.a1[i, p] * model.a2[j, q] * model.g[p, q]
+        topic_cdf = np.cumsum(w)
+        u = substream(seed, 1, doc).random(2 * doc_length)
+        for x, y in zip(u[:doc_length], u[doc_length:]):
+            t = np.searchsorted(topic_cdf, x * topic_cdf[-1], side="right")
+            counts[doc, np.searchsorted(word_cdf[:, t], y * word_cdf[-1, t], side="right")] += 1
+    return counts.reshape(n1, n2, n_words)

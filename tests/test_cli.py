@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tensortopics import GenSpec, generate
+from tensortopics import GenSpec, estimator, generate
 from tensortopics.cli import (
     build_parser,
     derive_seed,
@@ -179,6 +179,15 @@ def test_blocked_count_writer_matches_the_whole_tensor_formatting(tmp_path, shap
     path = tmp_path / "counts.txt"
     write_count_tensor(path, counts, 40)
     assert path.read_bytes() == _count_file_reference(counts, 40).encode()
+
+
+def test_count_writer_matches_the_record_formatting_on_a_generated_file(tmp_path):
+    """A token-drawn corpus whose row indices reach three digits and whose
+    blocks hold 2**18 cells is written as the per-record formatting writes it."""
+    inst = planted((120, 8, 300), (2, 2, 3), doc_length=40, seed=86)
+    path = tmp_path / "counts.txt"
+    write_count_tensor(path, inst.counts, 40)
+    assert path.read_bytes() == _count_file_reference(inst.counts, 40).encode()
 
 
 @pytest.mark.parametrize("value", [2.5, np.inf, np.nan])
@@ -360,6 +369,20 @@ def _spec_file(tmp_path, **overrides):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     return path
+
+
+@pytest.mark.parametrize("doc_length", [30, 200], ids=["tokens", "multinomial"])
+def test_generate_reports_the_tokens_it_wrote(tmp_path, capsys, doc_length):
+    """Every document holds ``doc_length`` tokens: the message counts the
+    file's tokens without summing the counts."""
+    out = tmp_path / "run"
+    assert main(["generate", "--spec", str(_spec_file(tmp_path, doc_length=doc_length)),
+                 "--out", str(out)]) == 0
+    y, _ = read_count_tensor(f"{out}.counts.txt")
+    tokens = round(float(y.sum()) * doc_length)
+    assert tokens == 20 * 10 * doc_length
+    assert capsys.readouterr().out == \
+        f"wrote {out}.counts.txt ({tokens} tokens) and {out}.truth.json\n"
 
 
 def test_generate_fit_eval_pipeline(tmp_path, capsys):
@@ -688,6 +711,29 @@ def test_scree_kmax_above_the_dimension_is_usage_error_naming_the_file(tmp_path,
     assert main([*scree, "--kmax", str(dim)]) == 0
     assert main(scree) == 0  # the bound is the default
     assert len((tmp_path / "s.scree.csv").read_text().splitlines()) == dim + 1
+
+
+@pytest.mark.parametrize("ranks, kmax, code", [([], "8", 0), (["--ranks", "2"], "6", 0),
+                                             (["--ranks", "2,2"], "4", 0),
+                                             (["--ranks", "2,2"], "5", 2)],
+                         ids=["mode-1", "mode-2", "mode-3", "mode-3-kmax-too-big"])
+def test_scree_checks_the_data_and_thresholds_once(tmp_path, monkeypatch, ranks, kmax, code):
+    """scree bounds mode 3's ``--kmax`` by the kept words from the same data
+    check and threshold that its spectrum takes: one of each per call."""
+    calls = {"check": 0, "threshold": 0}
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(estimator, "_data_word_sums",
+                        counted("check", estimator._data_word_sums))
+    monkeypatch.setattr(estimator, "_threshold", counted("threshold", estimator._threshold))
+    data = _tiny_counts(tmp_path)
+    assert main(["scree", "--data", str(data), *ranks, "--kmax", kmax]) == code
+    assert calls == {"check": 1, "threshold": 1}
 
 
 @pytest.mark.parametrize("ranks, message", [

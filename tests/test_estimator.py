@@ -31,8 +31,8 @@ from tensortopics.estimator import fit_core
 from tensortopics.simplex import clip_to_simplex
 from tensortopics.spectral import mode1_projection, word_projection
 
-from helpers import (arpack_pairs, hooi_tensordot_reference, layouts, planted, run_fresh,
-                     traced_peak, word_gram)
+from helpers import (arpack_pairs, hooi_reprojecting_reference, hooi_tensordot_reference, layouts,
+                     planted, run_fresh, traced_peak, word_gram)
 
 
 def _oracle_cfg(ranks, doc_length):
@@ -712,12 +712,12 @@ def test_fit_forms_the_full_gram_of_mode_1_only(use_hooi, monkeypatch):
     assert calls == [(1, (20, 12, 40)), (2, (2, 12, 40))]
 
 
-@pytest.mark.parametrize("iters, projections", [(0, 1), (2, 2)])
-def test_hooi_fit_projects_on_the_swept_bases_only_after_a_sweep(iters, projections,
-                                                                 monkeypatch):
-    """With HOOI and no sweep the fit projects the tensor on the mode-1 basis
-    once, as the plain fit does, and returns the plain fit's bits; after a
-    sweep it projects once more, on the swept bases, for the core."""
+@pytest.mark.parametrize("iters, projections", [(0, 1), (2, 3)])
+def test_hooi_fit_projects_once_more_than_it_sweeps(iters, projections, monkeypatch):
+    """A HOOI fit projects the tensor on a mode-1 basis ``iters + 1`` times: once
+    for the spectral start and once at the end of each sweep, whose word
+    projection the next sweep and the core take.  With no sweep it returns the
+    plain fit's bits."""
     y = planted((20, 12, 40), (2, 2, 3), doc_length=100, seed=45).y
     plain = fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100))
     calls = []
@@ -727,14 +727,40 @@ def test_hooi_fit_projects_on_the_swept_bases_only_after_a_sweep(iters, projecti
         return mode1_projection(y, xi1)
 
     monkeypatch.setattr(estimator, "mode1_projection", counted)
+    monkeypatch.setattr(spectral, "mode1_projection", counted)
     res = fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100, use_hooi=True, hooi_iters=iters))
     assert len(calls) == projections
     if not iters:
-        for name in ("a1", "a2", "a3", "g"):
-            np.testing.assert_array_equal(getattr(res.model, name), getattr(plain.model, name))
-        for got, want in zip((res.q0, *res.vertices, *res.eigvals),
-                             (plain.q0, *plain.vertices, *plain.eigvals)):
-            np.testing.assert_array_equal(got, want)
+        _assert_same_fit(res, plain)
+
+
+def _assert_same_fit(got, want):
+    for name in ("a1", "a2", "a3", "g"):
+        np.testing.assert_array_equal(getattr(got.model, name), getattr(want.model, name))
+    for a, b in zip((got.vocab, got.q0, *got.vertices, *got.eigvals),
+                    (want.vocab, want.q0, *want.vertices, *want.eigvals)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("dims, ranks, doc_length", [((200, 150, 400), (4, 3, 6), 2000),
+                                                     ((100, 80, 2000), (3, 3, 5), 200),
+                                                     ((30, 30, 100), (2, 2, 3), 200)],
+                         ids=["corpus-dense-hooi", "corpus-sparse", "criterion-6"])
+def test_hooi_fit_carrying_the_word_projection_is_bit_identical_to_reprojecting(
+        dims, ranks, doc_length, monkeypatch):
+    """Sweep 1's mode-3 update re-projected the tensor on the spectral bases and
+    returned the spectral word basis bit for bit, and the fit projected once more
+    after the last sweep.  Carrying the word projection through the sweeps
+    leaves every bit of a five-sweep fit as it was."""
+    y = planted(dims, ranks, doc_length=doc_length, seed=1).y
+    cfg = FitConfig(ranks=ranks, doc_length=doc_length, use_hooi=True, hooi_iters=5)
+    y, vocab = estimator._vocabulary(y, ranks, doc_length, cfg.sparse_c_prime)
+    bases, p = estimator._hosvd(y, ranks, vocab)
+    xi = tuple(basis for basis, _ in bases)
+    np.testing.assert_array_equal(spectral.hooi_refine(y, xi, p, 1, vocab)[0][2], xi[2])
+    ours = fit(y, cfg)
+    monkeypatch.setattr(estimator, "hooi_refine", hooi_reprojecting_reference)
+    _assert_same_fit(ours, fit(y, cfg))
 
 
 @pytest.mark.parametrize("use_hooi", [False, True])
@@ -768,7 +794,10 @@ def test_fit_peak_memory_holds_no_copy_of_the_tensor():
 def test_fit_of_a_wide_vocabulary_allocates_less_than_one_word_gram(drop):
     y = planted((12, 10, 3000), (2, 2, 3), doc_length=2000, seed=6).y
     y = _one_word_dropped(y, 7) if drop else y
-    res, peak = traced_peak(fit, y, FitConfig(ranks=(2, 2, 3), doc_length=2000, use_hooi=True))
+    # the threshold keeps every word, or, at a cut far below one count, all but the zeroed one
+    cfg = FitConfig(ranks=(2, 2, 3), doc_length=2000, use_hooi=True,
+                    sparse_c_prime=1e-6 if drop else 0.0)
+    res, peak = traced_peak(fit, y, cfg)
     assert res.vocab.size == 3000 - drop
     assert peak < 8 * 3000 ** 2
 

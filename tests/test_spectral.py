@@ -5,7 +5,7 @@ import pytest
 
 from tensortopics import build_q, leading_eigvecs, unfold
 from tensortopics import spectral, threshold_vocab
-from tensortopics.spectral import _fix_signs, hooi_refine
+from tensortopics.spectral import _fix_signs, hooi_refine, mode1_projection, word_projection
 
 from helpers import (eigh_reference, exact_mode_basis, hooi_per_mode_reference, hooi_reference,
                      layouts, planted, subspace_gap, subspace_sine, traced_peak, word_gram)
@@ -246,11 +246,16 @@ def test_noiseless_gram_has_exact_rank():
     assert vals[2] / vals[0] < 1e-8  # rank k1 = 2
 
 
+def _refined(y, xi, iters):
+    """The bases ``hooi_refine`` returns from the start ``xi`` and its word projection."""
+    return hooi_refine(y, xi, word_projection(mode1_projection(y, xi[0]), xi[1]), iters)[0]
+
+
 def test_hooi_zero_iters_identity():
     inst = planted((10, 8, 15), (2, 2, 2), doc_length=30, seed=6)
     d = inst.model.mean_tensor()
     xi = tuple(exact_mode_basis(d, m, 2) for m in (1, 2, 3))
-    out = hooi_refine(inst.y, xi, iters=0)
+    out = _refined(inst.y, xi, 0)
     for a, b in zip(out, xi):
         np.testing.assert_array_equal(a, b)
 
@@ -260,7 +265,7 @@ def test_hooi_noiseless_fixed_point():
     inst = planted((12, 9, 25), (2, 2, 3), doc_length=100, seed=8)
     d = inst.model.mean_tensor()
     xi = tuple(exact_mode_basis(d, m, k) for m, k in ((1, 2), (2, 2), (3, 3)))
-    out = hooi_refine(d, xi, iters=1)
+    out = _refined(d, xi, 1)
     for before, after in zip(xi, out):
         assert subspace_gap(before, after) < 1e-9
 
@@ -280,7 +285,7 @@ def test_hooi_helps_on_noisy_data():
     for seed in range(20):
         inst = planted((30, 30, 100), (2, 2, 3), doc_length=200, seed=seed)
         start = _gram_start(inst.y, (2, 2, 3), 200)
-        refined = hooi_refine(inst.y, start, iters=3)
+        refined = _refined(inst.y, start, 3)
         d = inst.model.mean_tensor()
         truth = [exact_mode_basis(d, m, k) for m, k in ((1, 2), (2, 2), (3, 3))]
         before = sum(subspace_gap(x, t) for x, t in zip(start, truth))
@@ -298,7 +303,7 @@ def test_hooi_helps_on_noisy_data():
 def test_hooi_matches_kronecker_reference(dims, ranks, seed):
     inst = planted(dims, ranks, doc_length=100, seed=seed)
     start = _gram_start(inst.y, ranks, 100)
-    refined = hooi_refine(inst.y, start, iters=3)
+    refined = _refined(inst.y, start, 3)
     reference = hooi_reference(inst.y, start, iters=3)
     for got, want in zip(refined, reference):
         assert got.shape == want.shape
@@ -323,7 +328,8 @@ def test_hooi_shared_word_contraction_is_bit_identical_to_per_mode_einsums(dims,
     projection from two GEMMs, not einsum, so the bases differ from the
     per-mode einsums in the last bits only: within 1e-12 in subspace gap."""
     y, start = _random_bases(dims, ranks, seed=1)
-    for got, want in zip(hooi_refine(y, start, iters=2), hooi_per_mode_reference(y, start, 2)):
+    refined = _refined(y, start, 2)
+    for got, want in zip(refined, hooi_per_mode_reference(y, start, 2)):
         assert subspace_gap(got, want) <= 1e-12
 
 
@@ -335,7 +341,7 @@ def test_hooi_shared_word_contraction_where_einsum_orders_mode_2_otherwise():
                           optimize=True)[0][1] == (0, 1)
     inst = planted(dims, ranks, doc_length=100, seed=1)
     start = _gram_start(inst.y, ranks, 100)
-    refined = hooi_refine(inst.y, start, iters=3)
+    refined = _refined(inst.y, start, 3)
     for reference in (hooi_per_mode_reference, hooi_reference):
         for got, want in zip(refined, reference(inst.y, start, 3)):
             assert subspace_gap(got, want) <= 1e-12
@@ -343,15 +349,16 @@ def test_hooi_shared_word_contraction_where_einsum_orders_mode_2_otherwise():
 
 def test_hooi_sweep_peaks_no_higher_than_per_mode_einsums():
     """A sweep holds one contraction-sized array at a time: the shared word
-    contraction, read in place by modes 1 and 2 and freed before mode 3
-    contracts the tensor, then the mode-1 projection.  Its peak is at most the
+    contraction, read in place by modes 1 and 2 and freed before the sweep
+    contracts the tensor with its new bases, then the mode-1 projection.  Its peak is at most the
     larger of the two, ``8 max(k3 n1 n2, k1 n2 n3)`` bytes, plus twice its
-    k-wide arrays (each mode's basis and projection): 2.17 MB on this shape,
+    k-wide arrays (each mode's basis and projection): 2.09 MB on this shape,
     where copying the shared contraction for mode 2 peaked at 3.03 MB."""
     dims, ranks = _BENCHMARK_SHAPES[1]
     (n1, n2, n3), (k1, k2, k3) = dims, ranks
     y, start = _random_bases(dims, ranks, seed=1)
-    peak = traced_peak(hooi_refine, y, start, 2)[1]
+    p = word_projection(mode1_projection(y, start[0]), start[1])
+    peak = traced_peak(hooi_refine, y, start, p, 2)[1]
     k_wide = n1 * (k1 + k2 * k3) + n2 * (k2 + k1 * k3) + n3 * (k3 + k1 * k2)
     assert peak <= 8 * max(k3 * n1 * n2, k1 * n2 * n3) + 2 * 8 * k_wide
     assert peak <= traced_peak(hooi_per_mode_reference, y, start, 2)[1]

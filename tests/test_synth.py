@@ -12,9 +12,11 @@ from scipy import stats
 
 from tensortopics import GenSpec, generate, sample_counts, synth
 from tensortopics.errors import DataFormatError
-from tensortopics.synth import PlantedInstance, _dirichlet_rows, substream
+from tensortopics.estimator import TuckerModel
+from tensortopics.synth import PlantedInstance, _dirichlet_rows, _token_counts, substream
 
-from helpers import layouts, planted, run_python, sample_counts_reference, traced_peak
+from helpers import (layouts, planted, run_python, sample_counts_reference, token_counts_reference,
+                     traced_peak)
 
 
 def test_dirichlet_mean_matches_theory():
@@ -172,11 +174,109 @@ def test_instance_keeps_its_model_and_counts_only():
 
 
 def test_generate_keeps_no_derived_tensor():
-    """While it draws, generate holds the mean tensor and the counts, and
-    nothing else of their size."""
+    """Where documents are as long as the vocabulary, generate draws from the
+    mean tensor, and holds it and the counts, and nothing else of their size."""
     dims = (40, 30, 500)
-    peak = traced_peak(generate, GenSpec(dims=dims, ranks=(2, 2, 3), doc_length=50, seed=3))[1]
+    peak = traced_peak(generate, GenSpec(dims=dims, ranks=(2, 2, 3), doc_length=500, seed=3))[1]
     assert peak < 2.25 * np.prod(dims) * 8
+
+
+def test_token_path_holds_no_tensor_but_the_counts():
+    """Documents shorter than the vocabulary are drawn token by token, with no
+    mean tensor: generate peaks within a quarter of the counts above them
+    (1.14 times them here)."""
+    inst, peak = traced_peak(generate, GenSpec(dims=(40, 30, 500), ranks=(2, 2, 3),
+                                               doc_length=50, seed=3))
+    assert peak < 1.25 * inst.counts.nbytes
+
+
+# documents shorter than the vocabulary: anchors injected or not, zipf words,
+# a small alpha, one token a document, and five topics
+_TOKEN_SPECS = [
+    dict(dims=(6, 5, 40), ranks=(2, 2, 3), doc_length=17),
+    dict(dims=(7, 4, 30), ranks=(3, 2, 4), doc_length=29, anchor_mode="none"),
+    dict(dims=(5, 6, 60), ranks=(2, 3, 5), doc_length=40, word_dist="zipf", dirichlet_alpha=0.05),
+    dict(dims=(3, 3, 50), ranks=(2, 2, 2), doc_length=1),
+]
+
+
+@pytest.mark.parametrize("spec", _TOKEN_SPECS, ids=lambda spec: "x".join(map(str, spec["dims"])))
+def test_token_path_equals_the_serial_reference(monkeypatch, spec):
+    """Blocks of documents draw the bits of the serial token loop, for blocks of
+    every size: the default, a few documents with a ragged last block, and one
+    document each."""
+    inst = generate(GenSpec(**spec, seed=4))
+    reference = token_counts_reference(inst.model, spec["doc_length"], 4)
+    np.testing.assert_array_equal(inst.counts, reference)
+    np.testing.assert_array_equal(inst.counts.sum(axis=2), spec["doc_length"])
+    for cells in (4 * spec["dims"][2], 1):
+        monkeypatch.setattr(synth, "_BLOCK_CELLS", cells)
+        np.testing.assert_array_equal(generate(GenSpec(**spec, seed=4)).counts, reference)
+
+
+def test_token_path_goodness_of_fit_on_word_totals():
+    """The word totals of a token-drawn corpus fit the mean tensor's."""
+    inst = planted((40, 40, 50), (2, 2, 3), doc_length=30, seed=106)
+    expected = 30 * inst.model.mean_tensor().sum(axis=(0, 1))
+    total = inst.counts.sum(axis=(0, 1))
+    chi2 = float(((total - expected) ** 2 / expected).sum())
+    # conservative: word totals are sums of multinomials, df = n_words - 1
+    assert chi2 < stats.chi2.isf(1e-4, df=49)
+
+
+def test_token_path_never_counts_a_cell_of_zero_mean():
+    """Injected anchors zero every anchor word outside its topic, and at alpha
+    1e-3 core entries underflow to exactly zero: no count lands on a cell whose
+    mean is exactly zero."""
+    inst = planted((8, 8, 60), (3, 3, 4), doc_length=50, seed=7, dirichlet_alpha=1e-3)
+    zero = inst.model.mean_tensor() == 0.0
+    assert (inst.model.g == 0.0).any() and zero.any()
+    assert not inst.counts[zero].any()
+
+
+@pytest.mark.parametrize("u, word", [(np.nextafter(1.0, 0.0), 9), (0.0, 2)],
+                         ids=["top", "bottom"])
+def test_token_draw_at_the_end_of_a_cdf_lands_on_positive_mass(monkeypatch, u, word):
+    """The largest uniform below 1 picks the last topic and word of positive
+    mass, and a uniform of zero the first.  Topic 1's words add up to
+    ``0.9999999999999999``, which that uniform equals, and zero-mass words
+    follow them: searching the unscaled uniform would pick word 10."""
+
+    class Constant(synth.Generator):
+        def random(self, size=None, dtype=np.float64, out=None):
+            out[...] = u
+            return out
+
+    monkeypatch.setattr(synth, "Generator", Constant)
+    a3 = np.zeros((12, 3))
+    a3[2:, 0] = a3[:10, 1] = 0.1
+    a3[:, 2] = 1 / 12
+    model = TuckerModel(a1=[[1.0]], a2=[[1.0], [1.0]], a3=a3, g=[[[0.4, 0.6, 0.0]]])
+    expected = np.zeros((1, 2, 12), dtype=np.int64)
+    expected[:, :, word] = 3
+    np.testing.assert_array_equal(_token_counts(model, 3, seed=0), expected)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_generate_draws_tokens_only_below_the_vocabulary_size(offset):
+    """Documents shorter than the vocabulary are drawn token by token; as long or
+    longer, from the mean tensor by ``sample_counts``."""
+    spec = GenSpec(dims=(4, 3, 12), ranks=(2, 2, 2), doc_length=12 + offset, seed=8)
+    inst = generate(spec)
+    if offset < 0:
+        reference = token_counts_reference(inst.model, spec.doc_length, 8)
+    else:
+        reference = sample_counts(inst.model.mean_tensor(), spec.doc_length, 8)
+    np.testing.assert_array_equal(inst.counts, reference)
+
+
+def test_token_drawn_document_regenerates_alone():
+    """A token-drawn document takes its uniforms from its own substream only."""
+    inst = planted((5, 4, 30), (2, 2, 3), doc_length=20, seed=78)
+    for i, j in [(4, 3), (0, 0), (2, 1)]:
+        doc = token_counts_reference(inst.model, 20, 78, docs=[i * 4 + j])
+        np.testing.assert_array_equal(doc[i, j], inst.counts[i, j])
+        assert doc.sum() == 20
 
 
 def test_generate_deterministic():
