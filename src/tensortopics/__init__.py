@@ -42,7 +42,7 @@ __all__ = [
 
 def __getattr__(name):
     """``GenSpec``, ``generate`` and ``sample_counts`` load ``synth`` on first use: it
-    imports ``numpy.random`` and a thread pool, which the fit and eval commands never need."""
+    imports ``numpy.random``, which the fit and eval commands never need."""
     if name in ("GenSpec", "generate", "sample_counts"):
         from . import synth
 

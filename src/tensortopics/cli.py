@@ -11,9 +11,10 @@ output byte for byte (only the manifest's timings differ).
 
 ``fit`` and ``scree`` read a count file straight into the frequency tensor
 ``counts / doc_length``: the reader allocates that float tensor and no
-integer one, and the commands hand it on as it is.  Only ``generate`` and
-``sweep`` load the synthetic-data module, and only ``sweep --workers``
-starts a process pool.
+integer one, and the commands hand it on as it is.  ``generate`` writes the
+count records as the generator yields them, so documents drawn token by
+token never form a count tensor.  Only ``generate`` and ``sweep`` load the
+synthetic-data module, and only ``sweep --workers`` starts a process pool.
 
 Exit codes: 0 success, 2 usage error, 3 malformed data, 4 degenerate fit.
 """
@@ -39,6 +40,7 @@ from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_tuc
                      _checked_int, _checked_triple)
 from .estimator import FitConfig, TuckerModel, _hosvd, _vocabulary, fit
 from .metrics import evaluate
+from .tensor import _nonzero_records
 
 _EVAL_COLUMNS = ("loss_a1", "loss_a2", "loss_a3", "loss_g", "recon_l1")
 
@@ -51,39 +53,60 @@ class _UsageError(Exception):
 
 
 def write_count_tensor(path, counts, doc_length):
-    """Write integer counts in the sparse text format (zeros omitted).
+    """Write integer counts in the sparse text format (zeros omitted): the file that
+    :func:`read_count_tensor` reads back, so every dim and the doc length must be positive.
 
-    Blocks of mode-1 rows of about 2**18 cells are formatted as arrays in turn: each field's
-    decimal digits fill fixed-width byte columns, and the leading zeros are masked out.
+    Blocks of mode-1 rows of about 2**18 cells are formatted in turn by
+    :func:`_record_bytes`, so memory does not grow with the tensor.
     """
     counts = _as_tensor(counts, "count tensor")
     if not np.issubdtype(counts.dtype, np.integer):
         raise DataFormatError(f"counts must have an integer dtype, got {counts.dtype}")
-    if counts.size and counts.min() < 0:
+    if 0 in counts.shape:
+        raise DataFormatError(f"count tensor dims must be positive, got {counts.shape}")
+    if counts.min() < 0:
         raise DataFormatError("counts must be nonnegative")
-    n1, n2, n_words = counts.shape
-    rows = max(1, (1 << 18) // max(1, n2 * n_words))
+    _write_count_file(path, counts.shape, _checked_int("doc_length", doc_length, 1),
+                      _nonzero_records(counts))
+
+
+def _write_count_file(path, dims, doc_length, blocks):
+    """Write the header and each block of ``(cells, values)`` records of ``blocks`` as it
+    comes: ascending flat cell indices of a ``dims`` tensor and their positive counts."""
+    _, n2, n_words = dims
     with open(path, "wb") as out:
-        out.write((" ".join(str(v) for v in (*counts.shape, int(doc_length))) + "\n").encode())
-        for first in range(0, n1, rows):
-            block = counts[first:first + rows].reshape(-1)
-            cells = np.flatnonzero(block)
-            doc, word = np.divmod(cells, n_words)
-            i, j = np.divmod(doc, n2)
-            columns = [i + first + 1, j + 1, word + 1, block[cells]]
-            widths = [len(str(int(column.max(initial=0)))) for column in columns]
-            chars = np.empty((columns[-1].size, sum(widths) + 4), dtype=np.uint8)
-            keep = np.ones(chars.shape, dtype=bool)
-            end = 0
-            for values, width, separator in zip(columns, widths, b"   \n"):
-                rest = values  # every value is positive, so its last digit is kept
-                for place in range(end + width - 1, end - 1, -1):
-                    np.greater(rest, 0, out=keep[:, place])
-                    rest, digit = np.divmod(rest, 10)
-                    np.add(digit, ord("0"), out=chars[:, place], casting="unsafe")
-                chars[:, end + width] = separator
-                end += width + 1
-            out.write(chars[keep])
+        out.write((" ".join(str(v) for v in (*dims, doc_length)) + "\n").encode())
+        for cells, values in blocks:
+            out.write(_record_bytes(cells, values, n2, n_words))
+
+
+def _record_bytes(cells, values, n2, n_words):
+    """The ``i j r count`` lines of flat cell indices ``cells`` with positive counts ``values``.
+
+    Each field's decimal digits fill fixed-width byte columns, and the leading zeros are
+    masked out.  A field's digits are peeled off by floor division in the narrowest unsigned
+    dtype that holds its largest value.
+    """
+    doc = cells // n_words
+    i = doc // n2
+    columns = [i + 1, doc - i * n2 + 1, cells - doc * n_words + 1, values]
+    tops = [int(column.max(initial=0)) for column in columns]
+    widths = [len(str(top)) for top in tops]
+    chars = np.empty((cells.size, sum(widths) + 4), dtype=np.uint8)
+    keep = np.empty(chars.shape, dtype=bool)
+    end = 0
+    for column, top, width, separator in zip(columns, tops, widths, b"   \n"):
+        rest = column.astype(np.min_scalar_type(top))  # positive, so its last digit is kept
+        for place in range(end + width - 1, end - 1, -1):
+            np.greater(rest, 0, out=keep[:, place])
+            quotient = rest // 10
+            rest -= quotient * 10
+            np.add(rest, ord("0"), out=chars[:, place], casting="unsafe")
+            rest = quotient
+        chars[:, end + width] = separator
+        keep[:, end + width] = True
+        end += width + 1
+    return chars[keep]
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -368,7 +391,7 @@ def derive_seed(master, *path):
 
 
 def cmd_generate(args):
-    from .synth import GenSpec, generate  # loads numpy.random, which fit and eval never need
+    from .synth import GenSpec, _planted_records  # numpy.random: fit and eval never need it
 
     start = time.perf_counter()
     payload = _load_json(args.spec, "generator spec")
@@ -376,22 +399,32 @@ def cmd_generate(args):
         payload["seed"] = args.seed
     spec = _from_json(GenSpec, payload, args.spec)
     loaded = time.perf_counter()
+
+    def timed(blocks):  # drawing interleaves with writing: sum the seconds of each draw
+        nonlocal drawn
+        began = time.perf_counter()
+        for block in blocks:
+            drawn += time.perf_counter() - began
+            yield block
+            began = time.perf_counter()
+        drawn += time.perf_counter() - began
+
     try:
-        instance = generate(spec)
+        model, blocks = _planted_records(spec)
+        drawn = time.perf_counter() - loaded
+        counts_path = _out(args.out, "counts.txt")
+        _write_count_file(counts_path, spec.dims, spec.doc_length, timed(blocks))
     except DataFormatError as err:
         raise DataFormatError(f"{args.spec}: {err}") from None
-    generated = time.perf_counter()
-    counts_path = _out(args.out, "counts.txt")
     truth_path = _out(args.out, "truth.json")
-    write_count_tensor(counts_path, instance.counts, spec.doc_length)
-    write_model(truth_path, instance.model, extra={"seed": spec.seed})
+    write_model(truth_path, model, extra={"seed": spec.seed})
     written = time.perf_counter()
     write_manifest(
         _out(args.out, "manifest.json"), "generate",
         parameters=asdict(spec),
         outputs={"counts": counts_path, "truth": truth_path},
-        stage_seconds={"load": loaded - start, "generate": generated - loaded,
-                       "write": written - generated})
+        stage_seconds={"load": loaded - start, "generate": drawn,
+                       "write": written - loaded - drawn})
     n1, n2, _ = spec.dims  # every document holds doc_length tokens
     print(f"wrote {counts_path} ({n1 * n2 * spec.doc_length} tokens) and {truth_path}")
     return 0

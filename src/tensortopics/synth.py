@@ -8,22 +8,26 @@ regenerate bit-identically in any order and equal specs give equal bits.
 ``generate`` draws a document shorter than the vocabulary token by token from
 the planted factors: a topic from its topic weights, then a word from that
 topic's column, each by inversion of a cumulative sum.  No mean tensor is
-formed, and an instance keeps no tensor but its counts.  Longer documents
-are drawn by ``sample_counts``, one n_words-way multinomial each from the
-mean tensor, on one thread per usable CPU, a contiguous block each; since
-every document keeps its own substream, the bits depend on neither the CPU
-count nor the order the threads run in.  Each tube is normalized where it
-lies in the mean tensor, which is neither copied nor changed.
+formed.  Each block of documents comes out as count records, its token cells
+sorted and run-length counted: ``generate`` scatters them into the counts,
+and the command line writes them to the count file as they come, with no
+count tensor formed (``_planted_records``).  Longer documents are drawn by
+``sample_counts``, one n_words-way multinomial each from the mean tensor, on
+one thread per usable CPU, a contiguous block each; since every document
+keeps its own substream, the bits depend on neither the CPU count nor the
+order the threads run in.  Each tube is normalized where it lies in the mean
+tensor, which is neither copied nor changed.  An instance keeps no tensor
+but its counts.
 
 A Philox stream is fixed by its key alone: counter zero and an empty buffer
-start it.  So both paths derive every document's key in one vectorized pass
-of numpy's SeedSequence arithmetic, and rekey one generator per document
-instead of building a SeedSequence, a Philox and a Generator for it; every
-document still draws exactly the bits of its ``substream``.
+start it.  So both paths derive the documents' keys in vectorized passes of
+numpy's SeedSequence arithmetic (the token path one pass a block), and rekey
+one generator per document instead of building a SeedSequence, a Philox and
+a Generator for it; every document still draws exactly the bits of its
+``substream``.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +37,7 @@ from numpy.random import Generator, Philox, SeedSequence
 from .errors import (DataFormatError, _as_data, _check_tucker_ranks, _checked_int,
                      _checked_real, _checked_triple)
 from .estimator import TuckerModel
+from .tensor import _nonzero_records
 
 _MODEL_STREAM = 0
 _DOC_STREAM = 1
@@ -45,7 +50,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _POOL = 4
 _MASK32 = 0xFFFFFFFF
-_BLOCK_CELLS = 1 << 15  # tokens, and count cells, of one block of documents drawn by tokens
+_BLOCK_TOKENS = 1 << 16  # most tokens of one block of documents drawn by tokens
+_BLOCK_SHARE = 64  # and at most 1/_BLOCK_SHARE of the count tensor's cells
 
 
 def substream(seed, *path):
@@ -199,6 +205,8 @@ def sample_counts(d, doc_length, seed):
             rekey(keys[doc])
             counts[i, j] = rng.multinomial(doc_length, d[i, j] / total)
 
+    from concurrent.futures import ThreadPoolExecutor  # only this path starts threads
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(n1 * n2, cpus or 1))
     with ThreadPoolExecutor(workers) as pool:
@@ -208,39 +216,47 @@ def sample_counts(d, doc_length, seed):
 
 
 def _topic_weights(a1, a2, g):
-    """Every document's topic weights ``w_ij = g x1 a1[i] x2 a2[j]``, of shape ``(n1 n2, k3)``:
-    entry ``t`` adds ``(a1[i, p] * a2[j, q]) * g[p, q, t]`` over ``(p, q)`` in row-major order."""
-    w = np.zeros((len(a1), len(a2), g.shape[2]))
+    """The topic weights ``w = g x1 a1[d] x2 a2[d]`` of documents whose membership rows are
+    row ``d`` of ``a1`` and of ``a2``, of shape ``(len(a1), k3)``: entry ``t`` adds
+    ``(a1[d, p] * a2[d, q]) * g[p, q, t]`` over ``(p, q)`` in row-major order."""
+    w = np.zeros((len(a1), g.shape[2]))
     for p, q in np.ndindex(g.shape[:2]):
-        w += np.multiply.outer(np.multiply.outer(a1[:, p], a2[:, q]), g[p, q])
-    return w.reshape(-1, g.shape[2])
+        w += np.multiply.outer(a1[:, p] * a2[:, q], g[p, q])
+    return w
 
 
-def _token_counts(model, doc_length, seed):
+def _block_docs(n_cells, doc_length):
+    """Documents in one block drawn by tokens: its tokens number at most ``_BLOCK_TOKENS``
+    and a ``_BLOCK_SHARE``-th of the count tensor's ``n_cells``, so the block's arrays stay
+    small beside the counts; a block holds one document at least."""
+    return max(1, min(_BLOCK_TOKENS, n_cells // _BLOCK_SHARE) // doc_length)
+
+
+def _token_records(model, doc_length, seed):
     """Counts of every document drawn token by token from the factored ``model``: exactly
-    ``Multinomial(doc_length, a3 w_ij)``, with nothing of the mean tensor's size but the counts.
+    ``Multinomial(doc_length, a3 w_ij)``, with nothing of the mean tensor's size formed.
 
     Document ``doc = i n2 + j`` takes ``2 doc_length`` uniforms of ``substream(seed, 1, doc)``.
     The first half picks each token's topic by inversion of the cumulative sums of ``w_ij``,
     the second half its word within column ``a3[:, t]``.  A uniform scales the last cumulative
-    sum, below which its product stays, so no draw lands on zero mass.  Blocks of documents
-    keep the token arrays small, and count their words in one ``bincount``.
+    sum, below which its product stays, so no draw lands on zero mass.  Yields each block of
+    documents as records: the flat indices of its cells of positive count in the
+    ``(n1, n2, n_words)`` count tensor, ascending, and those counts.
     """
     n1, n2, n_words = model.dims
     docs = n1 * n2
-    topic_cdf = np.cumsum(_topic_weights(model.a1, model.a2, model.g), axis=1)
     word_cdf = np.cumsum(model.a3, axis=0).T.copy()  # one contiguous row per topic
-    keys = _doc_keys(seed, np.arange(docs)).tolist()
-    counts = np.empty((docs, n_words), dtype=np.int64)
-    rows = max(1, _BLOCK_CELLS // max(doc_length, n_words))
+    rows = _block_docs(docs * n_words, doc_length)
     uniforms = np.empty((rows, 2, doc_length))
     rng, rekey = _rekeyable()
     for start in range(0, docs, rows):
-        u = uniforms[:min(rows, docs - start)]
-        for row, key in zip(u, keys[start:start + len(u)]):
+        block = np.arange(start, min(start + rows, docs))
+        u = uniforms[:len(block)]
+        for row, key in zip(u, _doc_keys(seed, block).tolist()):
             rekey(key)
             rng.random(out=row)
-        cdf = topic_cdf[start:start + len(u)]
+        cdf = np.cumsum(_topic_weights(model.a1[block // n2], model.a2[block % n2], model.g),
+                        axis=1)
         x = u[:, 0] * cdf[:, -1:]
         topic = np.zeros(x.shape, dtype=np.intp)  # searchsorted(cdf, x, "right"), row by row
         for below in cdf[:, :-1].T:
@@ -250,14 +266,25 @@ def _token_counts(model, doc_length, seed):
         order = np.argsort((topic + 0.5 * u[:, 1]).ravel())
         topic, x = topic.ravel()[order], u[:, 1].ravel()[order]
         x *= word_cdf[topic, -1]
-        cell = order // doc_length * n_words
+        cell = order // doc_length
+        cell += start
+        cell *= n_words
         bounds = np.searchsorted(topic, np.arange(len(word_cdf) + 1))
         for t, column in enumerate(word_cdf):
             tokens = slice(bounds[t], bounds[t + 1])
             cell[tokens] += np.searchsorted(column, x[tokens], side="right")
-        counts[start:start + len(u)] = np.bincount(
-            cell, minlength=len(u) * n_words).reshape(len(u), n_words)
-    return counts.reshape(n1, n2, n_words)
+        cell.sort()
+        starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+        yield cell[starts], np.diff(starts, append=cell.size)
+
+
+def _token_counts(model, doc_length, seed):
+    """The count tensor of :func:`_token_records`: its records scattered into zeros."""
+    counts = np.zeros(model.dims, dtype=np.int64)
+    flat = counts.reshape(-1)
+    for cells, values in _token_records(model, doc_length, seed):
+        flat[cells] = values
+    return counts
 
 
 def _dirichlet_rows(n, k, alpha, rng):
@@ -277,15 +304,8 @@ def _dirichlet_rows(n, k, alpha, rng):
     return rows
 
 
-def generate(spec):
-    """Draw a planted instance; identical specs yield identical bits.
-
-    The spec chooses how the counts are drawn: documents shorter than the vocabulary
-    (``doc_length < n_words``) token by token from the factors, with no mean tensor formed
-    (``_token_counts``), longer ones by ``sample_counts`` from the mean tensor.  Either way
-    each document's counts are ``Multinomial(doc_length, a3 w_ij)`` and come from its own
-    ``substream(seed, 1, doc)`` alone.
-    """
+def _planted_model(spec):
+    """The planted factors of ``spec``, drawn from ``substream(spec.seed, 0)``."""
     n1, n2, n_words = spec.dims
     k1, k2, k3 = spec.ranks
     rng = substream(spec.seed, _MODEL_STREAM)
@@ -302,10 +322,39 @@ def generate(spec):
     column_mass = w.sum(axis=0)
     if np.any(column_mass == 0.0):
         raise DataFormatError("a word column lost all mass; widen the word distribution")
-    a3 = w / column_mass
-    model = TuckerModel(a1=a1, a2=a2, a3=a3, g=g)
-    if spec.doc_length < n_words:
+    return TuckerModel(a1=a1, a2=a2, a3=w / column_mass, g=g)
+
+
+def _by_tokens(spec):
+    """Whether ``spec``'s documents are drawn token by token: they are shorter than the
+    vocabulary.  Longer ones are drawn by ``sample_counts`` from the mean tensor."""
+    return spec.doc_length < spec.dims[2]
+
+
+def generate(spec):
+    """Draw a planted instance; identical specs yield identical bits.
+
+    The spec chooses how the counts are drawn: documents shorter than the vocabulary
+    (``doc_length < n_words``) token by token from the factors, with no mean tensor formed
+    (``_token_counts``), longer ones by ``sample_counts`` from the mean tensor.  Either way
+    each document's counts are ``Multinomial(doc_length, a3 w_ij)`` and come from its own
+    ``substream(seed, 1, doc)`` alone.
+    """
+    model = _planted_model(spec)
+    if _by_tokens(spec):
         counts = _token_counts(model, spec.doc_length, spec.seed)
     else:
         counts = sample_counts(model.mean_tensor(), spec.doc_length, spec.seed)
     return PlantedInstance(model=model, counts=counts, doc_length=spec.doc_length)
+
+
+def _planted_records(spec):
+    """The planted model of ``spec`` and an iterator over the counts of ``generate(spec)`` as
+    blocks of records: ascending flat cell indices of positive count, and those counts.
+    Documents drawn by tokens come block by block as they are drawn, with no count tensor
+    formed; longer ones are drawn whole by ``sample_counts``, whose nonzeros then come."""
+    model = _planted_model(spec)
+    if _by_tokens(spec):
+        return model, _token_records(model, spec.doc_length, spec.seed)
+    counts = sample_counts(model.mean_tensor(), spec.doc_length, spec.seed)
+    return model, _nonzero_records(counts)

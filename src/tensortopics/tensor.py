@@ -56,3 +56,17 @@ def reconstruct(g, a1, a2, a3):
     """
     return np.einsum("pqs,ip,jq,ks->ijk", g, a1, a2, a3, optimize=True)
 
+
+
+def _nonzero_records(t):
+    """The nonzero entries of ``t``, which has no empty dim, by blocks of mode-1 rows of about
+    2**18 cells: per block, the flat indices of its nonzero cells in ``t``, ascending, and
+    their values."""
+    n1, n2, n3 = t.shape
+    rows = max(1, (1 << 18) // (n2 * n3))
+    for first in range(0, n1, rows):
+        block = t[first:first + rows].reshape(-1)
+        cells = np.flatnonzero(block)
+        values = block[cells]
+        cells += first * n2 * n3
+        yield cells, values

@@ -255,6 +255,21 @@ def run_fresh(code):
     return out.stdout.strip()
 
 
+# documents shorter than the vocabulary: anchors injected or not, zipf words,
+# a small alpha, one token a document, and five topics
+TOKEN_SPECS = [
+    dict(dims=(6, 5, 40), ranks=(2, 2, 3), doc_length=17),
+    dict(dims=(7, 4, 30), ranks=(3, 2, 4), doc_length=29, anchor_mode="none"),
+    dict(dims=(5, 6, 60), ranks=(2, 3, 5), doc_length=40, word_dist="zipf", dirichlet_alpha=0.05),
+    dict(dims=(3, 3, 50), ranks=(2, 2, 2), doc_length=1),
+]
+
+
+def spec_id(spec):
+    """A test id for a spec of ``TOKEN_SPECS``: its dims."""
+    return "x".join(map(str, spec["dims"]))
+
+
 def token_counts_reference(model, doc_length, seed, docs=None):
     """Each document's tokens drawn in turn, one at a time, from its own substream:
     ``2 doc_length`` uniforms, the first half picking topics from ``w_ij = g x1 a1[i]

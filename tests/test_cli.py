@@ -7,6 +7,7 @@ import json
 import re
 import shlex
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tensortopics import GenSpec, estimator, generate
+from tensortopics import GenSpec, cli, estimator, generate, synth
 from tensortopics.cli import (
     build_parser,
     derive_seed,
@@ -28,7 +29,7 @@ from tensortopics.cli import (
 )
 from tensortopics.errors import DataFormatError
 
-from helpers import planted, run_fresh, run_python, traced_peak
+from helpers import TOKEN_SPECS, planted, run_fresh, run_python, spec_id, traced_peak
 
 
 # ------------------------------------------------------------ file formats
@@ -211,6 +212,25 @@ def test_count_writer_memory_does_not_grow_with_the_tensor(tmp_path):
     assert peaks[1] < 48e6
 
 
+@pytest.mark.parametrize("shape, doc_length, message", [
+    ((2, 2, 3), 0, "doc_length must be a positive integer, got 0"),
+    ((2, 2, 3), -1, "doc_length must be a positive integer, got -1"),
+    ((2, 2, 3), 2.5, "doc_length must be a positive integer, got 2.5"),
+    ((2, 2, 3), True, "doc_length must be a positive integer, got True"),
+    ((2, 2, 3), "7", "doc_length must be a positive integer, got '7'"),
+    ((0, 2, 3), 5, r"count tensor dims must be positive, got \(0, 2, 3\)"),
+    ((2, 0, 3), 5, r"count tensor dims must be positive, got \(2, 0, 3\)"),
+    ((2, 2, 0), 5, r"count tensor dims must be positive, got \(2, 2, 0\)"),
+], ids=["length-0", "length-minus-1", "length-2.5", "length-True", "length-str",
+        "dims-0x2x3", "dims-2x0x3", "dims-2x2x0"])
+def test_count_writer_refuses_what_the_reader_refuses(tmp_path, shape, doc_length, message):
+    """The reader refuses a doc length or a dim below one, so the writer does
+    not write them, and it takes the doc length as it is, not coerced."""
+    with pytest.raises(DataFormatError, match=f"^{message}$"):
+        write_count_tensor(tmp_path / "counts.txt", np.ones(shape, dtype=np.int64), doc_length)
+    assert not (tmp_path / "counts.txt").exists()
+
+
 def test_count_tensor_reads_shuffled_split_records(tmp_path):
     """Shuffled records, counts split over duplicates, blank lines and CRLF
     read back to the tensor of the canonical file."""
@@ -383,6 +403,95 @@ def test_generate_reports_the_tokens_it_wrote(tmp_path, capsys, doc_length):
     assert tokens == 20 * 10 * doc_length
     assert capsys.readouterr().out == \
         f"wrote {out}.counts.txt ({tokens} tokens) and {out}.truth.json\n"
+
+
+def _generate_files(spec, out):
+    """Run ``generate`` on the spec dict ``spec`` with its file beside ``out``."""
+    path = out.parent / f"{out.name}.spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["generate", "--spec", str(path), "--out", str(out)]) == 0
+    return out.parent / f"{out.name}.counts.txt", out.parent / f"{out.name}.truth.json"
+
+
+@pytest.mark.parametrize("spec", TOKEN_SPECS, ids=spec_id)
+def test_generate_writes_the_token_records_as_the_count_writer(tmp_path, monkeypatch, capsys,
+                                                                spec):
+    """Documents drawn by tokens are written block by block as they are drawn,
+    with no count tensor: the file is the count writer's file of the instance's
+    counts, byte for byte, for blocks of the default size, of a few documents
+    with a ragged last block, and of one document."""
+    spec = {**spec, "seed": 4}
+    inst = generate(GenSpec(**spec))
+    write_count_tensor(tmp_path / "counts.txt", inst.counts, spec["doc_length"])
+    write_model(tmp_path / "truth.json", inst.model, extra={"seed": 4})
+    for rows in (None, 4, 1):
+        if rows is not None:
+            monkeypatch.setattr(synth, "_block_docs", lambda n_cells, doc_length: rows)
+        counts, truth = _generate_files(spec, tmp_path / f"rows{rows}")
+        assert counts.read_bytes() == (tmp_path / "counts.txt").read_bytes()
+        assert truth.read_bytes() == (tmp_path / "truth.json").read_bytes()
+
+
+def test_generate_writes_a_multinomial_spec_as_the_count_writer(tmp_path, capsys):
+    """Documents as long as the vocabulary are drawn whole from the mean tensor,
+    and their file is the count writer's file of the instance's counts."""
+    spec = {"dims": [20, 10, 40], "ranks": [2, 2, 3], "doc_length": 200, "seed": 11}
+    counts, _ = _generate_files(spec, tmp_path / "run")
+    write_count_tensor(tmp_path / "reference.txt", generate(GenSpec(**spec)).counts, 200)
+    assert counts.read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+
+def test_generate_manifest_times_the_drawing_and_the_writing(tmp_path, monkeypatch, capsys):
+    """Drawing and writing interleave block by block; the manifest sums each
+    into its own stage.  Five blocks that each take 10 ms more to draw and
+    50 ms more to format add at least 50 ms to ``generate`` and 250 ms to
+    ``write``, and the formatting does not land in ``generate``."""
+    draw, format_records = synth._token_records, cli._record_bytes
+
+    def slow_draw(*args):
+        for block in draw(*args):
+            time.sleep(0.01)
+            yield block
+
+    def slow_format(*args):
+        time.sleep(0.05)
+        return format_records(*args)
+
+    monkeypatch.setattr(synth, "_token_records", slow_draw)
+    monkeypatch.setattr(cli, "_record_bytes", slow_format)
+    monkeypatch.setattr(synth, "_block_docs", lambda n_cells, doc_length: 4)
+    spec = {"dims": [4, 5, 40], "ranks": [2, 2, 3], "doc_length": 10, "seed": 2}
+    _generate_files(spec, tmp_path / "run")
+    seconds = json.loads((tmp_path / "run.manifest.json").read_text())["stage_seconds"]
+    assert set(seconds) == {"load", "generate", "write"}
+    assert seconds["generate"] >= 0.05 and seconds["write"] >= 0.25
+    assert seconds["generate"] < seconds["write"]
+
+
+def test_generate_memory_does_not_grow_with_the_documents(tmp_path, capsys):
+    """CLI ``generate`` of documents drawn by tokens holds one block of them
+    at a time: three times the documents take no more memory, where their
+    count tensor would take 80 MB more."""
+    peaks = []
+    for n1 in (20, 60):
+        spec = {"dims": [n1, 50, 5000], "ranks": [2, 2, 3], "doc_length": 100, "seed": 6}
+        path = tmp_path / f"spec{n1}.json"
+        path.write_text(json.dumps(spec))
+        argv = ["generate", "--spec", str(path), "--out", str(tmp_path / f"run{n1}")]
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        peaks.append(peak)
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
+def test_generate_of_token_documents_leaves_the_thread_pool_unloaded(tmp_path):
+    """Only the multinomial sampler starts threads: CLI ``generate`` of
+    documents drawn by tokens, run in a fresh process, imports no thread pool."""
+    argv = ["generate", "--spec", str(_spec_file(tmp_path, doc_length=30)),
+            "--out", str(tmp_path / "g")]
+    code = ("import sys; from tensortopics.cli import main\n"
+            f"print(main({argv!r}), 'concurrent.futures' in sys.modules)")
+    assert run_fresh(code).splitlines()[-1] == "0 False"
 
 
 def test_generate_fit_eval_pipeline(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Generator distribution checks: Dirichlet/multinomial statistics, anchors,
 seeded determinism, and plain-CLT agreement between counts and means."""
 
+import concurrent.futures
 import os
 import sys
 import threading
@@ -15,8 +16,8 @@ from tensortopics.errors import DataFormatError
 from tensortopics.estimator import TuckerModel
 from tensortopics.synth import PlantedInstance, _dirichlet_rows, _token_counts, substream
 
-from helpers import (layouts, planted, run_python, sample_counts_reference, token_counts_reference,
-                     traced_peak)
+from helpers import (TOKEN_SPECS, layouts, planted, run_python, sample_counts_reference, spec_id,
+                     token_counts_reference, traced_peak)
 
 
 def test_dirichlet_mean_matches_theory():
@@ -184,23 +185,13 @@ def test_generate_keeps_no_derived_tensor():
 def test_token_path_holds_no_tensor_but_the_counts():
     """Documents shorter than the vocabulary are drawn token by token, with no
     mean tensor: generate peaks within a quarter of the counts above them
-    (1.14 times them here)."""
+    (1.20 times them here)."""
     inst, peak = traced_peak(generate, GenSpec(dims=(40, 30, 500), ranks=(2, 2, 3),
                                                doc_length=50, seed=3))
     assert peak < 1.25 * inst.counts.nbytes
 
 
-# documents shorter than the vocabulary: anchors injected or not, zipf words,
-# a small alpha, one token a document, and five topics
-_TOKEN_SPECS = [
-    dict(dims=(6, 5, 40), ranks=(2, 2, 3), doc_length=17),
-    dict(dims=(7, 4, 30), ranks=(3, 2, 4), doc_length=29, anchor_mode="none"),
-    dict(dims=(5, 6, 60), ranks=(2, 3, 5), doc_length=40, word_dist="zipf", dirichlet_alpha=0.05),
-    dict(dims=(3, 3, 50), ranks=(2, 2, 2), doc_length=1),
-]
-
-
-@pytest.mark.parametrize("spec", _TOKEN_SPECS, ids=lambda spec: "x".join(map(str, spec["dims"])))
+@pytest.mark.parametrize("spec", TOKEN_SPECS, ids=spec_id)
 def test_token_path_equals_the_serial_reference(monkeypatch, spec):
     """Blocks of documents draw the bits of the serial token loop, for blocks of
     every size: the default, a few documents with a ragged last block, and one
@@ -209,8 +200,8 @@ def test_token_path_equals_the_serial_reference(monkeypatch, spec):
     reference = token_counts_reference(inst.model, spec["doc_length"], 4)
     np.testing.assert_array_equal(inst.counts, reference)
     np.testing.assert_array_equal(inst.counts.sum(axis=2), spec["doc_length"])
-    for cells in (4 * spec["dims"][2], 1):
-        monkeypatch.setattr(synth, "_BLOCK_CELLS", cells)
+    for rows in (4, 1):
+        monkeypatch.setattr(synth, "_block_docs", lambda n_cells, doc_length: rows)
         np.testing.assert_array_equal(generate(GenSpec(**spec, seed=4)).counts, reference)
 
 
@@ -386,12 +377,12 @@ def test_sampler_gives_each_thread_one_contiguous_block(monkeypatch, docs, cpus,
     affinity call is missing, and never more threads than documents."""
     pools = []
 
-    class RecordingPool(synth.ThreadPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def map(self, fn, blocks):
             pools.append((self._max_workers, list(blocks)))
             return super().map(fn, pools[-1][1])
 
-    monkeypatch.setattr(synth, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     if affinity:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     else:
