@@ -127,9 +127,9 @@ class FitResult:
     strictly positive topic masses.  ``vertices`` gives per mode the row
     indices chosen as simplex vertices (word-mode entries are original word
     indices).  ``eigvals`` are the initial spectral step's leading eigenvalues of the
-    mode-1 gram and of the mode-2 gram of the tensor projected on the mode-1 basis, and
-    squared singular values of the word projection (``word_basis``); ``scree`` returns a
-    prefix of each mode's spectrum.
+    mode-1 gram and of the mode-2 gram of the tensor projected on the mode-1 basis, each the
+    top of one full ``eigh``, and squared singular values of the word projection
+    (``word_basis``); a ``scree`` of a mode agrees with them bit for bit on their common prefix.
     """
 
     model: TuckerModel
@@ -166,8 +166,9 @@ def _threshold(word_sums, dims, doc_length, c_prime):
 def _mode_basis(y, mode, k, dropped=()):
     """Leading ``k`` gram eigenpairs of one mode of ``y``, the checked tensor for mode 1 and
     its :func:`~tensortopics.spectral.mode1_projection` for mode 2, less the grams of
-    ``dropped`` words' slabs, naming the mode in errors.  ``build_q`` forms both grams; the
-    eigenvalues are the fit's ``eigvals`` of the mode, and ``scree`` returns a prefix of them."""
+    ``dropped`` words' slabs, naming the mode in errors.  ``build_q`` forms both grams and
+    ``leading_eigvecs`` takes the top pairs of one full ``eigh``: the eigenvalues are the fit's
+    ``eigvals`` of the mode, and ``scree`` returns the leading values of the same spectrum."""
     n = y.shape[mode - 1]
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below

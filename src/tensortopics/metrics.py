@@ -201,8 +201,8 @@ def scree(y, ranks, k_max, doc_length):
 
     ``ranks`` holds the fit ranks of the modes before it: ``()``, ``(K1,)`` or ``(K1, K2)``.
     scree runs the fit's own stages in the fit's order, the default vocabulary threshold
-    included, so it returns a prefix of the spectrum that a fit at these ranks reports in
-    ``FitResult.eigvals`` (bit for bit where ``k_max`` is the fit's rank), and it fails as
+    included, so the spectrum it returns and the one a fit at these ranks reports in
+    ``FitResult.eigvals`` agree bit for bit on their common prefix, and it fails as
     ``fit`` does.  ``k_max`` is at most ``n1`` for mode 1, ``n2`` for mode 2, and for mode 3
     both the kept words and ``K1 K2``.  A knee in the sequence suggests the mode's rank.
     """

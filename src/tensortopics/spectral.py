@@ -6,17 +6,15 @@ from the gram of the tensor projected on the mode-1 basis (``mode1_projection``)
 The projections keep too few of the multinomial sampling noise directions to bias a
 diagonal, so every gram is the plain one.
 
-``leading_eigvecs`` computes only the top ``k + 1`` eigenpairs, by a thick-restart Lanczos
-method started from a fixed vector of a seeded generator, so replays are bit-identical; a
-start at the all-ones vector would never reach an eigenvector that sums to zero.  When
-``k + 1`` reaches the matrix size, the full LAPACK ``eigh`` runs instead.  Eigenvalues agree
-with a full ``eigh`` of their gram within 1e-12 relative, and bases within the solver
-residual over the eigengap.
+``leading_eigvecs`` takes the top ``k`` pairs of a full LAPACK ``eigh``.  Its O(n^3) cost is
+about that of forming a gram of ``12 n`` columns; the fit solves only the mode-1 gram, of
+``n2 n3`` columns, and the mode-2 gram, of ``k1 n3``.  A shorter solve is a prefix of a longer
+one bit for bit, so ``scree`` and ``fit`` agree at any length, and replays are bit-identical.
 """
 
 import numpy as np
 
-from .errors import DataFormatError, FitDegenerateError, _check_mode
+from .errors import DataFormatError, FitDegenerateError, _all_finite, _check_mode
 
 def _gram(m):
     """Gram matrix of ``m``, exactly symmetric: ``m @ m.T`` of a matrix, or the sum of the
@@ -48,62 +46,6 @@ def build_q(y_mat, mode):
     return _gram(y)
 
 
-_MAX_RESTARTS = 1000  # the corpus-sparse mode-1 gram takes 7-8 (seeds 1-3)
-
-
-def _orthogonalize(w, basis):
-    """Remove from ``w``, in place, its part in the span of the orthonormal
-    columns of ``basis`` by two classical Gram-Schmidt passes; return ``w``."""
-    for _ in range(2):
-        w -= basis @ (basis.T @ w)
-    return w
-
-
-def _lanczos(q, nev):
-    """Top ``nev < n`` eigenpairs of a symmetric ``q``, eigenvalues ascending:
-    thick-restart Lanczos (Wu and Simon), fully reorthogonalized, on a basis of
-    ``max(2 nev + 1, 20)`` vectors (at most ``n``) rotated in place.  Restarts
-    keep the leading Ritz vectors largest first, so a converged dominant pair
-    does not spread its rounding over the rest.  Pairs converge at residual
-    estimates of epsilon times the largest ``|q v|`` seen.  An invariant
-    subspace goes on from a fresh seeded direction.
-    """
-    n = q.shape[0]
-    m = min(n, max(2 * nev + 1, 20))
-    eps = np.finfo(float).eps
-    rng = np.random.default_rng(0)
-    basis = np.empty((n, m), order="F")
-    t = np.zeros((m, m))
-    v = rng.uniform(0.5, 1.5, n)
-    kept, scale = 0, 0.0
-    for _ in range(_MAX_RESTARTS + 1):
-        for j in range(kept, m):
-            basis[:, j] = v = v / np.linalg.norm(v)
-            w = q @ v
-            scale = max(scale, np.linalg.norm(w))
-            t[j, j] = v @ w
-            beta = np.linalg.norm(_orthogonalize(w, basis[:, :j + 1]))
-            if beta <= n * eps * scale:  # numerically invariant, as a full basis is
-                beta = 0.0
-            if j + 1 < m:
-                t[j, j + 1] = t[j + 1, j] = beta
-                v = w if beta else _orthogonalize(rng.uniform(-1.0, 1.0, n), basis[:, :j + 1])
-        theta, s = np.linalg.eigh(t)
-        converged = np.abs(beta * s[-1, -nev:]) <= eps * scale
-        kept = nev if converged.all() else nev + (m - nev) // 2
-        top = slice(None, -kept - 1, -1)
-        for rows in range(0, n, 512):
-            block = basis[rows:rows + 512]
-            block[:, :kept] = block @ s[:, top]
-        if converged.all():
-            return theta[-nev:], basis[:, nev - 1::-1]
-        t = np.diag(np.r_[theta[top], np.zeros(m - kept)])
-        t[:kept, kept] = t[kept, :kept] = beta * s[-1, top]
-        v = w
-    raise np.linalg.LinAlgError(f"Lanczos: {converged.sum()} of {nev} eigenpairs converged "
-                                f"in {_MAX_RESTARTS} restarts")
-
-
 def _fix_signs(vecs):
     """Flip columns so each sums positive; a zero sum falls back to making
     the first entry of largest magnitude positive."""
@@ -121,19 +63,21 @@ def _fix_signs(vecs):
 
 
 def leading_eigvecs(q, k):
-    """Top ``k`` eigenpairs of a symmetric matrix, deterministically signed.
+    """Top ``k`` eigenpairs of a symmetric matrix by a full ``eigh``, deterministically signed.
 
     Columns come back orthonormal with eigenvalues sorted descending.
-    Raises ``ValueError`` when ``k`` is out of range and
-    ``numpy.linalg.LinAlgError`` if the eigensolver fails to converge.
+    Raises ``ValueError`` when ``q`` is not a finite square matrix or ``k`` is out of range,
+    and ``numpy.linalg.LinAlgError`` if the eigensolver fails to converge.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("q must be a square matrix")
+    if not _all_finite(q):
+        raise ValueError("q is not finite: it holds a NaN or an infinite entry")
     n = q.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    vals, vecs = _lanczos(q, k + 1) if k + 1 < n else np.linalg.eigh(q)
+    vals, vecs = np.linalg.eigh(q)
     return _fix_signs(vecs[:, :-k - 1:-1]), vals[:-k - 1:-1].copy()
 
 

@@ -87,7 +87,7 @@ def subspace_sine(u, v):
 
 def eigh_reference(q):
     """Every eigenpair of a symmetric matrix by a full LAPACK ``eigh``,
-    eigenvalues descending: the reference the partial eigensolver is held to."""
+    eigenvalues descending: ``leading_eigvecs`` returns its top pairs bit for bit."""
     vals, vecs = np.linalg.eigh(q)
     return vals[::-1], vecs[:, ::-1]
 
@@ -104,9 +104,9 @@ def word_gram(y3, doc_length):
 
 
 def arpack_pairs(q, nev):
-    """Top ``nev`` eigenpairs by ARPACK from the solver's seeded start vector,
-    eigenvalues ascending: the eigensolver the package used before its own
-    Lanczos method, the reference that fits are held to."""
+    """Top ``nev`` eigenpairs by ARPACK from a seeded start vector, eigenvalues
+    ascending: an independent partial eigensolver that fits with the full
+    ``eigh`` of ``leading_eigvecs`` are held to."""
     from scipy.sparse.linalg import eigsh
 
     rng = np.random.default_rng(0)

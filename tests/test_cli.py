@@ -1052,10 +1052,9 @@ def test_linalg_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
 
 
 def test_full_eigh_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
-    """Mode 2 has 6 rows and rank 5, so its k + 1 pairs take the full eigh of
-    the gram of the tensor projected on the mode-1 basis, in fit and in scree
-    alike.  Only a 6 x 6 eigh fails: the Lanczos solve of mode 1 also calls
-    ``eigh``, on its 8 x 8 projected matrix."""
+    """Mode 2 has 6 rows, so its basis takes the eigh of a 6 x 6 gram of the
+    tensor projected on the mode-1 basis, in fit and in scree alike.  Only a
+    6 x 6 eigh fails: mode 1's gram is 8 x 8."""
     data = _tiny_counts(tmp_path)
     real_eigh = np.linalg.eigh
 

@@ -280,39 +280,36 @@ def test_fit_names_a_gram_that_overflows():
             scree(y, (), 3, 30)
 
 
-_ARPACK_PROBE = """
+_SCIPY_PROBE = """
 import sys
 import numpy as np
-from tensortopics import FitConfig, estimator, fit, metrics, scree, spectral
+from tensortopics import FitConfig, estimator, fit, scree, spectral
 
-loaded, partial = [], []
+def scipy_loaded():
+    return any(name.startswith("scipy") for name in sys.modules)
+loaded = []
 def probe(*args, **kwargs):
-    loaded.append("scipy.sparse.linalg" in sys.modules)
+    loaded.append(scipy_loaded())
     return spectral.build_q(*args, **kwargs)
-def lanczos(*args, **kwargs):
-    partial.append(True)
-    return solver(*args, **kwargs)
-solver = spectral._lanczos
-estimator.build_q = metrics.build_q = probe
-spectral._lanczos = lanczos
+estimator.build_q = probe
 y = np.random.default_rng(5).uniform(size={dims})
 {call}
-print(loaded[0], "scipy.sparse.linalg" in sys.modules, bool(partial))
+print(loaded[0], scipy_loaded())
 """
 
 
-@pytest.mark.parametrize("dims, call, expected", [
-    ((8, 6, 20), "fit(y, FitConfig(ranks=(2, 2, 2), doc_length=30))", "False False True"),
-    ((3, 3, 4), "fit(y, FitConfig(ranks=(2, 2, 3), doc_length=30))", "False False False"),
-    ((8, 6, 20), "scree(y, (2, 2), 3, 30)", "False False True"),
-    ((8, 6, 20), "scree(y, (), 8, 30)", "False False False"),
-], ids=["fit-arpack", "fit-full-eigh", "scree-arpack", "scree-full-eigh"])
-def test_arpack_is_loaded_before_the_first_gram_and_only_when_used(dims, call, expected):
-    """The ``arpack`` cases take the partial eigensolve that ARPACK once ran
-    and the ``full-eigh`` cases the full ``eigh``.  The partial solve is now
-    the in-package Lanczos method, so ARPACK is never used: neither path
-    loads scipy.sparse.linalg, before the first gram or after the fit."""
-    assert run_fresh(_ARPACK_PROBE.format(dims=dims, call=call)) == expected
+@pytest.mark.parametrize("dims, call", [
+    ((8, 6, 20), "fit(y, FitConfig(ranks=(2, 2, 2), doc_length=30))"),
+    ((3, 3, 4), "fit(y, FitConfig(ranks=(2, 2, 3), doc_length=30))"),
+    ((8, 6, 20), "fit(y, FitConfig(ranks=(2, 2, 2), doc_length=30, use_hooi=True, hooi_iters=2))"),
+    ((8, 6, 20), "scree(y, (2, 2), 3, 30)"),
+    ((8, 6, 20), "scree(y, (), 8, 30)"),
+], ids=["fit-arpack", "fit-full-eigh", "fit-hooi", "scree-arpack", "scree-full-eigh"])
+def test_arpack_is_loaded_before_the_first_gram_and_only_when_used(dims, call):
+    """numpy is the only runtime dependency: a fit, plain or with HOOI sweeps, and a
+    scree leave every ``scipy*`` module unloaded, before the first gram and after.  The
+    ``arpack`` ids name the sizes that once took a partial eigensolve."""
+    assert run_fresh(_SCIPY_PROBE.format(dims=dims, call=call)) == "False False"
 
 
 @pytest.mark.parametrize("dims, ranks, doc_length, options", [
@@ -323,11 +320,17 @@ def test_arpack_is_loaded_before_the_first_gram_and_only_when_used(dims, call, e
 def test_fit_drifts_at_most_1e12_from_the_arpack_solver(monkeypatch, dims, ranks, doc_length,
                                                         options):
     """The benchmark instances at seed 1 fit within 1e-12 per entry of the
-    fits with ARPACK's pairs, keeping the same words and vertices."""
+    fits with ARPACK's top ``k`` of ``k + 1`` pairs for modes 1 and 2, keeping the
+    same words and vertices."""
     inst = planted(dims, ranks, doc_length=doc_length, seed=1)
     cfg = FitConfig(ranks=ranks, doc_length=doc_length, **options)
     ours = fit(inst.y, cfg)
-    monkeypatch.setattr(spectral, "_lanczos", arpack_pairs)
+
+    def arpack_eigvecs(q, k):
+        vals, vecs = arpack_pairs(q, k + 1)
+        return spectral._fix_signs(vecs[:, :-k - 1:-1]), vals[:-k - 1:-1]
+
+    monkeypatch.setattr(estimator, "leading_eigvecs", arpack_eigvecs)
     reference = fit(inst.y, cfg)
     for name in ("a1", "a2", "a3", "g"):
         assert np.abs(getattr(ours.model, name) - getattr(reference.model, name)).max() <= 1e-12

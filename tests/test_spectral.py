@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from tensortopics import build_q, leading_eigvecs, unfold
-from tensortopics import spectral, threshold_vocab
+from tensortopics import build_q, leading_eigvecs, threshold_vocab, unfold
 from tensortopics.spectral import _fix_signs, hooi_refine, mode1_projection, word_projection
 
 from helpers import (eigh_reference, exact_mode_basis, hooi_per_mode_reference, hooi_reference,
@@ -134,10 +133,8 @@ def test_partial_eigensolve_drift_on_narrow_gap_word_gram():
 
 
 def test_leading_eigenvector_summing_to_zero_is_found():
-    """A Krylov space started from the all-ones vector never reaches an
-    eigenvector orthogonal to it; the seeded start does.  Here rows 1 and 2
-    map equal entries to exact zeros, so from ones every Lanczos vector keeps
-    them equal and misses the leading eigenvector (1, -1, 0, ...) / sqrt(2)."""
+    """The leading eigenvector (1, -1, 0, ...) / sqrt(2) is orthogonal to the
+    all-ones vector: a Krylov solver started from ones would never reach it."""
     rng = np.random.default_rng(31)
     b = rng.normal(size=(48, 48))
     b = b @ b.T
@@ -151,37 +148,48 @@ def test_leading_eigenvector_summing_to_zero_is_found():
                                atol=1e-12)
 
 
+_A = np.random.default_rng(24).normal(size=(60, 60))
+
+
 @pytest.mark.parametrize("k", [8, 9, 10])
-def test_full_eigh_only_when_k_plus_one_reaches_n(monkeypatch, k):
-    """At k = 8 the Lanczos basis fills all 10 dimensions, leaving no room
-    to restart: the full basis is exact, so no restart is needed."""
+def test_every_k_is_the_full_eigh(k):
+    """Every ``k`` takes the top pairs of one full ``eigh``, signed by ``_fix_signs``."""
     a = np.random.default_rng(23).normal(size=(10, 10))
     q = a @ a.T
-    calls = []
-    real_lanczos = spectral._lanczos
-
-    def counted_lanczos(q, nev):
-        calls.append(nev)
-        return real_lanczos(q, nev)
-
-    monkeypatch.setattr(spectral, "_lanczos", counted_lanczos)
-    monkeypatch.setattr(spectral, "_MAX_RESTARTS", 0)
     xi, vals = leading_eigvecs(q, k)
     ref_vals, ref_vecs = eigh_reference(q)
-    if k + 1 < 10:
-        assert calls == [k + 1]
-        np.testing.assert_allclose(vals, ref_vals[:k], rtol=1e-12)
-        assert subspace_sine(ref_vecs[:, :k], xi) <= 1e-8
-    else:
-        assert calls == []
-        np.testing.assert_array_equal(vals, ref_vals[:k])
-        np.testing.assert_array_equal(xi, _fix_signs(ref_vecs[:, :k]))
+    np.testing.assert_array_equal(vals, ref_vals[:k])
+    np.testing.assert_array_equal(xi, _fix_signs(ref_vecs[:, :k]))
+
+
+@pytest.mark.parametrize("q", [_A @ _A.T, np.eye(30), np.diag(np.r_[3.0, 3.0, np.ones(10)])],
+                         ids=["generic", "identity", "repeated-top"])
+def test_shorter_solve_is_a_prefix_of_a_longer_one(q):
+    """``leading_eigvecs(q, k)`` is the first ``k`` pairs of ``leading_eigvecs(q, k')`` bit
+    for bit for every ``k < k'``, so a longer screen starts with the fit's spectrum."""
+    n = len(q)
+    for longer in (2, n // 2, n):
+        long_xi, long_vals = leading_eigvecs(q, longer)
+        for k in range(1, longer):
+            xi, vals = leading_eigvecs(q, k)
+            np.testing.assert_array_equal(vals, long_vals[:k])
+            np.testing.assert_array_equal(xi, long_xi[:, :k])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cell", [(0, 0), (4, 7)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_matrix_is_value_error(bad, cell):
+    """``eigh`` would return NaN pairs, or finite pairs that ignore a NaN entry."""
+    q = np.eye(30)
+    q[cell] = bad
+    with pytest.raises(ValueError, match="^q is not finite"):
+        leading_eigvecs(q, 3)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_k_plus_one_one_short_of_n(n):
-    """k + 1 = n - 1 pairs: the basis spans the whole space and ends the
-    solve without a restart, also where it has to start fresh directions."""
+    """k = n - 2 pairs are orthonormal eigenpairs, also below a repeated
+    eigenvalue."""
     a = np.random.default_rng(n).normal(size=(n, n))
     for q in (a @ a.T, np.diag(np.r_[3.0, 3.0, np.ones(n - 2)])):
         xi, vals = leading_eigvecs(q, n - 2)
@@ -192,8 +200,7 @@ def test_k_plus_one_one_short_of_n(n):
 
 
 def _repeated_top_gram(n=40):
-    """Eigenvalues 5 (three times), 2 (five times) and 1, in a random basis:
-    the Krylov space of one start vector closes after three steps."""
+    """Eigenvalues 5 (three times), 2 (five times) and 1, in a random basis."""
     u, _ = np.linalg.qr(np.random.default_rng(25).normal(size=(n, n)))
     return (u * np.r_[5.0, 5.0, 5.0, [2.0] * 5, np.ones(n - 8)]) @ u.T
 
@@ -204,8 +211,8 @@ def _repeated_top_gram(n=40):
     (np.zeros((30, 30)), 3, [0.0, 0.0, 0.0]),
 ], ids=["identity", "repeated-top", "zero"])
 def test_invariant_subspaces_go_on_from_fresh_directions(q, k, top):
-    """Each invariant Krylov subspace is continued from a seeded fresh
-    direction until the basis holds every copy of a repeated eigenvalue."""
+    """Matrices whose Krylov subspaces close early: the pairs hold every copy
+    of a repeated eigenvalue."""
     xi, vals = leading_eigvecs(q, k)
     np.testing.assert_allclose(vals, top, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(xi.T @ xi, np.eye(k), atol=1e-12)
@@ -214,26 +221,23 @@ def test_invariant_subspaces_go_on_from_fresh_directions(q, k, top):
         assert subspace_sine(eigh_reference(q)[1][:, :3], xi[:, :3]) <= 1e-10
 
 
-def test_lanczos_workspace_is_a_few_vectors():
-    """On a 2000-row gram, the solve allocates at most 25 vectors of that
-    length beyond its output: the 20-vector basis is rotated in place."""
+def test_eigensolve_traces_the_size_of_its_gram_and_output():
+    """On a 2000-row gram, the solve allocates ``q.nbytes`` for the eigenvectors of the
+    full ``eigh``, its output, and a few vectors of that length."""
     n = 2000
     a = np.random.default_rng(26).normal(size=(n, 200))
     q = a @ a.T / 200.0
     (xi, vals), peak = traced_peak(leading_eigvecs, q, 5)
-    assert peak <= xi.nbytes + vals.nbytes + 25 * n * 8
+    assert peak <= q.nbytes + xi.nbytes + vals.nbytes + 4 * n * 8
     ref_vals, _ = eigh_reference(q)
-    np.testing.assert_allclose(vals, ref_vals[:5], rtol=1e-12, atol=0)
-
-
-_A = np.random.default_rng(24).normal(size=(60, 60))
+    np.testing.assert_array_equal(vals, ref_vals[:5])
 
 
 @pytest.mark.parametrize("q", [_A @ _A.T, np.eye(5), _repeated_top_gram(), np.zeros((30, 30))],
                          ids=["generic", "identity", "repeated-top", "zero"])
 def test_two_calls_are_bit_identical(q):
-    """Equal inputs give equal bits, also where the solver draws fresh
-    directions (every vector is an eigenvector of the identity)."""
+    """Equal inputs give equal bits, also where every vector is an
+    eigenvector (the identity)."""
     first, second = leading_eigvecs(q, 2), leading_eigvecs(q, 2)
     np.testing.assert_array_equal(first[0], second[0])
     np.testing.assert_array_equal(first[1], second[1])
