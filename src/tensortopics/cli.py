@@ -584,14 +584,15 @@ def cmd_scree(args):
     for m, (k, n) in enumerate(zip(ranks, y.shape), start=1):
         if not 1 <= k <= n:
             raise _UsageError(f"{args.data}: mode {m} rank {k} lies outside [1, {n}]")
-    y, vocab = _vocabulary(y, ranks, doc_length, FitConfig.sparse_c_prime)
+    data = _vocabulary(y, ranks, doc_length, FitConfig.sparse_c_prime)
     bound, what = y.shape[mode - 1], "dimension"
     if mode == 3:
-        bound, what = min(vocab.size, ranks[0] * ranks[1]), f"min({vocab.size} kept words, K1*K2) ="
+        kept = data.vocab.size
+        bound, what = min(kept, ranks[0] * ranks[1]), f"min({kept} kept words, K1*K2) ="
     k_max = args.kmax if args.kmax is not None else bound
     if k_max > bound:
         raise _UsageError(f"{args.data}: mode {mode} --kmax {k_max} exceeds {what} {bound}")
-    values = _hosvd(y, (*ranks, k_max), vocab)[0][-1][1]
+    values = _hosvd(data, (*ranks, k_max))[0][-1][1]
     parameters = {"data": str(args.data), "ranks": list(ranks), "mode": mode, "k_max": k_max}
     return _print_or_write(args.out, "scree", "scree", ("index", "eigenvalue"),
                            [[index + 1, float(value)] for index, value in enumerate(values)],

@@ -1,5 +1,5 @@
-"""Shared exception types and input checks.  The checks return the checked
-value: ``2.5`` is no integer, ``True`` no count and ``"3"`` no number."""
+"""Shared exception types and option checks, which return the checked value: ``2.5`` is no
+integer, ``True`` no count and ``"3"`` no number.  The data tensor's check is in ``tensor``."""
 
 import numbers
 import sys
@@ -80,23 +80,3 @@ def _all_finite(a):
     """Whether every entry is finite: a finite sum proves it without a full-size temporary."""
     with np.errstate(over="ignore", invalid="ignore"):
         return bool(np.isfinite(np.sum(a)) or np.isfinite(a).all())
-
-
-def _data_word_sums(y):
-    """``y`` as an order-3 float tensor of finite nonnegative entries, and its word sums
-    ``y.sum(axis=(0, 1))``.  Finite word sums prove every entry finite, so only a bad entry or
-    an overflowing sum makes the check look at each entry."""
-    y = _as_tensor(np.asarray(y, dtype=float), "data tensor")
-    with np.errstate(over="ignore", invalid="ignore"):
-        word_sums = y.sum(axis=(0, 1))
-        finite = np.isfinite(word_sums).all() or np.isfinite(y).all()
-    if not finite:
-        raise DataFormatError("data tensor contains non-finite entries")
-    if np.min(y, initial=0.0) < 0:
-        raise DataFormatError("data tensor contains negative entries")
-    return y, word_sums
-
-
-def _as_data(y):
-    """``y`` as :func:`_data_word_sums` checks it."""
-    return _data_word_sums(y)[0]

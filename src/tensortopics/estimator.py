@@ -2,12 +2,12 @@
 
 One fit runs four stages:
 
-1. check the ranks against the tensor's dimensions, then optionally drop
-   words whose average frequency falls below the sparsity threshold
-   (``threshold_vocab``);
-2. take the leading eigenvector basis of the mode-1 gram, the mode-2 basis of the
-   tensor projected on it, and the word basis of the tensor projected on both (a
-   sequentially truncated HOSVD), optionally refined by power sweeps (``spectral``);
+1. check the ranks against the tensor's dimensions, then optionally drop words whose
+   average frequency falls below the sparsity threshold (``threshold_vocab``);
+2. take the leading eigenvector basis of the mode-1 gram, the mode-2 basis of the tensor
+   projected on it, and the word basis of the tensor projected on both (a sequentially
+   truncated HOSVD), optionally refined by power sweeps (``spectral``), reading the tensor
+   and its kept words only through ``tensor.DenseData``;
 3. hunt simplex vertices in each basis row cloud and solve for memberships;
    the word mode first passes to ratio coordinates, and the recovered
    weights are rescaled by the leading eigenvector and normalized per topic
@@ -25,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DataFormatError, FitDegenerateError, _all_finite, _as_tensor,
-                     _check_tucker_ranks, _checked_int, _checked_real, _checked_triple,
-                     _data_word_sums)
+from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_tucker_ranks,
+                     _checked_int, _checked_real, _checked_triple)
 from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
-from .spectral import (_gram, build_q, hooi_refine, leading_eigvecs, mode1_projection,
-                       word_basis, word_projection)
-from .tensor import reconstruct
+from .spectral import _mode_gram, hooi_refine, leading_eigvecs, word_basis, word_projection
+from .tensor import DenseData, _data_word_sums, reconstruct
 
 
 @dataclass(frozen=True)
@@ -163,23 +161,9 @@ def _threshold(word_sums, dims, doc_length, c_prime):
     return np.flatnonzero(word_sums / (n1 * n2) >= tau), bool(word_sums.any())
 
 
-def _mode_basis(y, mode, k, dropped=()):
-    """Leading ``k`` gram eigenpairs of one mode of ``y``, the checked tensor for mode 1 and
-    its :func:`~tensortopics.spectral.mode1_projection` for mode 2, less the grams of
-    ``dropped`` words' slabs, naming the mode in errors.  ``build_q`` forms both grams and
-    ``leading_eigvecs`` takes the top pairs of one full ``eigh``: the eigenvalues are the fit's
-    ``eigvals`` of the mode, and ``scree`` returns the leading values of the same spectrum."""
-    n = y.shape[mode - 1]
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            q = build_q(np.moveaxis(y, mode - 1, 0), mode)
-            for word in dropped:
-                q -= _gram(np.moveaxis(y[:, :, word], mode - 1, 0))
-    except MemoryError:
-        raise DataFormatError(
-            f"mode {mode} gram: a {n} x {n} matrix is too big to allocate") from None
-    if not _all_finite(q):
-        raise DataFormatError(f"mode {mode} gram overflows: data entries reach {np.max(y):.1e}")
+def _mode_basis(q, mode, k):
+    """Leading ``k`` eigenpairs of the gram ``q`` of one mode, the top of one full ``eigh``,
+    naming the mode in errors: the fit's ``eigvals`` of the mode, a prefix of its ``scree``."""
     try:
         return leading_eigvecs(q, k)
     except np.linalg.LinAlgError as err:
@@ -189,7 +173,7 @@ def _mode_basis(y, mode, k, dropped=()):
 def _vocabulary(y, ranks, doc_length, c_prime, tucker=False):
     """The stages ``fit`` and ``scree`` share before the bases, for the first ``len(ranks)``
     modes: the data check, the ranks against the dimensions (and, with ``tucker``, the fit's
-    rank rules) and the threshold.  Returns the checked tensor and the kept words."""
+    rank rules) and the threshold.  Returns the tensor and its kept words as a ``DenseData``."""
     y, word_sums = _data_word_sums(np.ascontiguousarray(y, dtype=float))
     for mode, (k, n) in enumerate(zip(ranks, y.shape), start=1):
         if k > n:
@@ -201,26 +185,25 @@ def _vocabulary(y, ranks, doc_length, c_prime, tucker=False):
     vocab, has_mass = _threshold(word_sums, y.shape, doc_length, c_prime)
     if not has_mass:
         raise FitDegenerateError("vocabulary threshold: the data tensor holds no mass")
-    if len(ranks) == 3 and vocab.size < ranks[2]:
+    if vocab.size < (ranks[2] if len(ranks) == 3 else 1):
+        fewer = f", fewer than the {ranks[2]} requested topics" if len(ranks) == 3 else ""
         raise FitDegenerateError(
-            f"vocabulary threshold: kept {vocab.size} of {y.shape[2]} words, "
-            f"fewer than the {ranks[2]} requested topics")
-    return y, vocab
+            f"vocabulary threshold: kept {vocab.size} of {y.shape[2]} words{fewer}")
+    return DenseData(y, vocab)
 
 
-def _hosvd(y, ranks, vocab):
+def _hosvd(data, ranks):
     """The sequentially truncated HOSVD that ``fit`` and ``scree`` share, for the first
-    ``len(ranks)`` modes of a tensor and kept words as :func:`_vocabulary` returns them: each
-    mode's ``(basis, spectrum)``, and the word projection ``P`` (or ``None``)."""
-    dropped = np.setdiff1d(np.arange(y.shape[2]), vocab)
-    bases, p = [_mode_basis(y, 1, ranks[0], dropped)], None
+    ``len(ranks)`` modes of the data as :func:`_vocabulary` returns it: each mode's
+    ``(basis, spectrum)``, and the word projection ``P`` (or ``None``)."""
+    bases, p = [_mode_basis(data.mode1_gram(), 1, ranks[0])], None
     if len(ranks) > 1:
-        z = mode1_projection(y, bases[0][0])
-        bases.append(_mode_basis(z, 2, ranks[1], dropped))
+        z = data.mode1_projection(bases[0][0])
+        bases.append(_mode_basis(_mode_gram(np.moveaxis(z, 1, 0), 2), 2, ranks[1]))
     if len(ranks) > 2:
         p = word_projection(z, bases[1][0])
         del z  # freed before the word basis and the sweeps
-        bases.append(word_basis(p, ranks[2], vocab))
+        bases.append(word_basis(p, ranks[2]))
     return bases, p
 
 
@@ -237,16 +220,14 @@ def _membership_from_basis(xi, label):
     return _stage_weights(label, xi, hunt.v), hunt
 
 
-def _word_factor_from_basis(xi):
-    """Word factor, topic masses, vertex matrix and vertex rows of one basis.
-
-    The vertex matrix carries the leading all-ones column the core stage
-    needs; vertex rows index ``xi``.
-    """
-    n_words, k = xi.shape
-    score = score_normalize(xi)
+def _word_factor_from_basis(xi, words):
+    """Word factor, topic masses, vertex matrix and vertex rows of the rows ``words`` of one
+    basis; other rows of the word factor are zero.  The vertex matrix carries the leading
+    all-ones column the core stage needs; vertex rows index ``xi``."""
+    k = xi.shape[1]
+    score = score_normalize(xi[words])
     if score.kept.size < k:
-        raise FitDegenerateError(f"ratio normalization: kept {score.kept.size} of {n_words} "
+        raise FitDegenerateError(f"ratio normalization: kept {score.kept.size} of {words.size} "
                                  f"word rows, fewer than the {k} requested topics")
     hunt = spa_vertex_hunt(score.s, k)
     v_star = np.column_stack([np.ones(k), hunt.v])
@@ -258,9 +239,9 @@ def _word_factor_from_basis(xi):
         raise FitDegenerateError(
             f"topic mass: recovered mass of topic {low[0] + 1} is not positive; "
             "the data does not support this many topics")
-    a3 = np.zeros((n_words, k))
-    a3[score.kept] = scaled / q0
-    return a3, q0, v_star, score.kept[hunt.indices]
+    a3 = np.zeros(xi.shape)
+    a3[words[score.kept]] = scaled / q0
+    return a3, q0, v_star, words[score.kept[hunt.indices]]
 
 
 def fit_core(p, xi3, v_hats, q0):
@@ -282,25 +263,21 @@ def fit_core(p, xi3, v_hats, q0):
 def fit(y, cfg):
     """Full pipeline: rank checks, threshold, spectral bases, vertex hunts, core.
 
-    ``y`` is the frequency tensor (counts over ``cfg.doc_length``) or the
-    exact mean tensor; it is never written to, and copied only if it is not
-    C-ordered float.  The gram of a dropped word's slab is taken off the
-    mode-1 gram and the projected mode-2 gram, and its row of the word basis is zero.
-    Raises ``FitDegenerateError`` with the failing stage named when the data
-    cannot support the requested ranks.
+    ``y`` is the frequency tensor (counts over ``cfg.doc_length``) or the exact mean tensor; it
+    is never written to, and copied only if it is not C-ordered float.  A dropped word's slab
+    gram is taken off the mode-1 gram, and its columns of the projection on the mode-1 basis
+    are zero.  Raises ``FitDegenerateError`` with the failing stage named when the data cannot
+    support the requested ranks.
     """
-    y, vocab = _vocabulary(y, cfg.ranks, cfg.doc_length, cfg.sparse_c_prime, tucker=True)
-    bases, p = _hosvd(y, cfg.ranks, vocab)
+    data = _vocabulary(y, cfg.ranks, cfg.doc_length, cfg.sparse_c_prime, tucker=True)
+    bases, p = _hosvd(data, cfg.ranks)
     xi, eigvals = zip(*bases)
     if cfg.use_hooi:
-        xi, p = hooi_refine(y, xi, p, cfg.hooi_iters, vocab)
+        xi, p = hooi_refine(data, xi, p, cfg.hooi_iters)
 
     a1, hunt1 = _membership_from_basis(xi[0], "mode 1 membership")
     a2, hunt2 = _membership_from_basis(xi[1], "mode 2 membership")
-    a3_kept, q0, v3_star, word_rows = _word_factor_from_basis(xi[2][vocab])
+    a3, q0, v3_star, word_vertices = _word_factor_from_basis(xi[2], data.vocab)
     g = fit_core(p, xi[2], (hunt1.v, hunt2.v, v3_star), q0)
-
-    a3 = np.zeros(xi[2].shape)
-    a3[vocab] = a3_kept
-    return FitResult(model=TuckerModel(a1=a1, a2=a2, a3=a3, g=g), vocab=vocab, q0=q0,
-                     vertices=(hunt1.indices, hunt2.indices, vocab[word_rows]), eigvals=eigvals)
+    return FitResult(model=TuckerModel(a1=a1, a2=a2, a3=a3, g=g), vocab=data.vocab, q0=q0,
+                     vertices=(hunt1.indices, hunt2.indices, word_vertices), eigvals=eigvals)

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _as_data, _checked_int
+from .errors import _checked_int
 from .estimator import FitConfig, _hosvd, _vocabulary, fit
-from .tensor import reconstruct
+from .tensor import _data_word_sums, reconstruct
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def topic_resolution(y, cfg, trials=20, rng=None, axis=1, splits=None):
     scores.  Pass ``splits`` (one ``(first, second)`` index pair per trial)
     to force the halves; otherwise ``rng`` shuffles the slices.
     """
-    y = _as_data(y)
+    y = _data_word_sums(y)[0]
     if axis not in (1, 2):
         raise ValueError("splits run along mode 1 or mode 2")
     trials = _checked_int("trials", trials, 1)
@@ -182,13 +182,8 @@ def topic_resolution(y, cfg, trials=20, rng=None, axis=1, splits=None):
         if len(splits) != trials:
             raise ValueError("need exactly one split per trial")
     scores = []
-    for first, second in splits:
-        if axis == 1:
-            half_a, half_b = y[first], y[second]
-        else:
-            half_a, half_b = y[:, first], y[:, second]
-        fit_a = fit(np.ascontiguousarray(half_a), cfg)
-        fit_b = fit(np.ascontiguousarray(half_b), cfg)
+    for halves in splits:
+        fit_a, fit_b = (fit(np.take(y, half, axis=axis - 1), cfg) for half in halves)
         matched = cosine_match(fit_a.model.a3, fit_b.model.a3)
         scores.append(float(np.median(matched)))
     scores = np.asarray(scores)
@@ -214,5 +209,4 @@ def scree(y, ranks, k_max, doc_length):
     if len(ranks) == 3 and ranks[2] > ranks[0] * ranks[1]:
         raise ValueError(f"mode 3 k_max {ranks[2]} exceeds the projected span "
                          f"{ranks[0] * ranks[1]}")
-    y, vocab = _vocabulary(y, ranks, doc_length, FitConfig.sparse_c_prime)
-    return _hosvd(y, ranks, vocab)[0][-1][1]
+    return _hosvd(_vocabulary(y, ranks, doc_length, FitConfig.sparse_c_prime), ranks)[0][-1][1]

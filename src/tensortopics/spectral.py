@@ -1,10 +1,10 @@
 """Spectral bases per tensor mode.
 
 A fit forms the mode-1 gram only, as a sequentially truncated HOSVD: the mode-2 basis comes
-from the gram of the tensor projected on the mode-1 basis (``mode1_projection``), and
-``word_basis`` from the tensor projected on the bases of modes 1 and 2 (``word_projection``).
-The projections keep too few of the multinomial sampling noise directions to bias a
-diagonal, so every gram is the plain one.
+from the gram of ``Z``, the tensor projected on the mode-1 basis, and ``word_basis`` from its
+``word_projection``.  The projections keep too few of the multinomial sampling noise directions
+to bias a diagonal, so every gram is the plain one.  The data tensor is read only through a
+``tensor.DenseData``, which hands it to ``build_q`` and forms ``hooi_refine``'s contractions.
 
 ``leading_eigvecs`` takes the top ``k`` pairs of a full LAPACK ``eigh``.  Its O(n^3) cost is
 about that of forming a gram of ``12 n`` columns; the fit solves only the mode-1 gram, of
@@ -36,14 +36,33 @@ def build_q(y_mat, mode):
 
     ``y_mat`` is a mode unfolding, or a tensor with the mode's axis first, read in place (a
     sum over slabs ``y_mat[:, i, :]`` unless its trailing axes flatten to a view): the
-    frequency tensor for mode 1, its :func:`mode1_projection` for mode 2.  Their leading
-    eigenvalues are a fit's ``eigvals`` of these modes, and ``scree`` returns a prefix of them.
+    frequency tensor for mode 1, its projection ``Z`` on the mode-1 basis for mode 2.  Their
+    leading eigenvalues are a fit's ``eigvals`` of these modes; ``scree`` returns a prefix.
     """
     y = np.asarray(y_mat, dtype=float)
     if y.ndim not in (2, 3):
         raise ValueError("expected an unfolding or a tensor with the mode's axis first")
     _check_mode(mode)
     return _gram(y)
+
+
+def _too_big(what, rows, width):
+    return DataFormatError(f"{what}: a {rows} x {width} matrix is too big to allocate")
+
+
+def _mode_gram(m, mode, less=()):
+    """:func:`build_q` of ``m``, the mode's axis first, less the gram of each matrix in ``less``;
+    a failed allocation or an overflow is a ``DataFormatError`` naming the mode."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            q = build_q(m, mode)
+            for slab in less:
+                q -= _gram(slab)
+    except MemoryError:
+        raise _too_big(f"mode {mode} gram", len(m), len(m)) from None
+    if not _all_finite(q):
+        raise DataFormatError(f"mode {mode} gram overflows: data entries reach {np.max(m):.1e}")
+    return q
 
 
 def _fix_signs(vecs):
@@ -81,68 +100,49 @@ def leading_eigvecs(q, k):
     return _fix_signs(vecs[:, :-k - 1:-1]), vals[:-k - 1:-1].copy()
 
 
-def _too_big(mode, rows, width):
-    return DataFormatError(
-        f"mode {mode} projection: a {rows} x {width} matrix is too big to allocate")
-
-
-def mode1_projection(y, xi1):
-    """``Z = Y x1 xi1^T``, of shape ``(k1, n2, n3)``: one GEMM on the mode-1 unfolding
-    view of the C-ordered ``y``.  Errors name mode 2, whose basis ``fit`` takes from ``Z``."""
-    try:
-        return np.matmul(xi1.T, y.reshape(len(y), -1)).reshape(xi1.shape[1], *y.shape[1:])
-    except MemoryError:
-        raise _too_big(2, y.shape[1], xi1.shape[1] * y.shape[2]) from None
-
-
 def word_projection(z, xi2):
-    """``P = Z x2 xi2^T`` of the :func:`mode1_projection` ``z``, viewed as ``(n3, k1, k2)``:
-    one batched GEMM; errors name mode 3.  ``P`` cannot overflow where the mode-1 gram did
-    not."""
+    """``P = Z x2 xi2^T`` of the projection ``z`` of shape ``(k1, n2, n3)``, viewed as
+    ``(n3, k1, k2)``: one batched GEMM; errors name mode 3.  ``P`` cannot overflow where the
+    mode-1 gram did not."""
     try:
         return np.matmul(xi2.T, z).transpose(2, 0, 1)
     except MemoryError:
-        raise _too_big(3, z.shape[2], z.shape[0] * xi2.shape[1]) from None
+        raise _too_big("mode 3 projection", z.shape[2], z.shape[0] * xi2.shape[1]) from None
 
 
-def word_basis(p, k3, words=slice(None)):
-    """The ``k3`` leading left singular vectors of the :func:`word_projection` ``p`` unfolded
-    to ``n3 x k1 k2``, signed as :func:`leading_eigvecs` signs them, and their squared singular
-    values.  Only the rows in ``words`` (default: all) enter; other rows are zero.  Errors
-    name mode 3."""
+def word_basis(p, k3):
+    """The ``k3`` leading left singular vectors of the :func:`word_projection` ``p`` unfolded to
+    ``n3 x k1 k2``, signed as in :func:`leading_eigvecs`, and their squared singular values;
+    a zero row of ``p`` (a dropped word) gives a row zero within rounding.  Errors name mode 3."""
     unfolded = p.reshape(len(p), -1)
     try:
-        u, s, _ = np.linalg.svd(unfolded[words], full_matrices=False)
+        u, s, _ = np.linalg.svd(unfolded, full_matrices=False)
     except MemoryError:
-        raise _too_big(3, *unfolded.shape) from None
+        raise _too_big("mode 3 projection", *unfolded.shape) from None
     except np.linalg.LinAlgError as err:
         raise FitDegenerateError(f"mode 3 SVD did not converge: {err}") from err
-    basis = np.zeros((len(p), k3))
-    basis[words] = _fix_signs(u[:, :k3])
-    return basis, s[:k3] ** 2
+    return _fix_signs(u[:, :k3]), s[:k3] ** 2
 
 
-def hooi_refine(y, xi, p, iters, words=slice(None)):
-    """Power-iteration refinement of all three bases against raw ``y``; returns the bases and
-    their :func:`word_projection`.
+def hooi_refine(data, xi, p, iters):
+    """Power-iteration refinement of all three bases; returns them and their word projection.
 
-    ``xi`` holds one orthonormal ``(n_a, k_a)`` basis per mode and ``p`` is the word projection
-    of its first two.  Each sweep contracts ``y`` with the other two modes' bases from the
-    previous sweep and takes fresh leading left singular vectors of the projection, so all
-    three updates within a sweep read the same iterate.  Mode 3 is :func:`word_basis` of the
-    carried ``p`` over the rows in ``words``; modes 1 and 2 read their shared contraction with
-    the word basis in place, and the sweep ends with the word projection of its new bases, so
-    a sweep reads ``y`` twice and holds one contraction-sized array at a time.  Signs follow
-    :func:`leading_eigvecs`; inputs are taken as ``fit`` checks them.
+    ``data`` is the fit's ``tensor.DenseData``, ``xi`` one orthonormal ``(n_a, k_a)`` basis per
+    mode and ``p`` the word projection of its first two.  Each sweep takes fresh leading left
+    singular vectors of the tensor contracted with the other two modes' previous bases, so all
+    three updates read the same iterate: mode 3 from the carried ``p``, modes 1 and 2 from
+    their shared word contraction, read in place.  The sweep ends with the word projection of
+    its new bases, so it reads the tensor twice and holds one contraction-sized array at a
+    time.  Signs follow :func:`leading_eigvecs`; inputs are taken as ``fit`` checks them.
     """
     xi = tuple(xi)
     for _ in range(iters):
-        word = word_basis(p, xi[2].shape[1], words)[0]
-        by_word = np.tensordot(xi[2], y, axes=([0], [2]))  # (k3, n1, n2)
+        word = word_basis(p, xi[2].shape[1])[0]
+        by_word = data.word_contraction(xi[2])  # (k3, n1, n2)
         projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
                      np.matmul(xi[0].T, by_word).transpose(2, 0, 1)]
-        del by_word  # freed before the word projection contracts y
+        del by_word  # freed before the projection contracts the tensor
         xi = (*(_fix_signs(np.linalg.svd(m.reshape(len(m), -1), full_matrices=False)[0][:, :k])
                 for m, k in zip(projected, (x.shape[1] for x in xi))), word)
-        p = word_projection(mode1_projection(y, xi[0]), xi[1])
+        p = word_projection(data.mode1_projection(xi[0]), xi[1])
     return xi, p

@@ -34,10 +34,10 @@ from functools import cached_property
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .errors import (DataFormatError, _as_data, _check_tucker_ranks, _checked_int,
-                     _checked_real, _checked_triple)
+from .errors import (DataFormatError, _check_tucker_ranks, _checked_int, _checked_real,
+                     _checked_triple)
 from .estimator import TuckerModel
-from .tensor import _nonzero_records
+from .tensor import _data_word_sums, _nonzero_records
 
 _MODEL_STREAM = 0
 _DOC_STREAM = 1
@@ -187,7 +187,7 @@ def sample_counts(d, doc_length, seed):
     summed and normalized where it lies, in any layout, so no copy of ``d``
     is made; a tensor without documents gives an empty count tensor.
     """
-    d = _as_data(d)
+    d = _data_word_sums(d)[0]
     doc_length = _checked_int("doc_length", doc_length, 1)
     seed = _checked_int("seed", seed, 0)
     n1, n2, _ = d.shape

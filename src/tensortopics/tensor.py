@@ -11,12 +11,15 @@ Kronecker products of the factor matrices:
 
     unfold(reconstruct(g, a1, a2, a3), 1) == a1 @ unfold(g, 1) @ np.kron(a2, a3).T
 
-and cyclically for modes 2 and 3.  Nothing here mutates its inputs.
+and cyclically for modes 2 and 3.  A fit reads its data tensor only here: the check with the
+word sums, then :class:`DenseData`'s mode-1 gram, ``Z = Y x1 xi1^T`` and HOOI's ``Y x3 xi3^T``.
+Everything after these is at most ``k`` wide.  Nothing here mutates its inputs.
 """
 
 import numpy as np
 
-from .errors import _as_tensor, _check_mode
+from .errors import DataFormatError, _as_tensor, _check_mode
+from .spectral import _mode_gram, _too_big
 
 
 def unfold(t, mode):
@@ -57,7 +60,6 @@ def reconstruct(g, a1, a2, a3):
     return np.einsum("pqs,ip,jq,ks->ijk", g, a1, a2, a3, optimize=True)
 
 
-
 def _nonzero_records(t):
     """The nonzero entries of ``t``, which has no empty dim, by blocks of mode-1 rows of about
     2**18 cells: per block, the flat indices of its nonzero cells in ``t``, ascending, and
@@ -70,3 +72,49 @@ def _nonzero_records(t):
         values = block[cells]
         cells += first * n2 * n3
         yield cells, values
+
+
+def _data_word_sums(y):
+    """``y`` as an order-3 float tensor of finite nonnegative entries, and its word sums
+    ``y.sum(axis=(0, 1))``.  Finite word sums prove every entry finite, so only a bad entry or
+    an overflowing sum makes the check look at each entry."""
+    y = _as_tensor(np.asarray(y, dtype=float), "data tensor")
+    with np.errstate(over="ignore", invalid="ignore"):
+        word_sums = y.sum(axis=(0, 1))
+        finite = np.isfinite(word_sums).all() or np.isfinite(y).all()
+    if not finite:
+        raise DataFormatError("data tensor contains non-finite entries")
+    if np.min(y, initial=0.0) < 0:
+        raise DataFormatError("data tensor contains negative entries")
+    return y, word_sums
+
+
+class DenseData:
+    """A fit's data tensor ``y``, checked and C-ordered, read in place, and ``vocab``, the words
+    its threshold kept.  A dropped word's slab gram is taken off the mode-1 gram and its columns
+    of ``Z`` are zero, so the mode-2 gram and the word projection of ``Z`` leave it out too."""
+
+    __slots__ = ("y", "vocab", "_dropped")
+
+    def __init__(self, y, vocab):
+        self.y, self.vocab = y, vocab
+        self._dropped = np.setdiff1d(np.arange(y.shape[2]), vocab)
+
+    def mode1_gram(self):
+        """The mode-1 gram by ``spectral.build_q``, less each dropped word's slab gram."""
+        return _mode_gram(self.y, 1, (self.y[:, :, word] for word in self._dropped))
+
+    def mode1_projection(self, xi1):
+        """``Z``, of shape ``(k1, n2, n3)``, by one GEMM on the mode-1 unfolding view, with the
+        dropped words' columns zeroed in place.  Errors name mode 2, whose basis comes from it."""
+        y = self.y
+        try:
+            z = np.matmul(xi1.T, y.reshape(len(y), -1)).reshape(xi1.shape[1], *y.shape[1:])
+        except MemoryError:
+            raise _too_big("mode 2 projection", y.shape[1], xi1.shape[1] * y.shape[2]) from None
+        z[:, :, self._dropped] = 0.0
+        return z
+
+    def word_contraction(self, xi3):
+        """``Y x3 xi3^T`` with the word axis contracted first, of shape ``(k3, n1, n2)``."""
+        return np.tensordot(xi3, self.y, axes=([0], [2]))

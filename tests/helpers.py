@@ -11,11 +11,25 @@ from pathlib import Path
 import numpy as np
 
 from tensortopics import GenSpec, TuckerModel, build_q, generate
+from tensortopics.spectral import word_projection
+from tensortopics.tensor import DenseData
 
 
 def planted(dims, ranks, doc_length, seed, **kw):
     return generate(GenSpec(dims=dims, ranks=ranks, doc_length=doc_length,
                             seed=seed, **kw))
+
+
+def kept_data(y, vocab=None):
+    """``y`` as a fit's data, C-ordered float, with the words in ``vocab`` kept (all by
+    default)."""
+    y = np.ascontiguousarray(y, dtype=float)
+    return DenseData(y, np.arange(y.shape[2]) if vocab is None else np.asarray(vocab))
+
+
+def start_projection(data, xi):
+    """The word projection ``P`` of the bases of modes 1 and 2 in ``xi``."""
+    return word_projection(data.mode1_projection(xi[0]), xi[1])
 
 
 def toy_structured_model():
@@ -142,35 +156,34 @@ def hooi_reference(y, xi, iters):
     return xi
 
 
-def hooi_tensordot_reference(y, xi, p, iters, words=slice(None)):
+def hooi_tensordot_reference(data, xi, p, iters):
     """HOOI sweeps as ``hooi_refine`` ran them when mode 2 took its projection
     from the shared word contraction by ``tensordot``, which copies it to a
     transposed layout: the reference its in-place batched GEMM is held to.
     Like :func:`hooi_reprojecting_reference`, it projects the tensor anew for
     every mode-3 update and ignores ``p``."""
-    return hooi_reprojecting_reference(y, xi, p, iters, words, mode2_by_tensordot=True)
+    return hooi_reprojecting_reference(data, xi, p, iters, mode2_by_tensordot=True)
 
 
-def hooi_reprojecting_reference(y, xi, p, iters, words=slice(None), mode2_by_tensordot=False):
+def hooi_reprojecting_reference(data, xi, p, iters, mode2_by_tensordot=False):
     """HOOI sweeps as ``hooi_refine`` ran them before it carried the word
     projection: each mode-3 update projects the tensor on the previous bases
     of modes 1 and 2 anew, ``p`` is ignored, and the word projection of the
     final bases is formed once more after the last sweep.  Returns the bases
     and that projection, the reference the carried projection is held to bit
     for bit."""
-    from tensortopics.spectral import _fix_signs, mode1_projection, word_basis, word_projection
+    from tensortopics.spectral import _fix_signs, word_basis
 
     xi = tuple(xi)
     for _ in range(iters):
-        by_word = np.tensordot(xi[2], y, axes=([0], [2]))
+        by_word = np.tensordot(xi[2], data.y, axes=([0], [2]))
         projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
                      np.tensordot(by_word, xi[0], axes=([1], [0])).transpose(1, 2, 0)
                      if mode2_by_tensordot else np.matmul(xi[0].T, by_word).transpose(2, 0, 1)]
-        word = word_basis(word_projection(mode1_projection(y, xi[0]), xi[1]), xi[2].shape[1],
-                          words)[0]
+        word = word_basis(start_projection(data, xi), xi[2].shape[1])[0]
         xi = (*(_fix_signs(np.linalg.svd(m.reshape(len(m), -1), full_matrices=False)[0][:, :k])
                 for m, k in zip(projected, (x.shape[1] for x in xi))), word)
-    return xi, word_projection(mode1_projection(y, xi[0]), xi[1])
+    return xi, start_projection(data, xi)
 
 
 # Per mode: the other two modes, and the contraction of the tensor with their

@@ -869,6 +869,20 @@ def test_scree_of_a_file_with_no_documents_exits_3(tmp_path, capsys, header):
         f"data error: {data}: line 1: header dims and doc length must be positive\n"
 
 
+@pytest.mark.parametrize("ranks", [[], ["--ranks", "2"]], ids=["mode-1", "mode-2"])
+def test_scree_of_a_file_whose_threshold_keeps_no_word_exits_4(tmp_path, capsys, ranks):
+    """With a header doc length of 1e9 the threshold keeps none of the 40
+    words: scree names the empty vocabulary, as fit does."""
+    data = tmp_path / "long.counts.txt"
+    write_count_tensor(data, np.ones((3, 2, 40), dtype=np.int64), 10 ** 9)
+    message = "degenerate fit: vocabulary threshold: kept 0 of 40 words"
+    assert main(["scree", "--data", str(data), *ranks, "--kmax", "2"]) == 4
+    assert capsys.readouterr().err == message + "\n"
+    assert main(["fit", "--data", str(data), "--ranks", "2,2,2",
+                 "--out", str(tmp_path / "f")]) == 4
+    assert capsys.readouterr().err.startswith(message)
+
+
 def _set_entry(name, value):
     def edit(payload):
         payload[name][0][0] = value

@@ -23,16 +23,14 @@ from tensortopics import (
     threshold_vocab,
     unfold,
 )
-from tensortopics import estimator, spectral
+from tensortopics import estimator, spectral, tensor
 from tensortopics.errors import DataFormatError, FitDegenerateError
-from tensortopics.errors import _as_data as as_data
-from tensortopics.errors import _data_word_sums as data_word_sums
 from tensortopics.estimator import fit_core
 from tensortopics.simplex import clip_to_simplex
-from tensortopics.spectral import mode1_projection, word_projection
+from tensortopics.tensor import _data_word_sums as data_word_sums
 
-from helpers import (arpack_pairs, hooi_reprojecting_reference, hooi_tensordot_reference, layouts,
-                     planted, run_fresh, traced_peak, word_gram)
+from helpers import (arpack_pairs, hooi_reprojecting_reference, hooi_tensordot_reference, kept_data,
+                     layouts, planted, run_fresh, start_projection, traced_peak, word_gram)
 
 
 def _oracle_cfg(ranks, doc_length):
@@ -121,7 +119,7 @@ def test_fit_core_trivial_ranks():
     # tube renormalization restores scale
     u, _, _ = np.linalg.svd(unfold(y, 3), full_matrices=False)
     v3 = np.column_stack([np.ones(2), np.zeros(2)])
-    g = fit_core(word_projection(mode1_projection(y, xi1), xi2), u[:, :2],
+    g = fit_core(start_projection(kept_data(y), (xi1, xi2)), u[:, :2],
                  (np.eye(1), np.eye(1), v3), np.array([1.0, 1.0]))
     assert g.shape == (1, 1, 2)
     np.testing.assert_allclose(g.sum(), 1.0, atol=1e-12)
@@ -132,7 +130,7 @@ def test_fit_core_empty_tube_becomes_uniform():
     y[..., 0] = 1.0
     # vertex maps chosen to zero out one tube entirely
     v3 = np.zeros((2, 2))
-    g = fit_core(word_projection(mode1_projection(y, np.eye(2)), np.eye(2)), np.eye(3)[:, :2],
+    g = fit_core(start_projection(kept_data(y), (np.eye(2), np.eye(2))), np.eye(3)[:, :2],
                  (np.eye(2), np.eye(2), v3), np.array([1.0, 1.0]))
     np.testing.assert_allclose(g, 0.5)
 
@@ -246,7 +244,7 @@ def test_finiteness_check_survives_an_overflowing_sum():
     y = np.full((3, 2, 4), 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert as_data(y) is y
+        assert data_word_sums(y)[0] is y
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -255,13 +253,13 @@ def test_finiteness_check_rejects_nan_and_infinities(bad, scale):
     y = np.full((3, 2, 4), scale)
     y[2, 0, 3] = bad
     with pytest.raises(DataFormatError, match="^data tensor contains non-finite entries$"):
-        as_data(y)
+        data_word_sums(y)
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 def test_finiteness_check_needs_no_full_size_temporary(layout):
     y = layouts(np.random.default_rng(8).uniform(size=(100, 80, 200)))[layout]
-    peak = traced_peak(as_data, y)[1]
+    peak = traced_peak(data_word_sums, y)[1]
     assert peak < 0.01 * y.nbytes
 
 
@@ -287,11 +285,11 @@ from tensortopics import FitConfig, estimator, fit, scree, spectral
 
 def scipy_loaded():
     return any(name.startswith("scipy") for name in sys.modules)
-loaded = []
+loaded, build_q = [], spectral.build_q
 def probe(*args, **kwargs):
     loaded.append(scipy_loaded())
-    return spectral.build_q(*args, **kwargs)
-estimator.build_q = probe
+    return build_q(*args, **kwargs)
+spectral.build_q = probe
 y = np.random.default_rng(5).uniform(size={dims})
 {call}
 print(loaded[0], scipy_loaded())
@@ -465,33 +463,35 @@ def test_fit_word_gram_takes_the_threshold_sums_bit_for_bit(dims, drop, monkeypa
     """fit forms no word gram.  Its word basis holds the leading left singular
     vectors of the tensor projected on the mode-1 and mode-2 bases, over the
     words the threshold kept, within 1e-12 of those of an explicitly unfolded
-    projection; a dropped word's row is zero."""
+    projection; a dropped word's row of the projection is zero, and its row of
+    the basis zero within 1e-12."""
     y = np.random.default_rng(1).uniform(size=dims)
     y = _one_word_dropped(y, 3) if drop else y
-    seen = []
+    mode1_projection, seen = tensor.DenseData.mode1_projection, []
 
-    def projected_on_mode_1(y, xi1):
+    def projected_on_mode_1(data, xi1):
         seen.append(xi1)
-        return spectral.mode1_projection(y, xi1)
+        return mode1_projection(data, xi1)
 
     def projected(z, xi2):
         seen.append(xi2)
         return spectral.word_projection(z, xi2)
 
-    def recorded(p, k3, words):
-        seen.append(spectral.word_basis(p, k3, words))
+    def recorded(p, k3):
+        seen.append((p, spectral.word_basis(p, k3)))
         raise _WordBasisSeen
 
-    monkeypatch.setattr(estimator, "mode1_projection", projected_on_mode_1)
+    monkeypatch.setattr(tensor.DenseData, "mode1_projection", projected_on_mode_1)
     monkeypatch.setattr(estimator, "word_projection", projected)
     monkeypatch.setattr(estimator, "word_basis", recorded)
     with pytest.raises(_WordBasisSeen):
         fit(y, FitConfig(ranks=(2, 2, 3), doc_length=50))
-    xi1, xi2, (xi3, vals3) = seen
+    xi1, xi2, (p, (xi3, vals3)) = seen
     kept = np.arange(dims[2]) != 3 if drop else np.ones(dims[2], dtype=bool)
     u, sigma, _ = np.linalg.svd(_explicit_projection(y, xi1, xi2)[kept], full_matrices=False)
     np.testing.assert_allclose(xi3[kept], spectral._fix_signs(u[:, :3]), rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(xi3[~kept], 0.0)
+    np.testing.assert_array_equal(p[~kept], 0.0)
+    np.testing.assert_allclose(xi3[~kept], 0.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(vals3, sigma[:3] ** 2, rtol=1e-12, atol=0)
 
 
@@ -542,11 +542,11 @@ def test_fit_eigenvalues_drift_from_explicit_unfolding_grams_only_in_mode_2():
 
 @pytest.mark.parametrize("seed", [2, 13, 17])
 def test_fit_leaves_dropped_words_out_of_the_mode_grams_within_rounding(seed, monkeypatch):
-    """A dropped word's slab gram is taken off the mode-1 gram, and its
-    projected slab gram off the projected mode-2 gram, with no copy of the
-    kept words: each gram is within 1e-14 of its largest entry of the gram of
-    the gathered tensor's explicit unfolding, and its eigenvalues within 1e-13
-    of the leading one."""
+    """A dropped word's slab gram is taken off the mode-1 gram, with no copy of
+    the kept words, and the projected mode-2 gram is the plain gram of the
+    projection, whose dropped columns are zero, bit for bit: each gram is within
+    1e-14 of its largest entry of the gram of the gathered tensor's explicit
+    unfolding, and its eigenvalues within 1e-13 of the leading one."""
     y = planted((40, 30, 300), (2, 2, 3), doc_length=100, seed=seed).y
     grams = []
 
@@ -564,13 +564,99 @@ def test_fit_leaves_dropped_words_out_of_the_mode_grams_within_rounding(seed, mo
         assert np.abs(gram - ref).max() <= 1e-14 * np.abs(ref).max()
         ref_vals = leading_eigvecs(ref, 2)[1]
         np.testing.assert_allclose(vals, ref_vals, rtol=0, atol=1e-13 * ref_vals[0])
+    z = (xi1.T @ unfold(y, 1)).reshape(2, *y.shape[1:])
+    z[:, :, np.setdiff1d(np.arange(300), res.vocab)] = 0.0
+    np.testing.assert_array_equal(grams[1][0], build_q(np.moveaxis(z, 1, 0), 2))
+
+
+@pytest.mark.parametrize("use_hooi", [False, True], ids=["spectral", "hooi"])
+@pytest.mark.parametrize("dims, kw, c_prime", [
+    ((40, 30, 300), {"seed": 2}, FitConfig.sparse_c_prime),
+    ((40, 30, 3000), {"seed": 1, "word_dist": "zipf"}, 1.0),
+], ids=["one-dropped", "zipf-most-dropped"])
+def test_fit_that_drops_words_equals_the_fit_of_its_kept_words(dims, kw, c_prime, use_hooi):
+    """The dropped-word rule against the math: a fit that drops words agrees
+    with the fit of the tensor restricted to its kept words, threshold off, at
+    the same ranks: ``a1``, ``a2``, ``g`` and the kept rows of ``a3`` within
+    1e-12 per entry, the other rows of ``a3`` exactly zero, and the vertices
+    equal once the word vertices are mapped through ``vocab``."""
+    y = planted(dims, (2, 2, 3), doc_length=100, **kw).y
+    cfg = FitConfig(ranks=(2, 2, 3), doc_length=100, sparse_c_prime=c_prime, use_hooi=use_hooi)
+    res = fit(y, cfg)
+    vocab = res.vocab
+    assert 0 < vocab.size < dims[2]
+    kept = fit(y[:, :, vocab], FitConfig(ranks=(2, 2, 3), doc_length=100, sparse_c_prime=0.0,
+                                         use_hooi=use_hooi))
+    assert kept.vocab.size == vocab.size
+    for got, want in ((res.model.a1, kept.model.a1), (res.model.a2, kept.model.a2),
+                      (res.model.g, kept.model.g), (res.model.a3[vocab], kept.model.a3)):
+        assert np.abs(got - want).max() <= 1e-12
+    np.testing.assert_array_equal(np.delete(res.model.a3, vocab, axis=0), 0.0)
+    for got, want in zip(res.vertices, (*kept.vertices[:2], vocab[kept.vertices[2]])):
+        np.testing.assert_array_equal(got, want)
+
+
+def _counted_reads(monkeypatch):
+    """Count the calls of every entry point through which a fit reads its data tensor."""
+    calls = dict.fromkeys(("check", "mode1_gram", "mode1_projection", "word_contraction"), 0)
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(estimator, "_data_word_sums", counted("check", estimator._data_word_sums))
+    for name in ("mode1_gram", "mode1_projection", "word_contraction"):
+        monkeypatch.setattr(tensor.DenseData, name, counted(name, getattr(tensor.DenseData, name)))
+    return calls
+
+
+@pytest.mark.parametrize("use_hooi, iters", [(False, 5), (True, 0), (True, 1), (True, 3)])
+def test_fit_reads_its_tensor_only_through_the_data(use_hooi, iters, monkeypatch):
+    """A plain fit reads the tensor three times: the check with the word sums,
+    the mode-1 gram and one projection on the mode-1 basis.  Each HOOI sweep
+    adds one word contraction and one projection.  The mode-2 gram is formed
+    from that projection, whose dropped words' columns are exactly zero."""
+    y = planted((40, 30, 300), (2, 2, 3), doc_length=100, seed=2).y
+    calls, mode2 = _counted_reads(monkeypatch), []
+
+    def recorded(y_mat, mode):
+        if mode == 2:
+            mode2.append(y_mat.copy())
+        return build_q(y_mat, mode)
+
+    monkeypatch.setattr(spectral, "build_q", recorded)
+    res = fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100, use_hooi=use_hooi, hooi_iters=iters))
+    sweeps = iters if use_hooi else 0
+    assert calls == {"check": 1, "mode1_gram": 1, "mode1_projection": 1 + sweeps,
+                     "word_contraction": sweeps}
+    dropped = np.setdiff1d(np.arange(300), res.vocab)
+    assert dropped.size == 1
+    (z,) = mode2
+    assert z.shape == (30, 2, 300)
+    np.testing.assert_array_equal(z[:, :, dropped], 0.0)
+    assert np.all(np.abs(z[:, :, res.vocab]).sum(axis=(0, 1)) > 0)
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_scree_reads_its_tensor_only_through_the_data(mode, monkeypatch):
+    """A mode-1 screen makes only the check and the mode-1 gram; modes 2 and 3
+    add one projection."""
+    y = planted((40, 30, 300), (2, 2, 3), doc_length=100, seed=2).y
+    calls = _counted_reads(monkeypatch)
+    scree(y, (2, 2)[:mode - 1], 2, 100)
+    assert calls == {"check": 1, "mode1_gram": 1, "mode1_projection": int(mode > 1),
+                     "word_contraction": 0}
 
 
 def _word_gram_start(y, doc_length):
     """A stand-in for ``word_basis`` that takes the word basis of ``y`` from the
-    word gram less its sampling noise, as the paper's modified HOSVD does; the
-    word projection it is handed goes unread."""
-    def gram_start(p, k3, words):
+    word gram of the words a fit keeps, less its sampling noise, as the paper's
+    modified HOSVD does; the word projection it is handed goes unread."""
+    words = threshold_vocab(y, doc_length, FitConfig.sparse_c_prime)
+
+    def gram_start(p, k3):
         vecs, vals = leading_eigvecs(word_gram(np.moveaxis(y[:, :, words], 2, 0), doc_length), k3)
         basis = np.zeros((y.shape[2], k3))
         basis[words] = vecs
@@ -626,7 +712,7 @@ def test_fit_takes_mode_1_from_its_gram_and_mode_2_from_the_projected_gram(drop,
     res = fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100))
     dropped = np.setdiff1d(np.arange(300), res.vocab)
     assert dropped.size == drop
-    xi1, vals1 = estimator._mode_basis(y, 1, 2, dropped)
+    xi1, vals1 = estimator._mode_basis(kept_data(y, res.vocab).mode1_gram(), 1, 2)
     np.testing.assert_array_equal(res.eigvals[0], vals1)
     np.testing.assert_array_equal(res.model.a1, estimator._membership_from_basis(xi1, "")[0])
     vals2, vecs2 = np.linalg.eigh(_projected_mode_2_gram(y, xi1, res.vocab))
@@ -636,14 +722,21 @@ def test_fit_takes_mode_1_from_its_gram_and_mode_2_from_the_projected_gram(drop,
 
 def _two_gram_start(monkeypatch):
     """Have ``fit`` take its mode-2 basis from the mode-2 gram of the whole
-    tensor, as it did before it took it from the projected tensor."""
-    mode_basis, tensor = estimator._mode_basis, []
+    tensor over the kept words, as it did before it took it from the projected
+    tensor."""
+    vocabulary, mode_basis, seen = estimator._vocabulary, estimator._mode_basis, []
 
-    def from_the_tensor(y, mode, k, dropped=()):
-        if mode == 1:
-            tensor[:] = [y]
-        return mode_basis(tensor[0], mode, k, dropped)  # mode 2 is handed Z, not the tensor
+    def kept(*args, **kwargs):
+        seen[:] = [vocabulary(*args, **kwargs)]
+        return seen[0]
 
+    def from_the_tensor(q, mode, k):
+        if mode == 2:  # handed the gram of Z, not of the tensor
+            data = seen[0]
+            q = build_q(np.moveaxis(np.take(data.y, data.vocab, axis=2), 1, 0), 2)
+        return mode_basis(q, mode, k)
+
+    monkeypatch.setattr(estimator, "_vocabulary", kept)
     monkeypatch.setattr(estimator, "_mode_basis", from_the_tensor)
 
 
@@ -709,7 +802,7 @@ def test_fit_forms_the_full_gram_of_mode_1_only(use_hooi, monkeypatch):
         calls.append((mode, np.moveaxis(y_mat, 0, mode - 1).shape))
         return build_q(y_mat, mode)
 
-    monkeypatch.setattr(estimator, "build_q", counted)
+    monkeypatch.setattr(spectral, "build_q", counted)
     y = planted((20, 12, 40), (2, 2, 3), doc_length=100, seed=45).y
     fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100, use_hooi=use_hooi, hooi_iters=2))
     assert calls == [(1, (20, 12, 40)), (2, (2, 12, 40))]
@@ -723,14 +816,13 @@ def test_hooi_fit_projects_once_more_than_it_sweeps(iters, projections, monkeypa
     plain fit's bits."""
     y = planted((20, 12, 40), (2, 2, 3), doc_length=100, seed=45).y
     plain = fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100))
-    calls = []
+    mode1_projection, calls = tensor.DenseData.mode1_projection, []
 
-    def counted(y, xi1):
+    def counted(data, xi1):
         calls.append(xi1)
-        return mode1_projection(y, xi1)
+        return mode1_projection(data, xi1)
 
-    monkeypatch.setattr(estimator, "mode1_projection", counted)
-    monkeypatch.setattr(spectral, "mode1_projection", counted)
+    monkeypatch.setattr(tensor.DenseData, "mode1_projection", counted)
     res = fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100, use_hooi=True, hooi_iters=iters))
     assert len(calls) == projections
     if not iters:
@@ -757,10 +849,10 @@ def test_hooi_fit_carrying_the_word_projection_is_bit_identical_to_reprojecting(
     leaves every bit of a five-sweep fit as it was."""
     y = planted(dims, ranks, doc_length=doc_length, seed=1).y
     cfg = FitConfig(ranks=ranks, doc_length=doc_length, use_hooi=True, hooi_iters=5)
-    y, vocab = estimator._vocabulary(y, ranks, doc_length, cfg.sparse_c_prime)
-    bases, p = estimator._hosvd(y, ranks, vocab)
+    data = estimator._vocabulary(y, ranks, doc_length, cfg.sparse_c_prime)
+    bases, p = estimator._hosvd(data, ranks)
     xi = tuple(basis for basis, _ in bases)
-    np.testing.assert_array_equal(spectral.hooi_refine(y, xi, p, 1, vocab)[0][2], xi[2])
+    np.testing.assert_array_equal(spectral.hooi_refine(data, xi, p, 1)[0][2], xi[2])
     ours = fit(y, cfg)
     monkeypatch.setattr(estimator, "hooi_refine", hooi_reprojecting_reference)
     _assert_same_fit(ours, fit(y, cfg))

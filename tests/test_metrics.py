@@ -23,7 +23,7 @@ from tensortopics import (
     unfold,
 )
 from tensortopics.cli import write_model
-from tensortopics.errors import DataFormatError
+from tensortopics.errors import DataFormatError, FitDegenerateError
 from tensortopics.metrics import (
     _align_hungarian,
     _column_cost,
@@ -391,6 +391,19 @@ def test_scree_refuses_a_tensor_with_no_documents(dims, mode):
                else f"vocabulary threshold: a tensor of dims {dims} holds no documents")
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         scree(np.zeros(dims), (1,) * (mode - 1), 1, 5)
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_scree_refuses_data_whose_threshold_keeps_no_word(mode):
+    """As fit does: with a document length of 1e9 no word of these counts
+    reaches the threshold, and a screen of mode 1 or 2 names the empty
+    vocabulary, where the gram of no word held only rounding residue."""
+    y = planted((20, 15, 60), (2, 2, 3), doc_length=30, seed=74).counts / 1e9
+    message = "^vocabulary threshold: kept 0 of 60 words"
+    with pytest.raises(FitDegenerateError, match=message):
+        fit(y, FitConfig(ranks=(2, 2, 3), doc_length=10 ** 9))
+    with pytest.raises(FitDegenerateError, match=message + "$"):
+        scree(y, (2,)[:mode - 1], 4, 10 ** 9)
 
 
 def test_evaluate_on_fitted_model_reports_finite_losses():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from tensortopics import build_q, leading_eigvecs, threshold_vocab, unfold
-from tensortopics.spectral import _fix_signs, hooi_refine, mode1_projection, word_projection
+from tensortopics.spectral import _fix_signs, hooi_refine
 
 from helpers import (eigh_reference, exact_mode_basis, hooi_per_mode_reference, hooi_reference,
-                     layouts, planted, subspace_gap, subspace_sine, traced_peak, word_gram)
+                     kept_data, layouts, planted, start_projection, subspace_gap, subspace_sine,
+                     traced_peak, word_gram)
 
 
 def test_build_q_hand_example_modes12():
@@ -252,7 +253,8 @@ def test_noiseless_gram_has_exact_rank():
 
 def _refined(y, xi, iters):
     """The bases ``hooi_refine`` returns from the start ``xi`` and its word projection."""
-    return hooi_refine(y, xi, word_projection(mode1_projection(y, xi[0]), xi[1]), iters)[0]
+    data = kept_data(y)
+    return hooi_refine(data, xi, start_projection(data, xi), iters)[0]
 
 
 def test_hooi_zero_iters_identity():
@@ -361,8 +363,8 @@ def test_hooi_sweep_peaks_no_higher_than_per_mode_einsums():
     dims, ranks = _BENCHMARK_SHAPES[1]
     (n1, n2, n3), (k1, k2, k3) = dims, ranks
     y, start = _random_bases(dims, ranks, seed=1)
-    p = word_projection(mode1_projection(y, start[0]), start[1])
-    peak = traced_peak(hooi_refine, y, start, p, 2)[1]
+    data = kept_data(y)
+    peak = traced_peak(hooi_refine, data, start, start_projection(data, start), 2)[1]
     k_wide = n1 * (k1 + k2 * k3) + n2 * (k2 + k1 * k3) + n3 * (k3 + k1 * k2)
     assert peak <= 8 * max(k3 * n1 * n2, k1 * n2 * n3) + 2 * 8 * k_wide
     assert peak <= traced_peak(hooi_per_mode_reference, y, start, 2)[1]
