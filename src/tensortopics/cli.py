@@ -13,7 +13,8 @@ output byte for byte (only the manifest's timings differ).
 ``counts / doc_length``: the reader allocates that float tensor and no
 integer one, and the commands hand it on as it is.  ``generate`` writes the
 count records as the generator yields them, so documents drawn token by
-token never form a count tensor.  Only ``generate`` and ``sweep`` load the
+token never form a count tensor, and the writer times its own formatting and
+writing apart from the drawing.  Only ``generate`` and ``sweep`` load the
 synthetic-data module, and only ``sweep --workers`` starts a process pool.
 
 Exit codes: 0 success, 2 usage error, 3 malformed data, 4 degenerate fit.
@@ -72,24 +73,28 @@ def write_count_tensor(path, counts, doc_length):
 
 def _write_count_file(path, dims, doc_length, blocks):
     """Write the header and each block of ``(cells, values)`` records of ``blocks`` as it
-    comes: ascending flat cell indices of a ``dims`` tensor and their positive counts."""
-    _, n2, n_words = dims
+    comes: ascending flat cell indices of a ``dims`` tensor and their positive counts.
+    Returns the seconds spent formatting and writing records, which leave out making them."""
+    seconds = 0.0
     with open(path, "wb") as out:
         out.write((" ".join(str(v) for v in (*dims, doc_length)) + "\n").encode())
         for cells, values in blocks:
-            out.write(_record_bytes(cells, values, n2, n_words))
+            began = time.perf_counter()
+            out.write(_record_bytes(cells, values, dims))
+            seconds += time.perf_counter() - began
+    return seconds
 
 
-def _record_bytes(cells, values, n2, n_words):
-    """The ``i j r count`` lines of flat cell indices ``cells`` with positive counts ``values``.
+def _record_bytes(cells, values, dims):
+    """The ``i j r count`` lines of flat cells ``cells`` of a ``dims`` tensor, counts ``values``.
 
+    A cell splits into ``i j r`` by two floor divisions by scalars, which numpy vectorizes.
     Each field's decimal digits fill fixed-width byte columns, and the leading zeros are
     masked out.  A field's digits are peeled off by floor division in the narrowest unsigned
     dtype that holds its largest value.
     """
-    doc = cells // n_words
-    i = doc // n2
-    columns = [i + 1, doc - i * n2 + 1, cells - doc * n_words + 1, values]
+    doc, i = cells // dims[2], cells // (dims[1] * dims[2])
+    columns = [i + 1, doc - i * dims[1] + 1, cells - doc * dims[2] + 1, values]
     tops = [int(column.max(initial=0)) for column in columns]
     widths = [len(str(top)) for top in tops]
     chars = np.empty((cells.size, sum(widths) + 4), dtype=np.uint8)
@@ -391,7 +396,7 @@ def derive_seed(master, *path):
 
 
 def cmd_generate(args):
-    from .synth import GenSpec, _planted_records  # numpy.random: fit and eval never need it
+    from .synth import GenSpec, _planted_counts  # numpy.random: fit and eval never need it
 
     start = time.perf_counter()
     payload = _load_json(args.spec, "generator spec")
@@ -399,23 +404,13 @@ def cmd_generate(args):
         payload["seed"] = args.seed
     spec = _from_json(GenSpec, payload, args.spec)
     loaded = time.perf_counter()
-
-    def timed(blocks):  # drawing interleaves with writing: sum the seconds of each draw
-        nonlocal drawn
-        began = time.perf_counter()
-        for block in blocks:
-            drawn += time.perf_counter() - began
-            yield block
-            began = time.perf_counter()
-        drawn += time.perf_counter() - began
-
-    try:
-        model, blocks = _planted_records(spec)
-        drawn = time.perf_counter() - loaded
+    try:  # drawing interleaves with writing, which times itself
+        model, blocks, _ = _planted_counts(spec)
         counts_path = _out(args.out, "counts.txt")
-        _write_count_file(counts_path, spec.dims, spec.doc_length, timed(blocks))
+        writing = _write_count_file(counts_path, spec.dims, spec.doc_length, blocks)
     except DataFormatError as err:
         raise DataFormatError(f"{args.spec}: {err}") from None
+    drawn = time.perf_counter() - loaded - writing
     truth_path = _out(args.out, "truth.json")
     write_model(truth_path, model, extra={"seed": spec.seed})
     written = time.perf_counter()

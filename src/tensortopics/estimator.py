@@ -144,9 +144,9 @@ def threshold_vocab(y, doc_length, c_prime):
     against the per-word mean frequency ``y.sum(axis=(0, 1)) / (n1 * n2)``;
     a zero constant keeps every word.  A tensor with no documents is an error.
     """
-    y, word_sums = _data_word_sums(y)
     c_prime = _checked_real("c_prime", c_prime, positive=False)
     doc_length = _checked_int("doc_length", doc_length, 1)
+    y, word_sums = _data_word_sums(y)
     return _threshold(word_sums, y.shape, doc_length, c_prime)[0]
 
 

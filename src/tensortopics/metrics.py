@@ -163,10 +163,10 @@ def topic_resolution(y, cfg, trials=20, rng=None, axis=1, splits=None):
     scores.  Pass ``splits`` (one ``(first, second)`` index pair per trial)
     to force the halves; otherwise ``rng`` shuffles the slices.
     """
-    y = _data_word_sums(y)[0]
     if axis not in (1, 2):
         raise ValueError("splits run along mode 1 or mode 2")
     trials = _checked_int("trials", trials, 1)
+    y = _data_word_sums(y)[0]
     n = y.shape[axis - 1]
     if n // 2 < cfg.ranks[axis - 1]:
         raise ValueError(

@@ -61,7 +61,8 @@ def _mode_gram(m, mode, less=()):
     except MemoryError:
         raise _too_big(f"mode {mode} gram", len(m), len(m)) from None
     if not _all_finite(q):
-        raise DataFormatError(f"mode {mode} gram overflows: data entries reach {np.max(m):.1e}")
+        what = "data entries reach" if mode == 1 else "the projection on the mode-1 basis reaches"
+        raise DataFormatError(f"mode {mode} gram overflows: {what} {max(m.max(), -m.min()):.1e}")
     return q
 
 
@@ -110,18 +111,25 @@ def word_projection(z, xi2):
         raise _too_big("mode 3 projection", z.shape[2], z.shape[0] * xi2.shape[1]) from None
 
 
+def _left_singular(m, mode, k):
+    """The ``k`` leading left singular vectors of ``m`` unfolded to ``len(m)`` rows, signed as in
+    :func:`leading_eigvecs`, and their squared singular values: the one SVD of every basis,
+    whose failed allocation or non-convergence is an error naming the mode."""
+    shape = (len(m), m.size // len(m))
+    try:
+        u, s, _ = np.linalg.svd(m.reshape(shape), full_matrices=False)
+    except MemoryError:
+        raise _too_big(f"mode {mode} projection", *shape) from None
+    except np.linalg.LinAlgError as err:
+        raise FitDegenerateError(f"mode {mode} SVD did not converge: {err}") from err
+    return _fix_signs(u[:, :k]), s[:k] ** 2
+
+
 def word_basis(p, k3):
     """The ``k3`` leading left singular vectors of the :func:`word_projection` ``p`` unfolded to
     ``n3 x k1 k2``, signed as in :func:`leading_eigvecs`, and their squared singular values;
     a zero row of ``p`` (a dropped word) gives a row zero within rounding.  Errors name mode 3."""
-    unfolded = p.reshape(len(p), -1)
-    try:
-        u, s, _ = np.linalg.svd(unfolded, full_matrices=False)
-    except MemoryError:
-        raise _too_big("mode 3 projection", *unfolded.shape) from None
-    except np.linalg.LinAlgError as err:
-        raise FitDegenerateError(f"mode 3 SVD did not converge: {err}") from err
-    return _fix_signs(u[:, :k3]), s[:k3] ** 2
+    return _left_singular(p, 3, k3)
 
 
 def hooi_refine(data, xi, p, iters):
@@ -137,12 +145,11 @@ def hooi_refine(data, xi, p, iters):
     """
     xi = tuple(xi)
     for _ in range(iters):
-        word = word_basis(p, xi[2].shape[1])[0]
         by_word = data.word_contraction(xi[2])  # (k3, n1, n2)
         projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
-                     np.matmul(xi[0].T, by_word).transpose(2, 0, 1)]
+                     np.matmul(xi[0].T, by_word).transpose(2, 0, 1), p]
         del by_word  # freed before the projection contracts the tensor
-        xi = (*(_fix_signs(np.linalg.svd(m.reshape(len(m), -1), full_matrices=False)[0][:, :k])
-                for m, k in zip(projected, (x.shape[1] for x in xi))), word)
+        xi = tuple(_left_singular(m, mode, x.shape[1])[0]
+                   for mode, (m, x) in enumerate(zip(projected, xi), start=1))
         p = word_projection(data.mode1_projection(xi[0]), xi[1])
     return xi, p

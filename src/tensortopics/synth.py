@@ -5,19 +5,19 @@ seed: substream ``(0,)`` draws the planted model and substream
 ``(1, i * n2 + j)`` draws the counts of document ``(i, j)``, so documents
 regenerate bit-identically in any order and equal specs give equal bits.
 
-``generate`` draws a document shorter than the vocabulary token by token from
-the planted factors: a topic from its topic weights, then a word from that
-topic's column, each by inversion of a cumulative sum.  No mean tensor is
-formed.  Each block of documents comes out as count records, its token cells
-sorted and run-length counted: ``generate`` scatters them into the counts,
-and the command line writes them to the count file as they come, with no
-count tensor formed (``_planted_records``).  Longer documents are drawn by
-``sample_counts``, one n_words-way multinomial each from the mean tensor, on
-one thread per usable CPU, a contiguous block each; since every document
-keeps its own substream, the bits depend on neither the CPU count nor the
-order the threads run in.  Each tube is normalized where it lies in the mean
-tensor, which is neither copied nor changed.  An instance keeps no tensor
-but its counts.
+One function, ``_planted_counts``, chooses how a spec's counts are drawn.  A
+document shorter than the vocabulary is drawn token by token from the planted
+factors: a topic from its topic weights, then a word from that topic's column,
+each by inversion of a cumulative sum.  No mean tensor is formed.  Each block
+of documents comes out as count records, its token cells sorted and run-length
+counted: ``generate`` scatters them into the counts, and the command line
+writes them to the count file as they come, with no count tensor formed.
+Longer documents are drawn by ``sample_counts``, one n_words-way multinomial
+each from the mean tensor, on one thread per usable CPU, a contiguous block
+each; since every document keeps its own substream, the bits depend on neither
+the CPU count nor the order the threads run in.  Each tube is normalized where
+it lies in the mean tensor, which is neither copied nor changed.  An instance
+keeps no tensor but its counts.
 
 A Philox stream is fixed by its key alone: counter zero and an empty buffer
 start it.  So both paths derive the documents' keys in vectorized passes of
@@ -187,9 +187,9 @@ def sample_counts(d, doc_length, seed):
     summed and normalized where it lies, in any layout, so no copy of ``d``
     is made; a tensor without documents gives an empty count tensor.
     """
-    d = _data_word_sums(d)[0]
     doc_length = _checked_int("doc_length", doc_length, 1)
     seed = _checked_int("seed", seed, 0)
+    d = _data_word_sums(d)[0]
     n1, n2, _ = d.shape
     counts = np.empty(d.shape, dtype=np.int64)
     keys = _doc_keys(seed, np.arange(n1 * n2)).tolist()
@@ -278,15 +278,6 @@ def _token_records(model, doc_length, seed):
         yield cell[starts], np.diff(starts, append=cell.size)
 
 
-def _token_counts(model, doc_length, seed):
-    """The count tensor of :func:`_token_records`: its records scattered into zeros."""
-    counts = np.zeros(model.dims, dtype=np.int64)
-    flat = counts.reshape(-1)
-    for cells, values in _token_records(model, doc_length, seed):
-        flat[cells] = values
-    return counts
-
-
 def _dirichlet_rows(n, k, alpha, rng):
     """``n`` draws of a symmetric Dirichlet of concentration ``alpha`` over
     ``k`` coordinates, each a row of normalized Gamma variates."""
@@ -325,36 +316,26 @@ def _planted_model(spec):
     return TuckerModel(a1=a1, a2=a2, a3=w / column_mass, g=g)
 
 
-def _by_tokens(spec):
-    """Whether ``spec``'s documents are drawn token by token: they are shorter than the
-    vocabulary.  Longer ones are drawn by ``sample_counts`` from the mean tensor."""
-    return spec.doc_length < spec.dims[2]
+def _planted_counts(spec):
+    """The planted model of ``spec``, its counts as blocks of records (ascending flat cell
+    indices of positive count, and those counts), and the count tensor if it was drawn whole:
+    the one place that chooses how.  Documents shorter than the vocabulary are drawn token by
+    token as the records are taken, with no mean tensor formed; longer ones whole by
+    ``sample_counts`` from the mean tensor, whose nonzeros the records scan.  Each document's
+    counts are ``Multinomial(doc_length, a3 w_ij)`` from its own ``substream(seed, 1, doc)``."""
+    model = _planted_model(spec)
+    if spec.doc_length < spec.dims[2]:
+        return model, _token_records(model, spec.doc_length, spec.seed), None
+    counts = sample_counts(model.mean_tensor(), spec.doc_length, spec.seed)
+    return model, _nonzero_records(counts), counts
 
 
 def generate(spec):
-    """Draw a planted instance; identical specs yield identical bits.
-
-    The spec chooses how the counts are drawn: documents shorter than the vocabulary
-    (``doc_length < n_words``) token by token from the factors, with no mean tensor formed
-    (``_token_counts``), longer ones by ``sample_counts`` from the mean tensor.  Either way
-    each document's counts are ``Multinomial(doc_length, a3 w_ij)`` and come from its own
-    ``substream(seed, 1, doc)`` alone.
-    """
-    model = _planted_model(spec)
-    if _by_tokens(spec):
-        counts = _token_counts(model, spec.doc_length, spec.seed)
-    else:
-        counts = sample_counts(model.mean_tensor(), spec.doc_length, spec.seed)
+    """Draw a planted instance by :func:`_planted_counts`; identical specs yield identical
+    bits.  Records drawn by tokens are scattered into zeros."""
+    model, records, counts = _planted_counts(spec)
+    if counts is None:
+        counts = np.zeros(spec.dims, dtype=np.int64)
+        for cells, values in records:
+            counts.reshape(-1)[cells] = values
     return PlantedInstance(model=model, counts=counts, doc_length=spec.doc_length)
-
-
-def _planted_records(spec):
-    """The planted model of ``spec`` and an iterator over the counts of ``generate(spec)`` as
-    blocks of records: ascending flat cell indices of positive count, and those counts.
-    Documents drawn by tokens come block by block as they are drawn, with no count tensor
-    formed; longer ones are drawn whole by ``sample_counts``, whose nonzeros then come."""
-    model = _planted_model(spec)
-    if _by_tokens(spec):
-        return model, _token_records(model, spec.doc_length, spec.seed)
-    counts = sample_counts(model.mean_tensor(), spec.doc_length, spec.seed)
-    return model, _nonzero_records(counts)

@@ -441,6 +441,17 @@ def test_generate_writes_a_multinomial_spec_as_the_count_writer(tmp_path, capsys
     assert counts.read_bytes() == (tmp_path / "reference.txt").read_bytes()
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["tokens", "boundary", "multinomial"])
+def test_generate_writes_each_draw_as_the_record_formatting(tmp_path, capsys, offset):
+    """Both draws reach the file through the one dispatcher: documents one token shorter than
+    the vocabulary are drawn by tokens, as long or longer whole, and either file is the
+    per-record formatting of ``generate``'s counts, byte for byte."""
+    spec = {"dims": [20, 10, 40], "ranks": [2, 2, 3], "doc_length": 40 + offset, "seed": 11}
+    counts, _ = _generate_files(spec, tmp_path / "run")
+    reference = _count_file_reference(generate(GenSpec(**spec)).counts, spec["doc_length"])
+    assert counts.read_bytes() == reference.encode()
+
+
 def test_generate_manifest_times_the_drawing_and_the_writing(tmp_path, monkeypatch, capsys):
     """Drawing and writing interleave block by block; the manifest sums each
     into its own stage.  Five blocks that each take 10 ms more to draw and
@@ -465,6 +476,41 @@ def test_generate_manifest_times_the_drawing_and_the_writing(tmp_path, monkeypat
     seconds = json.loads((tmp_path / "run.manifest.json").read_text())["stage_seconds"]
     assert set(seconds) == {"load", "generate", "write"}
     assert seconds["generate"] >= 0.05 and seconds["write"] >= 0.25
+    assert seconds["generate"] < seconds["write"]
+
+
+def test_generate_manifest_times_a_whole_draw_and_its_scan_as_generating(tmp_path, monkeypatch,
+                                                                          capsys):
+    """Documents as long as the vocabulary are drawn whole by ``sample_counts``, and their
+    nonzeros are scanned block by block as the writer takes them.  A draw 50 ms slower and
+    two scanned blocks each 50 ms slower add at least 150 ms to ``generate``; two blocks each
+    200 ms slower to format add at least 400 ms to ``write``, and land only there."""
+    draw, scan, format_records = synth.sample_counts, synth._nonzero_records, cli._record_bytes
+
+    def slow_draw(*args):
+        time.sleep(0.05)
+        return draw(*args)
+
+    def slow_scan(counts):
+        for first in range(0, len(counts), 2):  # two blocks of mode-1 rows
+            for block in scan(counts[first:first + 2]):
+                time.sleep(0.05)
+                yield block[0] + first * counts[0].size, block[1]
+
+    def slow_format(*args):
+        time.sleep(0.2)
+        return format_records(*args)
+
+    monkeypatch.setattr(synth, "sample_counts", slow_draw)
+    monkeypatch.setattr(synth, "_nonzero_records", slow_scan)
+    monkeypatch.setattr(cli, "_record_bytes", slow_format)
+    spec = {"dims": [4, 5, 8], "ranks": [2, 2, 3], "doc_length": 10, "seed": 2}
+    counts, _ = _generate_files(spec, tmp_path / "run")
+    reference = _count_file_reference(generate(GenSpec(**spec)).counts, 10)
+    assert counts.read_bytes() == reference.encode()
+    seconds = json.loads((tmp_path / "run.manifest.json").read_text())["stage_seconds"]
+    assert set(seconds) == {"load", "generate", "write"}
+    assert seconds["generate"] >= 0.15 and seconds["write"] >= 0.4
     assert seconds["generate"] < seconds["write"]
 
 
@@ -883,6 +929,16 @@ def test_scree_of_a_file_whose_threshold_keeps_no_word_exits_4(tmp_path, capsys,
     assert capsys.readouterr().err.startswith(message)
 
 
+def test_scree_of_a_mode_2_gram_that_overflows_exits_3_naming_the_projection(tmp_path, capsys,
+                                                                             monkeypatch):
+    """No count file reaches entries of 1e153, so the reader hands scree such a tensor: its
+    mode-2 gram overflows, and the message names the projection on the mode-1 basis."""
+    monkeypatch.setattr(cli, "read_count_tensor", lambda path: (np.full((1000, 2, 3), 1e153), 10))
+    assert main(["scree", "--data", str(tmp_path / "big.counts.txt"), "--ranks", "1"]) == 3
+    assert capsys.readouterr().err == \
+        "data error: mode 2 gram overflows: the projection on the mode-1 basis reaches 3.2e+154\n"
+
+
 def _set_entry(name, value):
     def edit(payload):
         payload[name][0][0] = value
@@ -1062,6 +1118,28 @@ def test_linalg_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
         assert main([*command, "--data", str(tmp_path / "g.counts.txt")]) == 4
         assert capsys.readouterr().err == \
             "degenerate fit: mode 3 SVD did not converge: SVD did not converge\n"
+    assert not (tmp_path / "f.model.json").exists()
+
+
+@pytest.mark.parametrize("mode, shape", [(1, (20, 6)), (2, (10, 6))], ids=["mode-1", "mode-2"])
+def test_hooi_sweep_svd_failure_is_degenerate_exit_4_naming_the_mode(tmp_path, capsys,
+                                                                      monkeypatch, mode, shape):
+    """A sweep's SVD of the projection unfolded to ``n1 x k2 k3`` (20 x 6) or ``n2 x k1 k3``
+    (10 x 6) that does not converge is a degenerate fit naming its mode, and no model is
+    written."""
+    main(["generate", "--spec", str(_spec_file(tmp_path)), "--out", str(tmp_path / "g")])
+    real_svd = np.linalg.svd
+
+    def no_convergence(a, *args, **kwargs):
+        if np.shape(a) == shape:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert main(["fit", "--data", str(tmp_path / "g.counts.txt"), "--ranks", "2,2,3",
+                 "--hooi", "1", "--out", str(tmp_path / "f")]) == 4
+    assert capsys.readouterr().err == \
+        f"degenerate fit: mode {mode} SVD did not converge: SVD did not converge\n"
     assert not (tmp_path / "f.model.json").exists()
 
 

@@ -3,6 +3,7 @@ data (read off full oracle fits), core recovery, and full-fit determinism."""
 
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from tensortopics import (
     fit,
     fold,
     leading_eigvecs,
+    sample_counts,
     scree,
     threshold_vocab,
+    topic_resolution,
     unfold,
 )
-from tensortopics import estimator, spectral, tensor
+from tensortopics import estimator, metrics, spectral, synth, tensor
 from tensortopics.errors import DataFormatError, FitDegenerateError
 from tensortopics.estimator import fit_core
 from tensortopics.simplex import clip_to_simplex
@@ -276,6 +279,70 @@ def test_fit_names_a_gram_that_overflows():
             fit(y, cfg)
         with pytest.raises(DataFormatError, match=message):  # scree runs the fit's gram stage
             scree(y, (), 3, 30)
+
+
+def test_a_mode_2_gram_overflow_names_the_projection_not_the_data():
+    """No data entry exceeds 1e153, but the projection on the mode-1 basis sums a thousand of
+    them over sqrt(1000): the mode-2 gram overflows, and its message names that projection."""
+    y = np.full((1000, 2, 3), 1e153)
+    message = "^mode 2 gram overflows: the projection on the mode-1 basis reaches 3.2e\\+154$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match=message):
+            scree(y, (1,), 2, 10)
+        with pytest.raises(DataFormatError, match=message):
+            fit(y, FitConfig(ranks=(1, 2, 2), doc_length=10))
+
+
+@pytest.mark.parametrize("mode, shape", [(1, (8, 4)), (2, (6, 4))], ids=["mode-1", "mode-2"])
+def test_a_hooi_sweep_whose_svd_fails_names_its_mode(monkeypatch, mode, shape):
+    """A sweep's mode-1 and mode-2 updates take the same guarded SVD as the word basis: one
+    that does not converge is a degenerate fit naming the mode, not a bare ``LinAlgError``.
+    Only the sweep unfolds a projection to ``n1 x k2 k3`` or ``n2 x k1 k3``."""
+    inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82)
+    real_svd = np.linalg.svd
+
+    def no_convergence(a, *args, **kwargs):
+        if np.shape(a) == shape:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    cfg = FitConfig(ranks=(2, 2, 2), doc_length=30, use_hooi=True, hooi_iters=1)
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    fit(inst.y, replace(cfg, use_hooi=False))  # the fit without sweeps takes no such SVD
+    with pytest.raises(FitDegenerateError,
+                       match=f"^mode {mode} SVD did not converge: SVD did not converge$"):
+        fit(inst.y, cfg)
+
+
+def test_option_checks_come_before_the_data_pass(monkeypatch):
+    """``threshold_vocab``, ``topic_resolution`` and ``sample_counts`` refuse a bad option
+    before they scan the tensor, as ``fit`` and ``scree`` do: a bad option on a tensor that
+    fails the data check names the option, and the data pass never runs."""
+    y = np.full((4, 4, 6), np.nan)
+    scans = []
+
+    def counted(t):
+        scans.append(1)
+        return data_word_sums(t)
+
+    for module in (estimator, metrics, synth):
+        monkeypatch.setattr(module, "_data_word_sums", counted)
+    cfg = FitConfig(ranks=(2, 2, 2), doc_length=10)
+    for call, message in [
+        (lambda: threshold_vocab(y, 10, -1.0), "c_prime must be a finite nonnegative number"),
+        (lambda: threshold_vocab(y, 0, 0.005), "doc_length must be a positive integer"),
+        (lambda: topic_resolution(y, cfg, axis=3), "splits run along mode 1 or mode 2"),
+        (lambda: topic_resolution(y, cfg, trials=0), "trials must be a positive integer"),
+        (lambda: sample_counts(y, 0, 1), "doc_length must be a positive integer"),
+        (lambda: sample_counts(y, 10, -1), "seed must be a nonnegative integer"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call()
+    assert not scans
+    with pytest.raises(DataFormatError, match="^data tensor contains non-finite entries$"):
+        threshold_vocab(y, 10, 0.005)
+    assert scans == [1]
 
 
 _SCIPY_PROBE = """
