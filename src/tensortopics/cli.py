@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_tucker_ranks,
-                     _checked_int, _checked_triple)
+                     _checked_int, _checked_triple, _stage)
 from .estimator import FitConfig, TuckerModel, _hosvd, _vocabulary, fit
 from .metrics import evaluate
 from .tensor import _nonzero_records
@@ -405,9 +405,10 @@ def cmd_generate(args):
     spec = _from_json(GenSpec, payload, args.spec)
     loaded = time.perf_counter()
     try:  # drawing interleaves with writing, which times itself
-        model, blocks, _ = _planted_counts(spec)
-        counts_path = _out(args.out, "counts.txt")
-        writing = _write_count_file(counts_path, spec.dims, spec.doc_length, blocks)
+        with _stage("count draw"):
+            model, blocks, _ = _planted_counts(spec)
+            counts_path = _out(args.out, "counts.txt")
+            writing = _write_count_file(counts_path, spec.dims, spec.doc_length, blocks)
     except DataFormatError as err:
         raise DataFormatError(f"{args.spec}: {err}") from None
     drawn = time.perf_counter() - loaded - writing

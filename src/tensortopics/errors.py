@@ -1,6 +1,8 @@
-"""Shared exception types and option checks, which return the checked value: ``2.5`` is no
-integer, ``True`` no count and ``"3"`` no number.  The data tensor's check is in ``tensor``."""
+"""Shared exception types, the guard ``_stage`` that names a failing pipeline stage, and option
+checks, which return the checked value: ``2.5`` is no integer, ``True`` no count and ``"3"`` no
+number.  The data tensor's check is in ``tensor``."""
 
+import contextlib
 import numbers
 import sys
 
@@ -14,12 +16,26 @@ class DataFormatError(ValueError):
 
 
 class FitDegenerateError(RuntimeError):
-    """The estimation pipeline hit a degenerate configuration.
+    """The estimation pipeline hit a degenerate configuration; the message starts with the name
+    of the failing stage (see ``_stage``)."""
 
-    Messages name the stage (vocabulary threshold, ratio normalization,
-    vertex hunt, weight recovery, topic mass) so callers can report a
-    precise failure instead of a numerical crash.
-    """
+
+@contextlib.contextmanager
+def _stage(name):
+    """Run one pipeline stage, whose failure becomes an error starting with ``name``: a
+    ``DataFormatError`` for a failed allocation (too big to allocate, with numpy's shape text
+    when it gives one), a ``FitDegenerateError`` for a ``LinAlgError`` or ``FitDegenerateError``;
+    other errors pass.  A nested stage's name starts with its outer one's (``HOOI sweep 1, mode
+    2 basis`` inside ``HOOI sweep 1``), whose guard passes the nested error as it is."""
+    try:
+        yield
+    except MemoryError as err:
+        shape = f": {err}" if str(err) else ""  # an exception instance is always truthy
+        raise DataFormatError(f"{name}: too big to allocate{shape}") from None
+    except (np.linalg.LinAlgError, FitDegenerateError) as err:
+        if str(err).startswith(name):
+            raise
+        raise FitDegenerateError(f"{name}: {err}") from err
 
 
 def _is_int(value):

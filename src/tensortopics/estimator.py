@@ -26,10 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_tucker_ranks,
-                     _checked_int, _checked_real, _checked_triple)
+                     _checked_int, _checked_real, _checked_triple, _stage)
 from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
 from .spectral import _mode_gram, hooi_refine, leading_eigvecs, word_basis, word_projection
 from .tensor import DenseData, _data_word_sums, reconstruct
+
+_TOL = 1e-9  # how far TuckerModel.validate lets an entry fall below 0 or a sum miss 1
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,9 @@ class TuckerModel:
     def ranks(self):
         return self.g.shape
 
-    def validate(self, tol=1e-9):
+    def validate(self):
         """Raise unless every entry is finite and all stochasticity
-        constraints hold within ``tol``."""
+        constraints hold within ``_TOL``."""
         checks = (
             ("a1 rows", self.a1, self.a1.sum(axis=1)),
             ("a2 rows", self.a2, self.a2.sum(axis=1)),
@@ -79,10 +81,10 @@ class TuckerModel:
         for label, block, sums in checks:
             if not np.isfinite(block).all():
                 raise DataFormatError(f"{label}: non-finite entries")
-            if np.min(block) < -tol:
-                raise DataFormatError(f"{label}: entries below -{tol}")
-            if np.max(np.abs(sums - 1.0)) > tol:
-                raise DataFormatError(f"{label}: sums deviate from 1 by more than {tol}")
+            if np.min(block) < -_TOL:
+                raise DataFormatError(f"{label}: entries below -{_TOL}")
+            if np.max(np.abs(sums - 1.0)) > _TOL:
+                raise DataFormatError(f"{label}: sums deviate from 1 by more than {_TOL}")
 
     def mean_tensor(self):
         """The modeled document-word mean tensor; every tube sums to one."""
@@ -161,15 +163,6 @@ def _threshold(word_sums, dims, doc_length, c_prime):
     return np.flatnonzero(word_sums / (n1 * n2) >= tau), bool(word_sums.any())
 
 
-def _mode_basis(q, mode, k):
-    """Leading ``k`` eigenpairs of the gram ``q`` of one mode, the top of one full ``eigh``,
-    naming the mode in errors: the fit's ``eigvals`` of the mode, a prefix of its ``scree``."""
-    try:
-        return leading_eigvecs(q, k)
-    except np.linalg.LinAlgError as err:
-        raise FitDegenerateError(f"mode {mode} eigensolve did not converge: {err}") from err
-
-
 def _vocabulary(y, ranks, doc_length, c_prime, tucker=False):
     """The stages ``fit`` and ``scree`` share before the bases, for the first ``len(ranks)``
     modes: the data check, the ranks against the dimensions (and, with ``tucker``, the fit's
@@ -195,29 +188,27 @@ def _vocabulary(y, ranks, doc_length, c_prime, tucker=False):
 def _hosvd(data, ranks):
     """The sequentially truncated HOSVD that ``fit`` and ``scree`` share, for the first
     ``len(ranks)`` modes of the data as :func:`_vocabulary` returns it: each mode's
-    ``(basis, spectrum)``, and the word projection ``P`` (or ``None``)."""
-    bases, p = [_mode_basis(data.mode1_gram(), 1, ranks[0])], None
+    ``(basis, spectrum)``, and the word projection ``P`` (or ``None``); mode ``m`` is the stage
+    ``mode m basis``, from the gram or projection it reads to its ``eigh`` or SVD."""
+    with _stage("mode 1 basis"):
+        bases, p = [leading_eigvecs(data.mode1_gram(), ranks[0])], None
     if len(ranks) > 1:
-        z = data.mode1_projection(bases[0][0])
-        bases.append(_mode_basis(_mode_gram(np.moveaxis(z, 1, 0), 2), 2, ranks[1]))
+        with _stage("mode 2 basis"):
+            z = data.mode1_projection(bases[0][0])
+            bases.append(leading_eigvecs(_mode_gram(np.moveaxis(z, 1, 0), 2), ranks[1]))
     if len(ranks) > 2:
-        p = word_projection(z, bases[1][0])
-        del z  # freed before the word basis and the sweeps
-        bases.append(word_basis(p, ranks[2]))
+        with _stage("mode 3 basis"):
+            p = word_projection(z, bases[1][0])
+            del z  # freed before the word basis and the sweeps
+            bases.append(word_basis(p, ranks[2]))
     return bases, p
 
 
-def _stage_weights(stage, s_star, v_star):
-    """``recover_weights`` with the failing stage named in its error."""
-    try:
-        return recover_weights(s_star, v_star)
-    except FitDegenerateError as err:
-        raise FitDegenerateError(f"{stage}: {err}") from err
-
-
-def _membership_from_basis(xi, label):
-    hunt = spa_vertex_hunt(xi, xi.shape[1])
-    return _stage_weights(label, xi, hunt.v), hunt
+def _membership_from_basis(xi, stage):
+    """Memberships and vertices of the rows of ``xi``, hunted and solved as the stage ``stage``."""
+    with _stage(stage):
+        hunt = spa_vertex_hunt(xi, xi.shape[1])
+        return recover_weights(xi, hunt.v), hunt
 
 
 def _word_factor_from_basis(xi, words):
@@ -232,7 +223,9 @@ def _word_factor_from_basis(xi, words):
     hunt = spa_vertex_hunt(score.s, k)
     v_star = np.column_stack([np.ones(k), hunt.v])
     s_star = np.column_stack([np.ones(score.s.shape[0]), score.s])
-    scaled = score.first_col[:, None] * _stage_weights("word membership", s_star, v_star)
+    with _stage("word membership"):
+        weights = recover_weights(s_star, v_star)
+    scaled = score.first_col[:, None] * weights
     q0 = scaled.sum(axis=0)
     low = np.flatnonzero(q0 <= 0.0)
     if low.size:
@@ -278,6 +271,7 @@ def fit(y, cfg):
     a1, hunt1 = _membership_from_basis(xi[0], "mode 1 membership")
     a2, hunt2 = _membership_from_basis(xi[1], "mode 2 membership")
     a3, q0, v3_star, word_vertices = _word_factor_from_basis(xi[2], data.vocab)
-    g = fit_core(p, xi[2], (hunt1.v, hunt2.v, v3_star), q0)
+    with _stage("core"):
+        g = fit_core(p, xi[2], (hunt1.v, hunt2.v, v3_star), q0)
     return FitResult(model=TuckerModel(a1=a1, a2=a2, a3=a3, g=g), vocab=data.vocab, q0=q0,
                      vertices=(hunt1.indices, hunt2.indices, word_vertices), eigvals=eigvals)

@@ -14,7 +14,7 @@ one bit for bit, so ``scree`` and ``fit`` agree at any length, and replays are b
 
 import numpy as np
 
-from .errors import DataFormatError, FitDegenerateError, _all_finite, _check_mode
+from .errors import DataFormatError, _all_finite, _check_mode, _stage
 
 def _gram(m):
     """Gram matrix of ``m``, exactly symmetric: ``m @ m.T`` of a matrix, or the sum of the
@@ -46,20 +46,13 @@ def build_q(y_mat, mode):
     return _gram(y)
 
 
-def _too_big(what, rows, width):
-    return DataFormatError(f"{what}: a {rows} x {width} matrix is too big to allocate")
-
-
 def _mode_gram(m, mode, less=()):
     """:func:`build_q` of ``m``, the mode's axis first, less the gram of each matrix in ``less``;
-    a failed allocation or an overflow is a ``DataFormatError`` naming the mode."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            q = build_q(m, mode)
-            for slab in less:
-                q -= _gram(slab)
-    except MemoryError:
-        raise _too_big(f"mode {mode} gram", len(m), len(m)) from None
+    an overflow is a ``DataFormatError`` naming the mode."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        q = build_q(m, mode)
+        for slab in less:
+            q -= _gram(slab)
     if not _all_finite(q):
         what = "data entries reach" if mode == 1 else "the projection on the mode-1 basis reaches"
         raise DataFormatError(f"mode {mode} gram overflows: {what} {max(m.max(), -m.min()):.1e}")
@@ -103,33 +96,22 @@ def leading_eigvecs(q, k):
 
 def word_projection(z, xi2):
     """``P = Z x2 xi2^T`` of the projection ``z`` of shape ``(k1, n2, n3)``, viewed as
-    ``(n3, k1, k2)``: one batched GEMM; errors name mode 3.  ``P`` cannot overflow where the
-    mode-1 gram did not."""
-    try:
-        return np.matmul(xi2.T, z).transpose(2, 0, 1)
-    except MemoryError:
-        raise _too_big("mode 3 projection", z.shape[2], z.shape[0] * xi2.shape[1]) from None
+    ``(n3, k1, k2)``: one batched GEMM.  ``P`` cannot overflow where the mode-1 gram did not."""
+    return np.matmul(xi2.T, z).transpose(2, 0, 1)
 
 
-def _left_singular(m, mode, k):
+def _left_singular(m, k):
     """The ``k`` leading left singular vectors of ``m`` unfolded to ``len(m)`` rows, signed as in
-    :func:`leading_eigvecs`, and their squared singular values: the one SVD of every basis,
-    whose failed allocation or non-convergence is an error naming the mode."""
-    shape = (len(m), m.size // len(m))
-    try:
-        u, s, _ = np.linalg.svd(m.reshape(shape), full_matrices=False)
-    except MemoryError:
-        raise _too_big(f"mode {mode} projection", *shape) from None
-    except np.linalg.LinAlgError as err:
-        raise FitDegenerateError(f"mode {mode} SVD did not converge: {err}") from err
+    :func:`leading_eigvecs`, and their squared singular values: the one SVD of every basis."""
+    u, s, _ = np.linalg.svd(m.reshape(len(m), -1), full_matrices=False)
     return _fix_signs(u[:, :k]), s[:k] ** 2
 
 
 def word_basis(p, k3):
     """The ``k3`` leading left singular vectors of the :func:`word_projection` ``p`` unfolded to
     ``n3 x k1 k2``, signed as in :func:`leading_eigvecs`, and their squared singular values;
-    a zero row of ``p`` (a dropped word) gives a row zero within rounding.  Errors name mode 3."""
-    return _left_singular(p, 3, k3)
+    a zero row of ``p`` (a dropped word) gives a row zero within rounding."""
+    return _left_singular(p, k3)
 
 
 def hooi_refine(data, xi, p, iters):
@@ -142,14 +124,19 @@ def hooi_refine(data, xi, p, iters):
     their shared word contraction, read in place.  The sweep ends with the word projection of
     its new bases, so it reads the tensor twice and holds one contraction-sized array at a
     time.  Signs follow :func:`leading_eigvecs`; inputs are taken as ``fit`` checks them.
+    Sweep ``s`` is the stage ``HOOI sweep s``, and its SVDs ``HOOI sweep s, mode m basis``.
     """
-    xi = tuple(xi)
-    for _ in range(iters):
-        by_word = data.word_contraction(xi[2])  # (k3, n1, n2)
-        projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
-                     np.matmul(xi[0].T, by_word).transpose(2, 0, 1), p]
-        del by_word  # freed before the projection contracts the tensor
-        xi = tuple(_left_singular(m, mode, x.shape[1])[0]
-                   for mode, (m, x) in enumerate(zip(projected, xi), start=1))
-        p = word_projection(data.mode1_projection(xi[0]), xi[1])
+    xi, ranks = tuple(xi), [x.shape[1] for x in xi]
+    for sweep in range(1, iters + 1):
+        with _stage(f"HOOI sweep {sweep}"):
+            by_word = data.word_contraction(xi[2])  # (k3, n1, n2)
+            projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
+                         np.matmul(xi[0].T, by_word).transpose(2, 0, 1), p]
+            del by_word  # freed before the projection contracts the tensor
+            bases = []
+            for mode, (m, k) in enumerate(zip(projected, ranks), start=1):
+                with _stage(f"HOOI sweep {sweep}, mode {mode} basis"):
+                    bases.append(_left_singular(m, k)[0])
+            xi = tuple(bases)
+            p = word_projection(data.mode1_projection(xi[0]), xi[1])
     return xi, p

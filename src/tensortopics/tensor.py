@@ -19,7 +19,7 @@ Everything after these is at most ``k`` wide.  Nothing here mutates its inputs.
 import numpy as np
 
 from .errors import DataFormatError, _as_tensor, _check_mode
-from .spectral import _mode_gram, _too_big
+from .spectral import _mode_gram
 
 
 def unfold(t, mode):
@@ -106,12 +106,9 @@ class DenseData:
 
     def mode1_projection(self, xi1):
         """``Z``, of shape ``(k1, n2, n3)``, by one GEMM on the mode-1 unfolding view, with the
-        dropped words' columns zeroed in place.  Errors name mode 2, whose basis comes from it."""
+        dropped words' columns zeroed in place."""
         y = self.y
-        try:
-            z = np.matmul(xi1.T, y.reshape(len(y), -1)).reshape(xi1.shape[1], *y.shape[1:])
-        except MemoryError:
-            raise _too_big("mode 2 projection", y.shape[1], xi1.shape[1] * y.shape[2]) from None
+        z = np.matmul(xi1.T, y.reshape(len(y), -1)).reshape(xi1.shape[1], *y.shape[1:])
         z[:, :, self._dropped] = 0.0
         return z
 

@@ -189,7 +189,7 @@ def test_criterion_7_invariant_suites():
     # stochasticity of fitted models
     noisy = planted((20, 12, 40), (2, 2, 3), doc_length=150, seed=72)
     fitted = fit(noisy.y, FitConfig(ranks=(2, 2, 3), doc_length=150)).model
-    fitted.validate(tol=1e-9)
+    fitted.validate()
     notes.append("fitted model stochastic")
 
     # SPA vs exhaustive max-volume on ideal simplices

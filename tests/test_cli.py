@@ -405,6 +405,27 @@ def test_generate_reports_the_tokens_it_wrote(tmp_path, capsys, doc_length):
         f"wrote {out}.counts.txt ({tokens} tokens) and {out}.truth.json\n"
 
 
+@pytest.mark.parametrize("doc_length, drawer", [(30, "_token_records"), (200, "sample_counts")],
+                         ids=["tokens", "multinomial"])
+def test_generate_of_a_spec_too_big_to_draw_exits_3_naming_the_spec(tmp_path, capsys, monkeypatch,
+                                                                    doc_length, drawer):
+    """A draw that cannot be allocated exits 3 naming the spec file, as the other spec errors
+    do, with numpy's text, and writes no truth file.  The failure is patched into the draw:
+    nothing that large is allocated."""
+    numpy_text = ("Unable to allocate 59.6 GiB for an array with shape (2000, 2000, 2000) "
+                  "and data type float64")
+
+    def too_big(*args, **kwargs):
+        raise MemoryError(numpy_text)
+
+    monkeypatch.setattr(synth, drawer, too_big)
+    spec = _spec_file(tmp_path, doc_length=doc_length)
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")]) == 3
+    assert capsys.readouterr().err == \
+        f"data error: {spec}: count draw: too big to allocate: {numpy_text}\n"
+    assert not (tmp_path / "g.truth.json").exists()
+
+
 def _generate_files(spec, out):
     """Run ``generate`` on the spec dict ``spec`` with its file beside ``out``."""
     path = out.parent / f"{out.name}.spec.json"
@@ -1100,98 +1121,75 @@ def test_fit_config_fuzz_exits_cleanly(tmp_path):
     run()
 
 
-def test_linalg_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
-    """An SVD of the 40 x 4 word projection that does not converge is a
-    degenerate fit naming mode 3, in fit and in ``scree --ranks 2,2`` alike."""
-    spec = _spec_file(tmp_path)
-    main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
-    real_svd = np.linalg.svd
-
-    def no_convergence(a, *args, **kwargs):
-        if np.shape(a) == (40, 4):
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return real_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    for command in (["fit", "--ranks", "2,2,3", "--out", str(tmp_path / "f")],
-                    ["scree", "--ranks", "2,2", "--kmax", "3"]):
-        assert main([*command, "--data", str(tmp_path / "g.counts.txt")]) == 4
-        assert capsys.readouterr().err == \
-            "degenerate fit: mode 3 SVD did not converge: SVD did not converge\n"
-    assert not (tmp_path / "f.model.json").exists()
+_FIT = ("fit", "--ranks", "2,2,3")
+_HOOI = (*_FIT, "--hooi", "1")
 
 
-@pytest.mark.parametrize("mode, shape", [(1, (20, 6)), (2, (10, 6))], ids=["mode-1", "mode-2"])
-def test_hooi_sweep_svd_failure_is_degenerate_exit_4_naming_the_mode(tmp_path, capsys,
-                                                                      monkeypatch, mode, shape):
-    """A sweep's SVD of the projection unfolded to ``n1 x k2 k3`` (20 x 6) or ``n2 x k1 k3``
-    (10 x 6) that does not converge is a degenerate fit naming its mode, and no model is
-    written."""
+def _stage_case(command, stage, routine, call):
+    owner = np.linalg if routine in ("eigh", "svd", "solve") else np
+    return pytest.param(command, stage, owner, routine, call,
+                        id=f"{command[0]}{'-hooi' if command == _HOOI else ''}-"
+                           f"{stage.replace(', ', '-').replace(' ', '-')}-{routine}-{call}")
+
+
+# The numpy routine whose ``call``-th call a stage makes: each basis's gram or projection and
+# its eigh or SVD, each membership's vertex matrix spectrum and solve, each sweep's word
+# contraction, its contraction by the mode-2 basis and its mode-1 projection, and the core.
+_STAGE_CASES = [
+    _stage_case(_FIT, "mode 1 basis", "eigh", 1),
+    _stage_case(_FIT, "mode 2 basis", "matmul", 1),
+    _stage_case(_FIT, "mode 2 basis", "eigh", 2),
+    _stage_case(_FIT, "mode 3 basis", "matmul", 2),
+    _stage_case(_FIT, "mode 3 basis", "svd", 1),
+    _stage_case(_FIT, "mode 1 membership", "svd", 2),
+    _stage_case(_FIT, "mode 1 membership", "solve", 1),
+    _stage_case(_FIT, "mode 2 membership", "svd", 3),
+    _stage_case(_FIT, "mode 2 membership", "solve", 2),
+    _stage_case(_FIT, "word membership", "svd", 4),
+    _stage_case(_FIT, "word membership", "solve", 3),
+    _stage_case(_FIT, "core", "tensordot", 1),
+    _stage_case(_HOOI, "HOOI sweep 1", "tensordot", 1),
+    _stage_case(_HOOI, "HOOI sweep 1", "tensordot", 2),
+    _stage_case(_HOOI, "HOOI sweep 1", "matmul", 4),
+    _stage_case(_HOOI, "HOOI sweep 1, mode 1 basis", "svd", 2),
+    _stage_case(_HOOI, "HOOI sweep 1, mode 2 basis", "svd", 3),
+    _stage_case(_HOOI, "HOOI sweep 1, mode 3 basis", "svd", 4),
+    _stage_case(_HOOI, "core", "tensordot", 3),
+    _stage_case(("scree", "--kmax", "3"), "mode 1 basis", "eigh", 1),
+    _stage_case(("scree", "--ranks", "2", "--kmax", "3"), "mode 2 basis", "matmul", 1),
+    _stage_case(("scree", "--ranks", "2", "--kmax", "3"), "mode 2 basis", "eigh", 2),
+    _stage_case(("scree", "--ranks", "2,2", "--kmax", "3"), "mode 3 basis", "matmul", 2),
+    _stage_case(("scree", "--ranks", "2,2", "--kmax", "3"), "mode 3 basis", "svd", 1),
+]
+
+
+@pytest.mark.parametrize("command, stage, owner, routine, call", _STAGE_CASES)
+def test_a_failing_stage_exits_3_or_4_naming_it(tmp_path, capsys, monkeypatch, command, stage,
+                                                owner, routine, call):
+    """Every stage of a plain fit, a HOOI fit and each mode's scree fails through one guard: a
+    failed allocation in it exits 3 as too big to allocate, and a ``LinAlgError`` exits 4 as a
+    degenerate fit, each message starting with the stage's name; nothing propagates out of
+    ``main`` and no model or scree file is written."""
     main(["generate", "--spec", str(_spec_file(tmp_path)), "--out", str(tmp_path / "g")])
-    real_svd = np.linalg.svd
+    real = getattr(owner, routine)
+    for error, code, message in ((MemoryError(), 3, "data error: {}: too big to allocate\n"),
+                                 (np.linalg.LinAlgError("did not converge"), 4,
+                                  "degenerate fit: {}: did not converge\n")):
+        calls = []
 
-    def no_convergence(a, *args, **kwargs):
-        if np.shape(a) == shape:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return real_svd(a, *args, **kwargs)
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == call:
+                raise error
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    assert main(["fit", "--data", str(tmp_path / "g.counts.txt"), "--ranks", "2,2,3",
-                 "--hooi", "1", "--out", str(tmp_path / "f")]) == 4
-    assert capsys.readouterr().err == \
-        f"degenerate fit: mode {mode} SVD did not converge: SVD did not converge\n"
-    assert not (tmp_path / "f.model.json").exists()
-
-
-def test_full_eigh_failure_is_degenerate_exit_4(tmp_path, capsys, monkeypatch):
-    """Mode 2 has 6 rows, so its basis takes the eigh of a 6 x 6 gram of the
-    tensor projected on the mode-1 basis, in fit and in scree alike.  Only a
-    6 x 6 eigh fails: mode 1's gram is 8 x 8."""
-    data = _tiny_counts(tmp_path)
-    real_eigh = np.linalg.eigh
-
-    def no_convergence(a, *args, **kwargs):
-        if a.shape == (6, 6):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real_eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-    assert main(["fit", "--data", str(data), "--ranks", "2,5,3",
-                 "--out", str(tmp_path / "f")]) == 4
-    err = capsys.readouterr().err
-    assert "degenerate fit: mode 2 eigensolve did not converge" in err
-    assert main(["scree", "--data", str(data), "--ranks", "2", "--kmax", "5"]) == 4
-    err = capsys.readouterr().err
-    assert "degenerate fit: mode 2 eigensolve did not converge" in err
-
-
-def test_gram_allocation_failure_is_exit_3_naming_mode_and_size(tmp_path, capsys, monkeypatch):
-    """Neither fit nor scree forms a full mode-2 or word gram: an allocation
-    failure in the tensor projected on the mode-1 basis names mode 2 and the
-    size of that projection's mode-2 unfolding, and one in the word projection
-    names mode 3 and its size."""
-    data = _tiny_counts(tmp_path)
-    real_matmul = np.matmul
-
-    def no_memory_for_the_projection(ndim):
-        def matmul(a, b, *args, **kwargs):
-            if np.ndim(b) == ndim:  # a matrix for Z, a tensor for P
-                raise MemoryError
-            return real_matmul(a, b, *args, **kwargs)
-        return matmul
-
-    fit_args = ["fit", "--data", str(data), "--ranks", "2,2,2", "--out", str(tmp_path / "f")]
-    scree_args = ["scree", "--data", str(data), "--kmax", "2", "--out", str(tmp_path / "s")]
-    for ndim, ranks, message in ((2, "2", "mode 2 projection: a 6 x 40"),
-                                 (3, "2,2", "mode 3 projection: a 20 x 4")):
-        for argv in (fit_args, [*scree_args, "--ranks", ranks]):
-            with monkeypatch.context() as patch:
-                patch.setattr(np, "matmul", no_memory_for_the_projection(ndim))
-                assert main(argv) == 3
-            assert capsys.readouterr().err == \
-                f"data error: {message} matrix is too big to allocate\n"
-    assert not (tmp_path / "f.model.json").exists()
-    assert not (tmp_path / "s.scree.csv").exists()
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, routine, failing)
+            assert main([*command, "--data", str(tmp_path / "g.counts.txt"),
+                         "--out", str(tmp_path / "f")]) == code
+        assert len(calls) == call
+        assert capsys.readouterr().err == message.format(stage)
+    assert not [path.name for path in tmp_path.iterdir() if path.name.startswith("f.")]
 
 
 def test_sweep_trial_failure_names_grid_cell_and_trial(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """End-to-end estimator checks: thresholding, per-mode recovery on exact
 data (read off full oracle fits), core recovery, and full-fit determinism."""
 
+import ast
+import contextlib
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from tensortopics import (
     unfold,
 )
 from tensortopics import estimator, metrics, spectral, synth, tensor
-from tensortopics.errors import DataFormatError, FitDegenerateError
+from tensortopics.errors import DataFormatError, FitDegenerateError, _stage
 from tensortopics.estimator import fit_core
 from tensortopics.simplex import clip_to_simplex
 from tensortopics.tensor import _data_word_sums as data_word_sums
@@ -296,8 +299,8 @@ def test_a_mode_2_gram_overflow_names_the_projection_not_the_data():
 
 @pytest.mark.parametrize("mode, shape", [(1, (8, 4)), (2, (6, 4))], ids=["mode-1", "mode-2"])
 def test_a_hooi_sweep_whose_svd_fails_names_its_mode(monkeypatch, mode, shape):
-    """A sweep's mode-1 and mode-2 updates take the same guarded SVD as the word basis: one
-    that does not converge is a degenerate fit naming the mode, not a bare ``LinAlgError``.
+    """A sweep's mode-1 and mode-2 SVDs run as stages inside the sweep's: one that does not
+    converge is a degenerate fit naming the sweep and the mode, not a bare ``LinAlgError``.
     Only the sweep unfolds a projection to ``n1 x k2 k3`` or ``n2 x k1 k3``."""
     inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82)
     real_svd = np.linalg.svd
@@ -311,8 +314,89 @@ def test_a_hooi_sweep_whose_svd_fails_names_its_mode(monkeypatch, mode, shape):
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     fit(inst.y, replace(cfg, use_hooi=False))  # the fit without sweeps takes no such SVD
     with pytest.raises(FitDegenerateError,
-                       match=f"^mode {mode} SVD did not converge: SVD did not converge$"):
+                       match=f"^HOOI sweep 1, mode {mode} basis: SVD did not converge$"):
         fit(inst.y, cfg)
+
+
+def _staged(error, *names):
+    """The error that ``error``, raised inside the nested stages ``names``, leaves them as."""
+    with pytest.raises(Exception) as caught, contextlib.ExitStack() as stages:
+        for name in names:
+            stages.enter_context(_stage(name))
+        raise error
+    return caught.value
+
+
+def test_a_stage_names_its_failures_and_passes_other_errors():
+    """``errors._stage`` starts the message of a failure with its name: a failed allocation
+    becomes a ``DataFormatError`` carrying numpy's shape text when there is one, and a
+    ``LinAlgError`` or ``FitDegenerateError`` a ``FitDegenerateError``.  A nested stage's error
+    passes the outer guard as it is, and so does any other error."""
+    shape = "Unable to allocate 8.00 EiB for an array with shape (2**30, 2**30)"
+    for error, kind, message in (
+            (MemoryError(), DataFormatError, "core: too big to allocate"),
+            (MemoryError(shape), DataFormatError, f"core: too big to allocate: {shape}"),
+            (np.linalg.LinAlgError("Singular matrix"), FitDegenerateError, "core: Singular matrix"),
+            (FitDegenerateError("weight recovery: singular"), FitDegenerateError,
+             "core: weight recovery: singular"),
+            (DataFormatError("mode 1 gram overflows: 1e+300"), DataFormatError,
+             "mode 1 gram overflows: 1e+300"),
+            (ValueError("k must lie in [1, 3], got 4"), ValueError, "k must lie in [1, 3], got 4")):
+        caught = _staged(error, "core")
+        assert (type(caught), str(caught)) == (kind, message)
+    for error, kind in ((np.linalg.LinAlgError("SVD did not converge"), FitDegenerateError),
+                        (MemoryError(), DataFormatError)):
+        caught = _staged(error, "HOOI sweep 1", "HOOI sweep 1, mode 2 basis")
+        assert type(caught) is kind
+        assert str(caught).startswith("HOOI sweep 1, mode 2 basis: ")
+        assert "HOOI sweep 1:" not in str(caught)
+
+
+_BROAD = {"MemoryError", "LinAlgError", "Exception", "BaseException"}
+
+
+def test_allocation_and_linalg_failures_are_caught_only_by_the_stage_guard():
+    """One error policy: across ``src/``, a ``MemoryError`` or ``LinAlgError`` (or any error,
+    by a bare or broad ``except``) is caught only in ``errors._stage``, in
+    ``cli.read_count_tensor`` (a count file too big to load) and in ``cli.main``, whose
+    ``LinAlgError`` arm is a safety net.  The files are only read."""
+    catchers = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "tensortopics").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for handler in ast.walk(tree):
+            if not isinstance(handler, ast.ExceptHandler):
+                continue
+            caught = {getattr(node, "id", getattr(node, "attr", None))
+                      for node in ast.walk(handler.type)} if handler.type else _BROAD
+            if caught & _BROAD:
+                scope = handler
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                catchers.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    assert catchers == {"errors._stage", "cli.read_count_tensor", "cli.main"}
+
+
+@pytest.mark.parametrize("routine", ["svd", "solve"])
+@pytest.mark.parametrize("call, stage", [(1, "mode 1 membership"), (2, "mode 2 membership"),
+                                         (3, "word membership")], ids=["mode-1", "mode-2", "word"])
+def test_a_failing_vertex_matrix_names_its_membership_stage(monkeypatch, routine, call, stage):
+    """Each weight solve takes the singular values of its vertex matrix, then solves with it,
+    for mode 1, mode 2 and the word mode in turn: a ``LinAlgError`` in either routine is a
+    degenerate fit naming the membership stage."""
+    inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82)
+    real, calls = getattr(np.linalg, routine), []
+
+    def failing(a, *args, **kwargs):
+        if routine == "solve" or kwargs.get("compute_uv") is False:  # not a basis's SVD
+            calls.append(a)
+            if len(calls) == call:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, routine, failing)
+    with pytest.raises(FitDegenerateError, match=f"^{stage}: Singular matrix$"):
+        fit(inst.y, FitConfig(ranks=(2, 2, 2), doc_length=30))
 
 
 def test_option_checks_come_before_the_data_pass(monkeypatch):
@@ -779,7 +863,7 @@ def test_fit_takes_mode_1_from_its_gram_and_mode_2_from_the_projected_gram(drop,
     res = fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100))
     dropped = np.setdiff1d(np.arange(300), res.vocab)
     assert dropped.size == drop
-    xi1, vals1 = estimator._mode_basis(kept_data(y, res.vocab).mode1_gram(), 1, 2)
+    xi1, vals1 = leading_eigvecs(kept_data(y, res.vocab).mode1_gram(), 2)
     np.testing.assert_array_equal(res.eigvals[0], vals1)
     np.testing.assert_array_equal(res.model.a1, estimator._membership_from_basis(xi1, "")[0])
     vals2, vecs2 = np.linalg.eigh(_projected_mode_2_gram(y, xi1, res.vocab))
@@ -791,20 +875,21 @@ def _two_gram_start(monkeypatch):
     """Have ``fit`` take its mode-2 basis from the mode-2 gram of the whole
     tensor over the kept words, as it did before it took it from the projected
     tensor."""
-    vocabulary, mode_basis, seen = estimator._vocabulary, estimator._mode_basis, []
+    vocabulary, seen = estimator._vocabulary, []
 
     def kept(*args, **kwargs):
         seen[:] = [vocabulary(*args, **kwargs)]
         return seen[0]
 
-    def from_the_tensor(q, mode, k):
-        if mode == 2:  # handed the gram of Z, not of the tensor
+    def from_the_tensor(q, k):
+        seen.append(q)
+        if len(seen) == 3:  # the fit's second solve, mode 2: handed the gram of Z
             data = seen[0]
             q = build_q(np.moveaxis(np.take(data.y, data.vocab, axis=2), 1, 0), 2)
-        return mode_basis(q, mode, k)
+        return leading_eigvecs(q, k)
 
     monkeypatch.setattr(estimator, "_vocabulary", kept)
-    monkeypatch.setattr(estimator, "_mode_basis", from_the_tensor)
+    monkeypatch.setattr(estimator, "leading_eigvecs", from_the_tensor)
 
 
 @pytest.mark.parametrize("seed", [1, 11])
