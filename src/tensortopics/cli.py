@@ -26,6 +26,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import platform
 import re
 import sys
@@ -37,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_tucker_ranks,
-                     _checked_int, _checked_triple, _stage)
+from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_ranks, _checked_int,
+                     _checked_triple, _stage)
 from .estimator import FitConfig, TuckerModel, _hosvd, _vocabulary, fit
 from .metrics import evaluate
 from .tensor import _nonzero_records
@@ -73,15 +74,21 @@ def write_count_tensor(path, counts, doc_length):
 
 def _write_count_file(path, dims, doc_length, blocks):
     """Write the header and each block of ``(cells, values)`` records of ``blocks`` as it
-    comes: ascending flat cell indices of a ``dims`` tensor and their positive counts.
+    comes: ascending flat cell indices of a ``dims`` tensor and their positive counts, into a
+    file beside ``path`` that takes its name once all is written and goes on any error.
     Returns the seconds spent formatting and writing records, which leave out making them."""
-    seconds = 0.0
-    with open(path, "wb") as out:
-        out.write((" ".join(str(v) for v in (*dims, doc_length)) + "\n").encode())
-        for cells, values in blocks:
-            began = time.perf_counter()
-            out.write(_record_bytes(cells, values, dims))
-            seconds += time.perf_counter() - began
+    seconds, path = 0.0, Path(path)
+    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "wb") as out:
+            out.write((" ".join(str(v) for v in (*dims, doc_length)) + "\n").encode())
+            for cells, values in blocks:
+                began = time.perf_counter()
+                out.write(_record_bytes(cells, values, dims))
+                seconds += time.perf_counter() - began
+        os.replace(partial, path)
+    finally:  # nothing is left once it is renamed
+        partial.unlink(missing_ok=True)
     return seconds
 
 
@@ -438,9 +445,7 @@ def cmd_fit(args):
         raise _UsageError('no ranks given: pass --ranks K1,K2,K3 or put "ranks" in the config')
     cfg = _from_json(FitConfig, options, args.config or "command line",
                      doc_length=doc_length)
-    for mode, (k, n) in enumerate(zip(cfg.ranks, y.shape), start=1):
-        if k > n:
-            raise _UsageError(f"{args.data}: mode {mode} rank {k} exceeds dimension {n}")
+    _check_file_ranks(args.data, cfg.ranks, y.shape)
     loaded = time.perf_counter()
     result = fit(y, cfg)
     fitted = time.perf_counter()
@@ -486,11 +491,8 @@ def cmd_eval(args):
 
 
 def _sweep_cell(cell, where):
-    """Seed-0 generator spec and fit config of one grid cell.
-
-    The fit options default to the cell's planted ranks, and fit ranks must
-    obey the Tucker rank rule too.
-    """
+    """Seed-0 generator spec and fit config of one grid cell; the fit options default to
+    the cell's planted ranks, and ``FitConfig`` checks the rank rules that need no data."""
     from .synth import GenSpec
 
     options = cell.get("fit", {}) if isinstance(cell, dict) else None
@@ -498,13 +500,8 @@ def _sweep_cell(cell, where):
         raise DataFormatError(f'{where}: a cell and its "fit" entry must be JSON objects')
     fields = {k: v for k, v in cell.items() if k not in ("label", "fit")}
     spec = _from_json(GenSpec, fields, where, seed=0)
-    cfg = _from_json(FitConfig, {"ranks": spec.ranks, **options}, where,
-                     doc_length=spec.doc_length)
-    try:
-        _check_tucker_ranks(cfg.ranks)
-    except DataFormatError as err:
-        raise DataFormatError(f"{where}: {err}") from None
-    return spec, cfg
+    return spec, _from_json(FitConfig, {"ranks": spec.ranks, **options}, where,
+                            doc_length=spec.doc_length)
 
 
 def _sweep_trial(payload):
@@ -577,9 +574,7 @@ def cmd_scree(args):
         raise _UsageError(f"{args.data}: no mode {mode}: --ranks takes at most 2, got {len(ranks)}")
     start = time.perf_counter()
     y, doc_length = read_count_tensor(args.data)
-    for m, (k, n) in enumerate(zip(ranks, y.shape), start=1):
-        if not 1 <= k <= n:
-            raise _UsageError(f"{args.data}: mode {m} rank {k} lies outside [1, {n}]")
+    _check_file_ranks(args.data, ranks, y.shape)
     data = _vocabulary(y, ranks, doc_length, FitConfig.sparse_c_prime)
     bound, what = y.shape[mode - 1], "dimension"
     if mode == 3:
@@ -593,6 +588,15 @@ def cmd_scree(args):
     return _print_or_write(args.out, "scree", "scree", ("index", "eigenvalue"),
                            [[index + 1, float(value)] for index, value in enumerate(values)],
                            parameters, {"compute": time.perf_counter() - start})
+
+
+def _check_file_ranks(path, ranks, dims):
+    """Each rank positive and at most its dimension in the count file at ``path``, or a usage
+    error naming the file."""
+    try:
+        _check_ranks([_checked_int(f"mode {m} rank", k, 1) for m, k in enumerate(ranks, 1)], dims)
+    except DataFormatError as err:
+        raise _UsageError(f"{path}: {err}") from None
 
 
 # ------------------------------------------------------------------ parser

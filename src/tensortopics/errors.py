@@ -80,6 +80,13 @@ def _check_tucker_ranks(ranks):
             raise DataFormatError(f"mode {mode} rank {k} exceeds the projected span {span}")
 
 
+def _check_ranks(ranks, dims):
+    """Raise unless each rank of the first ``len(ranks)`` modes is at most its dimension."""
+    for mode, (k, n) in enumerate(zip(ranks, dims), start=1):
+        if k > n:
+            raise DataFormatError(f"mode {mode} rank {k} exceeds dimension {n}")
+
+
 def _check_mode(mode):
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")

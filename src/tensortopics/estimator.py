@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_tucker_ranks,
-                     _checked_int, _checked_real, _checked_triple, _stage)
+from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_ranks,
+                     _check_tucker_ranks, _checked_int, _checked_real, _checked_triple, _stage)
 from .simplex import clip_to_simplex, recover_weights, score_normalize, spa_vertex_hunt
-from .spectral import _mode_gram, hooi_refine, leading_eigvecs, word_basis, word_projection
+from .spectral import _left_singular, _mode_gram, hooi_refine, leading_eigvecs, word_projection
 from .tensor import DenseData, _data_word_sums, reconstruct
 
 _TOL = 1e-9  # how far TuckerModel.validate lets an entry fall below 0 or a sum miss 1
@@ -99,8 +99,8 @@ class FitConfig:
     the whole vocabulary; the default constant matches the recommended value
     for power-law vocabularies and is far below any uniform word frequency at
     desk scales.  Field types are checked, not coerced: a string ``"false"``
-    is no boolean and ``2.5`` is no rank.
-    """
+    is no boolean and ``2.5`` is no rank.  The rank rules that need no data (the Tucker span,
+    two topics) are checked here, and ``fit`` checks the ranks against the data."""
 
     ranks: tuple
     doc_length: int
@@ -110,6 +110,9 @@ class FitConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", _checked_triple("ranks", self.ranks))
+        _check_tucker_ranks(self.ranks)
+        if self.ranks[2] < 2:
+            raise DataFormatError("word-mode recovery needs at least two topics")
         object.__setattr__(self, "doc_length", _checked_int("doc_length", self.doc_length, 1))
         if not isinstance(self.use_hooi, bool):
             raise DataFormatError(f"use_hooi must be a boolean, got {self.use_hooi!r}")
@@ -128,8 +131,8 @@ class FitResult:
     indices chosen as simplex vertices (word-mode entries are original word
     indices).  ``eigvals`` are the initial spectral step's leading eigenvalues of the
     mode-1 gram and of the mode-2 gram of the tensor projected on the mode-1 basis, each the
-    top of one full ``eigh``, and squared singular values of the word projection
-    (``word_basis``); a ``scree`` of a mode agrees with them bit for bit on their common prefix.
+    top of one full ``eigh``, and squared singular values of the word projection, from its one
+    SVD; a ``scree`` of a mode agrees with them bit for bit on their common prefix.
     """
 
     model: TuckerModel
@@ -163,18 +166,12 @@ def _threshold(word_sums, dims, doc_length, c_prime):
     return np.flatnonzero(word_sums / (n1 * n2) >= tau), bool(word_sums.any())
 
 
-def _vocabulary(y, ranks, doc_length, c_prime, tucker=False):
-    """The stages ``fit`` and ``scree`` share before the bases, for the first ``len(ranks)``
-    modes: the data check, the ranks against the dimensions (and, with ``tucker``, the fit's
-    rank rules) and the threshold.  Returns the tensor and its kept words as a ``DenseData``."""
+def _vocabulary(y, ranks, doc_length, c_prime):
+    """What ``fit``, ``scree`` and ``topic_resolution``'s halves run before the bases, for the
+    first ``len(ranks)`` modes: the data check, the ranks against the dimensions (the one check
+    of that rule on data) and the threshold.  Returns the data as a ``DenseData``."""
     y, word_sums = _data_word_sums(np.ascontiguousarray(y, dtype=float))
-    for mode, (k, n) in enumerate(zip(ranks, y.shape), start=1):
-        if k > n:
-            raise ValueError(f"mode {mode} rank {k} exceeds dimension {n}")
-    if tucker:
-        _check_tucker_ranks(ranks)
-        if ranks[2] < 2:
-            raise ValueError("word-mode recovery needs at least two topics")
+    _check_ranks(ranks, y.shape)
     vocab, has_mass = _threshold(word_sums, y.shape, doc_length, c_prime)
     if not has_mass:
         raise FitDegenerateError("vocabulary threshold: the data tensor holds no mass")
@@ -200,7 +197,7 @@ def _hosvd(data, ranks):
         with _stage("mode 3 basis"):
             p = word_projection(z, bases[1][0])
             del z  # freed before the word basis and the sweeps
-            bases.append(word_basis(p, ranks[2]))
+            bases.append(_left_singular(p, ranks[2]))
     return bases, p
 
 
@@ -254,7 +251,7 @@ def fit_core(p, xi3, v_hats, q0):
 
 
 def fit(y, cfg):
-    """Full pipeline: rank checks, threshold, spectral bases, vertex hunts, core.
+    """Full pipeline: ranks against the dimensions, threshold, spectral bases, vertex hunts, core.
 
     ``y`` is the frequency tensor (counts over ``cfg.doc_length``) or the exact mean tensor; it
     is never written to, and copied only if it is not C-ordered float.  A dropped word's slab
@@ -262,7 +259,7 @@ def fit(y, cfg):
     are zero.  Raises ``FitDegenerateError`` with the failing stage named when the data cannot
     support the requested ranks.
     """
-    data = _vocabulary(y, cfg.ranks, cfg.doc_length, cfg.sparse_c_prime, tucker=True)
+    data = _vocabulary(y, cfg.ranks, cfg.doc_length, cfg.sparse_c_prime)
     bases, p = _hosvd(data, cfg.ranks)
     xi, eigvals = zip(*bases)
     if cfg.use_hooi:

@@ -161,16 +161,14 @@ def topic_resolution(y, cfg, trials=20, rng=None, axis=1, splits=None):
     factors' columns by cosine similarity; the trial score is the median
     matched cosine.  Returns ``(median, interquartile range)`` of the trial
     scores.  Pass ``splits`` (one ``(first, second)`` index pair per trial)
-    to force the halves; otherwise ``rng`` shuffles the slices.
+    to force the halves; otherwise ``rng`` shuffles the slices.  A half with
+    fewer slices than its rank fails as its ``fit`` does.
     """
     if axis not in (1, 2):
         raise ValueError("splits run along mode 1 or mode 2")
     trials = _checked_int("trials", trials, 1)
     y = _data_word_sums(y)[0]
     n = y.shape[axis - 1]
-    if n // 2 < cfg.ranks[axis - 1]:
-        raise ValueError(
-            f"half of {n} slices cannot support rank {cfg.ranks[axis - 1]}")
     if splits is None:
         if rng is None:
             rng = np.random.default_rng(0)

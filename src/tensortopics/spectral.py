@@ -1,7 +1,7 @@
 """Spectral bases per tensor mode.
 
 A fit forms the mode-1 gram only, as a sequentially truncated HOSVD: the mode-2 basis comes
-from the gram of ``Z``, the tensor projected on the mode-1 basis, and ``word_basis`` from its
+from the gram of ``Z``, the tensor projected on the mode-1 basis, and the word basis from its
 ``word_projection``.  The projections keep too few of the multinomial sampling noise directions
 to bias a diagonal, so every gram is the plain one.  The data tensor is read only through a
 ``tensor.DenseData``, which hands it to ``build_q`` and forms ``hooi_refine``'s contractions.
@@ -102,16 +102,10 @@ def word_projection(z, xi2):
 
 def _left_singular(m, k):
     """The ``k`` leading left singular vectors of ``m`` unfolded to ``len(m)`` rows, signed as in
-    :func:`leading_eigvecs`, and their squared singular values: the one SVD of every basis."""
+    :func:`leading_eigvecs`, and their squared singular values: the one SVD of every basis, where
+    a dropped word's zero row of the :func:`word_projection` gives a row zero within rounding."""
     u, s, _ = np.linalg.svd(m.reshape(len(m), -1), full_matrices=False)
     return _fix_signs(u[:, :k]), s[:k] ** 2
-
-
-def word_basis(p, k3):
-    """The ``k3`` leading left singular vectors of the :func:`word_projection` ``p`` unfolded to
-    ``n3 x k1 k2``, signed as in :func:`leading_eigvecs`, and their squared singular values;
-    a zero row of ``p`` (a dropped word) gives a row zero within rounding."""
-    return _left_singular(p, k3)
 
 
 def hooi_refine(data, xi, p, iters):

@@ -34,8 +34,8 @@ from functools import cached_property
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .errors import (DataFormatError, _check_tucker_ranks, _checked_int, _checked_real,
-                     _checked_triple)
+from .errors import (DataFormatError, _check_ranks, _check_tucker_ranks, _checked_int,
+                     _checked_real, _checked_triple)
 from .estimator import TuckerModel
 from .tensor import _data_word_sums, _nonzero_records
 
@@ -132,7 +132,7 @@ class GenSpec:
     word row ``r`` by ``(r + 1) ** (-1 / zipf_q)`` before column
     normalization, giving power-law word frequencies; ``"uniform"`` draws
     plain uniform entries.  Field types are checked, not coerced: ``8.9`` is
-    no dimension.
+    no dimension.  Ranks obey the Tucker span rule, then their dimensions, in ``fit``'s words.
     """
 
     dims: tuple
@@ -147,10 +147,8 @@ class GenSpec:
     def __post_init__(self):
         object.__setattr__(self, "dims", _checked_triple("dims", self.dims))
         object.__setattr__(self, "ranks", _checked_triple("ranks", self.ranks))
-        if any(k > d for k, d in zip(self.ranks, self.dims)):
-            raise DataFormatError(
-                f"ranks {self.ranks} must lie in [1, dim] for dims {self.dims}")
         _check_tucker_ranks(self.ranks)
+        _check_ranks(self.ranks, self.dims)
         object.__setattr__(self, "doc_length", _checked_int("doc_length", self.doc_length, 1))
         object.__setattr__(self, "seed", _checked_int("seed", self.seed, 0))
         if self.anchor_mode not in _ANCHOR_MODES:

@@ -172,7 +172,7 @@ def hooi_reprojecting_reference(data, xi, p, iters, mode2_by_tensordot=False):
     final bases is formed once more after the last sweep.  Returns the bases
     and that projection, the reference the carried projection is held to bit
     for bit."""
-    from tensortopics.spectral import _fix_signs, word_basis
+    from tensortopics.spectral import _fix_signs, _left_singular
 
     xi = tuple(xi)
     for _ in range(iters):
@@ -180,7 +180,7 @@ def hooi_reprojecting_reference(data, xi, p, iters, mode2_by_tensordot=False):
         projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
                      np.tensordot(by_word, xi[0], axes=([1], [0])).transpose(1, 2, 0)
                      if mode2_by_tensordot else np.matmul(xi[0].T, by_word).transpose(2, 0, 1)]
-        word = word_basis(start_projection(data, xi), xi[2].shape[1])[0]
+        word = _left_singular(start_projection(data, xi), xi[2].shape[1])[0]
         xi = (*(_fix_signs(np.linalg.svd(m.reshape(len(m), -1), full_matrices=False)[0][:, :k])
                 for m, k in zip(projected, (x.shape[1] for x in xi))), word)
     return xi, start_projection(data, xi)

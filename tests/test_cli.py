@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tensortopics import GenSpec, cli, estimator, generate, synth
+from tensortopics import FitConfig, GenSpec, cli, estimator, fit, generate, scree, synth
 from tensortopics.cli import (
     build_parser,
     derive_seed,
@@ -424,6 +424,27 @@ def test_generate_of_a_spec_too_big_to_draw_exits_3_naming_the_spec(tmp_path, ca
     assert capsys.readouterr().err == \
         f"data error: {spec}: count draw: too big to allocate: {numpy_text}\n"
     assert not (tmp_path / "g.truth.json").exists()
+
+
+def test_a_failed_generate_leaves_the_output_directory_as_it_was(tmp_path, capsys,
+                                                                  monkeypatch):
+    """A draw that fails after its first block of records is written exits 3 and leaves no
+    count file that ``fit`` would read as a short corpus, no truth file and no temporary
+    file: the directory holds what it held before."""
+    token_records = synth._token_records
+
+    def failing_second_block(*args):
+        blocks = token_records(*args)
+        yield next(blocks)
+        raise MemoryError
+
+    monkeypatch.setattr(synth, "_token_records", failing_second_block)
+    spec = _spec_file(tmp_path, doc_length=30)
+    before = sorted(tmp_path.iterdir())
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")]) == 3
+    assert capsys.readouterr().err == f"data error: {spec}: count draw: too big to allocate\n"
+    assert not (tmp_path / "g.counts.txt").exists()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def _generate_files(spec, out):
@@ -853,8 +874,8 @@ def test_rank_beyond_projected_span_is_exit_3_with_or_without_hooi(tmp_path, cap
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
-@pytest.mark.parametrize("ranks, mode, dim", [((9, 2, 3), 1, 8), ((2, 7, 3), 2, 6),
-                                              ((2, 2, 21), 3, 20)])
+@pytest.mark.parametrize("ranks, mode, dim", [((9, 3, 3), 1, 8), ((3, 7, 3), 2, 6),
+                                              ((4, 6, 21), 3, 20)])
 def test_rank_above_the_dimension_is_usage_error_naming_the_file(tmp_path, capsys, via,
                                                                   ranks, mode, dim):
     data = _tiny_counts(tmp_path)
@@ -869,6 +890,74 @@ def test_rank_above_the_dimension_is_usage_error_naming_the_file(tmp_path, capsy
     assert capsys.readouterr().err == \
         f"usage error: {data}: mode {mode} rank {value} exceeds dimension {dim}\n"
     assert not (tmp_path / "f.model.json").exists()
+
+
+# ranks that break one rank rule each on the (8, 6, 20) tiny count file, and its one text
+_RANK_RULES = {
+    "span": ((5, 2, 2), "mode 1 rank 5 exceeds the projected span 4"),
+    "topics": ((2, 2, 1), "word-mode recovery needs at least two topics"),
+    "dimension": ((9, 3, 3), "mode 1 rank 9 exceeds dimension 8"),
+}
+
+
+@pytest.mark.parametrize("rule, entry", [
+    *(("span", entry) for entry in ("FitConfig", "GenSpec", "sweep", "generate", "cli fit")),
+    *(("topics", entry) for entry in ("FitConfig", "sweep", "cli fit")),
+    *(("dimension", entry) for entry in ("fit", "scree", "GenSpec", "generate", "cli fit",
+                                         "cli scree")),
+])
+def test_each_rank_rule_has_one_text_at_every_entry_point(tmp_path, capsys, monkeypatch,
+                                                          rule, entry):
+    """The rules that need no data fail where the config is built: a sweep cell before any
+    trial runs, CLI ``fit`` with exit 3.  The dimension rule fails when the data is read:
+    CLI ``fit`` and ``scree`` exit 2 naming the data file, ``generate`` 3 naming the spec."""
+    ranks, text = _RANK_RULES[rule]
+    data = _tiny_counts(tmp_path)
+    y = read_count_tensor(data)[0]
+    spec = {"dims": [8, 6, 20], "ranks": list(ranks), "doc_length": 30}
+
+    def raised(call, *args, **kwargs):
+        with pytest.raises(DataFormatError) as caught:
+            call(*args, **kwargs)
+        return str(caught.value)
+
+    def run(argv, code):
+        assert main(argv) == code
+        return capsys.readouterr().err
+
+    if entry == "FitConfig":
+        assert raised(FitConfig, ranks=ranks, doc_length=30) == text
+    elif entry == "GenSpec":
+        assert raised(GenSpec, **spec) == text
+    elif entry == "fit":
+        assert raised(fit, y, FitConfig(ranks=ranks, doc_length=30)) == text
+    elif entry == "scree":
+        assert raised(scree, y, ranks[:2], ranks[2], 30) == text
+    elif entry == "sweep":
+        def trial(job):
+            raise AssertionError("a trial ran before the grid was checked")
+
+        monkeypatch.setattr(cli, "_sweep_trial", trial)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"cells": [{**spec, "ranks": [2, 2, 2],
+                                               "fit": {"ranks": list(ranks)}}]}))
+        assert run(["sweep", "--grid", str(grid), "--out", str(tmp_path / "s")], 3) == \
+            f"data error: {grid}: cell 0: {text}\n"
+    elif entry == "generate":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run(["generate", "--spec", str(path), "--out", str(tmp_path / "g")], 3) == \
+            f"data error: {path}: {text}\n"
+    elif entry == "cli fit":
+        code, where = (2, f"usage error: {data}") if rule == "dimension" else \
+            (3, "data error: command line")
+        flags = ["--ranks", ",".join(map(str, ranks)), "--out", str(tmp_path / "f")]
+        assert run(["fit", "--data", str(data), *flags], code) == f"{where}: {text}\n"
+    else:
+        flags = ["--ranks", ",".join(map(str, ranks[:2])), "--kmax", str(ranks[2])]
+        assert run(["scree", "--data", str(data), *flags], 2) == \
+            f"usage error: {data}: {text}\n"
+    assert not list(tmp_path.glob("[fgs].*"))
 
 
 @pytest.mark.parametrize("mode, dim", [(1, 8), (2, 6), (3, 20), (3, 4)])
@@ -913,9 +1002,9 @@ def test_scree_checks_the_data_and_thresholds_once(tmp_path, monkeypatch, ranks,
 
 
 @pytest.mark.parametrize("ranks, message", [
-    ("9", "mode 1 rank 9 lies outside [1, 8]"),
-    ("2,7", "mode 2 rank 7 lies outside [1, 6]"),
-    ("0,2", "mode 1 rank 0 lies outside [1, 8]"),
+    ("9", "mode 1 rank 9 exceeds dimension 8"),
+    ("2,7", "mode 2 rank 7 exceeds dimension 6"),
+    ("0,2", "mode 1 rank must be a positive integer, got 0"),
     ("2,2,3", "no mode 4: --ranks takes at most 2, got 3"),
 ], ids=["mode-1", "mode-2", "not-positive", "three-ranks"])
 def test_scree_ranks_outside_their_bounds_are_usage_errors_naming_the_file(

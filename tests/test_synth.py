@@ -116,8 +116,8 @@ def test_spec_validation():
     # ranks (1, 2, 2) obey the Tucker rank rule, so each row fails for its own field
     with pytest.raises(DataFormatError, match="dims must be"):
         GenSpec(dims=(0, 3, 4), ranks=(1, 2, 2), doc_length=10)
-    with pytest.raises(DataFormatError, match=r"must lie in \[1, dim\]"):
-        GenSpec(dims=(4, 3, 4), ranks=(5, 1, 2), doc_length=10)
+    with pytest.raises(DataFormatError, match="^mode 1 rank 5 exceeds dimension 4$"):
+        GenSpec(dims=(4, 3, 4), ranks=(5, 3, 2), doc_length=10)
     with pytest.raises(DataFormatError, match="doc_length"):
         GenSpec(dims=(4, 3, 4), ranks=(1, 2, 2), doc_length=0)
     with pytest.raises(DataFormatError, match="dirichlet_alpha"):
