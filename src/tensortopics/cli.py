@@ -40,8 +40,8 @@ import numpy as np
 from . import __version__
 from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_ranks, _checked_int,
                      _checked_triple, _stage)
-from .estimator import FitConfig, TuckerModel, _hosvd, _vocabulary, fit
-from .metrics import evaluate
+from .estimator import FitConfig, TuckerModel, fit
+from .metrics import evaluate, scree
 from .tensor import _nonzero_records
 
 _EVAL_COLUMNS = ("loss_a1", "loss_a2", "loss_a3", "loss_g", "recon_l1")
@@ -315,7 +315,14 @@ def read_model(path):
     return model
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def write_manifest(path, command, parameters, outputs, stage_seconds):
+    """Write the manifest.  Its ``versions`` name what a replay must match to be bit-identical:
+    the libraries, numpy's BLAS, the BLAS thread-count variables (``null`` when unset) and the
+    CPUs this process may run on, which bound the BLAS threads."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     payload = {
         "command": command,
         "parameters": parameters,
@@ -325,6 +332,10 @@ def write_manifest(path, command, parameters, outputs, stage_seconds):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "tensortopics": __version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+            "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
         },
     }
     _write_json(path, payload)
@@ -460,6 +471,9 @@ def cmd_fit(args):
         "eigvals": {f"mode{m + 1}": [float(v) for v in result.eigvals[m]]
                     for m in range(3)},
     }
+    if result.hooi_energy:
+        diagnostics["hooi"] = {"sweeps": len(result.hooi_energy) - 1,
+                               "energy": list(result.hooi_energy)}
     _write_json(diag_path, diagnostics)
     written = time.perf_counter()
     parameters = {"data": str(args.data), "doc_length": doc_length, **asdict(cfg)}
@@ -574,17 +588,10 @@ def cmd_scree(args):
         raise _UsageError(f"{args.data}: no mode {mode}: --ranks takes at most 2, got {len(ranks)}")
     start = time.perf_counter()
     y, doc_length = read_count_tensor(args.data)
-    _check_file_ranks(args.data, ranks, y.shape)
-    data = _vocabulary(y, ranks, doc_length, FitConfig.sparse_c_prime)
-    bound, what = y.shape[mode - 1], "dimension"
-    if mode == 3:
-        kept = data.vocab.size
-        bound, what = min(kept, ranks[0] * ranks[1]), f"min({kept} kept words, K1*K2) ="
-    k_max = args.kmax if args.kmax is not None else bound
-    if k_max > bound:
-        raise _UsageError(f"{args.data}: mode {mode} --kmax {k_max} exceeds {what} {bound}")
-    values = _hosvd(data, (*ranks, k_max))[0][-1][1]
-    parameters = {"data": str(args.data), "ranks": list(ranks), "mode": mode, "k_max": k_max}
+    _check_file_ranks(args.data, ranks if args.kmax is None else (*ranks, args.kmax), y.shape)
+    values = scree(y, ranks, args.kmax, doc_length)
+    parameters = {"data": str(args.data), "ranks": list(ranks), "mode": mode,
+                  "k_max": len(values)}
     return _print_or_write(args.out, "scree", "scree", ("index", "eigenvalue"),
                            [[index + 1, float(value)] for index, value in enumerate(values)],
                            parameters, {"compute": time.perf_counter() - start})

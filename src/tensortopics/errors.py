@@ -71,13 +71,18 @@ def _checked_triple(name, value):
     return tuple(int(v) for v in entries)
 
 
+def _check_span(mode, k, span):
+    """Raise unless the mode's rank ``k`` is at most ``span``, the product of the other two
+    ranks: no Tucker core has a larger mode rank."""
+    if k > span:
+        raise DataFormatError(f"mode {mode} rank {k} exceeds the projected span {span}")
+
+
 def _check_tucker_ranks(ranks):
-    """Raise unless each mode rank is at most the product of the other two:
-    no ``K1 x K2 x K3`` Tucker core has a larger mode rank."""
+    """Raise unless each mode rank is at most the product of the other two."""
     k1, k2, k3 = ranks
     for mode, k, span in ((1, k1, k2 * k3), (2, k2, k1 * k3), (3, k3, k1 * k2)):
-        if k > span:
-            raise DataFormatError(f"mode {mode} rank {k} exceeds the projected span {span}")
+        _check_span(mode, k, span)
 
 
 def _check_ranks(ranks, dims):

@@ -6,8 +6,9 @@ One fit runs four stages:
    average frequency falls below the sparsity threshold (``threshold_vocab``);
 2. take the leading eigenvector basis of the mode-1 gram, the mode-2 basis of the tensor
    projected on it, and the word basis of the tensor projected on both (a sequentially
-   truncated HOSVD), optionally refined by power sweeps (``spectral``), reading the tensor
-   and its kept words only through ``tensor.DenseData``;
+   truncated HOSVD), optionally refined by power sweeps until the energy the bases capture
+   settles (``spectral``), reading the tensor and its kept words only through
+   ``tensor.DenseData``;
 3. hunt simplex vertices in each basis row cloud and solve for memberships;
    the word mode first passes to ratio coordinates, and the recovered
    weights are rescaled by the leading eigenvector and normalized per topic
@@ -99,8 +100,10 @@ class FitConfig:
     the whole vocabulary; the default constant matches the recommended value
     for power-law vocabularies and is far below any uniform word frequency at
     desk scales.  Field types are checked, not coerced: a string ``"false"``
-    is no boolean and ``2.5`` is no rank.  The rank rules that need no data (the Tucker span,
-    two topics) are checked here, and ``fit`` checks the ranks against the data."""
+    is no boolean and ``2.5`` is no rank.  ``hooi_iters`` caps the HOOI sweeps, which stop
+    sooner once the captured energy settles (``spectral.hooi_refine``).  The rank rules that
+    need no data (the Tucker span, two topics) are checked here, and ``fit`` checks the ranks
+    against the data."""
 
     ranks: tuple
     doc_length: int
@@ -133,6 +136,8 @@ class FitResult:
     mode-1 gram and of the mode-2 gram of the tensor projected on the mode-1 basis, each the
     top of one full ``eigh``, and squared singular values of the word projection, from its one
     SVD; a ``scree`` of a mode agrees with them bit for bit on their common prefix.
+    ``hooi_energy`` holds the captured energy ``||xi3^T P||^2`` of the spectral bases and after
+    each HOOI sweep run, ``(e_0, ..., e_s)``, so ``s`` sweeps ran; it is empty without HOOI.
     """
 
     model: TuckerModel
@@ -140,6 +145,7 @@ class FitResult:
     q0: np.ndarray
     vertices: tuple
     eigvals: tuple
+    hooi_energy: tuple
 
 
 def threshold_vocab(y, doc_length, c_prime):
@@ -254,16 +260,17 @@ def fit(y, cfg):
     """Full pipeline: ranks against the dimensions, threshold, spectral bases, vertex hunts, core.
 
     ``y`` is the frequency tensor (counts over ``cfg.doc_length``) or the exact mean tensor; it
-    is never written to, and copied only if it is not C-ordered float.  A dropped word's slab
-    gram is taken off the mode-1 gram, and its columns of the projection on the mode-1 basis
-    are zero.  Raises ``FitDegenerateError`` with the failing stage named when the data cannot
-    support the requested ranks.
+    is never written to, and copied only if it is not C-ordered float.  The mode-1 gram leaves
+    a dropped word's slab out (``tensor.DenseData``), and its columns of the projection on the
+    mode-1 basis are zero.  Raises ``FitDegenerateError`` with the failing stage named when the
+    data cannot support the requested ranks.
     """
     data = _vocabulary(y, cfg.ranks, cfg.doc_length, cfg.sparse_c_prime)
     bases, p = _hosvd(data, cfg.ranks)
     xi, eigvals = zip(*bases)
+    energy = ()
     if cfg.use_hooi:
-        xi, p = hooi_refine(data, xi, p, cfg.hooi_iters)
+        xi, p, energy = hooi_refine(data, xi, p, cfg.hooi_iters)
 
     a1, hunt1 = _membership_from_basis(xi[0], "mode 1 membership")
     a2, hunt2 = _membership_from_basis(xi[1], "mode 2 membership")
@@ -271,4 +278,5 @@ def fit(y, cfg):
     with _stage("core"):
         g = fit_core(p, xi[2], (hunt1.v, hunt2.v, v3_star), q0)
     return FitResult(model=TuckerModel(a1=a1, a2=a2, a3=a3, g=g), vocab=data.vocab, q0=q0,
-                     vertices=(hunt1.indices, hunt2.indices, word_vertices), eigvals=eigvals)
+                     vertices=(hunt1.indices, hunt2.indices, word_vertices), eigvals=eigvals,
+                     hooi_energy=energy)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _checked_int
+from .errors import _check_span, _checked_int
 from .estimator import FitConfig, _hosvd, _vocabulary, fit
 from .tensor import _data_word_sums, reconstruct
 
@@ -197,14 +197,19 @@ def scree(y, ranks, k_max, doc_length):
     included, so the spectrum it returns and the one a fit at these ranks reports in
     ``FitResult.eigvals`` agree bit for bit on their common prefix, and it fails as
     ``fit`` does.  ``k_max`` is at most ``n1`` for mode 1, ``n2`` for mode 2, and for mode 3
-    both the kept words and ``K1 K2``.  A knee in the sequence suggests the mode's rank.
+    both the kept words and ``K1 K2``: the span rule, checked before the data; ``None``
+    takes that bound.  A knee in the sequence suggests the mode's rank.
     """
     if not isinstance(ranks, (tuple, list)) or len(ranks) > 2:
         raise ValueError(f"ranks must hold the fit ranks of at most two modes, got {ranks!r}")
+    # one tuple and nothing else left behind: scree traces no more than fit does
     ranks = (*(_checked_int(f"mode {mode} rank", k, 1) for mode, k in enumerate(ranks, start=1)),
-             _checked_int("k_max", k_max, 1))  # one tuple: scree traces no more than fit does
+             *([] if k_max is None else [_checked_int("k_max", k_max, 1)]))
     doc_length = _checked_int("doc_length", doc_length, 1)
-    if len(ranks) == 3 and ranks[2] > ranks[0] * ranks[1]:
-        raise ValueError(f"mode 3 k_max {ranks[2]} exceeds the projected span "
-                         f"{ranks[0] * ranks[1]}")
-    return _hosvd(_vocabulary(y, ranks, doc_length, FitConfig.sparse_c_prime), ranks)[0][-1][1]
+    if len(ranks) == 3:
+        _check_span(3, ranks[2], ranks[0] * ranks[1])
+    data = _vocabulary(y, ranks, doc_length, FitConfig.sparse_c_prime)
+    if k_max is None:  # the bound
+        ranks = (*ranks, min(data.vocab.size, ranks[0] * ranks[1]) if len(ranks) == 2
+                 else data.y.shape[len(ranks)])
+    return _hosvd(data, ranks)[0][-1][1]

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import DataFormatError, _all_finite, _check_mode, _stage
 
+_HOOI_TOL = 1e-6  # a HOOI sweep after the first that gains at most this share of energy is the last
+
+
 def _gram(m):
     """Gram matrix of ``m``, exactly symmetric: ``m @ m.T`` of a matrix, or the sum of the
     slab grams ``m[:, s, :] @ m[:, s, :].T`` of a tensor with the mode's axis first, read
@@ -108,8 +111,16 @@ def _left_singular(m, k):
     return _fix_signs(u[:, :k]), s[:k] ** 2
 
 
+def _captured_energy(xi3, p):
+    """``e = ||xi3^T P||^2`` of the word projection ``p``, unfolded to ``n3 x k1 k2``: the energy
+    of the tensor that the three bases capture, which each HOOI sweep raises."""
+    core = xi3.T @ p.reshape(len(p), -1)
+    return float(np.vdot(core, core))
+
+
 def hooi_refine(data, xi, p, iters):
-    """Power-iteration refinement of all three bases; returns them and their word projection.
+    """Power-iteration refinement of all three bases; returns them, their word projection and
+    the captured energies ``(e_0, ..., e_s)`` of the start and of each of the ``s`` sweeps run.
 
     ``data`` is the fit's ``tensor.DenseData``, ``xi`` one orthonormal ``(n_a, k_a)`` basis per
     mode and ``p`` the word projection of its first two.  Each sweep takes fresh leading left
@@ -117,10 +128,13 @@ def hooi_refine(data, xi, p, iters):
     three updates read the same iterate: mode 3 from the carried ``p``, modes 1 and 2 from
     their shared word contraction, read in place.  The sweep ends with the word projection of
     its new bases, so it reads the tensor twice and holds one contraction-sized array at a
-    time.  Signs follow :func:`leading_eigvecs`; inputs are taken as ``fit`` checks them.
-    Sweep ``s`` is the stage ``HOOI sweep s``, and its SVDs ``HOOI sweep s, mode m basis``.
+    time.  ``iters`` caps the sweeps: from the second on, a sweep whose energy gain is at most
+    ``_HOOI_TOL`` of its energy is the last.  Signs follow :func:`leading_eigvecs`; inputs are
+    taken as ``fit`` checks them.  Sweep ``s`` is the stage ``HOOI sweep s``, and its SVDs
+    ``HOOI sweep s, mode m basis``.
     """
     xi, ranks = tuple(xi), [x.shape[1] for x in xi]
+    energy = [_captured_energy(xi[2], p)]
     for sweep in range(1, iters + 1):
         with _stage(f"HOOI sweep {sweep}"):
             by_word = data.word_contraction(xi[2])  # (k3, n1, n2)
@@ -133,4 +147,7 @@ def hooi_refine(data, xi, p, iters):
                     bases.append(_left_singular(m, k)[0])
             xi = tuple(bases)
             p = word_projection(data.mode1_projection(xi[0]), xi[1])
-    return xi, p
+            energy.append(_captured_energy(xi[2], p))
+        if sweep > 1 and energy[-1] - energy[-2] <= _HOOI_TOL * energy[-1]:
+            break
+    return xi, p, tuple(energy)

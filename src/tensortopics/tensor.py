@@ -91,8 +91,8 @@ def _data_word_sums(y):
 
 class DenseData:
     """A fit's data tensor ``y``, checked and C-ordered, read in place, and ``vocab``, the words
-    its threshold kept.  A dropped word's slab gram is taken off the mode-1 gram and its columns
-    of ``Z`` are zero, so the mode-2 gram and the word projection of ``Z`` leave it out too."""
+    its threshold kept.  The mode-1 gram leaves a dropped word's slab out and its columns of
+    ``Z`` are zero, so the mode-2 gram and the word projection of ``Z`` leave it out too."""
 
     __slots__ = ("y", "vocab", "_dropped")
 
@@ -101,7 +101,11 @@ class DenseData:
         self._dropped = np.setdiff1d(np.arange(y.shape[2]), vocab)
 
     def mode1_gram(self):
-        """The mode-1 gram by ``spectral.build_q``, less each dropped word's slab gram."""
+        """The mode-1 gram by ``spectral.build_q``: of the whole tensor less each dropped word's
+        slab gram, or, where fewer words are kept than dropped, of a copy of the kept words'
+        slabs, which is less work and at most half the tensor's size."""
+        if self.vocab.size < self._dropped.size:
+            return _mode_gram(np.take(self.y, self.vocab, axis=2), 1)
         return _mode_gram(self.y, 1, (self.y[:, :, word] for word in self._dropped))
 
     def mode1_projection(self, xi1):

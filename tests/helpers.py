@@ -186,6 +186,14 @@ def hooi_reprojecting_reference(data, xi, p, iters, mode2_by_tensordot=False):
     return xi, start_projection(data, xi)
 
 
+def at_sweeps(reference, sweeps):
+    """A stand-in for ``hooi_refine`` that runs the reference sweeps ``reference`` for the
+    ``sweeps`` a fit reported, whatever cap it is handed; it reports no energies."""
+    def refine(data, xi, p, iters):
+        return (*reference(data, xi, p, sweeps), ())
+    return refine
+
+
 # Per mode: the other two modes, and the contraction of the tensor with their
 # bases that keeps this mode's axis first.
 _PROJECTIONS = {

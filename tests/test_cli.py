@@ -4,6 +4,7 @@ driven in-process through main()."""
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
 import tempfile
@@ -656,6 +657,31 @@ def test_fit_config_file_with_flag_override(tmp_path):
     assert manifest["parameters"]["sparse_c_prime"] == 0.01
 
 
+def test_hooi_fit_writes_its_sweeps_and_energies_and_the_manifest_names_the_blas(
+        tmp_path, monkeypatch):
+    """A HOOI fit's diagnostics hold the sweeps it ran and the captured energies of
+    ``FitResult.hooi_energy``.  Its manifest names numpy's BLAS, the BLAS thread-count
+    variables (null when unset) and the usable CPUs, which a bit-identical replay must match."""
+    spec = _spec_file(tmp_path, dims=[15, 8, 30], doc_length=100)
+    main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    assert main(["fit", "--data", str(tmp_path / "g.counts.txt"), "--ranks", "2,2,3",
+                 "--hooi", "5", "--out", str(tmp_path / "f")]) == 0
+    y, doc_length = read_count_tensor(tmp_path / "g.counts.txt")
+    energy = fit(y, FitConfig(ranks=(2, 2, 3), doc_length=doc_length, use_hooi=True)).hooi_energy
+    assert 2 <= len(energy) <= 6
+    diag = json.loads((tmp_path / "f.diagnostics.json").read_text())
+    assert diag["hooi"] == {"sweeps": len(energy) - 1, "energy": list(energy)}
+    versions = json.loads((tmp_path / "f.manifest.json").read_text())["versions"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert versions["blas"] == f"{blas['name']} {blas['version']}"
+    assert versions["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                        "MKL_NUM_THREADS": "2"}
+    assert versions["cpus"] == len(os.sched_getaffinity(0))
+
+
 def test_sweep_writes_deterministic_tables(tmp_path):
     grid = {
         "seed": 3,
@@ -960,31 +986,54 @@ def test_each_rank_rule_has_one_text_at_every_entry_point(tmp_path, capsys, monk
     assert not list(tmp_path.glob("[fgs].*"))
 
 
-@pytest.mark.parametrize("mode, dim", [(1, 8), (2, 6), (3, 20), (3, 4)])
+@pytest.mark.parametrize("mode, dim", [(1, 8), (2, 6), (3, 20)])
 def test_scree_kmax_above_the_dimension_is_usage_error_naming_the_file(tmp_path, capsys,
                                                                         mode, dim):
-    """``--kmax`` is at most the screened mode's dimension for modes 1 and 2,
-    and for mode 3 at most the kept words (all 20 here) and ``K1 K2``."""
+    """``--kmax`` is at most the screened mode's dimension, checked with the ranks and in the
+    same text; for mode 3 it is also at most the kept words (all 20 here) and ``K1 K2``."""
     data = _tiny_counts(tmp_path)
-    ranks = {(1, 8): [], (2, 6): ["--ranks", "2"], (3, 20): ["--ranks", "4,6"],
-             (3, 4): ["--ranks", "2,2"]}[mode, dim]
+    ranks = {1: [], 2: ["--ranks", "2"], 3: ["--ranks", "4,6"]}[mode]
     scree = ["scree", "--data", str(data), *ranks, "--out", str(tmp_path / "s")]
     assert main([*scree, "--kmax", str(dim + 1)]) == 2
-    bound = "dimension" if mode < 3 else "min(20 kept words, K1*K2) ="
     assert capsys.readouterr().err == \
-        f"usage error: {data}: mode {mode} --kmax {dim + 1} exceeds {bound} {dim}\n"
+        f"usage error: {data}: mode {mode} rank {dim + 1} exceeds dimension {dim}\n"
     assert main([*scree, "--kmax", str(dim)]) == 0
     assert main(scree) == 0  # the bound is the default
     assert len((tmp_path / "s.scree.csv").read_text().splitlines()) == dim + 1
 
 
+def test_scree_kmax_above_k1_k2_breaks_the_span_rule_with_exit_3(tmp_path, capsys):
+    """Mode 3's ``--kmax`` is a word-mode rank, so above ``K1 K2`` it breaks the span rule, in
+    that rule's one text, before the data is checked; ``K1 K2`` is the default here."""
+    data = _tiny_counts(tmp_path)
+    scree = ["scree", "--data", str(data), "--ranks", "2,2", "--out", str(tmp_path / "s")]
+    assert main([*scree, "--kmax", "5"]) == 3
+    assert capsys.readouterr().err == "data error: mode 3 rank 5 exceeds the projected span 4\n"
+    assert not (tmp_path / "s.scree.csv").exists()
+    assert main(scree) == 0
+    assert len((tmp_path / "s.scree.csv").read_text().splitlines()) == 4 + 1
+
+
+def test_scree_kmax_above_the_kept_words_is_the_fits_degenerate_vocabulary(tmp_path, capsys):
+    """Mode 3's ``--kmax`` above the kept words is refused by the vocabulary threshold in the
+    fit's text, with exit 4; the kept words bound the default."""
+    data = _three_word_counts(tmp_path)
+    scree = ["scree", "--data", str(data), "--ranks", "2,2", "--out", str(tmp_path / "s")]
+    assert main([*scree, "--kmax", "4"]) == 4
+    assert capsys.readouterr().err == "degenerate fit: vocabulary threshold: kept 3 of 20 " \
+                                      "words, fewer than the 4 requested topics\n"
+    assert main(scree) == 0
+    assert len((tmp_path / "s.scree.csv").read_text().splitlines()) == 3 + 1
+
+
 @pytest.mark.parametrize("ranks, kmax, code", [([], "8", 0), (["--ranks", "2"], "6", 0),
                                              (["--ranks", "2,2"], "4", 0),
-                                             (["--ranks", "2,2"], "5", 2)],
+                                             (["--ranks", "2,2"], "4", 4)],
                          ids=["mode-1", "mode-2", "mode-3", "mode-3-kmax-too-big"])
 def test_scree_checks_the_data_and_thresholds_once(tmp_path, monkeypatch, ranks, kmax, code):
     """scree bounds mode 3's ``--kmax`` by the kept words from the same data
-    check and threshold that its spectrum takes: one of each per call."""
+    check and threshold that its spectrum takes: one of each per call.  In the
+    last case the threshold keeps 3 of the 20 words."""
     calls = {"check": 0, "threshold": 0}
 
     def counted(name, function):
@@ -996,7 +1045,7 @@ def test_scree_checks_the_data_and_thresholds_once(tmp_path, monkeypatch, ranks,
     monkeypatch.setattr(estimator, "_data_word_sums",
                         counted("check", estimator._data_word_sums))
     monkeypatch.setattr(estimator, "_threshold", counted("threshold", estimator._threshold))
-    data = _tiny_counts(tmp_path)
+    data = _three_word_counts(tmp_path) if code else _tiny_counts(tmp_path)
     assert main(["scree", "--data", str(data), *ranks, "--kmax", kmax]) == code
     assert calls == {"check": 1, "threshold": 1}
 
@@ -1076,6 +1125,15 @@ def _tiny_counts(tmp_path):
     inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82)
     path = tmp_path / "tiny.counts.txt"
     write_count_tensor(path, inst.counts, 30)
+    return path
+
+
+def _three_word_counts(tmp_path):
+    """The tiny count file with only its first 3 words left, which the threshold keeps."""
+    counts = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82).counts
+    counts[:, :, 3:] = 0
+    path = tmp_path / "three.counts.txt"
+    write_count_tensor(path, counts, 30)
     return path
 
 

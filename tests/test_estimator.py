@@ -35,8 +35,9 @@ from tensortopics.estimator import fit_core
 from tensortopics.simplex import clip_to_simplex
 from tensortopics.tensor import _data_word_sums as data_word_sums
 
-from helpers import (arpack_pairs, hooi_reprojecting_reference, hooi_tensordot_reference, kept_data,
-                     layouts, planted, run_fresh, start_projection, traced_peak, word_gram)
+from helpers import (arpack_pairs, at_sweeps, hooi_reprojecting_reference, hooi_tensordot_reference,
+                     kept_data, layouts, planted, run_fresh, start_projection, traced_peak,
+                     word_gram)
 
 
 def _oracle_cfg(ranks, doc_length):
@@ -779,7 +780,8 @@ def test_fit_reads_its_tensor_only_through_the_data(use_hooi, iters, monkeypatch
 
     monkeypatch.setattr(spectral, "build_q", recorded)
     res = fit(y, FitConfig(ranks=(2, 2, 3), doc_length=100, use_hooi=use_hooi, hooi_iters=iters))
-    sweeps = iters if use_hooi else 0
+    sweeps = max(len(res.hooi_energy) - 1, 0)  # the sweeps the fit reports, at most iters
+    assert sweeps <= (iters if use_hooi else 0)
     assert calls == {"check": 1, "mode1_gram": 1, "mode1_projection": 1 + sweeps,
                      "word_contraction": sweeps}
     dropped = np.setdiff1d(np.arange(300), res.vocab)
@@ -818,7 +820,9 @@ def _word_gram_start(y, doc_length):
 def test_hooi_from_the_projected_start_drifts_from_the_word_gram_start_below_1e_4(monkeypatch):
     """Five HOOI sweeps from either word basis reach the same fit: on the
     corpus-dense-hooi instance the factors and core agree within 1e-4 per
-    entry (4.2e-5 at this seed, the largest over seeds 0-5)."""
+    entry (4.2e-5 at this seed, the largest over seeds 0-5).  The stop rule is
+    off, so both fits run to the cap."""
+    monkeypatch.setattr(spectral, "_HOOI_TOL", -np.inf)
     inst = planted((200, 150, 400), (4, 3, 6), doc_length=2000, seed=4)
     cfg = FitConfig(ranks=(4, 3, 6), doc_length=2000, use_hooi=True, hooi_iters=5)
     projected = fit(inst.y, cfg).model
@@ -896,7 +900,9 @@ def _two_gram_start(monkeypatch):
 def test_hooi_from_the_projected_mode_2_start_drifts_from_the_two_gram_start_below_1e_5(
         seed, monkeypatch):
     """Five HOOI sweeps from either mode-2 basis reach the same
-    corpus-dense-hooi fit: factors and core agree within 1e-5 per entry."""
+    corpus-dense-hooi fit: factors and core agree within 1e-5 per entry.  The
+    stop rule is off, so both fits run to the cap."""
+    monkeypatch.setattr(spectral, "_HOOI_TOL", -np.inf)
     inst = planted((200, 150, 400), (4, 3, 6), doc_length=2000, seed=seed)
     cfg = FitConfig(ranks=(4, 3, 6), doc_length=2000, use_hooi=True, hooi_iters=5)
     projected = fit(inst.y, cfg).model
@@ -914,12 +920,14 @@ def test_hooi_fit_drifts_at_most_1e12_from_the_tensordot_mode_2_contraction(
         dims, ranks, doc_length, seed, monkeypatch):
     """Mode 2 of a sweep reads the shared word contraction in place by a
     batched GEMM, not through the transposed copy ``tensordot`` made: with
-    five sweeps the benchmark instances fit within 1e-12 per entry of the
-    ``tensordot`` path (2.3e-15 at most), keeping the same words and vertices."""
+    the sweeps the fit ran (at most five) the benchmark instances fit within
+    1e-12 per entry of the ``tensordot`` path run for as many sweeps (2.3e-15
+    at most), keeping the same words and vertices."""
     y = planted(dims, ranks, doc_length=doc_length, seed=seed).y
     cfg = FitConfig(ranks=ranks, doc_length=doc_length, use_hooi=True, hooi_iters=5)
     ours = fit(y, cfg)
-    monkeypatch.setattr(estimator, "hooi_refine", hooi_tensordot_reference)
+    monkeypatch.setattr(estimator, "hooi_refine",
+                        at_sweeps(hooi_tensordot_reference, len(ours.hooi_energy) - 1))
     reference = fit(y, cfg)
     for name in ("a1", "a2", "a3", "g"):
         assert np.abs(getattr(ours.model, name) - getattr(reference.model, name)).max() <= 1e-12
@@ -998,7 +1006,7 @@ def test_hooi_fit_carrying_the_word_projection_is_bit_identical_to_reprojecting(
     """Sweep 1's mode-3 update re-projected the tensor on the spectral bases and
     returned the spectral word basis bit for bit, and the fit projected once more
     after the last sweep.  Carrying the word projection through the sweeps
-    leaves every bit of a five-sweep fit as it was."""
+    leaves every bit of a fit of up to five sweeps as it was at the same sweeps."""
     y = planted(dims, ranks, doc_length=doc_length, seed=1).y
     cfg = FitConfig(ranks=ranks, doc_length=doc_length, use_hooi=True, hooi_iters=5)
     data = estimator._vocabulary(y, ranks, doc_length, cfg.sparse_c_prime)
@@ -1006,8 +1014,67 @@ def test_hooi_fit_carrying_the_word_projection_is_bit_identical_to_reprojecting(
     xi = tuple(basis for basis, _ in bases)
     np.testing.assert_array_equal(spectral.hooi_refine(data, xi, p, 1)[0][2], xi[2])
     ours = fit(y, cfg)
-    monkeypatch.setattr(estimator, "hooi_refine", hooi_reprojecting_reference)
+    monkeypatch.setattr(estimator, "hooi_refine",
+                        at_sweeps(hooi_reprojecting_reference, len(ours.hooi_energy) - 1))
     _assert_same_fit(ours, fit(y, cfg))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_hooi_that_stops_early_drifts_from_the_five_sweep_fit_below_5e_3(seed, monkeypatch):
+    """On corpus-dense-hooi the captured energy settles after two sweeps (its
+    second gain is below 1e-6 of it), so the fit stops there.  It keeps the
+    words and vertices of the fit that runs all five sweeps, its factors and
+    core lie within 5e-3 per entry of that fit's (3.3e-3 at most, in ``a1``),
+    and its ``recon_l1`` within 0.1 %."""
+    inst = planted((200, 150, 400), (4, 3, 6), doc_length=2000, seed=seed)
+    cfg = FitConfig(ranks=(4, 3, 6), doc_length=2000, use_hooi=True, hooi_iters=5)
+    early = fit(inst.y, cfg)
+    monkeypatch.setattr(spectral, "_HOOI_TOL", -np.inf)
+    full = fit(inst.y, cfg)
+    assert len(early.hooi_energy) == 3 and len(full.hooi_energy) == 6
+    assert early.hooi_energy == full.hooi_energy[:3]
+    np.testing.assert_array_equal(early.vocab, full.vocab)
+    for got, want in zip(early.vertices, full.vertices):
+        np.testing.assert_array_equal(got, want)
+    for name in ("a1", "a2", "a3", "g"):
+        assert np.abs(getattr(early.model, name) - getattr(full.model, name)).max() <= 5e-3, name
+    early_l1, full_l1 = (evaluate(r.model, inst.model).recon_l1 for r in (early, full))
+    assert abs(early_l1 - full_l1) <= 1e-3 * full_l1
+
+
+def test_hooi_that_runs_to_its_cap_is_bit_identical_to_fixed_sweeps():
+    """Where every sweep gains more than ``_HOOI_TOL`` of the captured energy
+    (at least 2e-4 here), the cap binds: the bases and word projection equal
+    those of five sweeps run with no stop rule, bit for bit.  The energies
+    rise, start at the word projection's captured spectrum and end at
+    ``||Y x1 xi1^T x2 xi2^T x3 xi3^T||^2`` of the kept words, within 1e-12."""
+    ranks = (2, 2, 3)
+    y = planted((40, 30, 300), ranks, doc_length=100, seed=1).y
+    data = estimator._vocabulary(y, ranks, 100, FitConfig.sparse_c_prime)
+    bases, p = estimator._hosvd(data, ranks)
+    xi = tuple(basis for basis, _ in bases)
+    got_xi, got_p, energy = spectral.hooi_refine(data, xi, p, 5)
+    assert len(energy) == 6
+    assert np.all(np.diff(energy) > spectral._HOOI_TOL * np.asarray(energy[1:]))
+    want_xi, want_p = hooi_reprojecting_reference(data, xi, p, 5)
+    for got, want in zip((*got_xi, got_p), (*want_xi, want_p)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(energy[0], bases[2][1].sum(), rtol=1e-12)
+    kept = data.vocab
+    core = np.einsum("ijr,ip,jq,rs->pqs", y[:, :, kept], *got_xi[:2], got_xi[2][kept])
+    np.testing.assert_allclose(energy[-1], np.sum(core ** 2), rtol=1e-12)
+    assert fit(y, FitConfig(ranks=ranks, doc_length=100, use_hooi=True)).hooi_energy == energy
+
+
+def test_hooi_stops_no_sooner_than_its_second_sweep(monkeypatch):
+    """The stop rule applies from the second sweep on: with a tolerance that every gain
+    meets, a fit runs two sweeps; a cap below two binds first, and a cap of zero reports
+    the start's energy alone."""
+    monkeypatch.setattr(spectral, "_HOOI_TOL", 1.0)
+    y = planted((40, 30, 300), (2, 2, 3), doc_length=100, seed=1).y
+    for cap, sweeps in ((5, 2), (1, 1), (0, 0)):
+        cfg = FitConfig(ranks=(2, 2, 3), doc_length=100, use_hooi=True, hooi_iters=cap)
+        assert len(fit(y, cfg).hooi_energy) == sweeps + 1
 
 
 @pytest.mark.parametrize("use_hooi", [False, True])

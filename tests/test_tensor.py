@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from tensortopics import fold, unfold
 from tensortopics.errors import DataFormatError
+from tensortopics.spectral import _mode_gram
 from tensortopics.tensor import reconstruct
 
-from helpers import planted
+from helpers import kept_data, planted
 
 
 def _loop_unfold(t, mode):
@@ -111,3 +112,23 @@ def test_matricization_identity(mode):
     rhs = factors[mode] @ unfold(m.g, mode) @ np.kron(factors[b], factors[c]).T
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+
+
+@pytest.mark.parametrize("kept", [1, 12, 29, 30, 31, 59])
+def test_mode1_gram_gathers_the_kept_words_where_fewer_are_kept_than_dropped(kept):
+    """Where fewer words are kept than dropped, the mode-1 gram is the gram of the kept
+    words' slabs, gathered: within 1e-12 of its largest entry of the whole gram less each
+    dropped slab's gram, and of the explicit unfolding's gram.  Otherwise it is that
+    subtraction, bit for bit."""
+    y = np.random.default_rng(kept).uniform(size=(20, 15, 60))
+    vocab = np.sort(np.random.default_rng(100 + kept).choice(60, kept, replace=False))
+    dropped = np.setdiff1d(np.arange(60), vocab)
+    got = kept_data(y, vocab).mode1_gram()
+    subtracted = _mode_gram(y, 1, (y[:, :, word] for word in dropped))
+    gathered = unfold(y[:, :, vocab], 1) @ unfold(y[:, :, vocab], 1).T
+    scale = np.abs(subtracted).max()
+    assert np.abs(got - subtracted).max() <= 1e-12 * scale
+    assert np.abs(got - gathered).max() <= 1e-12 * scale
+    np.testing.assert_array_equal(got, got.T)
+    if kept >= dropped.size:
+        np.testing.assert_array_equal(got, subtracted)
