@@ -318,11 +318,20 @@ def read_model(path):
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _blas():
+    """numpy's BLAS library and version, or ``"unknown"`` where numpy does not say: before
+    numpy 1.26 ``show_config`` takes no ``mode``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
 def write_manifest(path, command, parameters, outputs, stage_seconds):
     """Write the manifest.  Its ``versions`` name what a replay must match to be bit-identical:
     the libraries, numpy's BLAS, the BLAS thread-count variables (``null`` when unset) and the
     CPUs this process may run on, which bound the BLAS threads."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     payload = {
         "command": command,
         "parameters": parameters,
@@ -332,7 +341,7 @@ def write_manifest(path, command, parameters, outputs, stage_seconds):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "tensortopics": __version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas": _blas(),
             "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
             "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count(),

@@ -113,7 +113,9 @@ def _left_singular(m, k):
 
 def _captured_energy(xi3, p):
     """``e = ||xi3^T P||^2`` of the word projection ``p``, unfolded to ``n3 x k1 k2``: the energy
-    of the tensor that the three bases capture, which each HOOI sweep raises."""
+    of the tensor that the three bases capture.  A sweep that updates each mode from the latest
+    bases cannot lower it; ``hooi_refine`` updates all three from the previous sweep's, which
+    carries no such guarantee, so a fall is possible and stops the sweeps."""
     core = xi3.T @ p.reshape(len(p), -1)
     return float(np.vdot(core, core))
 
@@ -129,7 +131,8 @@ def hooi_refine(data, xi, p, iters):
     their shared word contraction, read in place.  The sweep ends with the word projection of
     its new bases, so it reads the tensor twice and holds one contraction-sized array at a
     time.  ``iters`` caps the sweeps: from the second on, a sweep whose energy gain is at most
-    ``_HOOI_TOL`` of its energy is the last.  Signs follow :func:`leading_eigvecs`; inputs are
+    ``_HOOI_TOL`` of its energy is the last, and so is one whose energy falls; its bases are
+    the ones returned.  Signs follow :func:`leading_eigvecs`; inputs are
     taken as ``fit`` checks them.  Sweep ``s`` is the stage ``HOOI sweep s``, and its SVDs
     ``HOOI sweep s, mode m basis``.
     """

@@ -682,6 +682,19 @@ def test_hooi_fit_writes_its_sweeps_and_energies_and_the_manifest_names_the_blas
     assert versions["cpus"] == len(os.sched_getaffinity(0))
 
 
+@pytest.mark.parametrize("show_config", [lambda: None, lambda mode: {}],
+                         ids=["no-mode-argument", "no-build-dependencies"])
+def test_manifest_names_an_unknown_blas_where_numpy_does_not_say(tmp_path, monkeypatch,
+                                                                 show_config):
+    """Before numpy 1.26 ``np.show_config`` takes no ``mode`` and returns nothing; there, or
+    where its dictionary names no BLAS, the manifest says ``unknown`` and the command succeeds."""
+    monkeypatch.setattr(np, "show_config", show_config)
+    spec = _spec_file(tmp_path, dims=[15, 8, 30], doc_length=100)
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")]) == 0
+    versions = json.loads((tmp_path / "g.manifest.json").read_text())["versions"]
+    assert versions["blas"] == "unknown"
+
+
 def test_sweep_writes_deterministic_tables(tmp_path):
     grid = {
         "seed": 3,

@@ -1066,6 +1066,24 @@ def test_hooi_that_runs_to_its_cap_is_bit_identical_to_fixed_sweeps():
     assert fit(y, FitConfig(ranks=ranks, doc_length=100, use_hooi=True)).hooi_energy == energy
 
 
+def test_hooi_whose_energy_falls_stops_and_keeps_that_sweeps_bases(monkeypatch):
+    """A sweep reads all three bases from the previous sweep's, so its captured energy may
+    fall.  A fall at sweep 1 does not stop the sweeps; a fall from the second sweep on does,
+    and the bases and word projection returned are that sweep's, bit for bit."""
+    ranks = (2, 2, 3)
+    y = planted((40, 30, 300), ranks, doc_length=100, seed=1).y
+    data = estimator._vocabulary(y, ranks, 100, FitConfig.sparse_c_prime)
+    bases, p = estimator._hosvd(data, ranks)
+    xi = tuple(basis for basis, _ in bases)
+    energies = iter([2.0, 1.0, 1.5, 1.2, 5.0, 6.0])
+    monkeypatch.setattr(spectral, "_captured_energy", lambda xi3, p: next(energies))
+    got_xi, got_p, energy = spectral.hooi_refine(data, xi, p, 5)
+    assert energy == (2.0, 1.0, 1.5, 1.2)
+    want_xi, want_p = hooi_reprojecting_reference(data, xi, p, 3)
+    for got, want in zip((*got_xi, got_p), (*want_xi, want_p)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_hooi_stops_no_sooner_than_its_second_sweep(monkeypatch):
     """The stop rule applies from the second sweep on: with a tolerance that every gain
     meets, a fit runs two sweeps; a cap below two binds first, and a cap of zero reports
