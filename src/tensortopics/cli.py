@@ -7,7 +7,8 @@ accumulate).  Models travel as JSON objects with dense row-major arrays
 precision, so write-read cycles are bit-faithful.  Every command writes a
 manifest echoing its parameters, library versions, output paths, and stage
 timings; replaying a command with equal inputs reproduces every numeric
-output byte for byte (only the manifest's timings differ).
+output byte for byte (only the manifest's timings, its ``records`` entry and
+the records file among its outputs differ).
 
 ``fit`` and ``scree`` read a count file straight into the frequency tensor
 ``counts / doc_length``: the reader allocates that float tensor and no
@@ -17,12 +18,23 @@ token never form a count tensor, and the writer times its own formatting and
 writing apart from the drawing.  Only ``generate`` and ``sweep`` load the
 synthetic-data module, and only ``sweep --workers`` starts a process pool.
 
+Each count file's content is parsed once.  A successful parse saves the
+records in ``<count file>.records.npz`` beside it, keyed by the sha256 digest
+of the file's bytes, and a later read of the same bytes loads them from there:
+0.09 s against 0.45 s for the whole read of an 18.6 MB file, whose first read
+costs 0.06 s more to hash and save.  The records file is skipped where the
+directory cannot be written, and it is always safe to delete.  The ``fit``
+and ``scree`` manifests say whether the records were ``"parsed"`` or
+``"cached"``, and list the records file among the outputs when the command
+wrote it.
+
 Exit codes: 0 success, 2 usage error, 3 malformed data, 4 degenerate fit.
 """
 
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -32,6 +44,7 @@ import re
 import sys
 import time
 import warnings
+import zipfile
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -77,19 +90,27 @@ def _write_count_file(path, dims, doc_length, blocks):
     comes: ascending flat cell indices of a ``dims`` tensor and their positive counts, into a
     file beside ``path`` that takes its name once all is written and goes on any error.
     Returns the seconds spent formatting and writing records, which leave out making them."""
-    seconds, path = 0.0, Path(path)
+    seconds = 0.0
+    with _replacing(Path(path)) as out:
+        out.write((" ".join(str(v) for v in (*dims, doc_length)) + "\n").encode())
+        for cells, values in blocks:
+            began = time.perf_counter()
+            out.write(_record_bytes(cells, values, dims))
+            seconds += time.perf_counter() - began
+    return seconds
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file opened beside ``path`` that takes its name once the block ends, and goes
+    on any error."""
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(partial, "wb") as out:
-            out.write((" ".join(str(v) for v in (*dims, doc_length)) + "\n").encode())
-            for cells, values in blocks:
-                began = time.perf_counter()
-                out.write(_record_bytes(cells, values, dims))
-                seconds += time.perf_counter() - began
+            yield out
         os.replace(partial, path)
     finally:  # nothing is left once it is renamed
         partial.unlink(missing_ok=True)
-    return seconds
 
 
 def _record_bytes(cells, values, dims):
@@ -197,18 +218,36 @@ def _too_big_to_load(path, dims):
                            "count tensor is too big to load")
 
 
-def _cell_frequencies(path):
+_RECORDS_FORMAT = b"tensortopics count records 1\n"  # a new cache layout changes every key
+
+
+def _scan(path):
+    """The records-cache key of the count file at ``path``, whether the file is all ASCII and
+    its ``(device, inode, size, mtime)``, from one read by 1 MiB blocks: a whole-file buffer
+    would lift malloc's mmap threshold and the peak RSS.  The key is the sha256 digest of the
+    cache format tag and the file's bytes."""
+    if Path(path).suffix in (".gz", ".bz2", ".xz", ".lzma"):  # numpy would decompress the file
+        raise DataFormatError(f"{path}: a count file name must not end in {Path(path).suffix}")
+    key, ascii_only = hashlib.sha256(_RECORDS_FORMAT), True
+    try:
+        with open(path, "rb") as handle:  # numpy would also try path + ".gz"
+            for block in iter(lambda: handle.read(1 << 20), b""):
+                key.update(block)
+                ascii_only = ascii_only and block.isascii()
+            seen = _identity(os.fstat(handle.fileno()))
+    except OSError as err:
+        raise DataFormatError(f"{path}: cannot read tensor file: {err}") from None
+    return key.digest(), ascii_only, seen
+
+
+def _identity(status):
+    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
+
+
+def _cell_frequencies(path, ascii_only):
     """The dims and doc length of the count file at ``path``, and its records' flat cell
     indices, unique and ascending, with each cell's summed count over the doc length; see
     :func:`read_count_tensor`.  The parsed table is freed when this returns."""
-    if Path(path).suffix in (".gz", ".bz2", ".xz", ".lzma"):  # numpy would decompress the file
-        raise DataFormatError(f"{path}: a count file name must not end in {Path(path).suffix}")
-    try:
-        with open(path, "rb") as handle:  # numpy would also try path + ".gz"
-            # by blocks: a whole-file buffer would lift malloc's mmap threshold and the peak RSS
-            ascii_only = all(block.isascii() for block in iter(lambda: handle.read(1 << 20), b""))
-    except OSError as err:
-        raise DataFormatError(f"{path}: cannot read tensor file: {err}") from None
     if not ascii_only and _NOT_ASCII_OR_SPACE.search(_file_text(path)):
         raise _malformed_line(path)  # numpy reads some non-ASCII letters as digits
     try:
@@ -250,9 +289,48 @@ def _cell_frequencies(path):
     return dims, doc_length, cells, sums / doc_length
 
 
-def read_count_tensor(path):
+def _cached_records(cache, key):
+    """The dims, doc length, cells and frequencies that the records file ``cache`` holds for
+    key ``key``, or ``None`` when it holds another key or cannot be read as a records file."""
+    try:  # np.load leaves a file it opened unclosed when it is no zip archive
+        with open(cache, "rb") as handle, np.load(handle, allow_pickle=False) as saved:
+            if saved["key"].tobytes() != key:
+                return None
+            dims, doc_length, cells, frequencies = (
+                saved[name] for name in ("dims", "doc_length", "cells", "frequencies"))
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    kinds = (dims.dtype, dims.shape, doc_length.dtype, doc_length.shape, cells.dtype, cells.ndim,
+             frequencies.dtype, frequencies.shape)
+    if kinds != (np.int64, (3,), np.int64, (), np.int64, 1, np.float64, cells.shape):
+        return None
+    return tuple(dims.tolist()), int(doc_length), cells, frequencies
+
+
+def _write_records(path, seen, cache, key, records):
+    """Save the parsed ``records`` of the count file at ``path`` in the records file ``cache``
+    under ``key``, and return ``cache``; or ``None`` where it cannot be written, or where the
+    count file is no longer the one ``seen`` when ``key`` was taken."""
+    dims, doc_length, cells, frequencies = records
+    try:
+        if _identity(os.stat(path)) != seen:  # the parse may have read other bytes
+            return None
+        with _replacing(cache) as out:  # np.savez would append ".npz" to a partial file's name
+            np.savez(out, key=np.frombuffer(key, dtype=np.uint8),
+                     dims=np.array(dims, dtype=np.int64), doc_length=np.int64(doc_length),
+                     cells=cells, frequencies=frequencies)
+    except OSError:  # a directory that cannot be written: each read parses
+        return None
+    return cache
+
+
+def read_count_tensor(path, read=None):
     """Parse the sparse text format into ``(y, doc_length)``, ``y`` the
-    frequency tensor: the counts over ``doc_length``, bit for bit.
+    frequency tensor: the counts over ``doc_length``, bit for bit.  A dict
+    ``read``, if given, receives the account of the read that the ``fit``
+    and ``scree`` manifests give: ``"records"``, ``"parsed"`` or
+    ``"cached"``, and ``"wrote"``, the records file this call saved or
+    ``None``.
 
     The grammar: every nonblank line holds four ASCII decimal integers, each
     with an optional sign, separated by whitespace; LF and CRLF line ends
@@ -265,16 +343,42 @@ def read_count_tensor(path):
     is UTF-8 text, and numpy's parser reads it, so its name must not end in
     a suffix numpy decompresses.
 
+    Each file's content is parsed once.  A successful parse saves the
+    records (dims, doc length, ascending flat cells and their frequencies)
+    in ``<path>.records.npz`` beside the file, keyed by the sha256 digest of
+    a format tag and the file's bytes, which the reader hashes as it reads
+    them for its ASCII check.  A later read of the same bytes loads them
+    from there, with the same bits: on the 18.6 MB ``corpus-sparse`` seed-1
+    file (1.52 M records, a 24.3 MB records file; 2 vCPUs) such a read takes
+    0.09 s against 0.45 s for one that parses, and the first read takes
+    0.06 s more than a parse alone, to hash and save.  The key is the
+    content, so a file rewritten with the same size and mtime is parsed
+    again.  A records file that cannot be read or holds another key is
+    ignored and replaced.  A file that fails to parse or to load keeps
+    none, and where the directory cannot be written none is saved and each
+    read parses.  Deleting it is always safe.
+
     The only tensor-sized array is ``y``, allocated once the parsed table is
-    freed: each cell's count is divided by ``doc_length`` and scattered into
-    zeros.  Records whose flat indices strictly increase, as the writer
-    orders them, hold no duplicates and are scattered as they come; any
-    other file first has its records sorted and each cell's counts summed.
+    freed and the records file written: each cell's count is divided by
+    ``doc_length`` and scattered into zeros.  Records whose flat indices
+    strictly increase, as the writer orders them, hold no duplicates and are
+    scattered as they come; any other file first has its records sorted and
+    each cell's counts summed.
     """
-    dims, doc_length, cells, frequencies = _cell_frequencies(path)
+    key, ascii_only, seen = _scan(path)
+    cache = Path(f"{path}.records.npz")
+    read = {} if read is None else read
+    records = _cached_records(cache, key)
+    read.update(records="parsed" if records is None else "cached", wrote=None)
+    if records is None:
+        records = _cell_frequencies(path, ascii_only)
+        read["wrote"] = _write_records(path, seen, cache, key, records)
+    dims, doc_length, cells, frequencies = records
     try:
         y = np.zeros(dims)
     except MemoryError:
+        if read["wrote"] is not None:  # only a file that loads keeps its records file
+            read["wrote"].unlink(missing_ok=True)
         raise _too_big_to_load(path, dims) from None
     y.reshape(-1)[cells] = frequencies
     return y, doc_length
@@ -328,10 +432,14 @@ def _blas():
     return f"{blas.get('name')} {blas.get('version')}"
 
 
-def write_manifest(path, command, parameters, outputs, stage_seconds):
+def write_manifest(path, command, parameters, outputs, stage_seconds, read=None):
     """Write the manifest.  Its ``versions`` name what a replay must match to be bit-identical:
     the libraries, numpy's BLAS, the BLAS thread-count variables (``null`` when unset) and the
-    CPUs this process may run on, which bound the BLAS threads."""
+    CPUs this process may run on, which bound the BLAS threads.  ``read``, the account of a
+    count file's read that :func:`read_count_tensor` filled, adds the ``records`` entry and,
+    when the read saved one, the records file to the outputs."""
+    if read and read["wrote"] is not None:
+        outputs = {**outputs, "records": read["wrote"]}
     payload = {
         "command": command,
         "parameters": parameters,
@@ -347,6 +455,8 @@ def write_manifest(path, command, parameters, outputs, stage_seconds):
             else os.cpu_count(),
         },
     }
+    if read:
+        payload["records"] = read["records"]
     _write_json(path, payload)
 
 
@@ -400,15 +510,18 @@ def _write_csv(path_or_none, header, rows):
                          for row in rows)
 
 
-def _print_or_write(prefix, command, name, header, rows, parameters, stage_seconds):
-    """Print ``rows`` under ``header``, or write them and a manifest under ``prefix``."""
+def _print_or_write(prefix, command, name, header, rows, parameters, stage_seconds,
+                    read=None):
+    """Print ``rows`` under ``header``, or write them and a manifest under ``prefix``, which
+    takes ``read`` as :func:`write_manifest` does."""
     start = time.perf_counter()
     path = None if prefix is None else _out(prefix, f"{name}.csv")
     _write_csv(path, header, rows)
     if path is not None:
         write_manifest(_out(prefix, "manifest.json"), command, parameters=parameters,
                        outputs={name: path},
-                       stage_seconds={**stage_seconds, "write": time.perf_counter() - start})
+                       stage_seconds={**stage_seconds, "write": time.perf_counter() - start},
+                       read=read)
         print(f"wrote {path}")
     return 0
 
@@ -455,7 +568,8 @@ def cmd_generate(args):
 
 def cmd_fit(args):
     start = time.perf_counter()
-    y, doc_length = read_count_tensor(args.data)
+    read = {}
+    y, doc_length = read_count_tensor(args.data, read)
     options = _load_json(args.config, "fit config") if args.config else {}
     flags = {"ranks": args.ranks, "sparse_c_prime": args.sparse, "hooi_iters": args.hooi}
     options.update((key, value) for key, value in flags.items() if value is not None)
@@ -491,7 +605,8 @@ def cmd_fit(args):
         parameters=parameters,
         outputs={"model": model_path, "diagnostics": diag_path},
         stage_seconds={"load": loaded - start, "fit": fitted - loaded,
-                       "write": written - fitted})
+                       "write": written - fitted},
+        read=read)
     print(f"wrote {model_path} (vocabulary kept {result.vocab.size} words)")
     return 0
 
@@ -596,14 +711,15 @@ def cmd_scree(args):
     if mode > 3:
         raise _UsageError(f"{args.data}: no mode {mode}: --ranks takes at most 2, got {len(ranks)}")
     start = time.perf_counter()
-    y, doc_length = read_count_tensor(args.data)
+    read = {}
+    y, doc_length = read_count_tensor(args.data, read)
     _check_file_ranks(args.data, ranks if args.kmax is None else (*ranks, args.kmax), y.shape)
     values = scree(y, ranks, args.kmax, doc_length)
     parameters = {"data": str(args.data), "ranks": list(ranks), "mode": mode,
                   "k_max": len(values)}
     return _print_or_write(args.out, "scree", "scree", ("index", "eigenvalue"),
                            [[index + 1, float(value)] for index, value in enumerate(values)],
-                           parameters, {"compute": time.perf_counter() - start})
+                           parameters, {"compute": time.perf_counter() - start}, read)
 
 
 def _check_file_ranks(path, ranks, dims):

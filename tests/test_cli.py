@@ -2,6 +2,7 @@
 driven in-process through main()."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -72,6 +73,22 @@ def _frequencies_reference(text):
     return counts / doc_length
 
 
+def _records_file(path):
+    return Path(f"{path}.records.npz")
+
+
+def _parse_nothing(*args):
+    raise AssertionError("the count file was parsed, not read from its records file")
+
+
+def _read_cached(path, monkeypatch):
+    """``read_count_tensor(path)`` with the parser switched off: the records must come from
+    the records file beside ``path``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_cell_frequencies", _parse_nothing)
+        return read_count_tensor(path)
+
+
 def _shuffled_split_records(counts, rng):
     """Records of ``counts`` with each count split over two duplicates, in random order."""
     records = []
@@ -85,10 +102,11 @@ def _shuffled_split_records(counts, rng):
 
 @pytest.mark.parametrize("layout", ["writer", "shuffled-duplicates-crlf", "sorted-duplicates",
                                     "descending", "header-only"])
-def test_count_tensor_reads_frequencies_bit_equal_to_int64_counts(tmp_path, layout):
+def test_count_tensor_reads_frequencies_bit_equal_to_int64_counts(tmp_path, monkeypatch, layout):
     """Whatever the record order, the reader gives the bits of int64 counts summed by
     ``np.add.at`` and divided by the doc length.  The writer's strictly increasing
-    records are scattered as they come; any other order is sorted and summed first."""
+    records are scattered as they come; any other order is sorted and summed first.
+    A second read takes the records from the records file, with the same bits."""
     inst = planted((6, 5, 14), (2, 2, 2), doc_length=25, seed=86)
     rng = np.random.default_rng(86)
     path = tmp_path / "counts.txt"
@@ -113,6 +131,9 @@ def test_count_tensor_reads_frequencies_bit_equal_to_int64_counts(tmp_path, layo
     _assert_same_bits(y, want)
     if layout != "header-only":
         _assert_same_bits(y, inst.counts / 25)
+    again, doc_length = _read_cached(path, monkeypatch)
+    assert doc_length == 25
+    _assert_same_bits(again, y)
 
 
 def test_count_tensor_reader_holds_one_float_tensor(tmp_path):
@@ -140,6 +161,9 @@ def test_count_tensor_reader_frees_the_parsed_records_before_the_tensor(tmp_path
     records = int(np.count_nonzero(inst.counts))
     (y, _), peak = traced_peak(read_count_tensor, path)
     _assert_same_bits(y, inst.counts / 100)
+    assert peak < y.nbytes + 3 * 8 * records
+    (again, _), peak = traced_peak(read_count_tensor, path)  # from the records file
+    _assert_same_bits(again, y)
     assert peak < y.nbytes + 3 * 8 * records
 
 
@@ -271,6 +295,7 @@ def test_count_tensor_parse_errors_name_the_line(tmp_path, body, fragment):
     with pytest.raises(DataFormatError) as err:
         read_count_tensor(path)
     assert fragment in str(err.value)
+    assert not _records_file(path).exists()
 
 
 @pytest.mark.parametrize("body,fragment", [
@@ -286,6 +311,7 @@ def test_count_file_beyond_limits_is_exit_3_naming_the_line(tmp_path, capsys, bo
     assert main(["fit", "--data", str(path), "--ranks", "2,2,2",
                  "--out", str(tmp_path / "f")]) == 3
     assert f"{path}: {fragment}" in capsys.readouterr().err
+    assert not _records_file(path).exists()
 
 
 @pytest.mark.parametrize("field", ["4\u01ff", "\u0903", "\U000983bc"])
@@ -297,6 +323,7 @@ def test_count_file_with_a_non_ascii_letter_names_the_line(tmp_path, field):
     with pytest.raises(DataFormatError, match=re.escape(f"{path}: line 3: all fields must be "
                                                         "integers")):
         read_count_tensor(path)
+    assert not _records_file(path).exists()
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
@@ -306,6 +333,7 @@ def test_count_file_named_like_a_compressed_file_is_exit_3(tmp_path, capsys, suf
     path.write_text("2 2 2 5\n1 1 1 2\n")
     assert main(["fit", "--data", str(path), "--ranks", "1,1,2", "--out", str(tmp_path / "f")]) == 3
     assert f"{path}: a count file name must not end in {suffix}" in capsys.readouterr().err
+    assert not _records_file(path).exists()
 
 
 def test_count_file_may_separate_fields_by_unicode_whitespace(tmp_path):
@@ -347,9 +375,83 @@ def test_count_file_fuzz_reads_or_names_the_file(data):
             y, doc_length = read_count_tensor(path)
         except DataFormatError as err:
             assert str(err).startswith(f"{path}: ")
+            assert not _records_file(path).exists()
         else:
             assert y.dtype == np.float64 and y.ndim == 3 and y.min() >= 0
             assert np.isfinite(y).all() and doc_length >= 1
+
+
+def test_a_rewrite_of_the_same_size_and_mtime_is_parsed_again(tmp_path, monkeypatch):
+    """The records file is keyed by the count file's bytes, not its size or mtime."""
+    path = tmp_path / "counts.txt"
+    path.write_text("2 2 2 5\n1 1 1 2\n2 1 2 3\n")
+    read_count_tensor(path)
+    status = path.stat()
+    path.write_text("2 2 2 5\n1 1 1 3\n2 1 2 2\n")
+    os.utime(path, ns=(status.st_atime_ns, status.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (status.st_size, status.st_mtime_ns)
+    y, _ = read_count_tensor(path)
+    assert (y[0, 0, 0], y[1, 0, 1], np.count_nonzero(y)) == (3 / 5, 2 / 5, 2)
+    _assert_same_bits(_read_cached(path, monkeypatch)[0], y)
+
+
+def _damage_records(path, damage):
+    cache = _records_file(path)
+    if damage == "truncated":
+        cache.write_bytes(cache.read_bytes()[:cache.stat().st_size // 2])
+    elif damage == "garbage":
+        cache.write_bytes(np.random.default_rng(87).bytes(cache.stat().st_size))
+    elif damage == "npy":
+        with cache.open("wb") as out:
+            np.save(out, np.arange(5))
+    elif damage == "float32":
+        with np.load(cache) as saved:
+            arrays = dict(saved)
+        with cache.open("wb") as out:
+            np.savez(out, **{**arrays, "frequencies": arrays["frequencies"].astype(np.float32)})
+    else:
+        other = path.with_name("other.txt")
+        other.write_text("6 5 14 25\n2 2 2 4\n")
+        read_count_tensor(other)
+        os.replace(_records_file(other), cache)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "npy", "float32", "another-files"])
+def test_a_records_file_that_is_not_this_files_is_ignored_and_rewritten(tmp_path, monkeypatch,
+                                                                        damage):
+    """A records file cut short, not a zip archive, of the wrong array kinds or saved for
+    other bytes is a miss: the reader parses, warns of nothing and saves the records anew."""
+    inst = planted((6, 5, 14), (2, 2, 2), doc_length=25, seed=86)
+    path = tmp_path / "counts.txt"
+    write_count_tensor(path, inst.counts, 25)
+    read_count_tensor(path)
+    _damage_records(path, damage)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, doc_length = read_count_tensor(path)
+    assert doc_length == 25
+    _assert_same_bits(y, inst.counts / 25)
+    _assert_same_bits(_read_cached(path, monkeypatch)[0], y)
+
+
+def test_a_file_replaced_while_it_is_parsed_leaves_no_records_file(tmp_path, monkeypatch):
+    """The key is taken from the bytes read before the parse, so records parsed from a file
+    that was replaced in between are not saved under it."""
+    path = tmp_path / "counts.txt"
+    path.write_text("2 2 2 5\n1 1 1 2\n")
+    loadtxt = np.loadtxt
+
+    def replaced_then_parsed(*args, **kwargs):
+        swap = tmp_path / "swap.txt"
+        swap.write_text("2 2 2 5\n1 1 1 4\n")
+        os.replace(swap, path)
+        return loadtxt(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "loadtxt", replaced_then_parsed)
+        assert read_count_tensor(path)[0][0, 0, 0] == 4 / 5
+    assert not _records_file(path).exists()
+    assert read_count_tensor(path)[0][0, 0, 0] == 4 / 5
 
 
 def test_model_json_round_trip_is_bit_faithful(tmp_path):
@@ -819,6 +921,71 @@ def test_scree_csv(tmp_path):
                                       "mode": 3, "k_max": 6}
 
 
+def _manifest(path):
+    return json.loads(Path(path).read_text())
+
+
+def test_two_cli_fits_of_one_file_write_the_same_bytes_from_parsed_and_cached_records(tmp_path):
+    """The first fit parses the count file and lists the records file it saved among its
+    outputs; the second reads the records from there, and writes the same model and
+    diagnostics bytes."""
+    spec = _spec_file(tmp_path, dims=[15, 8, 30], doc_length=100)
+    main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
+    data = tmp_path / "g.counts.txt"
+    for name in ("f1", "f2"):
+        assert main(["fit", "--data", str(data), "--ranks", "2,2,3",
+                     "--out", str(tmp_path / name)]) == 0
+    first, second = (_manifest(tmp_path / f"{name}.manifest.json") for name in ("f1", "f2"))
+    assert (first["records"], first["outputs"]["records"]) == ("parsed", str(_records_file(data)))
+    assert second["records"] == "cached" and "records" not in second["outputs"]
+    for suffix in ("model.json", "diagnostics.json"):
+        assert (tmp_path / f"f1.{suffix}").read_bytes() == (tmp_path / f"f2.{suffix}").read_bytes()
+
+
+def test_scree_after_fit_reads_the_records_file_and_writes_the_same_spectrum(tmp_path):
+    spec = _spec_file(tmp_path, dims=[15, 8, 30], doc_length=100)
+    main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
+    data = tmp_path / "g.counts.txt"
+    (tmp_path / "copy").mkdir()
+    copy = tmp_path / "copy" / "g.counts.txt"
+    copy.write_bytes(data.read_bytes())
+    screen = ["--ranks", "3,2", "--kmax", "6"]
+    assert main(["scree", "--data", str(copy), *screen, "--out", str(tmp_path / "s1")]) == 0
+    assert main(["fit", "--data", str(data), "--ranks", "2,2,3",
+                 "--out", str(tmp_path / "f")]) == 0
+    assert main(["scree", "--data", str(data), *screen, "--out", str(tmp_path / "s2")]) == 0
+    parsed, cached = (_manifest(tmp_path / f"{name}.manifest.json") for name in ("s1", "s2"))
+    assert (parsed["records"], parsed["outputs"]["records"]) == ("parsed", str(_records_file(copy)))
+    assert cached["records"] == "cached" and "records" not in cached["outputs"]
+    assert (tmp_path / "s1.scree.csv").read_bytes() == (tmp_path / "s2.scree.csv").read_bytes()
+
+
+def test_a_records_file_that_cannot_be_written_leaves_the_fit_as_it_was(tmp_path, monkeypatch):
+    """A save that fails midway, as in a directory that cannot be written or on a full disk:
+    the fit exits 0 with the outputs of a fit that saves its records, and leaves neither a
+    records file nor a partial one."""
+    spec = _spec_file(tmp_path, dims=[15, 8, 30], doc_length=100)
+    main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
+    data = tmp_path / "g.counts.txt"
+
+    def failing_save(file, **arrays):
+        file.write(b"PK")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "savez", failing_save)
+        assert main(["fit", "--data", str(data), "--ranks", "2,2,3",
+                     "--out", str(tmp_path / "f1")]) == 0
+    assert not _records_file(data).exists() and not list(tmp_path.glob("*.tmp"))
+    manifest = _manifest(tmp_path / "f1.manifest.json")
+    assert manifest["records"] == "parsed" and "records" not in manifest["outputs"]
+    assert main(["fit", "--data", str(data), "--ranks", "2,2,3",
+                 "--out", str(tmp_path / "f2")]) == 0
+    assert _records_file(data).exists()
+    for suffix in ("model.json", "diagnostics.json"):
+        assert (tmp_path / f"f1.{suffix}").read_bytes() == (tmp_path / f"f2.{suffix}").read_bytes()
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -1105,7 +1272,8 @@ def test_scree_of_a_mode_2_gram_that_overflows_exits_3_naming_the_projection(tmp
                                                                              monkeypatch):
     """No count file reaches entries of 1e153, so the reader hands scree such a tensor: its
     mode-2 gram overflows, and the message names the projection on the mode-1 basis."""
-    monkeypatch.setattr(cli, "read_count_tensor", lambda path: (np.full((1000, 2, 3), 1e153), 10))
+    monkeypatch.setattr(cli, "read_count_tensor",
+                        lambda path, read: (np.full((1000, 2, 3), 1e153), 10))
     assert main(["scree", "--data", str(tmp_path / "big.counts.txt"), "--ranks", "1"]) == 3
     assert capsys.readouterr().err == \
         "data error: mode 2 gram overflows: the projection on the mode-1 basis reaches 3.2e+154\n"
@@ -1256,6 +1424,7 @@ def test_file_that_is_not_utf8_is_exit_3_naming_the_file(tmp_path, capsys, kind)
     err = capsys.readouterr().err
     where = f"{bad}: line 2: not UTF-8 text" if kind == "count file" else f"{bad}: cannot read"
     assert err.startswith(f"data error: {where}") and "can't decode byte 0xff" in err
+    assert not _records_file(bad).exists()
 
 
 _FIT_KEYS = ["ranks", "use_hooi", "hooi_iters", "sparse_c_prime", "doc_length", "use_hoi"]

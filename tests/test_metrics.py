@@ -373,13 +373,18 @@ def test_scree_reads_the_tensor_in_place_and_matches_the_fit():
     the fit's eigenvalues bit for bit, and it reads the tensor in place: the
     mode-2 unfolding would be a copy of the whole tensor.  Neither the mode-2
     gram nor the word basis forms an ``n2 x n2`` gram of the tensor or an
-    ``n3 x n3`` word gram, so the word-mode screen traces no more than the fit."""
+    ``n3 x n3`` word gram, so the word-mode screen traces less than the fit plus
+    half the smaller of them, the 20 KB ``n2 x n2`` gram: a slack for the
+    screen's own small objects.  A first fit warms up: in a fresh process it
+    traces about 1.1 MB more, once."""
     inst = planted((60, 50, 400), (2, 2, 3), doc_length=300, seed=72)
     cfg = FitConfig(ranks=(2, 2, 3), doc_length=300)
+    fit(inst.y, cfg)
     result, fit_peak = traced_peak(fit, inst.y, cfg)
     np.testing.assert_array_equal(scree(inst.y, (), 2, 300), result.eigvals[0])
     assert traced_peak(scree, inst.y, (2,), 5, 300)[1] < 0.25 * inst.y.nbytes
-    assert traced_peak(scree, inst.y, (2, 2), 4, 300)[1] <= fit_peak
+    n2_gram = inst.y.shape[1] ** 2 * inst.y.itemsize
+    assert traced_peak(scree, inst.y, (2, 2), 4, 300)[1] < fit_peak + n2_gram // 2
 
 
 @pytest.mark.parametrize("dims", [(0, 3, 5), (4, 0, 5)])
