@@ -20,15 +20,14 @@ synthetic-data module, and only ``sweep --workers`` starts a process pool.
 
 Each count file's content is parsed once.  A successful parse saves the
 records in ``<count file>.records.npz`` beside it, keyed by the sha256 digest
-of the file's bytes, and a later read of the same bytes loads them from there:
-0.09 s against 0.45 s for the whole read of an 18.6 MB file, whose first read
-costs 0.06 s more to hash and save.  The records file is skipped where the
-directory cannot be written, and it is always safe to delete.  The ``fit``
-and ``scree`` manifests say whether the records were ``"parsed"`` or
-``"cached"``, and list the records file among the outputs when the command
-wrote it.
+of the file's bytes, and a later read of the same bytes loads them from there
+with the same bits.  The records file is skipped where the directory cannot
+be written, and it is always safe to delete.  The ``fit`` and ``scree``
+manifests say whether the records were ``"parsed"`` or ``"cached"``, and list
+the records file among the outputs when the command wrote it.
 
-Exit codes: 0 success, 2 usage error, 3 malformed data, 4 degenerate fit.
+Exit codes: 0 success, 2 usage error, 3 malformed data or an input too big to
+allocate, 4 degenerate fit.
 """
 
 import argparse
@@ -45,7 +44,7 @@ import sys
 import time
 import warnings
 import zipfile
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -213,11 +212,6 @@ def _overflow_line(path, flat, values, sums):
     return None
 
 
-def _too_big_to_load(path, dims):
-    return DataFormatError(f"{path}: line {_line_number(path, 0)}: a {' x '.join(map(str, dims))} "
-                           "count tensor is too big to load")
-
-
 _RECORDS_FORMAT = b"tensortopics count records 1\n"  # a new cache layout changes every key
 
 
@@ -266,7 +260,8 @@ def _cell_frequencies(path, ascii_only):
         raise DataFormatError(f"{path}: line {_line_number(path, 0)}: "
                               "header dims and doc length must be positive")
     if n1 * n2 * n_words > _INT64.max // 8:  # numpy cannot size it, nor int64 index its cells
-        raise _too_big_to_load(path, dims)
+        raise DataFormatError(f"{path}: line {_line_number(path, 0)}: a "
+                              f"{' x '.join(map(str, dims))} count tensor is too big to load")
     *index, values = records.T
     if (any(column.min(initial=1) < 1 or column.max(initial=1) > n
             for column, n in zip(index, dims)) or values.min(initial=0) < 0):
@@ -341,22 +336,21 @@ def read_count_tensor(path, read=None):
     ``DataFormatError`` naming a line: the first line that breaks the
     grammar if there is one, else the first out-of-range value.  The file
     is UTF-8 text, and numpy's parser reads it, so its name must not end in
-    a suffix numpy decompresses.
+    a suffix numpy decompresses.  A header whose tensor numpy cannot size
+    names line 1 as too big to load; any allocation of the read that fails
+    raises ``DataFormatError`` starting with the file's name, "too big to
+    allocate" and numpy's text.
 
     Each file's content is parsed once.  A successful parse saves the
     records (dims, doc length, ascending flat cells and their frequencies)
     in ``<path>.records.npz`` beside the file, keyed by the sha256 digest of
     a format tag and the file's bytes, which the reader hashes as it reads
     them for its ASCII check.  A later read of the same bytes loads them
-    from there, with the same bits: on the 18.6 MB ``corpus-sparse`` seed-1
-    file (1.52 M records, a 24.3 MB records file; 2 vCPUs) such a read takes
-    0.09 s against 0.45 s for one that parses, and the first read takes
-    0.06 s more than a parse alone, to hash and save.  The key is the
-    content, so a file rewritten with the same size and mtime is parsed
-    again.  A records file that cannot be read or holds another key is
-    ignored and replaced.  A file that fails to parse or to load keeps
-    none, and where the directory cannot be written none is saved and each
-    read parses.  Deleting it is always safe.
+    from there, with the same bits.  The key is the content, so a file
+    rewritten with the same size and mtime is parsed again.  A records file
+    that cannot be read or holds another key is ignored and replaced.  A
+    file that fails to parse keeps none, and where the directory cannot be
+    written none is saved and each read parses.  Deleting it is always safe.
 
     The only tensor-sized array is ``y``, allocated once the parsed table is
     freed and the records file written: each cell's count is divided by
@@ -365,22 +359,18 @@ def read_count_tensor(path, read=None):
     scattered as they come; any other file first has its records sorted and
     each cell's counts summed.
     """
-    key, ascii_only, seen = _scan(path)
-    cache = Path(f"{path}.records.npz")
     read = {} if read is None else read
-    records = _cached_records(cache, key)
-    read.update(records="parsed" if records is None else "cached", wrote=None)
-    if records is None:
-        records = _cell_frequencies(path, ascii_only)
-        read["wrote"] = _write_records(path, seen, cache, key, records)
-    dims, doc_length, cells, frequencies = records
-    try:
+    with _stage(str(path)):
+        key, ascii_only, seen = _scan(path)
+        cache = Path(f"{path}.records.npz")
+        records = _cached_records(cache, key)
+        read.update(records="parsed" if records is None else "cached", wrote=None)
+        if records is None:
+            records = _cell_frequencies(path, ascii_only)
+            read["wrote"] = _write_records(path, seen, cache, key, records)
+        dims, doc_length, cells, frequencies = records
         y = np.zeros(dims)
-    except MemoryError:
-        if read["wrote"] is not None:  # only a file that loads keeps its records file
-            read["wrote"].unlink(missing_ok=True)
-        raise _too_big_to_load(path, dims) from None
-    y.reshape(-1)[cells] = frequencies
+        y.reshape(-1)[cells] = frequencies
     return y, doc_length
 
 
@@ -468,7 +458,8 @@ def _write_json(path, payload):
 def _load_json(path, what):
     """Parse a JSON file that must hold one object."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        with _stage(str(path)):
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as err:
         raise DataFormatError(f"{path}: cannot read {what}: {err}") from None
     except json.JSONDecodeError as err:
@@ -479,13 +470,22 @@ def _load_json(path, what):
 
 
 def _from_json(kind, options, where, **fixed):
-    """Build ``kind(**options, **fixed)`` from a JSON object.
+    """Build ``kind`` from the JSON object ``options`` and the keys the command sets itself,
+    ``fixed``, each a pair ``(value, source)``, ``source`` saying where the value comes from.
 
-    The one boundary for generator specs and fit configs: an unknown key, a
-    wrong type or a bad value raises ``DataFormatError`` naming ``where``.
+    The one boundary for generator specs and fit configs: an unknown key, a key of ``fixed``,
+    a wrong type or a bad value raises ``DataFormatError`` naming ``where``, and the key when
+    it is the key that is wrong.
     """
+    names = {field.name for field in fields(kind)}
+    for key in options:
+        if key in fixed:
+            raise DataFormatError(f'{where}: "{key}" cannot be set here: it comes from '
+                                  f"{fixed[key][1]}")
+        if key not in names:
+            raise DataFormatError(f'{where}: unknown key "{key}"')
     try:
-        return kind(**options, **fixed)
+        return kind(**options, **{key: value for key, (value, _) in fixed.items()})
     except (TypeError, ValueError) as err:
         raise DataFormatError(f"{where}: {err}") from None
 
@@ -578,7 +578,7 @@ def cmd_fit(args):
     if "ranks" not in options:
         raise _UsageError('no ranks given: pass --ranks K1,K2,K3 or put "ranks" in the config')
     cfg = _from_json(FitConfig, options, args.config or "command line",
-                     doc_length=doc_length)
+                     doc_length=(doc_length, "the count file header"))
     _check_file_ranks(args.data, cfg.ranks, y.shape)
     loaded = time.perf_counter()
     result = fit(y, cfg)
@@ -636,10 +636,10 @@ def _sweep_cell(cell, where):
     options = cell.get("fit", {}) if isinstance(cell, dict) else None
     if not isinstance(options, dict):
         raise DataFormatError(f'{where}: a cell and its "fit" entry must be JSON objects')
-    fields = {k: v for k, v in cell.items() if k not in ("label", "fit")}
-    spec = _from_json(GenSpec, fields, where, seed=0)
+    spec_options = {k: v for k, v in cell.items() if k not in ("label", "fit")}
+    spec = _from_json(GenSpec, spec_options, where, seed=(0, "each trial's derived seed"))
     return spec, _from_json(FitConfig, {"ranks": spec.ranks, **options}, where,
-                            doc_length=spec.doc_length)
+                            doc_length=(spec.doc_length, "the cell's doc_length"))
 
 
 def _sweep_trial(payload):
@@ -648,7 +648,8 @@ def _sweep_trial(payload):
     spec, cfg, cell_index, trial_index, master_seed, where = payload
     seed = derive_seed(master_seed, cell_index, trial_index)
     try:
-        instance = generate(replace(spec, seed=seed))
+        with _stage("count draw"):
+            instance = generate(replace(spec, seed=seed))
         result = fit(instance.y, cfg)
     except (FitDegenerateError, ValueError) as err:
         raise type(err)(f"{where}, trial {trial_index}: {err}") from None

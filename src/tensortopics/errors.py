@@ -22,11 +22,12 @@ class FitDegenerateError(RuntimeError):
 
 @contextlib.contextmanager
 def _stage(name):
-    """Run one pipeline stage, whose failure becomes an error starting with ``name``: a
-    ``DataFormatError`` for a failed allocation (too big to allocate, with numpy's shape text
-    when it gives one), a ``FitDegenerateError`` for a ``LinAlgError`` or ``FitDegenerateError``;
-    other errors pass.  A nested stage's name starts with its outer one's (``HOOI sweep 1, mode
-    2 basis`` inside ``HOOI sweep 1``), whose guard passes the nested error as it is."""
+    """Run one pipeline stage or input read, whose failure becomes an error starting with
+    ``name``, the stage or the file: a ``DataFormatError`` for a failed allocation (too big to
+    allocate, with numpy's shape text when it gives one), a ``FitDegenerateError`` for a
+    ``LinAlgError`` or ``FitDegenerateError``; other errors pass.  A nested stage's name starts
+    with its outer one's (``HOOI sweep 1, mode 2 basis`` inside ``HOOI sweep 1``), whose guard
+    passes the nested error as it is."""
     try:
         yield
     except MemoryError as err:

@@ -202,14 +202,14 @@ def scree(y, ranks, k_max, doc_length):
     """
     if not isinstance(ranks, (tuple, list)) or len(ranks) > 2:
         raise ValueError(f"ranks must hold the fit ranks of at most two modes, got {ranks!r}")
-    # one tuple and nothing else left behind: scree traces no more than fit does
-    ranks = (*(_checked_int(f"mode {mode} rank", k, 1) for mode, k in enumerate(ranks, start=1)),
-             *([] if k_max is None else [_checked_int("k_max", k_max, 1)]))
+    ranks = [_checked_int(f"mode {mode} rank", k, 1) for mode, k in enumerate(ranks, start=1)]
+    if k_max is not None:
+        ranks.append(_checked_int("k_max", k_max, 1))
     doc_length = _checked_int("doc_length", doc_length, 1)
     if len(ranks) == 3:
         _check_span(3, ranks[2], ranks[0] * ranks[1])
     data = _vocabulary(y, ranks, doc_length, FitConfig.sparse_c_prime)
     if k_max is None:  # the bound
-        ranks = (*ranks, min(data.vocab.size, ranks[0] * ranks[1]) if len(ranks) == 2
-                 else data.y.shape[len(ranks)])
+        ranks.append(min(data.vocab.size, ranks[0] * ranks[1]) if len(ranks) == 2
+                     else data.y.shape[len(ranks)])
     return _hosvd(data, ranks)[0][-1][1]

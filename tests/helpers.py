@@ -258,13 +258,14 @@ def sample_counts_reference(d, doc_length, seed):
     return counts
 
 
-def run_python(*args, timeout=120):
+def run_python(*args, timeout=120, env=None):
     """Run ``python *args`` in a fresh interpreter that imports this checkout's
-    package, stopped after ``timeout`` seconds; return the completed process."""
+    package, with the variables ``env`` added to the environment, stopped after
+    ``timeout`` seconds; return the completed process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *map(str, args)],
-                          env={**os.environ, "PYTHONPATH": path},
+                          env={**os.environ, **(env or {}), "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=timeout)
 
 

@@ -237,22 +237,25 @@ def test_count_writer_memory_does_not_grow_with_the_tensor(tmp_path):
     assert peaks[1] < 48e6
 
 
-@pytest.mark.parametrize("shape, doc_length, message", [
-    ((2, 2, 3), 0, "doc_length must be a positive integer, got 0"),
-    ((2, 2, 3), -1, "doc_length must be a positive integer, got -1"),
-    ((2, 2, 3), 2.5, "doc_length must be a positive integer, got 2.5"),
-    ((2, 2, 3), True, "doc_length must be a positive integer, got True"),
-    ((2, 2, 3), "7", "doc_length must be a positive integer, got '7'"),
-    ((0, 2, 3), 5, r"count tensor dims must be positive, got \(0, 2, 3\)"),
-    ((2, 0, 3), 5, r"count tensor dims must be positive, got \(2, 0, 3\)"),
-    ((2, 2, 0), 5, r"count tensor dims must be positive, got \(2, 2, 0\)"),
+@pytest.mark.parametrize("shape, count, doc_length, message", [
+    ((2, 2, 3), 1, 0, "doc_length must be a positive integer, got 0"),
+    ((2, 2, 3), 1, -1, "doc_length must be a positive integer, got -1"),
+    ((2, 2, 3), 1, 2.5, "doc_length must be a positive integer, got 2.5"),
+    ((2, 2, 3), 1, True, "doc_length must be a positive integer, got True"),
+    ((2, 2, 3), 1, "7", "doc_length must be a positive integer, got '7'"),
+    ((0, 2, 3), 1, 5, r"count tensor dims must be positive, got \(0, 2, 3\)"),
+    ((2, 0, 3), 1, 5, r"count tensor dims must be positive, got \(2, 0, 3\)"),
+    ((2, 2, 0), 1, 5, r"count tensor dims must be positive, got \(2, 2, 0\)"),
+    ((2, 2, 3), -1, 5, "counts must be nonnegative"),
 ], ids=["length-0", "length-minus-1", "length-2.5", "length-True", "length-str",
-        "dims-0x2x3", "dims-2x0x3", "dims-2x2x0"])
-def test_count_writer_refuses_what_the_reader_refuses(tmp_path, shape, doc_length, message):
-    """The reader refuses a doc length or a dim below one, so the writer does
-    not write them, and it takes the doc length as it is, not coerced."""
+        "dims-0x2x3", "dims-2x0x3", "dims-2x2x0", "negative-count"])
+def test_count_writer_refuses_what_the_reader_refuses(tmp_path, shape, count, doc_length,
+                                                      message):
+    """The reader refuses a doc length or a dim below one and a negative count, so the writer
+    does not write them, and it takes the doc length as it is, not coerced."""
     with pytest.raises(DataFormatError, match=f"^{message}$"):
-        write_count_tensor(tmp_path / "counts.txt", np.ones(shape, dtype=np.int64), doc_length)
+        write_count_tensor(tmp_path / "counts.txt", np.full(shape, count, dtype=np.int64),
+                           doc_length)
     assert not (tmp_path / "counts.txt").exists()
 
 
@@ -300,7 +303,8 @@ def test_count_tensor_parse_errors_name_the_line(tmp_path, body, fragment):
 
 @pytest.mark.parametrize("body,fragment", [
     ("2 2 2 5\n1 1 1 99999999999999999999\n", "line 2: a field lies outside"),
-    ("100000 100000 100000 5\n", "line 1: a 100000 x 100000 x 100000 count tensor is too big"),
+    ("3037000500 3037000500 2 5\n",
+     "line 1: a 3037000500 x 3037000500 x 2 count tensor is too big to load"),
     ("2 2 2 5\n1 1 1 9223372036854775807\n2 1 1 1\n\n1 1 1 1\n",
      "line 5: accumulated count exceeds"),
     ("2 2 2 5\n" + "1 1 1 9223372036854775807\n" * 3, "line 3: accumulated count exceeds"),
@@ -312,6 +316,19 @@ def test_count_file_beyond_limits_is_exit_3_naming_the_line(tmp_path, capsys, bo
                  "--out", str(tmp_path / "f")]) == 3
     assert f"{path}: {fragment}" in capsys.readouterr().err
     assert not _records_file(path).exists()
+
+
+def test_a_count_tensor_too_big_to_allocate_is_exit_3_naming_the_file(tmp_path, capsys):
+    """A header whose tensor numpy can size but not allocate exits 3 naming the file, with
+    numpy's text.  The parse succeeded, so the records file it saved is kept."""
+    path = tmp_path / "huge.txt"
+    path.write_text("100000 100000 100000 5\n")
+    assert main(["fit", "--data", str(path), "--ranks", "2,2,2",
+                 "--out", str(tmp_path / "f")]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {path}: too big to allocate: Unable to allocate 7.11 PiB for an array "
+        "with shape (100000, 100000, 100000) and data type float64\n")
+    assert _records_file(path).exists()
 
 
 @pytest.mark.parametrize("field", ["4\u01ff", "\u0903", "\U000983bc"])
@@ -529,6 +546,40 @@ def test_generate_of_a_spec_too_big_to_draw_exits_3_naming_the_spec(tmp_path, ca
     assert not (tmp_path / "g.truth.json").exists()
 
 
+_NUMPY_TEXT = ("Unable to allocate 59.6 GiB for an array with shape (2000, 2000, 2000) "
+               "and data type float64")
+
+
+@pytest.mark.parametrize("where", ["parse", "records-file", "json", "sweep-draw"])
+def test_a_failed_allocation_reading_an_input_or_drawing_a_trial_exits_3_naming_it(
+        tmp_path, capsys, monkeypatch, where):
+    """A failed allocation in the count file's parse, in the load of its records file, in a
+    JSON read or in a sweep trial's draw exits 3 with one line that names the file (or the
+    grid, cell, trial and ``count draw``) and carries numpy's text.  The failure is patched
+    in: nothing that large is allocated."""
+    def too_big(*args, **kwargs):
+        raise MemoryError(_NUMPY_TEXT)
+
+    data, spec, grid = _tiny_counts(tmp_path), _spec_file(tmp_path), tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cells": [{"dims": [8, 6, 20], "ranks": [2, 2, 2],
+                                           "doc_length": 30}]}))
+    fit_data = ["fit", "--data", str(data), "--ranks", "2,2,2", "--out", str(tmp_path / "f")]
+    if where == "records-file":
+        read_count_tensor(data)  # saves the records that the fit then loads
+    owner, name, argv, named = {
+        "parse": (np, "loadtxt", fit_data, data),
+        "records-file": (np, "load", fit_data, data),
+        "json": (json, "loads", ["generate", "--spec", str(spec), "--out", str(tmp_path / "g")],
+                 spec),
+        "sweep-draw": (synth, "_planted_counts",
+                       ["sweep", "--grid", str(grid), "--out", str(tmp_path / "s")],
+                       f"{grid}: cell 0, trial 0: count draw"),
+    }[where]
+    monkeypatch.setattr(owner, name, too_big)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"data error: {named}: too big to allocate: {_NUMPY_TEXT}\n"
+
+
 def test_a_failed_generate_leaves_the_output_directory_as_it_was(tmp_path, capsys,
                                                                   monkeypatch):
     """A draw that fails after its first block of records is written exits 3 and leaves no
@@ -728,6 +779,37 @@ def test_pipeline_outputs_are_reproducible(tmp_path):
         (tmp_path / "two.counts.txt").read_bytes()
     assert (tmp_path / "oneF.model.json").read_bytes() == \
         (tmp_path / "twoF.model.json").read_bytes()
+
+
+_THREADS_BOUND = 1e-11  # README's bound on a model entry across BLAS thread counts
+
+
+@pytest.mark.parametrize("hooi", [[], ["--hooi", "5"]], ids=["plain", "hooi-5"])
+def test_fits_at_one_and_two_blas_threads_agree_within_the_stated_bound(tmp_path, hooi):
+    """CLI ``fit`` at 1 and at 2 BLAS threads, each in its own process, keeps the same words
+    and vertices, and its model entries agree within ``_THREADS_BOUND``.  On this instance
+    the runs really differ: OpenBLAS splits the mode-1 Gram matrix's product over two
+    threads.  On 2 vCPUs with OpenBLAS 0.3.31 the largest entry gaps were a1 4.5e-14, a2
+    8.8e-14, a3 1.8e-14 and g 4.3e-14, and 2.4e-15, 1.3e-15, 1.6e-16 and 1.0e-15 with
+    ``--hooi 5``.  Where the process may run on one CPU only, OpenBLAS runs one thread, and
+    the two fits are equal."""
+    out = tmp_path / "g"
+    spec = _spec_file(tmp_path, dims=[100, 80, 400], ranks=[3, 3, 5], seed=1)
+    assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 0
+    fits = []
+    for threads in (1, 2):
+        prefix = tmp_path / f"t{threads}"
+        done = run_python("-m", "tensortopics.cli", "fit", "--data", f"{out}.counts.txt",
+                          "--ranks", "3,3,5", *hooi, "--out", prefix,
+                          env=dict.fromkeys(cli._BLAS_THREAD_VARIABLES, str(threads)))
+        assert done.returncode == 0, done.stderr
+        fits.append([json.loads(Path(f"{prefix}.{name}.json").read_text())
+                     for name in ("model", "diagnostics")])
+    (model1, diagnostics1), (model2, diagnostics2) = fits
+    for key in ("vocab", "vertices"):
+        assert diagnostics1[key] == diagnostics2[key]
+    for name in ("a1", "a2", "a3", "g"):
+        np.testing.assert_allclose(model1[name], model2[name], rtol=0, atol=_THREADS_BOUND)
 
 
 def test_generate_seed_flag_overrides_spec(tmp_path):
@@ -1028,6 +1110,40 @@ def test_malformed_data_is_exit_3(tmp_path):
                  "--out", str(tmp_path / "f")]) == 3
     assert main(["eval", "--model", str(tmp_path / "missing.json"),
                  "--truth", str(tmp_path / "missing.json")]) == 3
+
+
+@pytest.mark.parametrize("where, message", [
+    ("data-directory", "cannot read tensor file: "),
+    ("config-not-json", "invalid JSON: "),
+    ("config-array", "fit config must be a JSON object\n"),
+    ("grid-without-cells", 'grid must hold a nonempty "cells" list\n'),
+])
+def test_an_input_that_cannot_be_read_as_its_kind_is_exit_3_naming_it(tmp_path, capsys, where,
+                                                                       message):
+    path = tmp_path / "input.json"
+    data = ["fit", "--data", str(_tiny_counts(tmp_path)), "--ranks", "2,2,2", "--config"]
+    argv, content = {
+        "data-directory": (["fit", "--ranks", "2,2,2", "--data"], None),
+        "config-not-json": (data, "{ranks: [2, 2, 2]}"),
+        "config-array": (data, "[2, 2, 2]"),
+        "grid-without-cells": (["sweep", "--grid"], '{"cells": []}'),
+    }[where]
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    assert main([*argv, str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {path}: {message}")
+
+
+@pytest.mark.parametrize("ranks, message", [("1,x,2", "ranks must be integers"),
+                                            ("1,2", "ranks must look like K1,K2,K3")])
+def test_fit_ranks_that_do_not_parse_are_usage_errors(tmp_path, capsys, ranks, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", str(tmp_path / "missing.txt"), "--ranks", ranks,
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"argument --ranks: {message}\n" in capsys.readouterr().err
 
 
 def test_eval_of_models_that_disagree_names_both_files(tmp_path, capsys):
@@ -1366,6 +1482,30 @@ def test_bad_generator_spec_is_exit_3_naming_the_file(tmp_path, capsys, override
     assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")]) == 3
     assert str(spec) in capsys.readouterr().err
     assert not (tmp_path / "g.counts.txt").exists()
+
+
+@pytest.mark.parametrize("where", ["fit-config", "sweep-cell", "sweep-cell-fit", "spec"])
+def test_a_key_the_input_may_not_hold_is_exit_3_naming_the_key(tmp_path, capsys, where):
+    """An unknown key, or one the command sets itself, is refused in the program's words:
+    the message names the key and, for one the command sets, where its value comes from."""
+    cell = {"dims": [8, 6, 20], "ranks": [2, 2, 2], "doc_length": 30}
+    path = tmp_path / "input.json"
+    argv, payload, message = {
+        "fit-config": (["fit", "--data", str(_tiny_counts(tmp_path)), "--ranks", "2,2,2",
+                        "--config"], {"doc_length": 7},
+                       '"doc_length" cannot be set here: it comes from the count file header'),
+        "sweep-cell": (["sweep", "--grid"], {"cells": [{**cell, "seed": 3}]},
+                       'cell 0: "seed" cannot be set here: it comes from each trial\'s derived '
+                       "seed"),
+        "sweep-cell-fit": (["sweep", "--grid"], {"cells": [{**cell, "fit": {"doc_length": 9}}]},
+                           'cell 0: "doc_length" cannot be set here: it comes from the cell\'s '
+                           "doc_length"),
+        "spec": (["generate", "--spec"], {**cell, "colour": "red"}, 'unknown key "colour"'),
+    }[where]
+    path.write_text(json.dumps(payload))
+    assert main([*argv, str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("o.")]
 
 
 def test_generate_with_an_underflowing_alpha_is_exit_3_naming_the_file(tmp_path):

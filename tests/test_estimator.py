@@ -358,9 +358,8 @@ _BROAD = {"MemoryError", "LinAlgError", "Exception", "BaseException"}
 
 def test_allocation_and_linalg_failures_are_caught_only_by_the_stage_guard():
     """One error policy: across ``src/``, a ``MemoryError`` or ``LinAlgError`` (or any error,
-    by a bare or broad ``except``) is caught only in ``errors._stage``, in
-    ``cli.read_count_tensor`` (a count file too big to load) and in ``cli.main``, whose
-    ``LinAlgError`` arm is a safety net.  The files are only read."""
+    by a bare or broad ``except``) is caught only in ``errors._stage`` and in ``cli.main``,
+    whose ``LinAlgError`` arm is a safety net.  The files are only read."""
     catchers = set()
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "tensortopics").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -375,7 +374,7 @@ def test_allocation_and_linalg_failures_are_caught_only_by_the_stage_guard():
                 while scope in parents and not isinstance(scope, ast.FunctionDef):
                     scope = parents[scope]
                 catchers.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
-    assert catchers == {"errors._stage", "cli.read_count_tensor", "cli.main"}
+    assert catchers == {"errors._stage", "cli.main"}
 
 
 @pytest.mark.parametrize("routine", ["svd", "solve"])
