@@ -44,7 +44,7 @@ import sys
 import time
 import warnings
 import zipfile
-from dataclasses import asdict, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -393,17 +393,18 @@ def read_model(path):
     """Load a model JSON file: the arrays must hold numbers only, match the
     declared dims and ranks, and pass ``TuckerModel.validate()``."""
     payload = _load_json(path, "model file")
-    try:
-        dims = _checked_triple("dims", payload["dims"])
-        ranks = _checked_triple("ranks", payload["ranks"])
-        arrays = {name: np.asarray(payload[name]) for name in ("a1", "a2", "a3", "g")}
-        for name, array in arrays.items():
-            if array.dtype.kind not in "iuf":
-                raise DataFormatError(f"{name} must be an array of numbers")
-        model = TuckerModel(**arrays)
-        model.validate()
-    except (KeyError, TypeError, ValueError) as err:
-        raise DataFormatError(f"{path}: malformed model payload: {err}") from None
+    with _stage(str(path)):
+        try:
+            dims = _checked_triple("dims", payload["dims"])
+            ranks = _checked_triple("ranks", payload["ranks"])
+            arrays = {name: np.asarray(payload[name]) for name in ("a1", "a2", "a3", "g")}
+            for name, array in arrays.items():
+                if array.dtype.kind not in "iuf":
+                    raise DataFormatError(f"{name} must be an array of numbers")
+            model = TuckerModel(**arrays)
+            model.validate()
+        except (KeyError, TypeError, ValueError) as err:
+            raise DataFormatError(f"{path}: malformed model payload: {err}") from None
     if model.dims != dims or model.ranks != ranks:
         raise DataFormatError(f"{path}: declared dims/ranks do not match array shapes")
     return model
@@ -474,8 +475,8 @@ def _from_json(kind, options, where, **fixed):
     ``fixed``, each a pair ``(value, source)``, ``source`` saying where the value comes from.
 
     The one boundary for generator specs and fit configs: an unknown key, a key of ``fixed``,
-    a wrong type or a bad value raises ``DataFormatError`` naming ``where``, and the key when
-    it is the key that is wrong.
+    a missing key without a default, a wrong type or a bad value raises ``DataFormatError``
+    naming ``where``, and the key when it is the key that is wrong.
     """
     names = {field.name for field in fields(kind)}
     for key in options:
@@ -484,6 +485,9 @@ def _from_json(kind, options, where, **fixed):
                                   f"{fixed[key][1]}")
         if key not in names:
             raise DataFormatError(f'{where}: unknown key "{key}"')
+    for field in fields(kind):
+        if field.default is MISSING and field.name not in options and field.name not in fixed:
+            raise DataFormatError(f'{where}: missing key "{field.name}"')
     try:
         return kind(**options, **{key: value for key, (value, _) in fixed.items()})
     except (TypeError, ValueError) as err:
@@ -619,7 +623,8 @@ def cmd_eval(args):
         raise DataFormatError(
             f"{args.model} (dims {fitted.dims}, ranks {fitted.ranks}) and {args.truth} "
             f"(dims {truth.dims}, ranks {truth.ranks}) disagree on dims or ranks")
-    report = evaluate(fitted, truth)
+    with _stage("scoring"):
+        report = evaluate(fitted, truth)
     scored = time.perf_counter()
     parameters = {"model": str(args.model), "truth": str(args.truth),
                   "perms": [list(p) for p in report.perms]}
@@ -651,9 +656,10 @@ def _sweep_trial(payload):
         with _stage("count draw"):
             instance = generate(replace(spec, seed=seed))
         result = fit(instance.y, cfg)
+        with _stage("scoring"):
+            report = evaluate(result.model, instance.model)
     except (FitDegenerateError, ValueError) as err:
         raise type(err)(f"{where}, trial {trial_index}: {err}") from None
-    report = evaluate(result.model, instance.model)
     return (cell_index, trial_index, seed,
             tuple(getattr(report, column) for column in _EVAL_COLUMNS))
 

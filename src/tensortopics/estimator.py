@@ -101,9 +101,9 @@ class FitConfig:
     for power-law vocabularies and is far below any uniform word frequency at
     desk scales.  Field types are checked, not coerced: a string ``"false"``
     is no boolean and ``2.5`` is no rank.  ``hooi_iters`` caps the HOOI sweeps, which stop
-    sooner once the captured energy settles (``spectral.hooi_refine``).  The rank rules that
-    need no data (the Tucker span, two topics) are checked here, and ``fit`` checks the ranks
-    against the data."""
+    after the first that gains at most ``spectral._HOOI_TOL`` of the captured energy.  The
+    rank rules that need no data (the Tucker span, two topics) are checked here, and ``fit``
+    checks the ranks against the data."""
 
     ranks: tuple
     doc_length: int
@@ -136,8 +136,9 @@ class FitResult:
     mode-1 gram and of the mode-2 gram of the tensor projected on the mode-1 basis, each the
     top of one full ``eigh``, and squared singular values of the word projection, from its one
     SVD; a ``scree`` of a mode agrees with them bit for bit on their common prefix.
-    ``hooi_energy`` holds the captured energy ``||xi3^T P||^2`` of the spectral bases and after
-    each HOOI sweep run, ``(e_0, ..., e_s)``, so ``s`` sweeps ran; it is empty without HOOI.
+    ``hooi_energy`` holds the captured energy ``||xi3^T P||^2``, the sum of the kept squared
+    singular values of ``P``, of the spectral bases and of each HOOI sweep's, ``(e_0, ..., e_s)``:
+    it never falls, ``s`` sweeps ran, and it is empty without HOOI.
     """
 
     model: TuckerModel
@@ -270,7 +271,7 @@ def fit(y, cfg):
     xi, eigvals = zip(*bases)
     energy = ()
     if cfg.use_hooi:
-        xi, p, energy = hooi_refine(data, xi, p, cfg.hooi_iters)
+        xi, p, energy = hooi_refine(data, xi, p, float(eigvals[2].sum()), cfg.hooi_iters)
 
     a1, hunt1 = _membership_from_basis(xi[0], "mode 1 membership")
     a2, hunt2 = _membership_from_basis(xi[1], "mode 2 membership")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataFormatError, _all_finite, _check_mode, _stage
 
-_HOOI_TOL = 1e-6  # a HOOI sweep after the first that gains at most this share of energy is the last
+_HOOI_TOL = 1e-6  # a HOOI sweep that gains at most this share of its energy is the last
 
 
 def _gram(m):
@@ -111,46 +111,41 @@ def _left_singular(m, k):
     return _fix_signs(u[:, :k]), s[:k] ** 2
 
 
-def _captured_energy(xi3, p):
-    """``e = ||xi3^T P||^2`` of the word projection ``p``, unfolded to ``n3 x k1 k2``: the energy
-    of the tensor that the three bases capture.  A sweep that updates each mode from the latest
-    bases cannot lower it; ``hooi_refine`` updates all three from the previous sweep's, which
-    carries no such guarantee, so a fall is possible and stops the sweeps."""
-    core = xi3.T @ p.reshape(len(p), -1)
-    return float(np.vdot(core, core))
-
-
-def hooi_refine(data, xi, p, iters):
-    """Power-iteration refinement of all three bases; returns them, their word projection and
-    the captured energies ``(e_0, ..., e_s)`` of the start and of each of the ``s`` sweeps run.
+def hooi_refine(data, xi, p, energy, iters):
+    """Higher-order orthogonal iteration from the bases ``xi``: returns the refined bases, their
+    word projection and the captured energies ``(e_0, ..., e_s)`` of the start and of each of
+    the ``s`` sweeps run.
 
     ``data`` is the fit's ``tensor.DenseData``, ``xi`` one orthonormal ``(n_a, k_a)`` basis per
-    mode and ``p`` the word projection of its first two.  Each sweep takes fresh leading left
-    singular vectors of the tensor contracted with the other two modes' previous bases, so all
-    three updates read the same iterate: mode 3 from the carried ``p``, modes 1 and 2 from
-    their shared word contraction, read in place.  The sweep ends with the word projection of
-    its new bases, so it reads the tensor twice and holds one contraction-sized array at a
-    time.  ``iters`` caps the sweeps: from the second on, a sweep whose energy gain is at most
-    ``_HOOI_TOL`` of its energy is the last, and so is one whose energy falls; its bases are
-    the ones returned.  Signs follow :func:`leading_eigvecs`; inputs are
-    taken as ``fit`` checks them.  Sweep ``s`` is the stage ``HOOI sweep s``, and its SVDs
-    ``HOOI sweep s, mode m basis``.
+    mode, ``p`` the word projection of its first two (returned as it is when no sweep runs) and
+    ``energy`` their captured energy ``e_0 = ||xi3^T P||^2``, the sum of the word spectrum.
+    Each sweep is the standard one (De Lathauwer, De Moor & Vandewalle, SIAM J. Matrix Anal.
+    Appl. 2000): each mode in turn takes the leading left singular vectors of the tensor
+    contracted with the latest bases of the other two.  Modes 1 and 2 read one word
+    contraction in place, mode 2 with the new mode-1 basis, and mode 3 reads the word
+    projection ``P`` of the new bases, whose kept squared singular values sum to the sweep's
+    energy ``e_s``.  Each update maximizes the captured energy over its basis, so ``e_s`` never
+    falls (within rounding).  A sweep reads the tensor twice and holds one contraction-sized
+    array at a time.  ``iters`` caps the sweeps, and a sweep that gains at most
+    ``_HOOI_TOL e_s`` is the last.  Signs follow :func:`leading_eigvecs`; inputs are taken as
+    ``fit`` checks them.  Sweep ``s`` is the stage ``HOOI sweep s``, and its SVDs ``HOOI sweep
+    s, mode m basis``.
     """
-    xi, ranks = tuple(xi), [x.shape[1] for x in xi]
-    energy = [_captured_energy(xi[2], p)]
+    (xi1, xi2, xi3), energy = xi, [energy]
     for sweep in range(1, iters + 1):
         with _stage(f"HOOI sweep {sweep}"):
-            by_word = data.word_contraction(xi[2])  # (k3, n1, n2)
-            projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
-                         np.matmul(xi[0].T, by_word).transpose(2, 0, 1), p]
+            by_word = data.word_contraction(xi3)  # (k3, n1, n2)
+            m1 = np.tensordot(by_word, xi2, axes=([2], [0])).transpose(1, 2, 0)
+            with _stage(f"HOOI sweep {sweep}, mode 1 basis"):
+                xi1 = _left_singular(m1, xi1.shape[1])[0]
+            m2 = np.matmul(xi1.T, by_word).transpose(2, 0, 1)
             del by_word  # freed before the projection contracts the tensor
-            bases = []
-            for mode, (m, k) in enumerate(zip(projected, ranks), start=1):
-                with _stage(f"HOOI sweep {sweep}, mode {mode} basis"):
-                    bases.append(_left_singular(m, k)[0])
-            xi = tuple(bases)
-            p = word_projection(data.mode1_projection(xi[0]), xi[1])
-            energy.append(_captured_energy(xi[2], p))
-        if sweep > 1 and energy[-1] - energy[-2] <= _HOOI_TOL * energy[-1]:
+            with _stage(f"HOOI sweep {sweep}, mode 2 basis"):
+                xi2 = _left_singular(m2, xi2.shape[1])[0]
+            p = word_projection(data.mode1_projection(xi1), xi2)
+            with _stage(f"HOOI sweep {sweep}, mode 3 basis"):
+                xi3, values = _left_singular(p, xi3.shape[1])
+            energy.append(float(values.sum()))
+        if energy[-1] - energy[-2] <= _HOOI_TOL * energy[-1]:
             break
-    return xi, p, tuple(energy)
+    return (xi1, xi2, xi3), p, tuple(energy)

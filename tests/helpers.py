@@ -138,59 +138,58 @@ def exact_mode_basis(d, mode, k):
 
 
 def hooi_reference(y, xi, iters):
-    """HOOI sweeps through explicit unfoldings and Kronecker products: the
-    reference that the direct tensor contraction of ``hooi_refine`` is held to."""
+    """HOOI sweeps through explicit unfoldings and Kronecker products, each mode in
+    turn from the latest bases of the other two: the reference that the direct
+    tensor contractions of ``hooi_refine`` are held to."""
     from tensortopics import unfold
     from tensortopics.spectral import _fix_signs
 
     others = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
-    xi = tuple(xi)
+    xi = list(xi)
     for _ in range(iters):
-        new_xi = []
         for mode in (1, 2, 3):
             b, c = others[mode]
             projected = unfold(y, mode) @ np.kron(xi[b - 1], xi[c - 1])
             u, _, _ = np.linalg.svd(projected, full_matrices=False)
-            new_xi.append(_fix_signs(u[:, :xi[mode - 1].shape[1]]))
-        xi = tuple(new_xi)
-    return xi
+            xi[mode - 1] = _fix_signs(u[:, :xi[mode - 1].shape[1]])
+    return tuple(xi)
 
 
-def hooi_tensordot_reference(data, xi, p, iters):
-    """HOOI sweeps as ``hooi_refine`` ran them when mode 2 took its projection
-    from the shared word contraction by ``tensordot``, which copies it to a
-    transposed layout: the reference its in-place batched GEMM is held to.
-    Like :func:`hooi_reprojecting_reference`, it projects the tensor anew for
-    every mode-3 update and ignores ``p``."""
-    return hooi_reprojecting_reference(data, xi, p, iters, mode2_by_tensordot=True)
+def hooi_loop_reference(data, xi, iters, mode2_by_tensordot=False):
+    """HOOI sweeps as a loop over the modes, each mode in turn from the latest
+    bases of the other two and from its own contraction of the tensor: modes 1
+    and 2 each from a word contraction, mode 2's read by a batched GEMM or, with
+    ``mode2_by_tensordot``, by ``tensordot``, which copies it to a transposed
+    layout; mode 3 from the word projection of the latest bases.  Returns the
+    bases, their word projection and each sweep's captured energy, the sum of
+    its mode-3 squared singular values: what ``hooi_refine`` returns bit for bit
+    when its stop rule does not bind, less the start's energy."""
+    from tensortopics.spectral import _left_singular
 
-
-def hooi_reprojecting_reference(data, xi, p, iters, mode2_by_tensordot=False):
-    """HOOI sweeps as ``hooi_refine`` ran them before it carried the word
-    projection: each mode-3 update projects the tensor on the previous bases
-    of modes 1 and 2 anew, ``p`` is ignored, and the word projection of the
-    final bases is formed once more after the last sweep.  Returns the bases
-    and that projection, the reference the carried projection is held to bit
-    for bit."""
-    from tensortopics.spectral import _fix_signs, _left_singular
-
-    xi = tuple(xi)
+    xi, energy = list(xi), []
     for _ in range(iters):
-        by_word = np.tensordot(xi[2], data.y, axes=([0], [2]))
-        projected = [np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0),
-                     np.tensordot(by_word, xi[0], axes=([1], [0])).transpose(1, 2, 0)
-                     if mode2_by_tensordot else np.matmul(xi[0].T, by_word).transpose(2, 0, 1)]
-        word = _left_singular(start_projection(data, xi), xi[2].shape[1])[0]
-        xi = (*(_fix_signs(np.linalg.svd(m.reshape(len(m), -1), full_matrices=False)[0][:, :k])
-                for m, k in zip(projected, (x.shape[1] for x in xi))), word)
-    return xi, start_projection(data, xi)
+        for mode in range(3):
+            if mode < 2:
+                by_word = np.tensordot(xi[2], data.y, axes=([0], [2]))
+            if mode == 0:
+                projected = np.tensordot(by_word, xi[1], axes=([2], [0])).transpose(1, 2, 0)
+            elif mode == 2:
+                projected = start_projection(data, xi)
+            elif mode2_by_tensordot:
+                projected = np.tensordot(by_word, xi[0], axes=([1], [0])).transpose(1, 2, 0)
+            else:
+                projected = np.matmul(xi[0].T, by_word).transpose(2, 0, 1)
+            xi[mode], values = _left_singular(projected, xi[mode].shape[1])
+        energy.append(float(values.sum()))
+    return tuple(xi), start_projection(data, xi), tuple(energy)
 
 
-def at_sweeps(reference, sweeps):
-    """A stand-in for ``hooi_refine`` that runs the reference sweeps ``reference`` for the
-    ``sweeps`` a fit reported, whatever cap it is handed; it reports no energies."""
-    def refine(data, xi, p, iters):
-        return (*reference(data, xi, p, sweeps), ())
+def at_sweeps(sweeps, **options):
+    """A stand-in for ``hooi_refine`` that runs :func:`hooi_loop_reference` with
+    ``options`` for the ``sweeps`` a fit reported, whatever cap it is handed."""
+    def refine(data, xi, p, energy, iters):
+        xi, p, energies = hooi_loop_reference(data, xi, sweeps, **options)
+        return xi, p, (energy, *energies)
     return refine
 
 
@@ -205,22 +204,20 @@ _PROJECTIONS = {
 
 def hooi_per_mode_reference(y, xi, iters):
     """HOOI sweeps with one three-operand ``einsum`` per mode, each reading the
-    whole tensor: the loop ``hooi_refine`` ran before modes 1 and 2 shared
-    their word-mode contraction, the reference it is held to bit for bit."""
+    whole tensor and the latest bases of the other two modes: the reference the
+    shared word contraction of ``hooi_refine`` is held to."""
     from tensortopics.spectral import _fix_signs
 
-    xi = tuple(xi)
+    xi = list(xi)
     for _ in range(iters):
-        new_xi = []
         for mode in (1, 2, 3):
             (b, c), subscripts = _PROJECTIONS[mode]
             projected = np.einsum(subscripts, y, xi[b - 1], xi[c - 1], optimize=True)
             projected = projected.reshape(projected.shape[0], -1)
             k = xi[mode - 1].shape[1]
             u, _, _ = np.linalg.svd(projected, full_matrices=False)
-            new_xi.append(_fix_signs(u[:, :k]))
-        xi = tuple(new_xi)
-    return xi
+            xi[mode - 1] = _fix_signs(u[:, :k])
+    return tuple(xi)
 
 
 def traced_peak(call, *args):

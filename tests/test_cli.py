@@ -580,6 +580,39 @@ def test_a_failed_allocation_reading_an_input_or_drawing_a_trial_exits_3_naming_
     assert capsys.readouterr().err == f"data error: {named}: too big to allocate: {_NUMPY_TEXT}\n"
 
 
+@pytest.mark.parametrize("where", ["eval-model", "eval-scoring", "sweep-scoring"])
+def test_a_failed_allocation_reading_a_model_or_scoring_exits_3_naming_it(
+        tmp_path, capsys, monkeypatch, where):
+    """A failed allocation while ``read_model`` converts a model file's arrays, or while
+    ``eval`` or a sweep trial scores a fit, exits 3 with one line that names the file, or
+    ``scoring`` (after the grid, cell and trial of a sweep), and carries numpy's text.  The
+    failure is patched in: nothing that large is allocated."""
+    def too_big(*args, **kwargs):
+        raise MemoryError(_NUMPY_TEXT)
+
+    def too_big_for_lists(a, *args, **kwargs):  # the model file's arrays arrive as lists
+        return too_big() if isinstance(a, list) else asarray(a, *args, **kwargs)
+
+    asarray, grid = np.asarray, tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cells": [{"dims": [8, 6, 20], "ranks": [2, 2, 2],
+                                           "doc_length": 30}]}))
+    truth = str(tmp_path / "g.truth.json")
+    spec = _spec_file(tmp_path)
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")]) == 0
+    capsys.readouterr()
+    eval_argv = ["eval", "--model", truth, "--truth", truth, "--out", str(tmp_path / "e")]
+    owner, name, patched, argv, named = {
+        "eval-model": (np, "asarray", too_big_for_lists, eval_argv, truth),
+        "eval-scoring": (cli, "evaluate", too_big, eval_argv, "scoring"),
+        "sweep-scoring": (cli, "evaluate", too_big,
+                          ["sweep", "--grid", str(grid), "--out", str(tmp_path / "s")],
+                          f"{grid}: cell 0, trial 0: scoring"),
+    }[where]
+    monkeypatch.setattr(owner, name, patched)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"data error: {named}: too big to allocate: {_NUMPY_TEXT}\n"
+
+
 def test_a_failed_generate_leaves_the_output_directory_as_it_was(tmp_path, capsys,
                                                                   monkeypatch):
     """A draw that fails after its first block of records is written exits 3 and leaves no
@@ -1484,10 +1517,12 @@ def test_bad_generator_spec_is_exit_3_naming_the_file(tmp_path, capsys, override
     assert not (tmp_path / "g.counts.txt").exists()
 
 
-@pytest.mark.parametrize("where", ["fit-config", "sweep-cell", "sweep-cell-fit", "spec"])
+@pytest.mark.parametrize("where", ["fit-config", "sweep-cell", "sweep-cell-fit", "spec",
+                                   "spec-missing", "sweep-cell-missing"])
 def test_a_key_the_input_may_not_hold_is_exit_3_naming_the_key(tmp_path, capsys, where):
-    """An unknown key, or one the command sets itself, is refused in the program's words:
-    the message names the key and, for one the command sets, where its value comes from."""
+    """An unknown key, one the command sets itself, or a missing key that has no default is
+    refused in the program's words: the message names the key and, for one the command
+    sets, where its value comes from."""
     cell = {"dims": [8, 6, 20], "ranks": [2, 2, 2], "doc_length": 30}
     path = tmp_path / "input.json"
     argv, payload, message = {
@@ -1501,6 +1536,11 @@ def test_a_key_the_input_may_not_hold_is_exit_3_naming_the_key(tmp_path, capsys,
                            'cell 0: "doc_length" cannot be set here: it comes from the cell\'s '
                            "doc_length"),
         "spec": (["generate", "--spec"], {**cell, "colour": "red"}, 'unknown key "colour"'),
+        "spec-missing": (["generate", "--spec"], {"ranks": [2, 2, 2], "doc_length": 30},
+                         'missing key "dims"'),
+        "sweep-cell-missing": (["sweep", "--grid"], {"cells": [{"dims": [8, 6, 20],
+                                                                "ranks": [2, 2, 2]}]},
+                               'cell 0: missing key "doc_length"'),
     }[where]
     path.write_text(json.dumps(payload))
     assert main([*argv, str(path), "--out", str(tmp_path / "o")]) == 3

@@ -251,10 +251,17 @@ def test_noiseless_gram_has_exact_rank():
     assert vals[2] / vals[0] < 1e-8  # rank k1 = 2
 
 
-def _refined(y, xi, iters):
-    """The bases ``hooi_refine`` returns from the start ``xi`` and its word projection."""
+def _start(y, xi):
+    """The fit's data of ``y`` and the arguments ``hooi_refine`` takes with the start ``xi``:
+    ``xi``, its word projection and its captured energy."""
     data = kept_data(y)
-    return hooi_refine(data, xi, start_projection(data, xi), iters)[0]
+    p = start_projection(data, xi)
+    return data, xi, p, float(np.sum((xi[2].T @ p.reshape(len(p), -1)) ** 2))
+
+
+def _refined(y, xi, iters):
+    """The bases ``hooi_refine`` returns from the start ``xi``."""
+    return hooi_refine(*_start(y, xi), iters)[0]
 
 
 def test_hooi_zero_iters_identity():
@@ -363,8 +370,7 @@ def test_hooi_sweep_peaks_no_higher_than_per_mode_einsums():
     dims, ranks = _BENCHMARK_SHAPES[1]
     (n1, n2, n3), (k1, k2, k3) = dims, ranks
     y, start = _random_bases(dims, ranks, seed=1)
-    data = kept_data(y)
-    peak = traced_peak(hooi_refine, data, start, start_projection(data, start), 2)[1]
+    peak = traced_peak(hooi_refine, *_start(y, start), 2)[1]
     k_wide = n1 * (k1 + k2 * k3) + n2 * (k2 + k1 * k3) + n3 * (k3 + k1 * k2)
     assert peak <= 8 * max(k3 * n1 * n2, k1 * n2 * n3) + 2 * 8 * k_wide
     assert peak <= traced_peak(hooi_per_mode_reference, y, start, 2)[1]
