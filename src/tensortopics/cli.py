@@ -4,9 +4,10 @@ Count tensors travel as UTF-8 text: a header line ``n1 n2 n_words doc_length``
 followed by ``i j r count`` records (1-based, zeros omitted, duplicate records
 accumulate).  Models travel as JSON objects with dense row-major arrays
 ``a1, a2, a3, g`` plus ``dims`` and ``ranks``; floats keep full round-trip
-precision, so write-read cycles are bit-faithful.  Every command writes a
-manifest echoing its parameters, library versions, output paths, and stage
-timings; replaying a command with equal inputs reproduces every numeric
+precision, so write-read cycles are bit-faithful.  Every command run with an
+``--out`` prefix has a manifest echoing its parameters, library versions, output
+paths, and stage timings, which ``main`` writes from the run the command
+returns; replaying a command with equal inputs reproduces every numeric
 output byte for byte (only the manifest's timings, its ``records`` entry and
 the records file among its outputs differ).
 
@@ -26,8 +27,8 @@ be written, and it is always safe to delete.  The ``fit`` and ``scree``
 manifests say whether the records were ``"parsed"`` or ``"cached"``, and list
 the records file among the outputs when the command wrote it.
 
-Exit codes: 0 success, 2 usage error, 3 malformed data or an input too big to
-allocate, 4 degenerate fit.
+Exit codes: 0 success, 2 usage error, 3 malformed data, an input too big to
+allocate or a file that cannot be read or written, 4 degenerate fit.
 """
 
 import argparse
@@ -286,7 +287,10 @@ def _cell_frequencies(path, ascii_only):
 
 def _cached_records(cache, key):
     """The dims, doc length, cells and frequencies that the records file ``cache`` holds for
-    key ``key``, or ``None`` when it holds another key or cannot be read as a records file."""
+    key ``key``, or ``None`` when it holds another key, cannot be read as a records file or
+    holds values that no parse gives: a dim or doc length below 1, dims past the parse's size
+    limit, cells not strictly ascending or outside the tensor, or a frequency that is negative
+    or not finite."""
     try:  # np.load leaves a file it opened unclosed when it is no zip archive
         with open(cache, "rb") as handle, np.load(handle, allow_pickle=False) as saved:
             if saved["key"].tobytes() != key:
@@ -299,7 +303,14 @@ def _cached_records(cache, key):
              frequencies.dtype, frequencies.shape)
     if kinds != (np.int64, (3,), np.int64, (), np.int64, 1, np.float64, cells.shape):
         return None
-    return tuple(dims.tolist()), int(doc_length), cells, frequencies
+    dims, doc_length = tuple(dims.tolist()), int(doc_length)
+    size = dims[0] * dims[1] * dims[2]  # Python ints: no wrap
+    if (min(*dims, doc_length) < 1 or size > _INT64.max // 8
+            or cells.size and (cells[0] < 0 or cells[-1] >= size)
+            or not (cells[1:] > cells[:-1]).all()
+            or np.signbit(frequencies).any() or not np.isfinite(frequencies).all()):
+        return None
+    return dims, doc_length, cells, frequencies
 
 
 def _write_records(path, seen, cache, key, records):
@@ -424,7 +435,8 @@ def _blas():
 
 
 def write_manifest(path, command, parameters, outputs, stage_seconds, read=None):
-    """Write the manifest.  Its ``versions`` name what a replay must match to be bit-identical:
+    """Write the manifest of a run of ``command``; :func:`main` writes each command's, from the
+    run the command returns.  Its ``versions`` name what a replay must match to be bit-identical:
     the libraries, numpy's BLAS, the BLAS thread-count variables (``null`` when unset) and the
     CPUs this process may run on, which bound the BLAS threads.  ``read``, the account of a
     count file's read that :func:`read_count_tensor` filled, adds the ``records`` entry and,
@@ -514,20 +526,14 @@ def _write_csv(path_or_none, header, rows):
                          for row in rows)
 
 
-def _print_or_write(prefix, command, name, header, rows, parameters, stage_seconds,
-                    read=None):
-    """Print ``rows`` under ``header``, or write them and a manifest under ``prefix``, which
-    takes ``read`` as :func:`write_manifest` does."""
-    start = time.perf_counter()
+def _print_or_write(prefix, name, header, rows):
+    """Print ``rows`` under ``header``, or write them to ``<prefix>.<name>.csv``; return the
+    outputs of the run: ``{name: path}``, the path ``None`` when printed."""
     path = None if prefix is None else _out(prefix, f"{name}.csv")
     _write_csv(path, header, rows)
     if path is not None:
-        write_manifest(_out(prefix, "manifest.json"), command, parameters=parameters,
-                       outputs={name: path},
-                       stage_seconds={**stage_seconds, "write": time.perf_counter() - start},
-                       read=read)
         print(f"wrote {path}")
-    return 0
+    return {name: path}
 
 
 def derive_seed(master, *path):
@@ -559,15 +565,11 @@ def cmd_generate(args):
     truth_path = _out(args.out, "truth.json")
     write_model(truth_path, model, extra={"seed": spec.seed})
     written = time.perf_counter()
-    write_manifest(
-        _out(args.out, "manifest.json"), "generate",
-        parameters=asdict(spec),
-        outputs={"counts": counts_path, "truth": truth_path},
-        stage_seconds={"load": loaded - start, "generate": drawn,
-                       "write": written - loaded - drawn})
     n1, n2, _ = spec.dims  # every document holds doc_length tokens
     print(f"wrote {counts_path} ({n1 * n2 * spec.doc_length} tokens) and {truth_path}")
-    return 0
+    return {"parameters": asdict(spec), "outputs": {"counts": counts_path, "truth": truth_path},
+            "stage_seconds": {"load": loaded - start, "generate": drawn,
+                              "write": written - loaded - drawn}}
 
 
 def cmd_fit(args):
@@ -603,16 +605,11 @@ def cmd_fit(args):
                                "energy": list(result.hooi_energy)}
     _write_json(diag_path, diagnostics)
     written = time.perf_counter()
-    parameters = {"data": str(args.data), "doc_length": doc_length, **asdict(cfg)}
-    write_manifest(
-        _out(args.out, "manifest.json"), "fit",
-        parameters=parameters,
-        outputs={"model": model_path, "diagnostics": diag_path},
-        stage_seconds={"load": loaded - start, "fit": fitted - loaded,
-                       "write": written - fitted},
-        read=read)
     print(f"wrote {model_path} (vocabulary kept {result.vocab.size} words)")
-    return 0
+    return {"parameters": {"data": str(args.data), "doc_length": doc_length, **asdict(cfg)},
+            "outputs": {"model": model_path, "diagnostics": diag_path}, "read": read,
+            "stage_seconds": {"load": loaded - start, "fit": fitted - loaded,
+                              "write": written - fitted}}
 
 
 def cmd_eval(args):
@@ -626,11 +623,12 @@ def cmd_eval(args):
     with _stage("scoring"):
         report = evaluate(fitted, truth)
     scored = time.perf_counter()
-    parameters = {"model": str(args.model), "truth": str(args.truth),
-                  "perms": [list(p) for p in report.perms]}
-    return _print_or_write(args.out, "eval", "losses", _EVAL_COLUMNS,
-                           [[getattr(report, column) for column in _EVAL_COLUMNS]],
-                           parameters, {"eval": scored - start})
+    outputs = _print_or_write(args.out, "losses", _EVAL_COLUMNS,
+                              [[getattr(report, column) for column in _EVAL_COLUMNS]])
+    return {"parameters": {"model": str(args.model), "truth": str(args.truth),
+                           "perms": [list(p) for p in report.perms]},
+            "outputs": outputs,
+            "stage_seconds": {"eval": scored - start, "write": time.perf_counter() - scored}}
 
 
 def _sweep_cell(cell, where):
@@ -667,6 +665,9 @@ def _sweep_trial(payload):
 def cmd_sweep(args):
     start = time.perf_counter()
     grid = _load_json(args.grid, "sweep grid")
+    unknown = [key for key in grid if key not in ("cells", "seed", "trials")]
+    if unknown:
+        raise DataFormatError(f'{args.grid}: unknown key "{unknown[0]}"')
     cells = grid.get("cells")
     if not isinstance(cells, list) or not cells:
         raise DataFormatError(f'{args.grid}: grid must hold a nonempty "cells" list')
@@ -678,10 +679,11 @@ def cmd_sweep(args):
     checked = [_sweep_cell(cell, where[ci]) for ci, cell in enumerate(cells)]
     jobs = [(spec, cfg, ci, ti, master_seed, where[ci])
             for ci, (spec, cfg) in enumerate(checked) for ti in range(trials)]
-    if args.workers > 1:
+    workers = min(args.workers, len(jobs))  # a fork pool starts all its workers up front
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_sweep_trial, jobs))
     else:
         raw = [_sweep_trial(job) for job in jobs]
@@ -703,14 +705,11 @@ def cmd_sweep(args):
     _write_csv(trials_path, trial_header, trial_rows)
     _write_csv(summary_path, summary_header, summary_rows)
     written = time.perf_counter()
-    write_manifest(
-        _out(args.out, "manifest.json"), "sweep",
-        parameters={"grid": str(args.grid), "seed": master_seed, "trials": trials,
-                    "workers": args.workers, "cells": len(cells)},
-        outputs={"trials": trials_path, "summary": summary_path},
-        stage_seconds={"sweep": swept - start, "write": written - swept})
     print(f"wrote {summary_path} ({len(cells)} cells x {trials} trials)")
-    return 0
+    return {"parameters": {"grid": str(args.grid), "seed": master_seed, "trials": trials,
+                           "workers": args.workers, "cells": len(cells)},
+            "outputs": {"trials": trials_path, "summary": summary_path},
+            "stage_seconds": {"sweep": swept - start, "write": written - swept}}
 
 
 def cmd_scree(args):
@@ -722,11 +721,13 @@ def cmd_scree(args):
     y, doc_length = read_count_tensor(args.data, read)
     _check_file_ranks(args.data, ranks if args.kmax is None else (*ranks, args.kmax), y.shape)
     values = scree(y, ranks, args.kmax, doc_length)
-    parameters = {"data": str(args.data), "ranks": list(ranks), "mode": mode,
-                  "k_max": len(values)}
-    return _print_or_write(args.out, "scree", "scree", ("index", "eigenvalue"),
-                           [[index + 1, float(value)] for index, value in enumerate(values)],
-                           parameters, {"compute": time.perf_counter() - start}, read)
+    computed = time.perf_counter()
+    outputs = _print_or_write(args.out, "scree", ("index", "eigenvalue"),
+                              [[index + 1, float(value)] for index, value in enumerate(values)])
+    return {"parameters": {"data": str(args.data), "ranks": list(ranks), "mode": mode,
+                           "k_max": len(values)},
+            "outputs": outputs, "read": read,
+            "stage_seconds": {"compute": computed - start, "write": time.perf_counter() - computed}}
 
 
 def _check_file_ranks(path, ranks, dims):
@@ -784,7 +785,8 @@ def build_parser():
     p.add_argument("--sparse", type=float, default=None, metavar="C",
                    help="vocabulary threshold constant")
     p.add_argument("--hooi", type=_int_at_least(0), default=None, metavar="N",
-                   help="refine bases with N power sweeps")
+                   help="refine bases with at most N standard HOOI sweeps, which stop once "
+                        "the captured energy settles")
     p.add_argument("--out", required=True, metavar="PREFIX")
     p.set_defaults(func=cmd_fit)
 
@@ -816,10 +818,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and, when it has an ``--out`` prefix, write its manifest from the run
+    it returns; return the exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return int(args.func(args))
+        run = args.func(args)
+        if args.out is not None:  # eval and scree print to stdout without it
+            write_manifest(_out(args.out, "manifest.json"), args.subcommand, **run)
+        return 0
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
@@ -827,7 +833,7 @@ def main(argv=None):
         # LinAlgError subclasses ValueError, yet it is a numerical failure
         print(f"degenerate fit: {err}", file=sys.stderr)
         return 4
-    except (DataFormatError, ValueError) as err:
+    except (DataFormatError, ValueError, OSError) as err:  # OSError: a file not read or written
         print(f"data error: {err}", file=sys.stderr)
         return 3
 

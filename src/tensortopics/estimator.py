@@ -6,9 +6,9 @@ One fit runs four stages:
    average frequency falls below the sparsity threshold (``threshold_vocab``);
 2. take the leading eigenvector basis of the mode-1 gram, the mode-2 basis of the tensor
    projected on it, and the word basis of the tensor projected on both (a sequentially
-   truncated HOSVD), optionally refined by power sweeps until the energy the bases capture
-   settles (``spectral``), reading the tensor and its kept words only through
-   ``tensor.DenseData``;
+   truncated HOSVD), optionally refined by at most ``hooi_iters`` standard HOOI sweeps, which
+   stop once the captured energy settles (``spectral``), reading the tensor and its kept
+   words only through ``tensor.DenseData``;
 3. hunt simplex vertices in each basis row cloud and solve for memberships;
    the word mode first passes to ratio coordinates, and the recovered
    weights are rescaled by the leading eigenvector and normalized per topic

@@ -167,18 +167,18 @@ def topic_resolution(y, cfg, trials=20, rng=None, axis=1, splits=None):
     if axis not in (1, 2):
         raise ValueError("splits run along mode 1 or mode 2")
     trials = _checked_int("trials", trials, 1)
-    y = _data_word_sums(y)[0]
-    n = y.shape[axis - 1]
-    if splits is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        shuffles = [rng.permutation(n) for _ in range(trials)]
-        splits = [(np.sort(p[: n // 2]), np.sort(p[n // 2:])) for p in shuffles]
-    else:
+    if splits is not None:
         splits = [(np.asarray(first, dtype=np.intp), np.asarray(second, dtype=np.intp))
                   for first, second in splits]
         if len(splits) != trials:
             raise ValueError("need exactly one split per trial")
+    y = _data_word_sums(y)[0]
+    if splits is None:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        n = y.shape[axis - 1]
+        shuffles = [rng.permutation(n) for _ in range(trials)]
+        splits = [(np.sort(p[: n // 2]), np.sort(p[n // 2:])) for p in shuffles]
     scores = []
     for halves in splits:
         fit_a, fit_b = (fit(np.take(y, half, axis=axis - 1), cfg) for half in halves)

@@ -412,6 +412,29 @@ def test_a_rewrite_of_the_same_size_and_mtime_is_parsed_again(tmp_path, monkeypa
     _assert_same_bits(_read_cached(path, monkeypatch)[0], y)
 
 
+def _first_set(array, value):
+    array = array.copy()
+    array[0] = value
+    return array
+
+
+# edits of the records file's arrays under this file's key: a wrong array kind, or a value
+# that no parse gives
+_RECORDS_EDITS = {
+    "float32": lambda arrays: {"frequencies": arrays["frequencies"].astype(np.float32)},
+    "cell-past-the-end": lambda arrays: {"cells": np.r_[arrays["cells"][:-1],
+                                                        np.prod(arrays["dims"])]},
+    "dims-1-1-1": lambda arrays: {"dims": np.ones(3, dtype=np.int64)},
+    "dims-too-big": lambda arrays: {"dims": np.full(3, 2 ** 20, dtype=np.int64)},
+    "cell-minus-1": lambda arrays: {"cells": _first_set(arrays["cells"], -1)},
+    "cells-descending": lambda arrays: {"cells": arrays["cells"][::-1].copy()},
+    "nan-frequency": lambda arrays: {"frequencies": _first_set(arrays["frequencies"], np.nan)},
+    "negative-frequency": lambda arrays: {"frequencies": _first_set(arrays["frequencies"],
+                                                                    -0.4)},
+    "doc-length-minus-5": lambda arrays: {"doc_length": np.int64(-5)},
+}
+
+
 def _damage_records(path, damage):
     cache = _records_file(path)
     if damage == "truncated":
@@ -421,23 +444,25 @@ def _damage_records(path, damage):
     elif damage == "npy":
         with cache.open("wb") as out:
             np.save(out, np.arange(5))
-    elif damage == "float32":
-        with np.load(cache) as saved:
-            arrays = dict(saved)
-        with cache.open("wb") as out:
-            np.savez(out, **{**arrays, "frequencies": arrays["frequencies"].astype(np.float32)})
-    else:
+    elif damage == "another-files":
         other = path.with_name("other.txt")
         other.write_text("6 5 14 25\n2 2 2 4\n")
         read_count_tensor(other)
         os.replace(_records_file(other), cache)
+    else:
+        with np.load(cache) as saved:
+            arrays = dict(saved)
+        with cache.open("wb") as out:
+            np.savez(out, **{**arrays, **_RECORDS_EDITS[damage](arrays)})
 
 
-@pytest.mark.parametrize("damage", ["truncated", "garbage", "npy", "float32", "another-files"])
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "npy", "another-files",
+                                    *_RECORDS_EDITS])
 def test_a_records_file_that_is_not_this_files_is_ignored_and_rewritten(tmp_path, monkeypatch,
                                                                         damage):
-    """A records file cut short, not a zip archive, of the wrong array kinds or saved for
-    other bytes is a miss: the reader parses, warns of nothing and saves the records anew."""
+    """A records file cut short, not a zip archive, of the wrong array kinds, saved for other
+    bytes or holding values that no parse gives is a miss: the reader parses, warns of nothing
+    and saves the records anew."""
     inst = planted((6, 5, 14), (2, 2, 2), doc_length=25, seed=86)
     path = tmp_path / "counts.txt"
     write_count_tensor(path, inst.counts, 25)
@@ -978,6 +1003,32 @@ def test_sweep_parallel_matches_serial(tmp_path):
         (tmp_path / "w2.trials.csv").read_bytes()
 
 
+@pytest.mark.parametrize("trials, started", [(1, 0), (2, 2)])
+def test_sweep_starts_no_more_worker_processes_than_trials(tmp_path, monkeypatch, trials,
+                                                           started):
+    """``--workers 4`` starts one process per trial at most, and none for a single trial; its
+    tables equal those of ``--workers 1``, and its manifest echoes the workers asked for."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    spawned, spawn = [], ProcessPoolExecutor._spawn_process
+
+    def counted(self):
+        spawned.append(self)
+        spawn(self)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counted)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"seed": 3, "trials": trials, "cells": [
+        {"dims": [12, 8, 25], "ranks": [2, 2, 2], "doc_length": 80}]}))
+    for workers in ("1", "4"):
+        assert main(["sweep", "--grid", str(grid), "--workers", workers,
+                     "--out", str(tmp_path / f"w{workers}")]) == 0
+    assert len(spawned) == started
+    for table in ("trials.csv", "summary.csv"):
+        assert (tmp_path / f"w1.{table}").read_bytes() == (tmp_path / f"w4.{table}").read_bytes()
+    assert _manifest(tmp_path / "w4.manifest.json")["parameters"]["workers"] == 4
+
+
 def test_cli_commands_leave_scipy_unloaded(tmp_path):
     """The program needs only numpy at run time: generate, fit, eval, scree
     and a one-cell sweep, run in turn in a fresh process, import no scipy."""
@@ -1167,6 +1218,28 @@ def test_an_input_that_cannot_be_read_as_its_kind_is_exit_3_naming_it(tmp_path, 
         path.write_text(content)
     assert main([*argv, str(path), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err.startswith(f"data error: {path}: {message}")
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "eval", "scree", "sweep"])
+def test_an_output_that_cannot_be_written_is_exit_3_naming_its_path(tmp_path, capsys, command):
+    """An ``--out`` prefix under a regular file cannot be written: the command exits 3 with
+    one line, the system's text, which names the path."""
+    data, truth, grid = _tiny_counts(tmp_path), tmp_path / "truth.json", tmp_path / "grid.json"
+    write_model(truth, planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82).model)
+    grid.write_text(json.dumps({"cells": [{"dims": [8, 6, 20], "ranks": [2, 2, 2],
+                                           "doc_length": 30}]}))
+    argv = {
+        "generate": ["generate", "--spec", str(_spec_file(tmp_path))],
+        "fit": ["fit", "--data", str(data), "--ranks", "2,2,2"],
+        "eval": ["eval", "--model", str(truth), "--truth", str(truth)],
+        "scree": ["scree", "--data", str(data)],
+        "sweep": ["sweep", "--grid", str(grid)],
+    }[command]
+    plain = tmp_path / "plainfile"
+    plain.write_text("")
+    assert main([*argv, "--out", str(plain / "x")]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{plain}'\n")
 
 
 @pytest.mark.parametrize("ranks, message", [("1,x,2", "ranks must be integers"),
@@ -1434,13 +1507,15 @@ def _set_entry(name, value):
     return edit
 
 
-@pytest.mark.parametrize("edit", [
-    _set_entry("a1", float("nan")),
-    _set_entry("a1", -5.0),
-    _set_entry("a1", "0.5"),
-    lambda payload: payload.update(dims=[8.7, 6, 20]),
-], ids=["nan-entry", "negative-entry", "string-entry", "float-dims"])
-def test_bad_model_file_is_exit_3_naming_the_file(tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit, message", [
+    (_set_entry("a1", float("nan")), "a1 rows: non-finite entries"),
+    (_set_entry("a1", -5.0), "a1 rows: entries below -1e-09"),
+    (_set_entry("a1", "0.5"), "a1 must be an array of numbers"),
+    (lambda payload: payload.update(dims=[8.7, 6, 20]),
+     "dims must be three positive integers, got [8.7, 6, 20]"),
+    (lambda payload: payload.update(a1=payload["a1"][0]), "a1 must be a matrix, got ndim=1"),
+], ids=["nan-entry", "negative-entry", "string-entry", "float-dims", "1-d-a1"])
+def test_bad_model_file_is_exit_3_naming_the_file(tmp_path, capsys, edit, message):
     truth = tmp_path / "truth.json"
     write_model(truth, planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82).model)
     payload = json.loads(truth.read_text())
@@ -1448,7 +1523,7 @@ def test_bad_model_file_is_exit_3_naming_the_file(tmp_path, capsys, edit):
     bad = tmp_path / "bad.model.json"
     bad.write_text(json.dumps(payload))
     assert main(["eval", "--model", str(bad), "--truth", str(truth)]) == 3
-    assert f"{bad}: malformed model payload" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"data error: {bad}: malformed model payload: {message}\n"
 
 
 def _tiny_counts(tmp_path):
@@ -1518,7 +1593,7 @@ def test_bad_generator_spec_is_exit_3_naming_the_file(tmp_path, capsys, override
 
 
 @pytest.mark.parametrize("where", ["fit-config", "sweep-cell", "sweep-cell-fit", "spec",
-                                   "spec-missing", "sweep-cell-missing"])
+                                   "spec-missing", "sweep-cell-missing", "sweep-grid"])
 def test_a_key_the_input_may_not_hold_is_exit_3_naming_the_key(tmp_path, capsys, where):
     """An unknown key, one the command sets itself, or a missing key that has no default is
     refused in the program's words: the message names the key and, for one the command
@@ -1541,6 +1616,8 @@ def test_a_key_the_input_may_not_hold_is_exit_3_naming_the_key(tmp_path, capsys,
         "sweep-cell-missing": (["sweep", "--grid"], {"cells": [{"dims": [8, 6, 20],
                                                                 "ranks": [2, 2, 2]}]},
                                'cell 0: missing key "doc_length"'),
+        "sweep-grid": (["sweep", "--grid"], {"cells": [cell], "trails": 4, "seeed": 9},
+                       'unknown key "trails"'),
     }[where]
     path.write_text(json.dumps(payload))
     assert main([*argv, str(path), "--out", str(tmp_path / "o")]) == 3

@@ -25,6 +25,7 @@ from tensortopics import (
     leading_eigvecs,
     sample_counts,
     scree,
+    spa_vertex_hunt,
     threshold_vocab,
     topic_resolution,
     unfold,
@@ -401,7 +402,8 @@ def test_a_failing_vertex_matrix_names_its_membership_stage(monkeypatch, routine
 def test_option_checks_come_before_the_data_pass(monkeypatch):
     """``threshold_vocab``, ``topic_resolution`` and ``sample_counts`` refuse a bad option
     before they scan the tensor, as ``fit`` and ``scree`` do: a bad option on a tensor that
-    fails the data check names the option, and the data pass never runs."""
+    fails the data check names the option, and the data pass never runs.  The public
+    functions that take no tensor refuse a misshapen argument in their own words."""
     y = np.full((4, 4, 6), np.nan)
     scans = []
 
@@ -419,8 +421,19 @@ def test_option_checks_come_before_the_data_pass(monkeypatch):
         (lambda: topic_resolution(y, cfg, trials=0), "trials must be a positive integer"),
         (lambda: sample_counts(y, 0, 1), "doc_length must be a positive integer"),
         (lambda: sample_counts(y, 10, -1), "seed must be a nonnegative integer"),
+        (lambda: topic_resolution(y, cfg, trials=2, splits=[([0, 1], [2, 3])]),
+         "need exactly one split per trial"),
+        (lambda: scree(y, (1, 1, 2), None, 10),
+         "ranks must hold the fit ranks of at most two modes, got (1, 1, 2)"),
+        (lambda: aligned_l1_loss(np.ones((3, 2)), np.ones((3, 3))),
+         "column sets must share a shape, got (3, 2) vs (3, 3)"),
+        (lambda: build_q(np.ones(4), 1),
+         "expected an unfolding or a tensor with the mode's axis first"),
+        (lambda: leading_eigvecs(np.ones((2, 3)), 1), "q must be a square matrix"),
+        (lambda: spa_vertex_hunt(np.ones(4), 1), "points must be a matrix of row coordinates"),
+        (lambda: fold(np.ones((2, 6)), 1, (2, 6)), "shape must have three entries, got (2, 6)"),
     ]:
-        with pytest.raises(ValueError, match=f"^{message}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             call()
     assert not scans
     with pytest.raises(DataFormatError, match="^data tensor contains non-finite entries$"):

@@ -1,0 +1,51 @@
+"""Print the code lines of each ``src/tensortopics`` module and their total.
+
+A code line is a line that holds code: blank lines, comment-only lines and the lines of
+docstrings (the leading string of a module, class or function body) do not count, and a
+statement that spans several lines counts each of them.  Run from anywhere::
+
+    python tools/code_lines.py
+"""
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tensortopics"
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _docstring_lines(tree):
+    """The line numbers that docstrings span."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(source):
+    """The number of code lines in the Python text ``source``."""
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - _docstring_lines(ast.parse(source)))
+
+
+def main():
+    total = 0
+    for path in sorted(SRC.glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{path.name:16} {count:5}")
+    print(f"{'total':16} {total:5}")
+
+
+if __name__ == "__main__":
+    main()
