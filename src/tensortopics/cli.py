@@ -11,6 +11,14 @@ returns; replaying a command with equal inputs reproduces every numeric
 output byte for byte (only the manifest's timings, its ``records`` entry and
 the records file among its outputs differ).
 
+``main`` owns the outputs' directory: it makes the directory that every
+``<prefix>.<suffix>`` lands in before the command reads any input, so an
+``--out`` that cannot be made fails before any work, and it leaves the
+directory in place when the run then fails.  Every output file is
+written by :func:`_replacing`, whole or not at all: a failed or killed run
+leaves no partial file under an output's name, and an output it did not
+finish keeps its old content, if it had one.
+
 ``fit`` and ``scree`` read a count file straight into the frequency tensor
 ``counts / doc_length``: the reader allocates that float tensor and no
 integer one, and the commands hand it on as it is.  ``generate`` writes the
@@ -103,7 +111,8 @@ def _write_count_file(path, dims, doc_length, blocks):
 @contextlib.contextmanager
 def _replacing(path):
     """A binary file opened beside ``path`` that takes its name once the block ends, and goes
-    on any error."""
+    on any error: the one way every output file and records file is written, so none is ever
+    left half written under its name."""
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(partial, "wb") as out:
@@ -119,27 +128,28 @@ def _record_bytes(cells, values, dims):
     A cell splits into ``i j r`` by two floor divisions by scalars, which numpy vectorizes.
     Each field's decimal digits fill fixed-width byte columns, and the leading zeros are
     masked out.  A field's digits are peeled off by floor division in the narrowest unsigned
-    dtype that holds its largest value.
+    dtype that holds its largest value.  Each byte column is one contiguous row of a
+    ``(width, records)`` array, whose transpose the mask compacts record by record.
     """
     doc, i = cells // dims[2], cells // (dims[1] * dims[2])
     columns = [i + 1, doc - i * dims[1] + 1, cells - doc * dims[2] + 1, values]
     tops = [int(column.max(initial=0)) for column in columns]
     widths = [len(str(top)) for top in tops]
-    chars = np.empty((cells.size, sum(widths) + 4), dtype=np.uint8)
+    chars = np.empty((sum(widths) + 4, cells.size), dtype=np.uint8)
     keep = np.empty(chars.shape, dtype=bool)
     end = 0
     for column, top, width, separator in zip(columns, tops, widths, b"   \n"):
         rest = column.astype(np.min_scalar_type(top))  # positive, so its last digit is kept
         for place in range(end + width - 1, end - 1, -1):
-            np.greater(rest, 0, out=keep[:, place])
+            np.greater(rest, 0, out=keep[place])
             quotient = rest // 10
             rest -= quotient * 10
-            np.add(rest, ord("0"), out=chars[:, place], casting="unsafe")
+            np.add(rest, ord("0"), out=chars[place], casting="unsafe")
             rest = quotient
-        chars[:, end + width] = separator
-        keep[:, end + width] = True
+        chars[end + width] = separator
+        keep[end + width] = True
         end += width + 1
-    return chars[keep]
+    return chars.T[keep.T]
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -464,8 +474,9 @@ def write_manifest(path, command, parameters, outputs, stage_seconds, read=None)
 
 
 def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                          encoding="utf-8")
+    """Write ``payload`` as sorted, indented JSON through :func:`_replacing`."""
+    with _replacing(Path(path)) as out:
+        out.write((json.dumps(payload, sort_keys=True, indent=1) + "\n").encode())
 
 
 def _load_json(path, what):
@@ -507,31 +518,24 @@ def _from_json(kind, options, where, **fixed):
 
 
 def _out(prefix, suffix):
-    path = Path(f"{prefix}.{suffix}")
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(f"{prefix}.{suffix}")
 
 
-def _write_csv(path_or_none, header, rows):
-    """Write rows with repr-formatted floats; stdout when no path is given."""
-    if path_or_none is None:
-        target = contextlib.nullcontext(sys.stdout)
-    else:
-        target = open(path_or_none, "w", encoding="utf-8", newline="")
-    with target as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row]
-                         for row in rows)
-
-
-def _print_or_write(prefix, name, header, rows):
-    """Print ``rows`` under ``header``, or write them to ``<prefix>.<name>.csv``; return the
-    outputs of the run: ``{name: path}``, the path ``None`` when printed."""
-    path = None if prefix is None else _out(prefix, f"{name}.csv")
-    _write_csv(path, header, rows)
-    if path is not None:
+def _write_csv(prefix, name, header, rows, announce=True):
+    """Write ``rows`` under ``header``, floats by ``repr``, to ``<prefix>.<name>.csv`` through
+    :func:`_replacing` and, when ``announce``, say so; or print them when ``prefix`` is
+    ``None``.  Return the outputs of the run: ``{name: path}``, the path ``None`` when printed."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row] for row in rows)
+    if prefix is None:
+        sys.stdout.write(text.getvalue())
+        return {name: None}
+    path = _out(prefix, f"{name}.csv")
+    with _replacing(path) as out:
+        out.write(text.getvalue().encode())
+    if announce:
         print(f"wrote {path}")
     return {name: path}
 
@@ -623,8 +627,8 @@ def cmd_eval(args):
     with _stage("scoring"):
         report = evaluate(fitted, truth)
     scored = time.perf_counter()
-    outputs = _print_or_write(args.out, "losses", _EVAL_COLUMNS,
-                              [[getattr(report, column) for column in _EVAL_COLUMNS]])
+    outputs = _write_csv(args.out, "losses", _EVAL_COLUMNS,
+                         [[getattr(report, column) for column in _EVAL_COLUMNS]])
     return {"parameters": {"model": str(args.model), "truth": str(args.truth),
                            "perms": [list(p) for p in report.perms]},
             "outputs": outputs,
@@ -700,15 +704,13 @@ def cmd_sweep(args):
     summary_rows = [[label, *spec.dims, spec.doc_length, *spec.ranks, trials, *row]
                     for label, (spec, _), row in zip(labels, checked, stats.tolist())]
 
-    trials_path = _out(args.out, "trials.csv")
-    summary_path = _out(args.out, "summary.csv")
-    _write_csv(trials_path, trial_header, trial_rows)
-    _write_csv(summary_path, summary_header, summary_rows)
+    outputs = {**_write_csv(args.out, "trials", trial_header, trial_rows, announce=False),
+               **_write_csv(args.out, "summary", summary_header, summary_rows, announce=False)}
     written = time.perf_counter()
-    print(f"wrote {summary_path} ({len(cells)} cells x {trials} trials)")
+    print(f"wrote {outputs['summary']} ({len(cells)} cells x {trials} trials)")
     return {"parameters": {"grid": str(args.grid), "seed": master_seed, "trials": trials,
                            "workers": args.workers, "cells": len(cells)},
-            "outputs": {"trials": trials_path, "summary": summary_path},
+            "outputs": outputs,
             "stage_seconds": {"sweep": swept - start, "write": written - swept}}
 
 
@@ -722,8 +724,8 @@ def cmd_scree(args):
     _check_file_ranks(args.data, ranks if args.kmax is None else (*ranks, args.kmax), y.shape)
     values = scree(y, ranks, args.kmax, doc_length)
     computed = time.perf_counter()
-    outputs = _print_or_write(args.out, "scree", ("index", "eigenvalue"),
-                              [[index + 1, float(value)] for index, value in enumerate(values)])
+    outputs = _write_csv(args.out, "scree", ("index", "eigenvalue"),
+                         [[index + 1, float(value)] for index, value in enumerate(values)])
     return {"parameters": {"data": str(args.data), "ranks": list(ranks), "mode": mode,
                            "k_max": len(values)},
             "outputs": outputs, "read": read,
@@ -818,13 +820,17 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command and, when it has an ``--out`` prefix, write its manifest from the run
-    it returns; return the exit code."""
+    """Run one command and return the exit code.  With an ``--out`` prefix, first make the
+    directory every ``<prefix>.<suffix>`` output lands in, so one that cannot be made exits 3
+    before any input is read; then write the manifest from the run the command returns."""
     args = build_parser().parse_args(argv)
     try:
+        manifest = None if args.out is None else _out(args.out, "manifest.json")
+        if manifest is not None:  # eval and scree print to stdout without it
+            manifest.parent.mkdir(parents=True, exist_ok=True)
         run = args.func(args)
-        if args.out is not None:  # eval and scree print to stdout without it
-            write_manifest(_out(args.out, "manifest.json"), args.subcommand, **run)
+        if manifest is not None:
+            write_manifest(manifest, args.subcommand, **run)
         return 0
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -98,7 +98,9 @@ class DenseData:
 
     def __init__(self, y, vocab):
         self.y, self.vocab = y, vocab
-        self._dropped = np.setdiff1d(np.arange(y.shape[2]), vocab)
+        dropped = np.ones(y.shape[2], dtype=bool)  # np.setdiff1d would import numpy.ma
+        dropped[vocab] = False
+        self._dropped = np.arange(y.shape[2])[dropped]
 
     def mode1_gram(self):
         """The mode-1 gram by ``spectral.build_q``: of the whole tensor less each dropped word's

@@ -1224,10 +1224,8 @@ def test_an_input_that_cannot_be_read_as_its_kind_is_exit_3_naming_it(tmp_path, 
 def test_an_output_that_cannot_be_written_is_exit_3_naming_its_path(tmp_path, capsys, command):
     """An ``--out`` prefix under a regular file cannot be written: the command exits 3 with
     one line, the system's text, which names the path."""
-    data, truth, grid = _tiny_counts(tmp_path), tmp_path / "truth.json", tmp_path / "grid.json"
+    data, truth, grid = _tiny_counts(tmp_path), tmp_path / "truth.json", _sweep_grid(tmp_path)
     write_model(truth, planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82).model)
-    grid.write_text(json.dumps({"cells": [{"dims": [8, 6, 20], "ranks": [2, 2, 2],
-                                           "doc_length": 30}]}))
     argv = {
         "generate": ["generate", "--spec", str(_spec_file(tmp_path))],
         "fit": ["fit", "--data", str(data), "--ranks", "2,2,2"],
@@ -1240,6 +1238,100 @@ def test_an_output_that_cannot_be_written_is_exit_3_naming_its_path(tmp_path, ca
     assert main([*argv, "--out", str(plain / "x")]) == 3
     assert capsys.readouterr().err == (
         f"data error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{plain}'\n")
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "eval", "scree", "sweep"])
+def test_an_output_that_cannot_be_made_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            command):
+    """``main`` makes the output directory before the command runs: with an input that does
+    not exist, the line names the ``--out`` path, not the input; with valid inputs, ``fit``
+    fits nothing, ``sweep`` runs no trial and a long-document ``generate`` draws no count."""
+    missing = str(tmp_path / "missing.json")
+    valid = {"generate": _spec_file(tmp_path), "fit": _tiny_counts(tmp_path),
+             "sweep": _sweep_grid(tmp_path)}
+    option, argv = {
+        "generate": ("--spec", ["generate"]),
+        "fit": ("--data", ["fit", "--ranks", "2,2,2"]),
+        "eval": ("--model", ["eval", "--truth", missing]),
+        "scree": ("--data", ["scree"]),
+        "sweep": ("--grid", ["sweep"]),
+    }[command]
+    plain = tmp_path / "plainfile"
+    plain.write_text("")
+
+    def spy(*args, **kwargs):
+        raise AssertionError("work ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "fit", spy)
+    monkeypatch.setattr(cli, "_sweep_trial", spy)
+    monkeypatch.setattr(synth, "sample_counts", spy)
+    for source in (missing, valid.get(command)):
+        if source is not None:
+            assert main([*argv, option, str(source), "--out", str(plain / "x")]) == 3
+            assert capsys.readouterr().err == (
+                f"data error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{plain}'\n")
+
+
+def test_a_prefix_ending_in_a_separator_writes_into_that_directory(tmp_path, capsys):
+    """The directory made is the outputs' own: ``runs/`` writes ``runs/.losses.csv``."""
+    truth = tmp_path / "truth.json"
+    write_model(truth, planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82).model)
+    assert main(["eval", "--model", str(truth), "--truth", str(truth),
+                 "--out", f"{tmp_path / 'runs'}{os.sep}"]) == 0
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [".losses.csv",
+                                                                      ".manifest.json"]
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'runs' / '.losses.csv'}\n"
+
+
+def _sweep_grid(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cells": [{"dims": [8, 6, 20], "ranks": [2, 2, 2],
+                                           "doc_length": 30}], "trials": 2}))
+    return grid
+
+
+class _FailingWrites:
+    """A file whose first write stores half its bytes, then fails as a full disk."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        self._handle.write(data[:len(data) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+@pytest.mark.parametrize("command, output", [("eval", "losses.csv"), ("fit", "model.json")])
+def test_an_output_that_fails_partway_leaves_no_file(tmp_path, capsys, monkeypatch, command,
+                                                     output):
+    """Outputs are written whole or not at all: a write that fails halfway through one
+    exits 3 and leaves neither the output nor a partial file beside it."""
+    truth = tmp_path / "truth.json"
+    write_model(truth, planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82).model)
+    argv = {"eval": ["eval", "--model", str(truth), "--truth", str(truth)],
+            "fit": ["fit", "--data", str(_tiny_counts(tmp_path)), "--ranks", "2,2,2"]}[command]
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        handle = open(file, mode, *args, **kwargs)
+        return _FailingWrites(handle) if "w" in mode and output in str(file) else handle
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    out = tmp_path / "runs" / "o"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert not Path(f"{out}.{output}").exists()
+    assert not list(out.parent.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("ranks, message", [("1,x,2", "ranks must be integers"),

@@ -3,6 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+from tensortopics.cli import write_model
+
+from helpers import planted, run_python
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -35,3 +39,18 @@ no docstring"""
 def test_code_lines_counts_lines_holding_code_without_docstrings_comments_or_blanks():
     # import, class, def, the string's two lines, and the return's two lines
     assert _tool("code_lines").code_lines(_SNIPPET) == 7
+
+
+def test_cli_peak_prints_a_commands_wall_time_exit_code_peak_and_floor(tmp_path):
+    truth = tmp_path / "truth.json"
+    write_model(truth, planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82).model)
+    for model, code in ((truth, 0), (tmp_path / "missing.json", 3)):
+        done = run_python(TOOLS / "cli_peak.py", "eval", "--model", model, "--truth", truth)
+        assert done.returncode == code
+        *printed, wall, exit_code, peak, floor = done.stdout.splitlines()
+        assert printed[:1] == (["loss_a1,loss_a2,loss_a3,loss_g,recon_l1"] if code == 0 else [])
+        assert [line.split()[0] for line in (wall, exit_code, peak, floor)] == [
+            "wall_s", "exit", "peak_mb", "floor_mb"]
+        assert int(exit_code.split()[1]) == code
+        wall_s, peak_mb, floor_mb = (float(line.split()[1]) for line in (wall, peak, floor))
+        assert wall_s > 0 and peak_mb >= floor_mb > 0
