@@ -153,6 +153,8 @@ def _record_bytes(cells, values, dims):
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# four fields of at most 18 digits, which int64 always holds: a line of the grammar
+_RECORD = re.compile(r"[ \t]*[+-]?[0-9]{1,18}(?:[ \t]+[+-]?[0-9]{1,18}){3}[ \t]*\n?")
 _NOT_ASCII_OR_SPACE = re.compile(r"[^\x00-\x7f\s]")
 _INT64 = np.iinfo(np.int64)
 
@@ -168,11 +170,10 @@ def _file_text(path):
 
 
 def _nonblank_lines(text):
-    """``(line number, fields)`` of each nonblank line, in file order."""
+    """``(line number, line)`` of each nonblank line, in file order."""
     for number, line in enumerate(io.StringIO(text), start=1):
-        fields = line.split()
-        if fields:
-            yield number, fields
+        if not line.isspace():
+            yield number, line
 
 
 def _line_number(path, row):
@@ -181,9 +182,12 @@ def _line_number(path, row):
 
 
 def _malformed_line(path):
-    """Error naming the first line that breaks the record grammar."""
-    for number, fields in _nonblank_lines(_file_text(path)):
-        where = f"{path}: line {number}"
+    """Error naming the first line that breaks the record grammar.  A line that
+    :data:`_RECORD` matches keeps it, so only the others have their fields checked."""
+    for number, line in _nonblank_lines(_file_text(path)):
+        if _RECORD.fullmatch(line):
+            continue
+        fields, where = line.split(), f"{path}: line {number}"
         if len(fields) != 4:
             return DataFormatError(f"{where}: expected 4 fields, found {len(fields)}")
         if not all(_INTEGER.fullmatch(field) for field in fields):
@@ -494,8 +498,9 @@ def _load_json(path, what):
 
 
 def _from_json(kind, options, where, **fixed):
-    """Build ``kind`` from the JSON object ``options`` and the keys the command sets itself,
-    ``fixed``, each a pair ``(value, source)``, ``source`` saying where the value comes from.
+    """Build ``kind`` from ``options``, a JSON object or ``fit``'s flags, and the keys the
+    command sets itself, ``fixed``, each a pair ``(value, source)``, ``source`` saying where
+    the value comes from.
 
     The one boundary for generator specs and fit configs: an unknown key, a key of ``fixed``,
     a missing key without a default, a wrong type or a bad value raises ``DataFormatError``
@@ -580,15 +585,10 @@ def cmd_fit(args):
     start = time.perf_counter()
     read = {}
     y, doc_length = read_count_tensor(args.data, read)
-    options = _load_json(args.config, "fit config") if args.config else {}
-    flags = {"ranks": args.ranks, "sparse_c_prime": args.sparse, "hooi_iters": args.hooi}
-    options.update((key, value) for key, value in flags.items() if value is not None)
-    if args.hooi is not None:
-        options["use_hooi"] = True
-    if "ranks" not in options:
-        raise _UsageError('no ranks given: pass --ranks K1,K2,K3 or put "ranks" in the config')
-    cfg = _from_json(FitConfig, options, args.config or "command line",
-                     doc_length=(doc_length, "the count file header"))
+    flags = {"sparse_c_prime": args.sparse, "hooi_iters": args.hooi}
+    options = {key: value for key, value in flags.items() if value is not None}
+    cfg = _from_json(FitConfig, {"ranks": args.ranks, "doc_length": doc_length,
+                                 "use_hooi": args.hooi is not None, **options}, "command line")
     _check_file_ranks(args.data, cfg.ranks, y.shape)
     loaded = time.perf_counter()
     result = fit(y, cfg)
@@ -637,7 +637,8 @@ def cmd_eval(args):
 
 def _sweep_cell(cell, where):
     """Seed-0 generator spec and fit config of one grid cell; the fit options default to
-    the cell's planted ranks, and ``FitConfig`` checks the rank rules that need no data."""
+    the cell's planted ranks, and ``FitConfig`` checks the rank rules that need no data.  A
+    ``hooi_iters`` without ``"use_hooi": true`` would cap no sweep, so it is refused."""
     from .synth import GenSpec
 
     options = cell.get("fit", {}) if isinstance(cell, dict) else None
@@ -645,8 +646,11 @@ def _sweep_cell(cell, where):
         raise DataFormatError(f'{where}: a cell and its "fit" entry must be JSON objects')
     spec_options = {k: v for k, v in cell.items() if k not in ("label", "fit")}
     spec = _from_json(GenSpec, spec_options, where, seed=(0, "each trial's derived seed"))
-    return spec, _from_json(FitConfig, {"ranks": spec.ranks, **options}, where,
-                            doc_length=(spec.doc_length, "the cell's doc_length"))
+    cfg = _from_json(FitConfig, {"ranks": spec.ranks, **options}, where,
+                     doc_length=(spec.doc_length, "the cell's doc_length"))
+    if "hooi_iters" in options and not cfg.use_hooi:
+        raise DataFormatError(f'{where}: "hooi_iters" needs "use_hooi": true')
+    return spec, cfg
 
 
 def _sweep_trial(payload):
@@ -675,10 +679,8 @@ def cmd_sweep(args):
     cells = grid.get("cells")
     if not isinstance(cells, list) or not cells:
         raise DataFormatError(f'{args.grid}: grid must hold a nonempty "cells" list')
-    master_seed = _checked_int(f"{args.grid}: seed",
-                               args.seed if args.seed is not None else grid.get("seed", 0), 0)
-    trials = _checked_int(f"{args.grid}: trials",
-                          args.trials if args.trials is not None else grid.get("trials", 1), 1)
+    master_seed = _checked_int(f"{args.grid}: seed", grid.get("seed", 0), 0)
+    trials = _checked_int(f"{args.grid}: trials", grid.get("trials", 1), 1)
     where = [f"{args.grid}: cell {ci}" for ci in range(len(cells))]
     checked = [_sweep_cell(cell, where[ci]) for ci, cell in enumerate(cells)]
     jobs = [(spec, cfg, ci, ti, master_seed, where[ci])
@@ -782,8 +784,7 @@ def build_parser():
 
     p = sub.add_parser("fit", help="fit a model to a count tensor")
     p.add_argument("--data", required=True, help="count tensor file")
-    p.add_argument("--ranks", type=_parse_ranks, default=None, metavar="K1,K2,K3")
-    p.add_argument("--config", default=None, help="fit config JSON (flags win)")
+    p.add_argument("--ranks", type=_parse_ranks, required=True, metavar="K1,K2,K3")
     p.add_argument("--sparse", type=float, default=None, metavar="C",
                    help="vocabulary threshold constant")
     p.add_argument("--hooi", type=_int_at_least(0), default=None, metavar="N",
@@ -801,8 +802,6 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="generate-fit-eval over a grid of cells")
     p.add_argument("--grid", required=True, help="sweep grid JSON")
-    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the grid seed")
-    p.add_argument("--trials", type=_int_at_least(1), default=None, help="override grid trials")
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--out", required=True, metavar="PREFIX")
     p.set_defaults(func=cmd_sweep)

@@ -100,8 +100,9 @@ class FitConfig:
     the whole vocabulary; the default constant matches the recommended value
     for power-law vocabularies and is far below any uniform word frequency at
     desk scales.  Field types are checked, not coerced: a string ``"false"``
-    is no boolean and ``2.5`` is no rank.  ``hooi_iters`` caps the HOOI sweeps, which stop
-    after the first that gains at most ``spectral._HOOI_TOL`` of the captured energy.  The
+    is no boolean and ``2.5`` is no rank.  With ``use_hooi``, ``hooi_iters`` caps the HOOI
+    sweeps, which stop after the first that gains at most ``spectral._HOOI_TOL`` of the captured
+    energy; without it no sweep runs and ``hooi_iters`` applies to nothing.  The
     rank rules that need no data (the Tucker span, two topics) are checked here, and ``fit``
     checks the ranks against the data."""
 

@@ -93,12 +93,6 @@ def subspace_gap(u, v):
     return float(np.linalg.norm(u @ u.T - v @ v.T, 2))
 
 
-def subspace_sine(u, v):
-    """Sine of the largest principal angle between the spans of two
-    orthonormal bases of equal width, without forming ``n x n`` projectors."""
-    return float(np.linalg.norm(v - u @ (u.T @ v), 2))
-
-
 def eigh_reference(q):
     """Every eigenpair of a symmetric matrix by a full LAPACK ``eigh``,
     eigenvalues descending: ``leading_eigvecs`` returns its top pairs bit for bit."""

@@ -11,7 +11,9 @@ import shlex
 import tempfile
 import time
 import warnings
+from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tensortopics import FitConfig, GenSpec, cli, estimator, fit, generate, scree, synth
+from tensortopics import FitConfig, GenSpec, cli, estimator, evaluate, fit, generate, scree, synth
 from tensortopics.cli import (
     build_parser,
     derive_seed,
@@ -396,6 +398,27 @@ def test_count_file_fuzz_reads_or_names_the_file(data):
         else:
             assert y.dtype == np.float64 and y.ndim == 3 and y.min() >= 0
             assert np.isfinite(y).all() and doc_length >= 1
+
+
+def _malformed_text(path):
+    try:
+        return str(cli._malformed_line(path))
+    except DataFormatError as err:  # not UTF-8
+        return str(err)
+
+
+@given(_NEAR_VALID)
+@example(b"2 2 2 5\n1 1 1 999999999999999999\n1 1 1 9223372036854775808\n")
+@settings(max_examples=200, deadline=None, database=None)
+def test_a_line_the_record_pattern_passes_is_one_the_field_checks_pass(data):
+    """``_malformed_line`` skips the field checks of a line that ``_RECORD`` matches, so its
+    error is the one a walk that checks every line's fields gives."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.txt"
+        path.write_bytes(data)
+        fast = _malformed_text(path)
+        with mock.patch.object(cli, "_RECORD", re.compile("(?!)")):
+            assert _malformed_text(path) == fast
 
 
 def test_a_rewrite_of_the_same_size_and_mtime_is_parsed_again(tmp_path, monkeypatch):
@@ -883,20 +906,27 @@ def test_generate_seed_flag_overrides_spec(tmp_path):
     _assert_same_bits(y, direct.y)
 
 
-def test_fit_config_file_with_flag_override(tmp_path):
+@pytest.mark.parametrize("flags, options", [
+    ([], {}),
+    (["--sparse", "0.01"], {"sparse_c_prime": 0.01}),
+    (["--hooi", "3", "--sparse", "0"], {"use_hooi": True, "hooi_iters": 3, "sparse_c_prime": 0.0}),
+], ids=["defaults", "sparse", "hooi-sparse"])
+def test_fit_flags_are_its_only_settings(tmp_path, flags, options):
+    """CLI ``fit`` builds its ``FitConfig`` from ``--ranks``, ``--sparse`` and ``--hooi``
+    alone, the defaults filling the rest: the manifest echoes that config and the model is
+    the in-process fit's, bit for bit."""
     spec = _spec_file(tmp_path, dims=[15, 8, 30], doc_length=100)
     main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
-    cfg = tmp_path / "fit.json"
-    cfg.write_text(json.dumps({"ranks": [2, 2, 3], "sparse_c_prime": 0.0}))
-    assert main(["fit", "--data", str(tmp_path / "g.counts.txt"),
-                 "--config", str(cfg), "--out", str(tmp_path / "f1")]) == 0
-    manifest = json.loads((tmp_path / "f1.manifest.json").read_text())
-    assert manifest["parameters"]["sparse_c_prime"] == 0.0
-    assert main(["fit", "--data", str(tmp_path / "g.counts.txt"),
-                 "--config", str(cfg), "--sparse", "0.01",
-                 "--out", str(tmp_path / "f2")]) == 0
-    manifest = json.loads((tmp_path / "f2.manifest.json").read_text())
-    assert manifest["parameters"]["sparse_c_prime"] == 0.01
+    data = tmp_path / "g.counts.txt"
+    assert main(["fit", "--data", str(data), "--ranks", "2,2,3", *flags,
+                 "--out", str(tmp_path / "f")]) == 0
+    y, doc_length = read_count_tensor(data)
+    cfg = FitConfig(ranks=(2, 2, 3), doc_length=doc_length, **options)
+    parameters = _manifest(tmp_path / "f.manifest.json")["parameters"]
+    assert parameters == {"data": str(data), **json.loads(json.dumps(asdict(cfg)))}
+    written, model = read_model(tmp_path / "f.model.json"), fit(y, cfg).model
+    for name in ("a1", "a2", "a3", "g"):
+        _assert_same_bits(getattr(written, name), getattr(model, name))
 
 
 def test_hooi_fit_writes_its_sweeps_and_energies_and_the_manifest_names_the_blas(
@@ -1168,8 +1198,6 @@ def test_usage_exit_codes(tmp_path, capsys):
         (["scree", "--data", missing, "--ranks", "2,2", "--kmax", "0"], "--kmax", 1),
         (["sweep", "--grid", missing, "--workers", "0"], "--workers", 1),
         (["sweep", "--grid", missing, "--workers", "-3"], "--workers", 1),
-        (["sweep", "--grid", missing, "--trials", "0"], "--trials", 1),
-        (["sweep", "--grid", missing, "--seed", "-1"], "--seed", 0),
         (["generate", "--spec", missing, "--seed", "-1"], "--seed", 0),
         (["fit", "--data", missing, "--ranks", "2,2,2", "--hooi", "-1"], "--hooi", 0),
     ]:
@@ -1178,13 +1206,26 @@ def test_usage_exit_codes(tmp_path, capsys):
             main([*argv, "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert f"argument {flag}: must be at least {low}, got" in capsys.readouterr().err
+    # fit takes its settings from its flags only, and sweep its seed and trials from the grid
+    for argv, flag in [
+        (["fit", "--data", missing, "--ranks", "2,2,2", "--config", missing], "--config"),
+        (["sweep", "--grid", missing, "--seed", "1"], "--seed"),
+        (["sweep", "--grid", missing, "--trials", "2"], "--trials"),
+    ]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_missing_ranks_is_usage_error(tmp_path):
-    spec = _spec_file(tmp_path, dims=[15, 8, 30], doc_length=100)
-    main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")])
-    assert main(["fit", "--data", str(tmp_path / "g.counts.txt"),
-                 "--out", str(tmp_path / "f")]) == 2
+def test_missing_ranks_is_usage_error(tmp_path, capsys):
+    """``--ranks`` is required: without it argparse exits 2 before the count file is read."""
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "f")])
+    assert exc.value.code == 2
+    assert "error: the following arguments are required: --ranks" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_malformed_data_is_exit_3(tmp_path):
@@ -1198,18 +1239,17 @@ def test_malformed_data_is_exit_3(tmp_path):
 
 @pytest.mark.parametrize("where, message", [
     ("data-directory", "cannot read tensor file: "),
-    ("config-not-json", "invalid JSON: "),
-    ("config-array", "fit config must be a JSON object\n"),
+    ("grid-not-json", "invalid JSON: "),
+    ("grid-array", "sweep grid must be a JSON object\n"),
     ("grid-without-cells", 'grid must hold a nonempty "cells" list\n'),
 ])
 def test_an_input_that_cannot_be_read_as_its_kind_is_exit_3_naming_it(tmp_path, capsys, where,
                                                                        message):
     path = tmp_path / "input.json"
-    data = ["fit", "--data", str(_tiny_counts(tmp_path)), "--ranks", "2,2,2", "--config"]
     argv, content = {
         "data-directory": (["fit", "--ranks", "2,2,2", "--data"], None),
-        "config-not-json": (data, "{ranks: [2, 2, 2]}"),
-        "config-array": (data, "[2, 2, 2]"),
+        "grid-not-json": (["sweep", "--grid"], "{cells: []}"),
+        "grid-array": (["sweep", "--grid"], "[2, 2, 2]"),
         "grid-without-cells": (["sweep", "--grid"], '{"cells": []}'),
     }[where]
     if content is None:
@@ -1393,19 +1433,13 @@ def test_rank_beyond_projected_span_is_exit_3_with_or_without_hooi(tmp_path, cap
     assert not (tmp_path / "f.model.json").exists()
 
 
-@pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("ranks, mode, dim", [((9, 3, 3), 1, 8), ((3, 7, 3), 2, 6),
                                               ((4, 6, 21), 3, 20)])
-def test_rank_above_the_dimension_is_usage_error_naming_the_file(tmp_path, capsys, via,
-                                                                  ranks, mode, dim):
+def test_rank_above_the_dimension_is_usage_error_naming_the_file(tmp_path, capsys, ranks, mode,
+                                                                  dim):
     data = _tiny_counts(tmp_path)
-    if via == "flag":
-        request = ["--ranks", ",".join(map(str, ranks))]
-    else:
-        config = tmp_path / "fit.json"
-        config.write_text(json.dumps({"ranks": list(ranks)}))
-        request = ["--config", str(config)]
-    assert main(["fit", "--data", str(data), *request, "--out", str(tmp_path / "f")]) == 2
+    assert main(["fit", "--data", str(data), "--ranks", ",".join(map(str, ranks)),
+                 "--out", str(tmp_path / "f")]) == 2
     value = ranks[mode - 1]
     assert capsys.readouterr().err == \
         f"usage error: {data}: mode {mode} rank {value} exceeds dimension {dim}\n"
@@ -1643,14 +1677,38 @@ def _three_word_counts(tmp_path):
     {"ranks": [2, 2, 2], "use_hooi": True, "hooi_iters": -1},
 ])
 def test_bad_fit_config_is_exit_3_naming_the_file(tmp_path, capsys, config):
-    data = _tiny_counts(tmp_path)
-    cfg = tmp_path / "bad-fit.json"
-    cfg.write_text(json.dumps(config))
-    code = main(["fit", "--data", str(data), "--config", str(cfg),
-                 "--out", str(tmp_path / "f")])
-    assert code == 3
-    assert str(cfg) in capsys.readouterr().err
-    assert not (tmp_path / "f.model.json").exists()
+    """A sweep cell's ``"fit"`` object is the one JSON fit config: a bad one exits 3 naming
+    the grid file and the cell, before any trial runs."""
+    cell = {"dims": [8, 6, 20], "ranks": [2, 2, 2], "doc_length": 30}
+    grid = tmp_path / "bad-fit.json"
+    grid.write_text(json.dumps({"cells": [cell, {**cell, "fit": config}]}))
+    assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "s")]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {grid}: cell 1: ")
+    assert not (tmp_path / "s.trials.csv").exists()
+
+
+@pytest.mark.parametrize("fit_options, code", [
+    ({"hooi_iters": 3}, 3),
+    ({"use_hooi": False, "hooi_iters": 3}, 3),
+    ({"use_hooi": True, "hooi_iters": 3}, 0),
+])
+def test_a_sweep_cell_caps_hooi_sweeps_only_with_use_hooi(tmp_path, capsys, fit_options, code):
+    """A ``hooi_iters`` without ``"use_hooi": true`` would cap no sweep: the cell is refused
+    naming the grid, the cell and the key.  With it, the cell runs at most that many sweeps."""
+    cell = {"dims": [12, 8, 25], "ranks": [2, 2, 2], "doc_length": 80}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"seed": 3, "cells": [cell, {**cell, "fit": fit_options}]}))
+    assert main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "s")]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err == f'data error: {grid}: cell 1: "hooi_iters" needs "use_hooi": true\n'
+        assert not (tmp_path / "s.trials.csv").exists()
+        return
+    row = (tmp_path / "s.trials.csv").read_text().splitlines()[2].split(",")
+    instance = generate(GenSpec(**cell, seed=derive_seed(3, 1, 0)))
+    cfg = FitConfig(ranks=(2, 2, 2), doc_length=80, **fit_options)
+    report = evaluate(fit(instance.y, cfg).model, instance.model)
+    assert [float(v) for v in row[4:]] == [getattr(report, c) for c in cli._EVAL_COLUMNS]
 
 
 @pytest.mark.parametrize("bad_cell", [
@@ -1693,9 +1751,8 @@ def test_a_key_the_input_may_not_hold_is_exit_3_naming_the_key(tmp_path, capsys,
     cell = {"dims": [8, 6, 20], "ranks": [2, 2, 2], "doc_length": 30}
     path = tmp_path / "input.json"
     argv, payload, message = {
-        "fit-config": (["fit", "--data", str(_tiny_counts(tmp_path)), "--ranks", "2,2,2",
-                        "--config"], {"doc_length": 7},
-                       '"doc_length" cannot be set here: it comes from the count file header'),
+        "fit-config": (["sweep", "--grid"], {"cells": [{**cell, "fit": {"use_hoi": True}}]},
+                       'cell 0: unknown key "use_hoi"'),
         "sweep-cell": (["sweep", "--grid"], {"cells": [{**cell, "seed": 3}]},
                        'cell 0: "seed" cannot be set here: it comes from each trial\'s derived '
                        "seed"),
@@ -1715,6 +1772,15 @@ def test_a_key_the_input_may_not_hold_is_exit_3_naming_the_key(tmp_path, capsys,
     assert main([*argv, str(path), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == f"data error: {path}: {message}\n"
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("o.")]
+
+
+def test_generate_of_a_word_column_with_no_mass_is_exit_3_naming_the_file(tmp_path, capsys):
+    spec = _spec_file(tmp_path, dims=[8, 6, 20], ranks=[2, 2, 3], doc_length=30,
+                      word_dist="zipf", zipf_q=0.001, seed=1)
+    assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "g")]) == 3
+    assert capsys.readouterr().err == \
+        f"data error: {spec}: a word column lost all mass; widen the word distribution\n"
+    assert not list(tmp_path.glob("g.*"))
 
 
 def test_generate_with_an_underflowing_alpha_is_exit_3_naming_the_file(tmp_path):
@@ -1754,10 +1820,8 @@ def _not_utf8(path):
     return path
 
 
-@pytest.mark.parametrize("kind", ["count file", "model file", "generator spec", "fit config",
-                                  "sweep grid"])
+@pytest.mark.parametrize("kind", ["count file", "model file", "generator spec", "sweep grid"])
 def test_file_that_is_not_utf8_is_exit_3_naming_the_file(tmp_path, capsys, kind):
-    data = _tiny_counts(tmp_path)
     truth = tmp_path / "truth.json"
     write_model(truth, planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82).model)
     bad = _not_utf8(tmp_path / "bad.txt")
@@ -1766,7 +1830,6 @@ def test_file_that_is_not_utf8_is_exit_3_naming_the_file(tmp_path, capsys, kind)
         "count file": ["fit", "--data", bad, "--ranks", "2,2,2", "--out", out],
         "model file": ["eval", "--model", bad, "--truth", truth],
         "generator spec": ["generate", "--spec", bad, "--out", out],
-        "fit config": ["fit", "--data", data, "--config", bad, "--out", out],
         "sweep grid": ["sweep", "--grid", bad, "--out", out],
     }[kind]
     assert main([str(arg) for arg in argv]) == 3
@@ -1784,17 +1847,16 @@ _JSON_VALUES = st.one_of(
 
 
 def test_fit_config_fuzz_exits_cleanly(tmp_path):
-    """Any JSON object as a fit config ends in a documented exit code."""
-    data = _tiny_counts(tmp_path)
-    cfg = tmp_path / "fuzz.json"
+    """Any JSON object as a sweep cell's fit config ends in a documented exit code."""
+    grid = tmp_path / "fuzz.json"
+    cell = {"dims": [8, 6, 20], "ranks": [2, 2, 2], "doc_length": 30}
 
     @settings(max_examples=50, deadline=None, database=None)
     @given(st.dictionaries(st.sampled_from(_FIT_KEYS), _JSON_VALUES, max_size=5))
     def run(config):
-        cfg.write_text(json.dumps(config))
-        code = main(["fit", "--data", str(data), "--config", str(cfg),
-                     "--out", str(tmp_path / "fz")])
-        assert code in (0, 2, 3, 4)
+        grid.write_text(json.dumps({"cells": [{**cell, "fit": config}]}))
+        code = main(["sweep", "--grid", str(grid), "--out", str(tmp_path / "fz")])
+        assert code in (0, 3, 4)
 
     run()
 

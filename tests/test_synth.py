@@ -494,3 +494,13 @@ def test_zipf_word_distribution_is_head_heavy():
         mass = a3.sum(axis=1)
         return mass[:20].sum() / mass[-20:].sum()
     assert head_tail_ratio(zipf.model.a3) > 2 * head_tail_ratio(flat.model.a3)
+
+
+def test_a_word_column_that_loses_all_mass_is_refused():
+    """At ``zipf_q`` 0.001 the Zipf weight of every word past the second underflows to 0, and
+    the injected anchors leave the third topic only the third word: its column has no mass."""
+    spec = GenSpec(dims=(8, 6, 20), ranks=(2, 2, 3), doc_length=30, word_dist="zipf",
+                   zipf_q=0.001, seed=1)
+    with pytest.raises(DataFormatError, match="^a word column lost all mass; widen the word "
+                                              "distribution$"):
+        generate(spec)
