@@ -153,8 +153,13 @@ def _record_bytes(cells, values, dims):
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-# four fields of at most 18 digits, which int64 always holds: a line of the grammar
-_RECORD = re.compile(r"[ \t]*[+-]?[0-9]{1,18}(?:[ \t]+[+-]?[0-9]{1,18}){3}[ \t]*\n?")
+# The line patterns run over the count file's text with a "\n" put in front, so every line
+# starts after a "\n" and group 1 is the line: a search for that literal runs in C.
+_NONBLANK_LINE = re.compile(r"\n([^\S\n]*\S.*)")
+# a nonblank line that is not four ASCII fields of at most 18 digits, which int64 always
+# holds: the only lines whose fields need checking
+_NOT_RECORD_LINE = re.compile(r"\n(?![ \t]*+[+-]?[0-9]{1,18}+(?:[ \t]++[+-]?[0-9]{1,18}+){3}"
+                              r"[ \t]*+$)([^\S\n]*\S.*)", re.M)
 _NOT_ASCII_OR_SPACE = re.compile(r"[^\x00-\x7f\s]")
 _INT64 = np.iinfo(np.int64)
 
@@ -169,25 +174,22 @@ def _file_text(path):
         raise DataFormatError(f"{path}: line {line}: not UTF-8 text: {err}") from None
 
 
-def _nonblank_lines(text):
-    """``(line number, line)`` of each nonblank line, in file order."""
-    for number, line in enumerate(io.StringIO(text), start=1):
-        if not line.isspace():
-            yield number, line
-
-
-def _line_number(path, row):
-    """File line number of parsed row ``row``; blank lines hold no row."""
-    return next(itertools.islice(_nonblank_lines(_file_text(path)), row, None))[0]
+def _row_error(path, row, message):
+    """Error ``message`` naming the file line of parsed row ``row``; blank lines hold no row."""
+    text = "\n" + _file_text(path)
+    line = next(itertools.islice(_NONBLANK_LINE.finditer(text), row, None))
+    number = text.count("\n", 0, line.start(1))
+    return DataFormatError(f"{path}: line {number}: {message}")
 
 
 def _malformed_line(path):
-    """Error naming the first line that breaks the record grammar.  A line that
-    :data:`_RECORD` matches keeps it, so only the others have their fields checked."""
-    for number, line in _nonblank_lines(_file_text(path)):
-        if _RECORD.fullmatch(line):
-            continue
-        fields, where = line.split(), f"{path}: line {number}"
+    """Error naming the first line that breaks the record grammar.  One scan finds the lines
+    that :data:`_NOT_RECORD_LINE` matches, and only those have their fields checked."""
+    text, number, counted = "\n" + _file_text(path), 0, 0
+    for match in _NOT_RECORD_LINE.finditer(text):
+        number += text.count("\n", counted, match.start(1))
+        counted = match.start(1)
+        fields, where = match[1].split(), f"{path}: line {number}"
         if len(fields) != 4:
             return DataFormatError(f"{where}: expected 4 fields, found {len(fields)}")
         if not all(_INTEGER.fullmatch(field) for field in fields):
@@ -202,15 +204,13 @@ def _bad_record(path, records, shape):
     negative count."""
     outside = ((records[:, :3] < 1) | (records[:, :3] > shape)).any(axis=1)
     row = int(np.argmax(outside | (records[:, 3] < 0)))
-    where = f"{path}: line {_line_number(path, row + 1)}"
-    if outside[row]:
-        a, b, c, _ = records[row].tolist()
-        return DataFormatError(f"{where}: index ({a}, {b}, {c}) outside dims {shape}")
-    return DataFormatError(f"{where}: negative count")
+    index = tuple(records[row, :3].tolist())
+    return _row_error(path, row + 1,
+                      f"index {index} outside dims {shape}" if outside[row] else "negative count")
 
 
-def _overflow_line(path, flat, values, sums):
-    """Line number of the first record whose cell sum leaves int64, if any.
+def _overflow_row(flat, values, sums):
+    """Index of the first record whose cell sum leaves int64, if any.
 
     ``flat`` and ``values`` are the records in file order and ``sums`` their
     int64 cell sums.  Counts are nonnegative, so a wrapped cell sum leaves the
@@ -223,7 +223,7 @@ def _overflow_line(path, flat, values, sums):
     for row, (cell, value) in enumerate(zip(flat.tolist(), values.tolist())):
         cells[cell] = cells.get(cell, 0) + value
         if cells[cell] > _INT64.max:
-            return _line_number(path, row + 1)
+            return row
     return None
 
 
@@ -272,11 +272,9 @@ def _cell_frequencies(path, ascii_only):
     (n1, n2, n_words, doc_length), records = table[0].tolist(), table[1:]
     dims = (n1, n2, n_words)
     if min(n1, n2, n_words, doc_length) < 1:
-        raise DataFormatError(f"{path}: line {_line_number(path, 0)}: "
-                              "header dims and doc length must be positive")
+        raise _row_error(path, 0, "header dims and doc length must be positive")
     if n1 * n2 * n_words > _INT64.max // 8:  # numpy cannot size it, nor int64 index its cells
-        raise DataFormatError(f"{path}: line {_line_number(path, 0)}: a "
-                              f"{' x '.join(map(str, dims))} count tensor is too big to load")
+        raise _row_error(path, 0, f"a {' x '.join(map(str, dims))} count tensor is too big to load")
     *index, values = records.T
     if (any(column.min(initial=1) < 1 or column.max(initial=1) > n
             for column, n in zip(index, dims)) or values.min(initial=0) < 0):
@@ -292,10 +290,9 @@ def _cell_frequencies(path, ascii_only):
         cells = flat[order]
         starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
         cells, sums = cells[starts], np.add.reduceat(values[order], starts)
-        number = _overflow_line(path, flat, values, sums)
-        if number is not None:
-            raise DataFormatError(
-                f"{path}: line {number}: accumulated count exceeds the 64-bit integer range")
+        row = _overflow_row(flat, values, sums)
+        if row is not None:
+            raise _row_error(path, row + 1, "accumulated count exceeds the 64-bit integer range")
     return dims, doc_length, cells, sums / doc_length
 
 
@@ -659,9 +656,10 @@ def _sweep_trial(payload):
     spec, cfg, cell_index, trial_index, master_seed, where = payload
     seed = derive_seed(master_seed, cell_index, trial_index)
     try:
-        with _stage("count draw"):
+        with _stage("count draw"):  # y is made on first use, so it is taken here
             instance = generate(replace(spec, seed=seed))
-        result = fit(instance.y, cfg)
+            y = instance.y
+        result = fit(y, cfg)
         with _stage("scoring"):
             report = evaluate(result.model, instance.model)
     except (FitDegenerateError, ValueError) as err:

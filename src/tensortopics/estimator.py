@@ -177,16 +177,18 @@ def _threshold(word_sums, dims, doc_length, c_prime):
 def _vocabulary(y, ranks, doc_length, c_prime):
     """What ``fit``, ``scree`` and ``topic_resolution``'s halves run before the bases, for the
     first ``len(ranks)`` modes: the data check, the ranks against the dimensions (the one check
-    of that rule on data) and the threshold.  Returns the data as a ``DenseData``."""
-    y, word_sums = _data_word_sums(np.ascontiguousarray(y, dtype=float))
-    _check_ranks(ranks, y.shape)
-    vocab, has_mass = _threshold(word_sums, y.shape, doc_length, c_prime)
-    if not has_mass:
-        raise FitDegenerateError("vocabulary threshold: the data tensor holds no mass")
-    if vocab.size < (ranks[2] if len(ranks) == 3 else 1):
-        fewer = f", fewer than the {ranks[2]} requested topics" if len(ranks) == 3 else ""
-        raise FitDegenerateError(
-            f"vocabulary threshold: kept {vocab.size} of {y.shape[2]} words{fewer}")
+    of that rule on data) and the threshold, under one stage guard, so a failed allocation in the
+    check or the float copy names the stage.  Returns the data as a ``DenseData``."""
+    with _stage("vocabulary threshold"):
+        y, word_sums = _data_word_sums(np.ascontiguousarray(y, dtype=float))
+        _check_ranks(ranks, y.shape)
+        vocab, has_mass = _threshold(word_sums, y.shape, doc_length, c_prime)
+        if not has_mass:
+            raise FitDegenerateError("vocabulary threshold: the data tensor holds no mass")
+        if vocab.size < (ranks[2] if len(ranks) == 3 else 1):
+            fewer = f", fewer than the {ranks[2]} requested topics" if len(ranks) == 3 else ""
+            raise FitDegenerateError(
+                f"vocabulary threshold: kept {vocab.size} of {y.shape[2]} words{fewer}")
     return DenseData(y, vocab)
 
 

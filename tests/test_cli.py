@@ -293,6 +293,9 @@ def test_count_tensor_reads_shuffled_split_records(tmp_path):
     ("2 2 2 5\n1 1 \uff14 1\n", "line 2: all fields must be integers"),
     ("2 2 2 5\n1 1 1 2\n2 2 2 1\n2 1 2\n", "line 4: expected 4 fields, found 3"),
     ("\n2 2 2 5\n\n \n1 1 1 2\n\n1 1 1 -1\n", "line 7: negative count"),
+    ("\n\n0 2 2 5\n", "line 3"),
+    ("2 2 2 5\n1\u30001 1 2\n1 1 1 x\n", "line 3: all fields must be integers"),
+    ("2 2 2 5\r1 1 1 x\r", "line 2"),
 ])
 def test_count_tensor_parse_errors_name_the_line(tmp_path, body, fragment):
     path = tmp_path / "bad.txt"
@@ -409,15 +412,16 @@ def _malformed_text(path):
 
 @given(_NEAR_VALID)
 @example(b"2 2 2 5\n1 1 1 999999999999999999\n1 1 1 9223372036854775808\n")
+@example(b"2 2 2 5\n1 1 1+1\n")
 @settings(max_examples=200, deadline=None, database=None)
 def test_a_line_the_record_pattern_passes_is_one_the_field_checks_pass(data):
-    """``_malformed_line`` skips the field checks of a line that ``_RECORD`` matches, so its
-    error is the one a walk that checks every line's fields gives."""
+    """``_malformed_line`` checks the fields of only the lines that ``_NOT_RECORD_LINE`` finds,
+    so its error is the one a walk that checks every nonblank line's fields gives."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.txt"
         path.write_bytes(data)
         fast = _malformed_text(path)
-        with mock.patch.object(cli, "_RECORD", re.compile("(?!)")):
+        with mock.patch.object(cli, "_NOT_RECORD_LINE", cli._NONBLANK_LINE):
             assert _malformed_text(path) == fast
 
 
@@ -598,13 +602,13 @@ _NUMPY_TEXT = ("Unable to allocate 59.6 GiB for an array with shape (2000, 2000,
                "and data type float64")
 
 
-@pytest.mark.parametrize("where", ["parse", "records-file", "json", "sweep-draw"])
+@pytest.mark.parametrize("where", ["parse", "records-file", "json", "sweep-draw", "sweep-y"])
 def test_a_failed_allocation_reading_an_input_or_drawing_a_trial_exits_3_naming_it(
         tmp_path, capsys, monkeypatch, where):
     """A failed allocation in the count file's parse, in the load of its records file, in a
-    JSON read or in a sweep trial's draw exits 3 with one line that names the file (or the
-    grid, cell, trial and ``count draw``) and carries numpy's text.  The failure is patched
-    in: nothing that large is allocated."""
+    JSON read or in a sweep trial's draw, its frequency tensor included, exits 3 with one line
+    that names the file (or the grid, cell, trial and ``count draw``) and carries numpy's text.
+    The failure is patched in: nothing that large is allocated."""
     def too_big(*args, **kwargs):
         raise MemoryError(_NUMPY_TEXT)
 
@@ -622,8 +626,11 @@ def test_a_failed_allocation_reading_an_input_or_drawing_a_trial_exits_3_naming_
         "sweep-draw": (synth, "_planted_counts",
                        ["sweep", "--grid", str(grid), "--out", str(tmp_path / "s")],
                        f"{grid}: cell 0, trial 0: count draw"),
+        "sweep-y": (synth.PlantedInstance, "y",
+                    ["sweep", "--grid", str(grid), "--out", str(tmp_path / "s")],
+                    f"{grid}: cell 0, trial 0: count draw"),
     }[where]
-    monkeypatch.setattr(owner, name, too_big)
+    monkeypatch.setattr(owner, name, property(too_big) if where == "sweep-y" else too_big)
     assert main(argv) == 3
     assert capsys.readouterr().err == f"data error: {named}: too big to allocate: {_NUMPY_TEXT}\n"
 

@@ -319,6 +319,22 @@ def test_a_hooi_sweep_whose_svd_fails_names_its_mode(monkeypatch, mode, shape):
         fit(inst.y, cfg)
 
 
+def test_a_failed_allocation_in_the_data_check_names_the_vocabulary_threshold(monkeypatch):
+    """The data check and the float copy before the threshold run under its stage guard, so a
+    failed allocation there names the stage in ``fit`` and ``scree``.  The failure is patched
+    in: nothing that large is allocated."""
+    inst = planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82)
+
+    def too_big(y):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(estimator, "_data_word_sums", too_big)
+    for run in (lambda: fit(inst.y, FitConfig(ranks=(2, 2, 2), doc_length=30)),
+                lambda: scree(inst.y, (), None, 30)):
+        with pytest.raises(DataFormatError, match="^vocabulary threshold: too big to allocate"):
+            run()
+
+
 def _staged(error, *names):
     """The error that ``error``, raised inside the nested stages ``names``, leaves them as."""
     with pytest.raises(Exception) as caught, contextlib.ExitStack() as stages:

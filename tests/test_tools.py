@@ -41,6 +41,15 @@ def test_code_lines_counts_lines_holding_code_without_docstrings_comments_or_bla
     assert _tool("code_lines").code_lines(_SNIPPET) == 7
 
 
+def test_function_lines_counts_each_function_and_method_by_its_qualified_name():
+    # Box.size: the def, the string's two lines and the return's two lines
+    code_lines = _tool("code_lines")
+    assert code_lines.function_lines(_SNIPPET) == [("Box.size", 5)]
+    done = run_python(TOOLS / "code_lines.py", "--functions")
+    assert done.returncode == 0
+    assert "  read_count_tensor " in done.stdout and done.stdout.splitlines()[-1].startswith("total")
+
+
 def test_cli_peak_prints_a_commands_wall_time_exit_code_peak_and_floor(tmp_path):
     truth = tmp_path / "truth.json"
     write_model(truth, planted((8, 6, 20), (2, 2, 2), doc_length=30, seed=82).model)

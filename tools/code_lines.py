@@ -4,9 +4,13 @@ A code line is a line that holds code: blank lines, comment-only lines and the l
 docstrings (the leading string of a module, class or function body) do not count, and a
 statement that spans several lines counts each of them.  Run from anywhere::
 
-    python tools/code_lines.py
+    python tools/code_lines.py [--functions]
+
+``--functions`` also prints, under each module, the code lines of each of its functions and
+methods, its decorators included, by qualified name (``Class.method``, ``outer.inner``).
 """
 
+import argparse
 import ast
 import io
 import tokenize
@@ -29,21 +33,53 @@ def _docstring_lines(tree):
     return lines
 
 
-def code_lines(source):
-    """The number of code lines in the Python text ``source``."""
+def _code_line_numbers(source):
+    """The numbers of the lines of the Python text ``source`` that hold code."""
     lines = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in _NOT_CODE:
             lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines - _docstring_lines(ast.parse(source)))
+    return lines - _docstring_lines(ast.parse(source))
+
+
+def code_lines(source):
+    """The number of code lines in the Python text ``source``."""
+    return len(_code_line_numbers(source))
+
+
+def function_lines(source):
+    """``(qualified name, code lines)`` of each function and method of ``source``, in order."""
+    numbers, found = _code_line_numbers(source), []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found.append((name, len(numbers & set(range(first, child.end_lineno + 1)))))
+                visit(child, f"{name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--functions", action="store_true",
+                        help="also print each function's and method's code lines")
+    args = parser.parse_args()
     total = 0
     for path in sorted(SRC.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
+        source = path.read_text(encoding="utf-8")
+        count = code_lines(source)
         total += count
         print(f"{path.name:16} {count:5}")
+        if args.functions:
+            for name, lines in function_lines(source):
+                print(f"  {name:40} {lines:5}")
     print(f"{'total':16} {total:5}")
 
 
