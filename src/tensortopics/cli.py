@@ -158,8 +158,8 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _NONBLANK_LINE = re.compile(r"\n([^\S\n]*\S.*)")
 # a nonblank line that is not four ASCII fields of at most 18 digits, which int64 always
 # holds: the only lines whose fields need checking
-_NOT_RECORD_LINE = re.compile(r"\n(?![ \t]*+[+-]?[0-9]{1,18}+(?:[ \t]++[+-]?[0-9]{1,18}+){3}"
-                              r"[ \t]*+$)([^\S\n]*\S.*)", re.M)
+_NOT_RECORD_LINE = re.compile(r"\n(?![ \t]*[+-]?[0-9]{1,18}(?:[ \t]+[+-]?[0-9]{1,18}){3}[ \t]*$)"
+                              r"([^\S\n]*\S.*)", re.M)
 _NOT_ASCII_OR_SPACE = re.compile(r"[^\x00-\x7f\s]")
 _INT64 = np.iinfo(np.int64)
 

@@ -13,7 +13,6 @@ import time
 import warnings
 from dataclasses import asdict
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -403,26 +402,41 @@ def test_count_file_fuzz_reads_or_names_the_file(data):
             assert np.isfinite(y).all() and doc_length >= 1
 
 
-def _malformed_text(path):
-    try:
-        return str(cli._malformed_line(path))
-    except DataFormatError as err:  # not UTF-8
-        return str(err)
+def _first_bad_line(path, text):
+    """The error of a walk that numbers the lines of ``text`` one by one and checks the fields
+    of every nonblank line."""
+    for number, line in enumerate(text.split("\n"), start=1):
+        fields, where = line.split(), f"{path}: line {number}"
+        if not fields:
+            continue
+        if len(fields) != 4:
+            return f"{where}: expected 4 fields, found {len(fields)}"
+        if not all(re.fullmatch(r"[+-]?[0-9]+", field) for field in fields):
+            return f"{where}: all fields must be integers"
+        if not all(-2 ** 63 <= int(field) < 2 ** 63 for field in fields):
+            return f"{where}: a field lies outside the 64-bit integer range"
+    return f"{path}: unreadable count records"
 
 
 @given(_NEAR_VALID)
 @example(b"2 2 2 5\n1 1 1 999999999999999999\n1 1 1 9223372036854775808\n")
 @example(b"2 2 2 5\n1 1 1+1\n")
+@example("\n2 2 2 5\r\n\r\n1 1 1 2\r1\u30001 1 2\n \n1 1 1 x\n".encode())
 @settings(max_examples=200, deadline=None, database=None)
 def test_a_line_the_record_pattern_passes_is_one_the_field_checks_pass(data):
-    """``_malformed_line`` checks the fields of only the lines that ``_NOT_RECORD_LINE`` finds,
-    so its error is the one a walk that checks every nonblank line's fields gives."""
+    """``_malformed_line`` checks the fields of only the lines that ``_NOT_RECORD_LINE`` finds
+    and counts lines between them, so its error is the one a line-by-line walk gives."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.txt"
         path.write_bytes(data)
-        fast = _malformed_text(path)
-        with mock.patch.object(cli, "_NOT_RECORD_LINE", cli._NONBLANK_LINE):
-            assert _malformed_text(path) == fast
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            with pytest.raises(DataFormatError, match="not UTF-8 text"):
+                cli._malformed_line(path)
+            return
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        assert str(cli._malformed_line(path)) == _first_bad_line(path, text)
 
 
 def test_a_rewrite_of_the_same_size_and_mtime_is_parsed_again(tmp_path, monkeypatch):

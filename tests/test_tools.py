@@ -45,7 +45,7 @@ def test_function_lines_counts_each_function_and_method_by_its_qualified_name():
     # Box.size: the def, the string's two lines and the return's two lines
     code_lines = _tool("code_lines")
     assert code_lines.function_lines(_SNIPPET) == [("Box.size", 5)]
-    done = run_python(TOOLS / "code_lines.py", "--functions")
+    done = run_python(TOOLS / "code_lines.py")
     assert done.returncode == 0
     assert "  read_count_tensor " in done.stdout and done.stdout.splitlines()[-1].startswith("total")
 

@@ -1,16 +1,16 @@
-"""Print the code lines of each ``src/tensortopics`` module and their total.
+"""Print the code lines of each ``src/tensortopics`` module, of each of its functions and
+methods, and their total.
 
 A code line is a line that holds code: blank lines, comment-only lines and the lines of
 docstrings (the leading string of a module, class or function body) do not count, and a
 statement that spans several lines counts each of them.  Run from anywhere::
 
-    python tools/code_lines.py [--functions]
+    python tools/code_lines.py
 
-``--functions`` also prints, under each module, the code lines of each of its functions and
-methods, its decorators included, by qualified name (``Class.method``, ``outer.inner``).
+Under each module come its functions and methods, their decorators included, by qualified
+name (``Class.method``, ``outer.inner``).
 """
 
-import argparse
 import ast
 import io
 import tokenize
@@ -67,19 +67,14 @@ def function_lines(source):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--functions", action="store_true",
-                        help="also print each function's and method's code lines")
-    args = parser.parse_args()
     total = 0
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         count = code_lines(source)
         total += count
         print(f"{path.name:16} {count:5}")
-        if args.functions:
-            for name, lines in function_lines(source):
-                print(f"  {name:40} {lines:5}")
+        for name, lines in function_lines(source):
+            print(f"  {name:40} {lines:5}")
     print(f"{'total':16} {total:5}")
 
 
