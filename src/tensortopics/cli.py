@@ -59,8 +59,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_ranks, _checked_int,
-                     _checked_triple, _stage)
+from .errors import (DataFormatError, FitDegenerateError, _as_tensor, _check_ranks, _check_span,
+                     _checked_int, _checked_triple, _stage)
 from .estimator import FitConfig, TuckerModel, fit
 from .metrics import evaluate, scree
 from .tensor import _nonzero_records
@@ -721,7 +721,11 @@ def cmd_scree(args):
     start = time.perf_counter()
     read = {}
     y, doc_length = read_count_tensor(args.data, read)
-    _check_file_ranks(args.data, ranks if args.kmax is None else (*ranks, args.kmax), y.shape)
+    _check_file_ranks(args.data, ranks, y.shape)
+    if args.kmax is not None:
+        if mode == 3:  # the span rule needs no data, so it fails before the dimension rule
+            _check_span(3, args.kmax, ranks[0] * ranks[1])
+        _check_file_ranks(args.data, (*ranks, args.kmax), y.shape)
     values = scree(y, ranks, args.kmax, doc_length)
     computed = time.perf_counter()
     outputs = _write_csv(args.out, "scree", ("index", "eigenvalue"),

@@ -130,8 +130,9 @@ class FitResult:
     """A fitted model plus the diagnostics produced along the way.
 
     ``vocab`` lists the word indices that survived thresholding; rows of
-    ``model.a3`` outside it are exactly zero.  ``q0`` holds the recovered
-    strictly positive topic masses.  ``vertices`` gives per mode the row
+    ``model.a3`` outside it are exactly zero.  ``q0`` holds the recovered topic
+    masses, each positive: a topic's vertex row solves to its unit weight, so its mass is at
+    least that row's positive leading entry up to rounding.  ``vertices`` gives per mode the row
     indices chosen as simplex vertices (word-mode entries are original word
     indices).  ``eigvals`` are the initial spectral step's leading eigenvalues of the
     mode-1 gram and of the mode-2 gram of the tensor projected on the mode-1 basis, each the
@@ -220,25 +221,20 @@ def _membership_from_basis(xi, stage):
 
 def _word_factor_from_basis(xi, words):
     """Word factor, topic masses, vertex matrix and vertex rows of the rows ``words`` of one
-    basis; other rows of the word factor are zero.  The vertex matrix carries the leading
-    all-ones column the core stage needs; vertex rows index ``xi``."""
+    basis; other rows of the word factor are zero.  Vertices are hunted on the ratio
+    coordinates ``s[:, 1:]`` and weights solved on the whole ratio rows ``s``, so the vertex
+    matrix carries the leading all-ones column the core stage needs; vertex rows index ``xi``.
+    ``FitResult`` says why every topic mass is positive."""
     k = xi.shape[1]
     score = score_normalize(xi[words])
     if score.kept.size < k:
         raise FitDegenerateError(f"ratio normalization: kept {score.kept.size} of {words.size} "
                                  f"word rows, fewer than the {k} requested topics")
-    hunt = spa_vertex_hunt(score.s, k)
-    v_star = np.column_stack([np.ones(k), hunt.v])
-    s_star = np.column_stack([np.ones(score.s.shape[0]), score.s])
+    hunt = spa_vertex_hunt(score.s[:, 1:], k)
+    v_star = score.s[hunt.indices]
     with _stage("word membership"):
-        weights = recover_weights(s_star, v_star)
-    scaled = score.first_col[:, None] * weights
+        scaled = score.first_col[:, None] * recover_weights(score.s, v_star)
     q0 = scaled.sum(axis=0)
-    low = np.flatnonzero(q0 <= 0.0)
-    if low.size:
-        raise FitDegenerateError(
-            f"topic mass: recovered mass of topic {low[0] + 1} is not positive; "
-            "the data does not support this many topics")
     a3 = np.zeros(xi.shape)
     a3[words[score.kept]] = scaled / q0
     return a3, q0, v_star, words[score.kept[hunt.indices]]

@@ -15,9 +15,10 @@ from .errors import FitDegenerateError
 
 @dataclass(frozen=True)
 class ScoreResult:
-    """Ratio coordinates of eigenvector rows with a positive leading entry."""
+    """Eigenvector rows with a positive leading entry, each divided by that entry: the
+    ratio rows ``s``, whose trailing entries are the ratio coordinates."""
 
-    s: np.ndarray          # (kept, k-1) trailing entries over the leading one
+    s: np.ndarray          # (kept, k) whole rows over their leading entry, which becomes 1
     first_col: np.ndarray  # (kept,) strictly positive leading entries
     kept: np.ndarray       # (kept,) indices into the original rows
 
@@ -35,16 +36,16 @@ def score_normalize(xi):
 
     Rows whose leading entry is not positive beyond rounding (``n`` epsilons
     of the largest) carry no usable scale and are absent from ``kept``.  The
-    surviving rows satisfy ``diag(first_col) @ [1 | s] == xi[kept]`` up to rounding.
-    ``xi`` is taken as ``fit`` hands it on: a float eigenvector basis.
+    surviving rows satisfy ``diag(first_col) @ s == xi[kept]`` up to rounding, and the
+    leading column of ``s`` is exactly 1 (a float divided by itself), so ``s[:, 1:]`` are the
+    ratio coordinates.  ``xi`` is taken as ``fit`` hands it on: a float eigenvector basis.
     """
     kept = np.flatnonzero(xi[:, 0] > len(xi) * np.finfo(float).eps * np.abs(xi[:, 0]).max())
     if kept.size == 0:
         raise FitDegenerateError(
             "ratio normalization: no row of the leading eigenvector is positive")
     first = xi[kept, 0].copy()
-    s = xi[kept, 1:] / first[:, None]
-    return ScoreResult(s=s, first_col=first, kept=kept)
+    return ScoreResult(s=xi[kept] / first[:, None], first_col=first, kept=kept)
 
 
 def spa_vertex_hunt(points, k):

@@ -20,10 +20,11 @@ it lies in the mean tensor, which is neither copied nor changed.  An instance
 keeps no tensor but its counts.
 
 A Philox stream is fixed by its key alone: counter zero and an empty buffer
-start it.  So both paths derive the documents' keys in vectorized passes of
-numpy's SeedSequence arithmetic (the token path one pass a block), and rekey
-one generator per document instead of building a SeedSequence, a Philox and
-a Generator for it; every document still draws exactly the bits of its
+start it.  So both paths draw a block of documents (a thread's block, or a
+block drawn by tokens) through ``_doc_streams``, which derives the block's keys
+in one vectorized pass of numpy's SeedSequence arithmetic and rekeys one
+generator per document instead of building a SeedSequence, a Philox and a
+Generator for it; every document still draws exactly the bits of its
 ``substream``.
 """
 
@@ -106,18 +107,19 @@ def _doc_keys(seed, docs):
                      state[2] | state[3] << np.uint64(32)], axis=1)
 
 
-def _rekeyable():
-    """A generator and a function that rekeys it to the substream of a document key
-    from :func:`_doc_keys` as that substream starts: the key, counter 0, no buffered bits."""
+def _doc_streams(seed, docs):
+    """The generator of ``substream(seed, 1, doc)`` for each document of ``docs`` in turn, as
+    that substream starts: one Philox generator, rekeyed to each key :func:`_doc_keys` gives
+    in one pass, with counter 0 and no buffered bits.  Each is valid until the next is taken."""
     bits = Philox(0)
+    rng = Generator(bits)
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-    def rekey(key):
+    for key in _doc_keys(seed, docs).tolist():
         state["state"]["key"] = key
         bits.state = state
-    return Generator(bits), rekey
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,8 @@ def sample_counts(d, doc_length, seed):
     tube ``d[i, j, :]`` sums to one within 1e-9, ``doc_length`` a positive
     integer and ``seed`` a nonnegative integer.  Each document draws the
     bits of its own ``substream(seed, 1, doc)``, so the result depends on
-    neither traversal order nor the number of threads drawing.  Each tube is
+    neither traversal order nor the number of threads drawing; each thread
+    derives the keys of its block of documents in one pass.  Each tube is
     summed and normalized where it lies, in any layout, so no copy of ``d``
     is made; a tensor without documents gives an empty count tensor.
     """
@@ -190,17 +193,14 @@ def sample_counts(d, doc_length, seed):
     d = _data_word_sums(d)[0]
     n1, n2, _ = d.shape
     counts = np.empty(d.shape, dtype=np.int64)
-    keys = _doc_keys(seed, np.arange(n1 * n2)).tolist()
 
     def draw(block):  # multinomial releases the GIL while it draws
-        rng, rekey = _rekeyable()
-        for doc in block.tolist():
+        for doc, rng in zip(block.tolist(), _doc_streams(seed, block)):
             i, j = divmod(doc, n2)
             total = d[i, j].sum()  # a 1-D sum adds a tube in the same order in any layout
             if abs(total - 1.0) > 1e-9:  # the block's first bad tube ends it
                 raise DataFormatError(f"tube ({i + 1}, {j + 1}) of the mean tensor sums to "
                                       f"{float(total)!r}, expected 1 within 1e-9")
-            rekey(keys[doc])
             counts[i, j] = rng.multinomial(doc_length, d[i, j] / total)
 
     from concurrent.futures import ThreadPoolExecutor  # only this path starts threads
@@ -246,12 +246,10 @@ def _token_records(model, doc_length, seed):
     word_cdf = np.cumsum(model.a3, axis=0).T.copy()  # one contiguous row per topic
     rows = _block_docs(docs * n_words, doc_length)
     uniforms = np.empty((rows, 2, doc_length))
-    rng, rekey = _rekeyable()
     for start in range(0, docs, rows):
         block = np.arange(start, min(start + rows, docs))
         u = uniforms[:len(block)]
-        for row, key in zip(u, _doc_keys(seed, block).tolist()):
-            rekey(key)
+        for row, rng in zip(u, _doc_streams(seed, block)):
             rng.random(out=row)
         cdf = np.cumsum(_topic_weights(model.a1[block // n2], model.a2[block % n2], model.g),
                         axis=1)

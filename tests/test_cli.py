@@ -1553,12 +1553,15 @@ def test_scree_kmax_above_the_dimension_is_usage_error_naming_the_file(tmp_path,
 
 def test_scree_kmax_above_k1_k2_breaks_the_span_rule_with_exit_3(tmp_path, capsys):
     """Mode 3's ``--kmax`` is a word-mode rank, so above ``K1 K2`` it breaks the span rule, in
-    that rule's one text, before the data is checked; ``K1 K2`` is the default here."""
+    that rule's one text, before the data is checked: also above the 20 words, since the span
+    rule needs no data.  ``K1 K2`` is the default here."""
     data = _tiny_counts(tmp_path)
     scree = ["scree", "--data", str(data), "--ranks", "2,2", "--out", str(tmp_path / "s")]
-    assert main([*scree, "--kmax", "5"]) == 3
-    assert capsys.readouterr().err == "data error: mode 3 rank 5 exceeds the projected span 4\n"
-    assert not (tmp_path / "s.scree.csv").exists()
+    for kmax in (5, 25):
+        assert main([*scree, "--kmax", str(kmax)]) == 3
+        assert capsys.readouterr().err == \
+            f"data error: mode 3 rank {kmax} exceeds the projected span 4\n"
+        assert not (tmp_path / "s.scree.csv").exists()
     assert main(scree) == 0
     assert len((tmp_path / "s.scree.csv").read_text().splitlines()) == 4 + 1
 

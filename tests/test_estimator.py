@@ -1230,7 +1230,7 @@ def test_fit_with_fewer_positive_word_rows_than_topics_is_degenerate():
 
 # a named stage in every error message fit may raise
 _STAGE = re.compile(r"data tensor|vocabulary threshold|mode [123]|word-mode|ratio normalization"
-                    r"|membership|topic mass")
+                    r"|membership")
 
 
 @st.composite
@@ -1275,3 +1275,23 @@ def test_fit_of_degenerate_tensors_names_the_stage_or_returns_a_valid_model(
         assert _STAGE.search(outcome[1]), f"{outcome[0]} names no stage: {outcome[1]}"
     else:
         fit(y, cfg).model.validate()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(2, 6), st.integers(0, 24), st.integers(0, 2**32 - 1), st.booleans())
+def test_word_stage_topic_masses_are_positive_on_any_orthonormal_basis(k, extra, seed, flip):
+    """Each topic's vertex row solves to its unit weight, so whenever the word stage returns,
+    every topic mass is at least about its vertex's positive leading entry: no basis, however
+    far from a simplex, gives a topic no mass."""
+    rng = np.random.default_rng(seed)
+    n = k + extra
+    xi = np.linalg.qr(rng.normal(size=(n, k)))[0] * (-1.0 if flip else 1.0)
+    words = np.sort(rng.choice(n, size=rng.integers(k, n + 1), replace=False))  # as fit keeps
+    try:
+        a3, q0, v_star, vertices = estimator._word_factor_from_basis(xi, words)
+    except FitDegenerateError as err:
+        assert re.match(r"ratio normalization|word membership", str(err)), str(err)
+        return
+    assert np.all(q0 > 0.0), q0
+    assert np.isfinite(a3).all()
+    np.testing.assert_array_equal(v_star[:, 0], np.ones(k))

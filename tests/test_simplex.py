@@ -24,8 +24,8 @@ def test_score_reconstruction_identity():
     xi = rng.uniform(0.1, 1.0, size=(20, 4))
     sc = score_normalize(xi)
     np.testing.assert_array_equal(sc.kept, np.arange(20))
-    rebuilt = sc.first_col[:, None] * np.column_stack([np.ones(20), sc.s])
-    assert np.max(np.abs(rebuilt - xi)) < 1e-12
+    np.testing.assert_array_equal(sc.s[:, 0], np.ones(20))
+    assert np.max(np.abs(sc.first_col[:, None] * sc.s - xi)) < 1e-12
 
 
 def test_score_drops_nonpositive_rows():
@@ -34,7 +34,7 @@ def test_score_drops_nonpositive_rows():
     xi = np.array([[1.0, 2.0], [0.0, 5.0], [-1.0, 3.0], [2.0, 1.0], [1e-17, 4.0]])
     sc = score_normalize(xi)
     np.testing.assert_array_equal(sc.kept, [0, 3])
-    np.testing.assert_allclose(sc.s[:, 0], [2.0, 0.5])
+    np.testing.assert_allclose(sc.s, [[1.0, 2.0], [1.0, 0.5]])
 
 
 def test_score_all_nonpositive_raises():

@@ -445,6 +445,22 @@ def test_document_key_outside_one_word_is_refused(doc):
         synth._doc_keys(3, np.array([0, doc]))
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 5])
+def test_each_document_stream_draws_what_its_substream_draws(seed):
+    """``_doc_streams`` rekeys its one generator to each document of a shuffled block in turn:
+    every generator it yields draws what that document's own ``substream`` draws, though the
+    document before left buffered bits behind (one odd ``uint32`` draw each)."""
+    docs = np.random.default_rng(3).permutation(np.arange(40, 60))
+    drawn = 0
+    for doc, rng in zip(docs.tolist(), synth._doc_streams(seed, docs)):
+        own = substream(seed, 1, doc)
+        for draw in (lambda g: g.random(3), lambda g: g.multinomial(40, [0.5, 0.3, 0.2]),
+                     lambda g: g.integers(1000, size=3, dtype=np.uint32)):
+            np.testing.assert_array_equal(draw(rng), draw(own))
+        drawn += 1
+    assert drawn == docs.size
+
+
 def test_shared_generator_carries_no_state_between_documents(monkeypatch):
     """Documents that share one rekeyed generator draw as if each had its own:
     long documents in the BTPE regime (n p > 30), with one-hot tubes and
