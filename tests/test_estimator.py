@@ -1281,8 +1281,8 @@ def test_fit_of_degenerate_tensors_names_the_stage_or_returns_a_valid_model(
 @given(st.integers(2, 6), st.integers(0, 24), st.integers(0, 2**32 - 1), st.booleans())
 def test_word_stage_topic_masses_are_positive_on_any_orthonormal_basis(k, extra, seed, flip):
     """Each topic's vertex row solves to its unit weight, so whenever the word stage returns,
-    every topic mass is at least about its vertex's positive leading entry: no basis, however
-    far from a simplex, gives a topic no mass."""
+    every topic mass is at least its vertex row's positive leading entry, up to rounding: no
+    basis, however far from a simplex, gives a topic no mass."""
     rng = np.random.default_rng(seed)
     n = k + extra
     xi = np.linalg.qr(rng.normal(size=(n, k)))[0] * (-1.0 if flip else 1.0)
